@@ -26,11 +26,14 @@ lint: vet
 # concurrency-sensitive packages; run their suites under the race
 # detector, together with the simulator layers they drive (machine, SDK
 # runtime, host) — lock-ordering bugs between the logger and the SDK
-# sync primitives only surface when both run raced. RACE_PKGS is the one
-# place that list lives; race and verify share it.
+# sync primitives only surface when both run raced. internal/lint joins
+# them for its process-wide table of type-checked GOROOT packages, which
+# concurrently checked trees share. RACE_PKGS is the one place that list
+# lives; race and verify share it.
 RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 	./internal/pool/... ./internal/serve/... ./internal/experiments/... \
-	./internal/sgx/... ./internal/sdk/... ./internal/host/...
+	./internal/sgx/... ./internal/sdk/... ./internal/host/... \
+	./internal/lint/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

@@ -103,7 +103,14 @@ func runAtomicMix(pass *Pass) error {
 		a, p := atomicUse[v], plainUse[v]
 		sort.Slice(a, func(i, j int) bool { return a[i].pos < a[j].pos })
 		sort.Slice(p, func(i, j int) bool { return p[i].pos < p[j].pos })
-		pass.Reportf(v.Pos(),
+		// A variable declared outside the tree (a field of a
+		// standard-library struct, say) has no position in pass.Fset (see
+		// Package), so it is reported at its first atomic access.
+		at := v.Pos()
+		if !pass.tree.declares(v.Pkg()) {
+			at = a[0].pos
+		}
+		pass.Reportf(at,
 			"%s is accessed via sync/atomic (line %d) and by plain load/store (line %d); use one discipline for every access",
 			varLabel(v), pass.Fset.Position(a[0].pos).Line, pass.Fset.Position(p[0].pos).Line)
 	}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -650,6 +651,39 @@ func reset() {
 	}
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "variable hits") {
 		t.Fatalf("mixed package var not reported: %v", messages(diags))
+	}
+}
+
+// A mixed field declared in the standard library has no position in the
+// tree's FileSet (the shared GOROOT table owns it), so the report lands
+// on the first atomic access in the tree instead of the declaration.
+func TestAtomicMixOutOfTreeFieldReportedAtAccess(t *testing.T) {
+	root := writeTree(t, map[string]string{"pkg/mix/mix.go": `package mix
+
+import (
+	"runtime"
+	"sync/atomic"
+)
+
+var stats runtime.MemStats
+
+func bump() {
+	atomic.AddUint64(&stats.Alloc, 1)
+}
+
+func reset() {
+	stats.Alloc = 0
+}
+`})
+	diags, err := Run(root, []*Analyzer{AtomicMix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "field Alloc") {
+		t.Fatalf("mixed standard-library field not reported: %v", messages(diags))
+	}
+	if got := diags[0].Pos; filepath.Base(got.Filename) != "mix.go" || got.Line != 11 {
+		t.Errorf("reported at %s, want mix.go:11 (the atomic access)", got)
 	}
 }
 

@@ -2,20 +2,27 @@ package lint
 
 import (
 	"go/token"
+	"go/types"
 	"strings"
 )
 
 // A Tree is one parsed source tree with every expensive derived artifact
 // — the go/types view, the suppression directives, the dataflow-engine
 // summaries and the interprocedural call graphs — computed at most once
-// and shared by every analyzer and exported analysis that runs over it.
-// Before the cache, each of lockorder/heldacross re-summarised the repo
-// and each of transamp/doublefetch/ptrescape rebuilt a call graph, and
-// every Analyze* entry point re-parsed and re-type-checked the tree from
-// scratch; the repo gate now pays for each package once.
+// per Tree and shared by every analyzer and exported analysis that runs
+// over it. Each LoadTree parses and type-checks the tree's own packages
+// afresh, so a caller that loads the same root twice pays twice; only
+// standard-library imports are checked once per process (see
+// importGOROOT).
+//
+// Fset positions the tree's own files and any import resolved outside
+// GOROOT. Standard-library objects carry positions from the shared
+// table's FileSet instead, so no analyzer resolves the position of an
+// imported GOROOT object through Fset (see Package).
 //
 // A Tree is not safe for concurrent use: the driver runs analyzers
-// sequentially, and the memo maps are plain.
+// sequentially, and the memo maps are plain. Distinct Trees may be
+// loaded and checked concurrently.
 type Tree struct {
 	Root string
 	Fset *token.FileSet
@@ -52,6 +59,17 @@ func (t *Tree) ensureTypes() {
 	}
 	typecheck(t.Root, t.Fset, t.Pkgs)
 	t.typed = true
+}
+
+// declares reports whether pkg is one of the tree's own checked
+// packages, whose objects carry positions in Fset.
+func (t *Tree) declares(pkg *types.Package) bool {
+	for _, p := range t.Pkgs {
+		if p.Types == pkg {
+			return true
+		}
+	}
+	return false
 }
 
 // allowSet returns the memoised suppression directives.

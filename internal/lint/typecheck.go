@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/token"
 	"go/types"
@@ -9,6 +10,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"sync"
 )
 
 // A Package is one parsed directory plus, when an analyzer in the run
@@ -17,6 +19,13 @@ import (
 // the module, say) are stubbed out and checking continues, so Info may be
 // partial. Analyzers must treat missing type info as "don't know" and
 // stay silent rather than guess.
+//
+// Standard-library imports resolve to the process-wide GOROOT table (see
+// importGOROOT), whose objects carry positions from the table's own
+// FileSet, not from Tree.Fset. Analyzers therefore never resolve the
+// position of an object declared in an imported GOROOT package: lock
+// identities key by package path and name, summaries by FullName, and
+// diagnostics sit on the tree's own nodes.
 type Package struct {
 	// Dir is the package directory relative to the analysis root.
 	Dir string
@@ -35,7 +44,9 @@ type Package struct {
 // tolerantImporter resolves imports from source via the standard
 // go/importer and degrades to an empty stub package when resolution
 // fails, so analysis of partial trees (test fixtures, other checkouts)
-// still type-checks what it can instead of aborting.
+// still type-checks what it can instead of aborting. Standard-library
+// paths go to the process-wide GOROOT table; everything else, stubs
+// included, lives as long as the tree.
 type tolerantImporter struct {
 	src   types.Importer
 	stubs map[string]*types.Package
@@ -52,7 +63,10 @@ func (imp *tolerantImporter) Import(p string) (*types.Package, error) {
 	if stub, ok := imp.stubs[p]; ok {
 		return stub, nil
 	}
-	pkg, err := imp.src.Import(p)
+	pkg, shared, err := importGOROOT(p)
+	if !shared {
+		pkg, err = imp.src.Import(p)
+	}
 	if err == nil {
 		return pkg, nil
 	}
@@ -61,13 +75,65 @@ func (imp *tolerantImporter) Import(p string) (*types.Package, error) {
 	return stub, nil
 }
 
+// goroot is the process-wide table of type-checked GOROOT packages, keyed
+// by import path. Sources under $GOROOT/src cannot change while the
+// process runs, so every tree shares one checked copy of sync, time,
+// net/http and their runtime closure instead of re-parsing them on each
+// LoadTree. The table is created on first use and has its own FileSet
+// (see Package for why that is safe); one mutex guards it.
+var goroot struct {
+	sync.Mutex
+	src  types.Importer
+	pkgs map[string]*types.Package
+}
+
+// importGOROOT returns the shared package for an import path that
+// resolves under $GOROOT/src, type-checking it on first use; a hit is a
+// map lookup, with no go/build directory scan. shared is false for every
+// other path, which the caller resolves per tree. Failures are not
+// cached: the caller stubs them per tree, as it does any other.
+func importGOROOT(p string) (pkg *types.Package, shared bool, err error) {
+	goroot.Lock()
+	defer goroot.Unlock()
+	if pkg, ok := goroot.pkgs[p]; ok {
+		return pkg, true, nil
+	}
+	if !inGOROOT(p) {
+		return nil, false, nil
+	}
+	if goroot.pkgs == nil {
+		goroot.src = importer.ForCompiler(token.NewFileSet(), "source", nil)
+		goroot.pkgs = make(map[string]*types.Package)
+	}
+	pkg, err = goroot.src.Import(p)
+	if err != nil {
+		return nil, true, err
+	}
+	goroot.pkgs[p] = pkg
+	return pkg, true, nil
+}
+
+// inGOROOT reports whether the import path names a directory under
+// $GOROOT/src, the test go/build itself uses to route a standard-library
+// path past the go command. Paths that are not clean could climb out of
+// $GOROOT/src, so they never match.
+func inGOROOT(p string) bool {
+	if build.Default.GOROOT == "" || p == "" || path.Clean(p) != p || build.IsLocalImport(p) || path.IsAbs(p) {
+		return false
+	}
+	fi, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(p)))
+	return err == nil && fi.IsDir()
+}
+
+var moduleRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)
+
 // modulePath reads the module path from root/go.mod ("" when absent).
 func modulePath(root string) string {
 	raw, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return ""
 	}
-	m := regexp.MustCompile(`(?m)^module\s+(\S+)`).FindSubmatch(raw)
+	m := moduleRE.FindSubmatch(raw)
 	if m == nil {
 		return ""
 	}

@@ -1,7 +1,13 @@
 package lint
 
 import (
+	"go/build"
 	"go/types"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,6 +27,37 @@ func findPkg(t *testing.T, tree *Tree, dir string) *Package {
 		return dirs
 	}())
 	return nil
+}
+
+// importOf returns the package pkg imports under path p (nil if none).
+func importOf(pkg *types.Package, p string) *types.Package {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == p {
+			return imp
+		}
+	}
+	return nil
+}
+
+// assertSharedOnlyGOROOT fails unless every path in the process-wide
+// table names a directory under $GOROOT/src and none of the given paths
+// made it in: in-tree packages, out-of-tree resolutions and stubs must
+// keep their per-tree lifetime.
+func assertSharedOnlyGOROOT(t *testing.T, perTree ...string) {
+	t.Helper()
+	goroot.Lock()
+	defer goroot.Unlock()
+	for p := range goroot.pkgs {
+		fi, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", filepath.FromSlash(p)))
+		if err != nil || !fi.IsDir() {
+			t.Errorf("shared table holds %q, which is not under $GOROOT/src", p)
+		}
+	}
+	for _, p := range perTree {
+		if _, ok := goroot.pkgs[p]; ok {
+			t.Errorf("shared table holds %q; it must stay per tree", p)
+		}
+	}
 }
 
 // loadTyped parses and fully type-checks a fixture tree.
@@ -76,6 +113,7 @@ func FromB() int { return a.FromA() }
 	if got := st.Field(0).Type().String(); got != "example.com/fix/internal/b.Right" {
 		t.Errorf("Left.R resolved to %s, want the in-tree b.Right", got)
 	}
+	assertSharedOnlyGOROOT(t, "example.com/fix/internal/a", "example.com/fix/internal/b")
 }
 
 // TestTypecheckMissingInTreeDep proves an import of a package that does
@@ -105,6 +143,7 @@ func intact() int { return 40 + 2 }
 	if sig.Results().Len() != 1 || sig.Results().At(0).Type().String() != "int" {
 		t.Errorf("intact signature = %s, want func() int", sig)
 	}
+	assertSharedOnlyGOROOT(t, "example.com/fix/internal/gone", "example.com/fix/internal/app")
 }
 
 // TestTypecheckShadowedPackageNames proves two in-tree directories with
@@ -165,20 +204,106 @@ func Use(r ru.T, b bu.T) {}
 
 // TestTypecheckNoModuleFallback proves a tree without a go.mod — a bare
 // fixture checkout — still checks under synthetic lintfixture/ paths and
-// in-tree imports cannot accidentally resolve (they stub out instead of
-// hitting the real module cache).
+// imports of out-of-tree paths outside GOROOT cannot accidentally
+// resolve (they stub out instead of hitting the real module cache),
+// while standard-library imports come from the shared GOROOT table.
 func TestTypecheckNoModuleFallback(t *testing.T) {
 	tree := loadTyped(t, map[string]string{
 		"pkg/one/one.go": `package one
 
-func One() int { return 1 }
+import (
+	"strings"
+
+	"example.org/elsewhere/dep"
+)
+
+func One() int { return strings.Count("one", "o") }
+
+func Two() { dep.Call() }
 `,
 	})
 	pkg := findPkg(t, tree, "pkg/one")
 	if got := pkg.ImportPath; got != "lintfixture/pkg/one" {
 		t.Errorf("import path = %q, want lintfixture/pkg/one", got)
 	}
-	if pkg.Types == nil || pkg.Types.Scope().Lookup("One") == nil {
-		t.Error("module-less package not type-checked")
+	if pkg.Types == nil || pkg.Types.Scope().Lookup("One") == nil || pkg.Types.Scope().Lookup("Two") == nil {
+		t.Fatal("module-less package not type-checked")
 	}
+	if dep := importOf(pkg.Types, "example.org/elsewhere/dep"); dep != nil {
+		t.Errorf("out-of-tree import resolved to %v; it must stub out", dep)
+	}
+	goroot.Lock()
+	shared := goroot.pkgs["strings"]
+	goroot.Unlock()
+	if got := importOf(pkg.Types, "strings"); got == nil || got != shared {
+		t.Errorf("strings import = %p, want the shared GOROOT package %p", got, shared)
+	}
+	assertSharedOnlyGOROOT(t, "example.org/elsewhere/dep", "lintfixture/pkg/one")
+}
+
+// TestTypecheckGOROOTTableConcurrent type-checks two copies of one tree
+// from separate goroutines. The process-wide GOROOT table must hand both
+// the same sync package, and the copies must lint identically.
+func TestTypecheckGOROOTTableConcurrent(t *testing.T) {
+	files := map[string]string{
+		"go.mod":             "module example.com/fix\n\ngo 1.22\n",
+		"pkg/locks/locks.go": inversionSrc,
+		"pkg/held/held.go":   heldSendSrc,
+		"pkg/mix/mix.go": `package mix
+
+import (
+	"sync/atomic"
+	"time"
+)
+
+type node struct{ next atomic.Pointer[node] }
+
+var started int64
+
+func stamp(n *node) time.Duration {
+	atomic.StoreInt64(&started, time.Now().UnixNano())
+	n.next.Store(n)
+	return time.Duration(started)
+}
+`,
+	}
+	roots := []string{writeTree(t, files), writeTree(t, files)}
+	trees := make([]*Tree, len(roots))
+	diags := make([][]string, len(roots))
+	errs := make([]error, len(roots))
+	var wg sync.WaitGroup
+	for i, root := range roots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tree, err := LoadTree(root)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			ds, err := RunTree(tree, Analyzers())
+			trees[i], errs[i] = tree, err
+			for _, d := range ds {
+				diags[i] = append(diags[i], strings.ReplaceAll(d.String(), root, ""))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(diags[0]) < 3 {
+		t.Fatalf("diagnostics = %v, want a lock cycle, a held lock and a mixed variable", diags[0])
+	}
+	if !slices.Equal(diags[0], diags[1]) {
+		t.Errorf("concurrent trees disagree:\n%v\n%v", diags[0], diags[1])
+	}
+	s0 := importOf(findPkg(t, trees[0], "pkg/locks").Types, "sync")
+	s1 := importOf(findPkg(t, trees[1], "pkg/locks").Types, "sync")
+	if s0 == nil || s0 != s1 {
+		t.Errorf("sync imports = %p and %p, want one shared package", s0, s1)
+	}
+	assertSharedOnlyGOROOT(t, "example.com/fix/pkg/locks", "example.com/fix/pkg/held", "example.com/fix/pkg/mix")
 }
