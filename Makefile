@@ -21,8 +21,9 @@ lint: vet
 
 # The recording pipeline, the live streaming engine
 # (internal/perf/live), the event store with its subscription tap and
-# parallel codec (internal/evstore) and the shared worker pool
-# (internal/pool) behind the parallel analyzer are the
+# parallel codec (internal/evstore), the shared worker pool
+# (internal/pool) behind the codec and the live snapshot, and the serve
+# daemon's concurrent window folds are the
 # concurrency-sensitive packages; run their suites under the race
 # detector, together with the simulator layers they drive (machine, SDK
 # runtime, host) — lock-ordering bugs between the logger and the SDK
@@ -60,9 +61,9 @@ bench-contention:
 	$(GO) run ./cmd/sgx-perf-bench -exp contention \
 		-baseline BENCH_results.json -json BENCH_results.json
 
-# Measure analysis-pipeline throughput (serial vs parallel) and trace
-# codec speed (gob vs columnar), merging the rows into BENCH_results.json
-# under the "analyze" key.
+# Measure analysis throughput (Analyze: the fold over sorted copies of
+# the trace's tables) and trace codec speed (gob vs columnar), merging
+# the rows into BENCH_results.json under the "analyze" key.
 bench-analyze:
 	GOMAXPROCS=8 $(GO) run ./cmd/sgx-perf-bench -exp analyze -repeats 5 \
 		-json BENCH_results.json
@@ -96,7 +97,8 @@ bench-outofcore:
 	$(GO) run ./cmd/sgx-perf-bench -exp outofcore \
 		-outofcore-ops $(OUTOFCORE_OPS) -json BENCH_results.json
 
-# End-to-end daemon smoke: build the binaries, record a trace, boot
+# End-to-end daemon smoke: build the binaries, record a trace, check
+# `sgx-perf-analyze -stream -json` is byte-identical to `-json`, boot
 # sgx-perf-serve on a free port, upload the trace over HTTP and check
 # GET /v1/report is byte-identical to offline `sgx-perf-analyze -json`.
 serve-smoke:

@@ -343,18 +343,20 @@ type TraceList struct {
 	Traces        []TraceInfo `json:"traces"`
 }
 
-// StatsReport is the windowed incremental statistics view
-// (GET /v1/traces/{id}/stats): the same per-call statistics as
-// Report.Stats, assembled from per-chunk window artifacts so an
-// appended trace only recomputes the changed tail window.
+// StatsReport is the statistics view (GET /v1/traces/{id}/stats): the
+// Stats of the trace's cached report, with the fold-window accounting
+// of the request that produced it, so an appended trace only refolds
+// its tail windows.
 type StatsReport struct {
 	SchemaVersion int         `json:"schema_version"`
 	Workload      string      `json:"workload"`
 	ContentKey    string      `json:"content_key"`
 	Stats         []CallStats `json:"stats"`
-	// WindowsTotal is how many chunk windows the trace spans;
-	// WindowsComputed of them were computed for this request and
-	// WindowsReused came from the artifact cache.
+	// WindowsTotal is how many report fold windows the trace spans;
+	// WindowsComputed of them were folded for this request and
+	// WindowsReused came from the artifact cache. All three are zero
+	// for a trace that is not stream-sorted, which is reported by one
+	// uncached fold over sorted copies of its tables.
 	WindowsTotal    int `json:"windows_total"`
 	WindowsComputed int `json:"windows_computed"`
 	WindowsReused   int `json:"windows_reused"`

@@ -245,30 +245,25 @@ func BenchmarkAblation_Switchless(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeParallel compares the serial reference analysis
-// pipeline against the parallel one (worker-pool kernels + interval
-// index) on a synthetic 10k-call trace. events/s is wall-clock
-// post-processing throughput.
-func BenchmarkAnalyzeParallel(b *testing.B) {
-	for _, mode := range []string{"serial", "parallel"} {
-		b.Run(mode, func(b *testing.B) {
-			trace, err := experiments.SynthAnalysisTrace(10000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := sgxperf.NewAnalyzer(trace, sgxperf.AnalyzerOptions{Serial: mode == "serial"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			nEvents := trace.Ecalls.Len() + trace.Ocalls.Len() + trace.Paging.Len() + trace.Syncs.Len()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				a.Analyze()
-			}
-			b.ReportMetric(float64(nEvents)*float64(b.N)/time.Since(start).Seconds(), "events/s")
-		})
+// BenchmarkAnalyze prices one Analyze — the fold over sorted copies of
+// the trace's tables, report assembled — on a synthetic 10k-call trace.
+// events/s is wall-clock post-processing throughput.
+func BenchmarkAnalyze(b *testing.B) {
+	trace, err := experiments.SynthAnalysisTrace(10000)
+	if err != nil {
+		b.Fatal(err)
 	}
+	a, err := sgxperf.NewAnalyzer(trace, sgxperf.AnalyzerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	nEvents := trace.Ecalls.Len() + trace.Ocalls.Len() + trace.Paging.Len() + trace.Syncs.Len()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		a.Analyze()
+	}
+	b.ReportMetric(float64(nEvents)*float64(b.N)/time.Since(start).Seconds(), "events/s")
 }
 
 // BenchmarkCodecSaveLoad compares trace serialisation through the legacy

@@ -17,10 +17,11 @@
 // -stream analyses the trace through the out-of-core streaming fold:
 // the file is read chunk-by-chunk and memory stays bounded by the chunk
 // size, not the trace size, so traces larger than RAM analyse fine. The
-// report is identical to the resident path's; the trace must be saved
-// in stream order (sgx-perf-log emits it; an unsorted file is
-// rejected). Event-level flags (-hist, -scatter, -csv-dir, -compare)
-// need the resident event set and do not combine with -stream.
+// report is identical to the resident path's, which runs the same fold
+// over sorted copies of the loaded tables; the trace must be saved in
+// stream order (sgx-perf-log emits it; an unsorted file is rejected).
+// Event-level flags (-hist, -scatter, -csv-dir, -compare) need the
+// resident event set and do not combine with -stream.
 package main
 
 import (
@@ -96,7 +97,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(analyzer.Compare(a, b).Render())
+		fmt.Print(analyzer.Compare(a.Analyze(), b.Analyze()).Render())
 		return nil
 	}
 	report := a.Analyze()
@@ -120,10 +121,10 @@ func run() error {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(*csvDir, "stats.csv"), []byte(a.StatsCSV()), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(*csvDir, "stats.csv"), []byte(report.StatsCSV()), 0o644); err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(*csvDir, "wakegraph.csv"), []byte(a.WakeGraphCSV()), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(*csvDir, "wakegraph.csv"), []byte(report.WakeGraphCSV()), 0o644); err != nil {
 			return err
 		}
 		written := []string{"stats.csv", "wakegraph.csv"}

@@ -317,8 +317,8 @@ func checkSwitchlessLoop(res *experiments.SwitchlessLoopResult) error {
 // checkServe enforces the always-on service's acceptance criteria: the
 // served report must match the offline analyser exactly, the run must
 // exercise real concurrency, the artifact cache must make warm requests
-// at least 5x faster than cold ones, and an append must invalidate only
-// the tail of the windowed statistics.
+// at least 5x faster than cold ones, and an append must refold only the
+// tail windows of the report behind /stats.
 func checkServe(res *experiments.ServeResult) error {
 	if !res.ServedEqualsOffline {
 		return fmt.Errorf("serve: served report diverges from the offline analyser")

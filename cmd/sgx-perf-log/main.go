@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sgxperf"
+	"sgxperf/internal/perf/events"
 )
 
 func main() {
@@ -65,6 +66,9 @@ func run() error {
 	fmt.Printf("recorded %d ecall, %d ocall, %d AEX, %d paging, %d sync events (wall %v)\n",
 		runRes.Trace.Ecalls.Len(), runRes.Trace.Ocalls.Len(), runRes.Trace.AEXs.Len(),
 		runRes.Trace.Paging.Len(), runRes.Trace.Syncs.Len(), time.Since(start).Round(time.Millisecond))
+	// Save in stream order, so sgx-perf-analyze -stream and the serve
+	// daemon's windowed fold accept the file as is.
+	events.StreamSort(runRes.Trace)
 	if err := runRes.Trace.SaveFile(*out); err != nil {
 		return err
 	}

@@ -21,7 +21,7 @@
 //	GET  /v1/traces/{id}               one trace's info (content key, counts, seq)
 //	POST /v1/traces/{id}/append        append a delta trace stream
 //	GET  /v1/traces/{id}/report        full analyser report (?enclave=N)
-//	GET  /v1/traces/{id}/stats         windowed incremental statistics
+//	GET  /v1/traces/{id}/stats         the report's statistics + fold-window counts
 //	GET  /v1/traces/{id}/lint          hybrid lint report (embedded EDL; ?source=1 adds the source passes)
 //	GET  /v1/traces/{id}/snapshot      live snapshot; ?seq=N long-polls for a change
 //	GET  /v1/traces/{id}/live          server-sent-events snapshot stream

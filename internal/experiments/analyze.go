@@ -1,16 +1,15 @@
 package experiments
 
 // The analysis-throughput experiment: how fast the post-processing
-// pipeline (§4.2) chews through a recorded trace, serial versus
-// parallel, and how fast traces move through the two on-disk formats
-// (legacy gob versus the chunked columnar codec). Unlike the paper's
-// virtual-time figures these are wall-clock numbers for the tool itself
-// — the sgx-perf analogue of "how long until the report is on screen".
+// pipeline (§4.2) chews through a recorded trace, and how fast traces
+// move through the two on-disk formats (legacy gob versus the chunked
+// columnar codec). Unlike the paper's virtual-time figures these are
+// wall-clock numbers for the tool itself — the sgx-perf analogue of
+// "how long until the report is on screen".
 
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -22,14 +21,6 @@ import (
 	"sgxperf/internal/sgx"
 	"sgxperf/internal/vtime"
 )
-
-// AnalyzeRow is one analysis-pipeline measurement.
-type AnalyzeRow struct {
-	Mode         string        `json:"mode"` // "serial" or "parallel"
-	Events       int           `json:"events"`
-	Wall         time.Duration `json:"wall_ns"`
-	EventsPerSec float64       `json:"events_per_sec"`
-}
 
 // CodecRow is one serialisation measurement.
 type CodecRow struct {
@@ -45,15 +36,14 @@ type AnalyzeResult struct {
 	Events  int `json:"events"`
 	Threads int `json:"threads"` // GOMAXPROCS during the run
 	Repeats int `json:"repeats"`
-	// ParallelEqualSerial records the reflect.DeepEqual check between the
-	// two pipelines' reports on this trace — the run is invalid if false.
-	ParallelEqualSerial bool         `json:"parallel_equal_serial"`
-	Analyze             []AnalyzeRow `json:"analyze"`
-	Codec               []CodecRow   `json:"codec"`
-	ParallelSpeedup     float64      `json:"parallel_speedup"`
-	SaveSpeedup         float64      `json:"codec_save_speedup_vs_gob"`
-	LoadSpeedup         float64      `json:"codec_load_speedup_vs_gob"`
-	BinaryBytesPerGob   float64      `json:"binary_size_fraction_of_gob"`
+	// AnalyzeWall is the median wall time of one Analyze of the trace:
+	// the fold over sorted copies of its tables, report assembled.
+	AnalyzeWall       time.Duration `json:"analyze_wall_ns"`
+	EventsPerSec      float64       `json:"events_per_sec"`
+	Codec             []CodecRow    `json:"codec"`
+	SaveSpeedup       float64       `json:"codec_save_speedup_vs_gob"`
+	LoadSpeedup       float64       `json:"codec_load_speedup_vs_gob"`
+	BinaryBytesPerGob float64       `json:"binary_size_fraction_of_gob"`
 }
 
 // synthRNG is the deterministic generator for the synthetic trace.
@@ -180,9 +170,9 @@ func medianWall(runs []time.Duration) time.Duration {
 	return runs[len(runs)/2]
 }
 
-// RunAnalyzeThroughput measures the analysis pipeline serial versus
-// parallel and the trace codec versus gob on a synthetic nOps-call
-// trace. repeats ≤ 0 selects a default; the median run is reported.
+// RunAnalyzeThroughput measures the analysis pipeline and the trace
+// codec versus gob on a synthetic nOps-call trace. repeats ≤ 0 selects
+// a default; the median run is reported.
 func RunAnalyzeThroughput(nOps, repeats int) (*AnalyzeResult, error) {
 	if nOps <= 0 {
 		nOps = 50000
@@ -197,31 +187,18 @@ func RunAnalyzeThroughput(nOps, repeats int) (*AnalyzeResult, error) {
 	nEvents := traceEvents(tr)
 	res := &AnalyzeResult{Events: nEvents, Threads: runtime.GOMAXPROCS(0), Repeats: repeats}
 
-	// Analysis: serial reference, then the parallel pipeline, then the
-	// equality check that makes the comparison meaningful.
-	var reports [2]*analyzer.Report
-	for mi, mode := range []string{"serial", "parallel"} {
-		runs := make([]time.Duration, 0, repeats)
-		for rep := 0; rep < repeats; rep++ {
-			a, err := analyzer.New(tr, analyzer.Options{Serial: mode == "serial"})
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			reports[mi] = a.Analyze()
-			runs = append(runs, time.Since(start))
+	runs := make([]time.Duration, 0, repeats)
+	for rep := 0; rep < repeats; rep++ {
+		a, err := analyzer.New(tr, analyzer.Options{})
+		if err != nil {
+			return nil, err
 		}
-		wall := medianWall(runs)
-		res.Analyze = append(res.Analyze, AnalyzeRow{
-			Mode: mode, Events: nEvents, Wall: wall,
-			EventsPerSec: float64(nEvents) / wall.Seconds(),
-		})
+		start := time.Now()
+		a.Analyze()
+		runs = append(runs, time.Since(start))
 	}
-	res.ParallelEqualSerial = reflect.DeepEqual(reports[0], reports[1])
-	if !res.ParallelEqualSerial {
-		return nil, fmt.Errorf("analyze bench: parallel report diverges from serial")
-	}
-	res.ParallelSpeedup = float64(res.Analyze[0].Wall) / float64(res.Analyze[1].Wall)
+	res.AnalyzeWall = medianWall(runs)
+	res.EventsPerSec = float64(nEvents) / res.AnalyzeWall.Seconds()
 
 	// Serialisation: save and load in both formats, same trace.
 	var sizes [2]int
@@ -279,11 +256,8 @@ func RenderAnalyze(res *AnalyzeResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Analysis throughput (%d events, GOMAXPROCS=%d, median of %d)\n",
 		res.Events, res.Threads, res.Repeats)
-	fmt.Fprintf(&b, "  %-9s %12s %14s\n", "pipeline", "wall", "events/sec")
-	for _, r := range res.Analyze {
-		fmt.Fprintf(&b, "  %-9s %12v %14.0f\n", r.Mode, r.Wall.Round(time.Microsecond), r.EventsPerSec)
-	}
-	fmt.Fprintf(&b, "  parallel speedup: %.2fx (reports DeepEqual: %v)\n\n", res.ParallelSpeedup, res.ParallelEqualSerial)
+	fmt.Fprintf(&b, "  %12s %14s\n", "wall", "events/sec")
+	fmt.Fprintf(&b, "  %12v %14.0f\n\n", res.AnalyzeWall.Round(time.Microsecond), res.EventsPerSec)
 	fmt.Fprintf(&b, "Trace codec (same trace, both formats)\n")
 	fmt.Fprintf(&b, "  %-6s %-7s %10s %12s %10s\n", "op", "format", "bytes", "wall", "MB/s")
 	for _, r := range res.Codec {

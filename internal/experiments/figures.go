@@ -325,6 +325,7 @@ func RunFig78(duration time.Duration) (*Fig78, error) {
 	if err != nil {
 		return nil, err
 	}
+	report := a.Analyze()
 	out := &Fig78{
 		Duration:     duration,
 		EcallEvents:  l.Trace().Ecalls.Len(),
@@ -334,12 +335,12 @@ func RunFig78(duration time.Duration) (*Fig78, error) {
 		Scatter:      a.Scatter(keeper.EcallFromClient),
 		StartupPages: startup,
 		SteadyPages:  steady,
-		Report:       a.Analyze(),
+		Report:       report,
 	}
-	if s, ok := a.Stats(keeper.EcallFromClient); ok {
+	if s, ok := report.StatsFor(keeper.EcallFromClient); ok {
 		out.ClientMean = s.Mean
 	}
-	if s, ok := a.Stats(keeper.EcallFromZK); ok {
+	if s, ok := report.StatsFor(keeper.EcallFromZK); ok {
 		out.ZKMean = s.Mean
 	}
 	if steady > 0 {

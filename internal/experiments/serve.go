@@ -58,7 +58,7 @@ type ServeResult struct {
 	RequestsPerSec     float64       `json:"requests_per_sec"`
 	// The append phase on one session: window counts from the stats
 	// endpoint before and after appending a delta. Reused > 0 proves the
-	// append invalidated only the tail of the windowed statistics.
+	// append refolded only the tail windows of the report.
 	StatsWindowsTotal     int `json:"stats_windows_total"`
 	AppendWindowsTotal    int `json:"append_windows_total"`
 	AppendWindowsComputed int `json:"append_windows_computed"`
@@ -142,6 +142,8 @@ func RunServeBench(sessions, nOps, reqs int) (*ServeResult, error) {
 
 	// Register one trace per session, each a different size so every
 	// session has a distinct content key and its own cached artifacts.
+	// Traces are stream-sorted, as sgx-perf-log saves them, so reports
+	// and stats come from the windowed fold.
 	traces := make([]*events.Trace, sessions)
 	ids := make([]string, sessions)
 	for i := 0; i < sessions; i++ {
@@ -150,6 +152,7 @@ func RunServeBench(sessions, nOps, reqs int) (*ServeResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		events.StreamSort(tr)
 		traces[i] = tr
 		ids[i] = fmt.Sprintf("s%02d", i)
 		var buf bytes.Buffer
@@ -250,8 +253,9 @@ func RunServeBench(sessions, nOps, reqs int) (*ServeResult, error) {
 	res.ThroughputRequests = sessions * reqs
 	res.RequestsPerSec = float64(res.ThroughputRequests) / res.ThroughputWall.Seconds()
 
-	// Append phase on session 0: warm the windowed statistics, append a
-	// delta, and re-request — only the tail windows may recompute.
+	// Append phase on session 0: warm the stats (the windowed report),
+	// append a delta, and re-request — only the tail windows may
+	// recompute.
 	statsURL := ts.URL + "/v1/traces/" + ids[0] + "/stats"
 	var cold apiv1.StatsReport
 	if _, err := serveGET(client, statsURL, &cold); err != nil {

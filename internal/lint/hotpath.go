@@ -32,10 +32,12 @@ var HotPathLocks = &Analyzer{
 		"the recorder hot path is lock-free by design",
 	Packages: []string{
 		"internal/perf/logger",
-		// The codec primitives (Encoder/Decoder), the typed event codecs
-		// and the parallel analysis kernels are per-partition hot loops:
-		// they run once per row or per chunk on the worker pool, where a
-		// receiver lock would serialise the whole fan-out.
+		// The codec primitives (Encoder/Decoder) and the typed event
+		// codecs run once per row or per chunk on the worker pool, where
+		// a receiver lock would serialise the whole fan-out. The analysis
+		// fold's per-event carry and delta methods run once per call
+		// event of every report, where a receiver lock would tax each
+		// row and serialise the serve daemon's concurrent window folds.
 		"internal/evstore",
 		"internal/perf/events",
 		"internal/perf/analyzer",

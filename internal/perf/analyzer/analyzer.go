@@ -4,19 +4,25 @@
 // anti-patterns of Table 1 (SISC, SDSC, SNC, SSC, paging) using the
 // paper's weighted-ratio rules (Equations 1–3), and enclave-interface
 // security hints (§3.6, §4.3.2).
+//
+// One engine computes every report: the streaming fold (fold.go). A
+// saved trace streams through it chunk by chunk (AnalyzeStream); a
+// resident trace's own tables are folded in time order
+// (Analyzer.Analyze).
 package analyzer
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sgxperf/internal/edl"
+	"sgxperf/internal/evstore"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/sgx"
-	"sgxperf/internal/vtime"
 )
 
 // ErrNoTrace reports that an analysis was requested without a trace —
@@ -90,46 +96,13 @@ type Options struct {
 	// Traces from multi-enclave applications — SecureKeeper spawns one
 	// enclave per client (§5.2.4) — can be dissected per enclave.
 	Enclave sgx.EnclaveID
-	// Serial forces the single-threaded reference pipeline. By default
-	// Analyze partitions its kernels over the shared worker pool
-	// (internal/pool) and merges deterministically; the two paths produce
-	// reflect.DeepEqual reports, so Serial exists as an escape hatch for
-	// debugging and as the baseline the parallel path is tested against.
-	Serial bool
 }
 
-// Analyzer computes a Report from a trace.
+// Analyzer computes a Report from a resident trace.
 type Analyzer struct {
 	trace *events.Trace
 	opts  Options
-
-	freq       vtime.Frequency
-	transition vtime.Cycles
-
-	// prepared data
-	all      []call
-	byName   map[string][]int // indexes into all
-	perNames []string         // sorted names
-	iface    *edl.Interface
-}
-
-// call is one prepared call event with derived fields.
-type call struct {
-	ev events.CallEvent
-	// adjusted is the execution duration: for ecalls the transition
-	// round-trip is subtracted (§4.1.2); ocall timestamps already exclude
-	// transitions.
-	adjusted time.Duration
-	// indirect is the index (into Analyzer.all) of the indirect parent,
-	// or -1.
-	indirect int
-	// gap is the time between the indirect parent's end and this call's
-	// start.
-	gap time.Duration
-	// offsetStart/offsetEnd are distances from the direct parent's
-	// start/end, when a direct parent exists.
-	offsetStart, offsetEnd time.Duration
-	hasDirect              bool
+	iface *edl.Interface
 }
 
 // New prepares an analyser over the trace. A nil trace returns an error
@@ -141,226 +114,171 @@ func New(trace *events.Trace, opts Options) (*Analyzer, error) {
 	if opts.Weights == (Weights{}) {
 		opts.Weights = DefaultWeights()
 	}
-	a := &Analyzer{
-		trace:      trace,
-		opts:       opts,
-		freq:       trace.Frequency(),
-		transition: trace.TransitionCycles(),
-		byName:     make(map[string][]int),
+	iface := opts.Interface
+	if iface == nil {
+		iface = interfaceFromMetas(trace.Enclaves.Rows())
 	}
-	a.iface = opts.Interface
-	if a.iface == nil {
-		if parsed := interfaceFromTrace(trace); parsed != nil {
-			a.iface = parsed
-		}
-	}
-	a.prepare()
-	return a, nil
-}
-
-// interfaceFromTrace recovers the EDL the logger embedded, if any.
-func interfaceFromTrace(trace *events.Trace) *edl.Interface {
-	var out *edl.Interface
-	trace.Enclaves.Scan(func(_ int, meta events.EnclaveMeta) bool {
-		if meta.EDL == "" {
-			return true
-		}
-		if iface, _, err := edl.Parse(meta.EDL); err == nil {
-			out = iface
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-// prepare merges both call tables, sorts by start time, computes adjusted
-// durations, direct-parent offsets and indirect parents (Fig. 4). The
-// tables are read with the zero-copy scan path: events are materialised
-// once, directly into the prepared slice.
-func (a *Analyzer) prepare() {
-	a.all = make([]call, 0, a.trace.Ecalls.Len()+a.trace.Ocalls.Len())
-	a.trace.Ecalls.Scan(func(_ int, e events.CallEvent) bool {
-		if a.opts.Enclave != 0 && e.Enclave != a.opts.Enclave {
-			return true
-		}
-		adj := a.freq.Duration(e.Duration() - a.transition)
-		if adj < 0 {
-			adj = 0
-		}
-		a.all = append(a.all, call{ev: e, adjusted: adj, indirect: -1})
-		return true
-	})
-	a.trace.Ocalls.Scan(func(_ int, o events.CallEvent) bool {
-		if a.opts.Enclave != 0 && o.Enclave != a.opts.Enclave {
-			return true
-		}
-		a.all = append(a.all, call{ev: o, adjusted: a.freq.Duration(o.Duration()), indirect: -1})
-		return true
-	})
-	sort.SliceStable(a.all, func(i, j int) bool {
-		if a.all[i].ev.Start != a.all[j].ev.Start {
-			return a.all[i].ev.Start < a.all[j].ev.Start
-		}
-		return a.all[i].ev.ID < a.all[j].ev.ID
-	})
-
-	byID := make(map[events.EventID]int, len(a.all))
-	for i := range a.all {
-		byID[a.all[i].ev.ID] = i
-	}
-	for i := range a.all {
-		c := &a.all[i]
-		a.byName[c.ev.Name] = append(a.byName[c.ev.Name], i)
-		if c.ev.Parent != events.NoEvent {
-			if pi, ok := byID[c.ev.Parent]; ok {
-				c.hasDirect = true
-				p := a.all[pi].ev
-				c.offsetStart = a.freq.Duration(c.ev.Start - p.Start)
-				c.offsetEnd = a.freq.Duration(p.End - c.ev.End)
-			}
-		}
-	}
-	a.perNames = make([]string, 0, len(a.byName))
-	for n := range a.byName {
-		a.perNames = append(a.perNames, n)
-	}
-	sort.Strings(a.perNames)
-
-	// Indirect parents: within each (thread, kind, direct parent) group,
-	// in start order, the indirect parent is simply the previous call —
-	// calls on one thread do not overlap (Fig. 4).
-	type groupKey struct {
-		thread int64
-		kind   events.CallKind
-		parent events.EventID
-	}
-	last := make(map[groupKey]int)
-	for i := range a.all {
-		c := &a.all[i]
-		k := groupKey{int64(c.ev.Thread), c.ev.Kind, c.ev.Parent}
-		if pi, ok := last[k]; ok {
-			c.indirect = pi
-			c.gap = a.freq.Duration(c.ev.Start - a.all[pi].ev.End)
-			if c.gap < 0 {
-				c.gap = 0
-			}
-		}
-		last[k] = i
-	}
-}
-
-// IndirectParentOf returns the event ID of a call's indirect parent
-// (Fig. 4), or (NoEvent, false) when it has none.
-func (a *Analyzer) IndirectParentOf(id events.EventID) (events.EventID, bool) {
-	for i := range a.all {
-		if a.all[i].ev.ID != id {
-			continue
-		}
-		if a.all[i].indirect < 0 {
-			return events.NoEvent, false
-		}
-		return a.all[a.all[i].indirect].ev.ID, true
-	}
-	return events.NoEvent, false
-}
-
-// CallNames returns every distinct call name in the trace, sorted.
-func (a *Analyzer) CallNames() []string {
-	out := make([]string, len(a.perNames))
-	copy(out, a.perNames)
-	return out
+	return &Analyzer{trace: trace, opts: opts, iface: iface}, nil
 }
 
 // Interface returns the EDL interface in use (explicit or recovered), or
 // nil.
 func (a *Analyzer) Interface() *edl.Interface { return a.iface }
 
-// callsNamed returns the prepared calls with the given name.
-func (a *Analyzer) callsNamed(name string) []*call {
-	idx := a.byName[name]
-	out := make([]*call, len(idx))
-	for i, j := range idx {
-		out[i] = &a.all[j]
-	}
-	return out
-}
-
-// kindOf returns the kind of the named call (all events of one name share
-// a kind).
-func (a *Analyzer) kindOf(name string) events.CallKind {
-	idx := a.byName[name]
-	if len(idx) == 0 {
-		return 0
-	}
-	return a.all[idx[0]].ev.Kind
-}
-
-// Analyze produces the full report. Unless Options.Serial is set, the
-// kernels run concurrently on the shared worker pool and are merged
-// deterministically; the result is reflect.DeepEqual to the serial
-// pipeline's on any trace (see parallel.go for the determinism
-// argument).
+// Analyze produces the full report. It folds the trace's own events in
+// time order — ecalls and ocalls by (Start, ID), paging by (Time, ID),
+// ties in storage order as events.StreamSort leaves them — through the
+// same sweep AnalyzeStream runs over a saved file, so the two reports
+// are reflect.DeepEqual on the same events whatever order the trace
+// stores them in.
+//
+// A call's Parent link resolves to a direct parent only when that
+// parent started before the call and is still running when it starts
+// (P.Start <= C.Start <= P.End, ties broken by event ID). Children that
+// start after their parent ended count as unparented for the reorder
+// detector, the call graph and the security hints, and chain among
+// themselves as their own indirect-parent group (Fig. 4).
 func (a *Analyzer) Analyze() *Report {
 	r, _ := a.AnalyzeContext(context.Background())
 	return r
 }
 
-// AnalyzeContext is Analyze with cooperative cancellation: long
-// analyses stop claiming new work once ctx is done and the call returns
-// ctx.Err() with a nil report. Cancellation is observed between
-// kernels and between pool partitions, never mid-partition, so an
-// uncancelled AnalyzeContext produces exactly Analyze's report — the
-// deterministic-merge guarantee is unchanged.
+// AnalyzeContext is Analyze with cooperative cancellation: the call
+// returns ctx.Err() with a nil report once ctx is done. Cancellation is
+// observed between the sort, the sweep and report assembly, so an
+// uncancelled AnalyzeContext produces exactly Analyze's report.
 func (a *Analyzer) AnalyzeContext(ctx context.Context) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var r *Report
-	if a.opts.Serial {
-		r = a.analyzeSerial(ctx)
-	} else {
-		r = a.analyzeParallel(ctx)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	callKeyOf := func(ev *events.CallEvent) callKey { return callKey{ev.Start, ev.ID} }
+	src := NewTraceSource(a.trace)
+	src.Ecalls = foldOrder(a.trace.Ecalls, callKeyOf)
+	src.Ocalls = foldOrder(a.trace.Ocalls, callKeyOf)
+	src.Paging = foldOrder(a.trace.Paging, func(p *events.PagingEvent) callKey { return callKey{p.Time, p.ID} })
+	opts := a.opts
+	opts.Interface = a.iface
+	return analyzeStream(ctx, src, opts)
 }
 
-// analyzeSerial is the single-threaded reference pipeline: each kernel
-// runs to completion before the next starts, in a fixed order.
-// Cancellation is checked between kernels.
-func (a *Analyzer) analyzeSerial(ctx context.Context) *Report {
-	r := &Report{Workload: a.workload()}
-	steps := []func(){
-		func() { r.Stats = a.AllStats() },
-		func() { r.Graph = a.CallGraph() },
-		func() { r.Paging = a.PagingSummary() },
-		func() { r.WakeGraph = a.WakeGraph() },
-		func() { r.Switchless = a.SwitchlessSummary() },
-		func() { r.Findings = append(r.Findings, a.DetectMoving()...) },
-		func() { r.Findings = append(r.Findings, a.DetectReordering()...) },
-		func() { r.Findings = append(r.Findings, a.DetectMerging()...) },
-		func() { r.Findings = append(r.Findings, a.DetectSSC()...) },
-		func() { r.Findings = append(r.Findings, a.DetectPaging()...) },
-		func() { SortFindings(r.Findings) },
-		func() { r.Security = a.SecurityHints() },
+// chunkSeq feeds in-memory chunks to the fold.
+type chunkSeq[T any] [][]T
+
+func (s chunkSeq[T]) NumChunks() int           { return len(s) }
+func (s chunkSeq[T]) Chunk(i int) ([]T, error) { return s[i], nil }
+
+// foldOrder returns a table's rows in the fold's order: by key, ties in
+// storage order. A table already in that order feeds the fold as its
+// own chunks, without a copy; any other is sorted into one copied
+// chunk. Either way the rows are the table's as of the call — appends
+// land past the captured chunk lengths.
+func foldOrder[T any](tbl *evstore.Table[T], key func(*T) callKey) ChunkSeq[T] {
+	var chunks [][]T
+	tbl.ScanChunks(func(rows []T) bool {
+		chunks = append(chunks, rows)
+		return true
+	})
+	if inFoldOrder(chunks, key) {
+		return chunkSeq[T](chunks)
 	}
-	for _, step := range steps {
-		if ctx.Err() != nil {
-			return nil
+	// Sort small (key, position) records, then gather the rows once.
+	n := 0
+	for _, rows := range chunks {
+		n += len(rows)
+	}
+	order := make([]rowPos, 0, n)
+	for c, rows := range chunks {
+		for i := range rows {
+			order = append(order, rowPos{key(&rows[i]), int32(c), int32(i)})
 		}
-		step()
 	}
-	return r
+	order = sortRowPos(order)
+	out := make([]T, len(order))
+	for i, p := range order {
+		out[i] = chunks[p.chunk][p.row]
+	}
+	return chunkSeq[T]{out}
 }
 
-func (a *Analyzer) workload() string {
-	if a.trace.Meta.Len() > 0 {
-		return a.trace.Meta.At(0).Workload
+// inFoldOrder reports whether the chunks' rows are already sorted by key.
+func inFoldOrder[T any](chunks [][]T, key func(*T) callKey) bool {
+	var prev callKey
+	first := true
+	for _, rows := range chunks {
+		for i := range rows {
+			k := key(&rows[i])
+			if !first && k.less(prev) {
+				return false
+			}
+			prev, first = k, false
+		}
 	}
-	return ""
+	return true
+}
+
+// rowPos is one row's fold key and storage position.
+type rowPos struct {
+	key        callKey
+	chunk, row int32
+}
+
+// sortRowPos orders positions by key, ties in storage order: a stable
+// LSD radix sort on the start time, one scatter pass per byte (skipping
+// bytes every start shares), then a stable sort by event ID within each
+// run of equal starts.
+func sortRowPos(order []rowPos) []rowPos {
+	// The sign bit is flipped so unsigned byte order is signed order.
+	radixKey := func(p rowPos) uint64 { return uint64(p.key.start) ^ 1<<63 }
+	var counts [8][256]int
+	for _, p := range order {
+		k := radixKey(p)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	tmp := make([]rowPos, len(order))
+	for b := range counts {
+		count := &counts[b]
+		if len(order) == 0 || count[byte(radixKey(order[0])>>(8*b))] == len(order) {
+			continue
+		}
+		next := 0
+		for i, c := range count {
+			count[i] = next
+			next += c
+		}
+		for _, p := range order {
+			d := byte(radixKey(p) >> (8 * b))
+			tmp[count[d]] = p
+			count[d]++
+		}
+		order, tmp = tmp, order
+	}
+	for i := 0; i < len(order); {
+		j := i + 1
+		for j < len(order) && order[j].key.start == order[i].key.start {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortStableFunc(order[i:j], func(a, b rowPos) int { return cmp.Compare(a.key.id, b.key.id) })
+		}
+		i = j
+	}
+	return order
+}
+
+// scanCalls visits every call the enclave filter admits, ecalls first,
+// in storage order, with its adjusted execution duration.
+func (a *Analyzer) scanCalls(visit func(ev *events.CallEvent, adjusted time.Duration)) {
+	freq, transition := a.trace.Frequency(), a.trace.TransitionCycles()
+	for _, scan := range []func(func(int, events.CallEvent) bool){a.trace.Ecalls.Scan, a.trace.Ocalls.Scan} {
+		scan(func(_ int, ev events.CallEvent) bool {
+			if a.opts.Enclave == 0 || ev.Enclave == a.opts.Enclave {
+				visit(&ev, adjustedDuration(&ev, freq, transition))
+			}
+			return true
+		})
+	}
 }
 
 // micros is a readability helper.

@@ -1,6 +1,8 @@
 package analyzer
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -75,25 +77,48 @@ func (b *builder) analyze(opts Options) *Analyzer {
 	return a
 }
 
+// report analyses the built trace through the production engine.
+func (b *builder) report(opts Options) *Report {
+	b.t.Helper()
+	return b.analyze(opts).Analyze()
+}
+
+// findingsOf returns the report's findings of one problem class.
+func findingsOf(r *Report, p Problem) []Finding {
+	var out []Finding
+	for _, f := range r.Findings {
+		if f.Problem == p {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// indirectEdges returns the report's indirect-parent edges (Fig. 4) as
+// "from->to" → count.
+func indirectEdges(r *Report) map[string]int {
+	out := make(map[string]int)
+	for _, e := range r.Graph.Edges {
+		if e.Indirect {
+			out[e.From+"->"+e.To] = e.Count
+		}
+	}
+	return out
+}
+
 // --- Fig. 4: direct and indirect parents ------------------------------
 
 func TestIndirectParents_Fig4Case1(t *testing.T) {
 	// (1) E1 E2 E3 top level: each ecall's indirect parent is the
 	// previous one, except the first.
 	b := newBuilder(t)
-	e1 := b.ecall("E", 1, 0, 10, events.NoEvent)
-	e2 := b.ecall("E", 1, 20, 10, events.NoEvent)
-	e3 := b.ecall("E", 1, 40, 10, events.NoEvent)
-	a := b.analyze(Options{})
-
-	if _, ok := a.IndirectParentOf(e1); ok {
-		t.Error("E1 has an indirect parent")
-	}
-	if p, ok := a.IndirectParentOf(e2); !ok || p != e1 {
-		t.Errorf("E2 indirect parent = %d, want %d", p, e1)
-	}
-	if p, ok := a.IndirectParentOf(e3); !ok || p != e2 {
-		t.Errorf("E3 indirect parent = %d, want %d", p, e2)
+	b.ecall("E1", 1, 0, 10, events.NoEvent)
+	b.ecall("E2", 1, 20, 10, events.NoEvent)
+	b.ecall("E3", 1, 40, 10, events.NoEvent)
+	got := indirectEdges(b.report(Options{}))
+	want := map[string]int{"E1->E2": 1, "E2->E3": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("indirect edges = %v, want %v", got, want)
 	}
 }
 
@@ -102,15 +127,14 @@ func TestIndirectParents_Fig4Case2(t *testing.T) {
 	// parent E1); O2 has none.
 	b := newBuilder(t)
 	e1 := b.ecall("E1", 1, 0, 100, events.NoEvent)
-	o2 := b.ocall("O", 1, 10, 5, e1)
-	o3 := b.ocall("O", 1, 30, 5, e1)
-	a := b.analyze(Options{})
-
-	if _, ok := a.IndirectParentOf(o2); ok {
-		t.Error("O2 has an indirect parent")
+	b.ocall("O2", 1, 10, 5, e1)
+	b.ocall("O3", 1, 30, 5, e1)
+	r := b.report(Options{})
+	if got, want := indirectEdges(r), map[string]int{"O2->O3": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("indirect edges = %v, want %v", got, want)
 	}
-	if p, ok := a.IndirectParentOf(o3); !ok || p != o2 {
-		t.Errorf("O3 indirect parent = %d, want %d", p, o2)
+	if r.Graph.EdgeCount("E1", "O2", false) != 1 || r.Graph.EdgeCount("E1", "O3", false) != 1 {
+		t.Errorf("direct edges = %+v, want E1->O2 and E1->O3", r.Graph.Edges)
 	}
 }
 
@@ -120,13 +144,13 @@ func TestIndirectParents_Fig4Case3(t *testing.T) {
 	b := newBuilder(t)
 	e1 := b.ecall("E1", 1, 0, 100, events.NoEvent)
 	o2 := b.ocall("O2", 1, 10, 50, e1)
-	e3 := b.ecall("E3", 1, 20, 10, o2)
-	a := b.analyze(Options{})
-
-	for _, id := range []events.EventID{e1, o2, e3} {
-		if p, ok := a.IndirectParentOf(id); ok {
-			t.Errorf("event %d has indirect parent %d, want none", id, p)
-		}
+	b.ecall("E3", 1, 20, 10, o2)
+	r := b.report(Options{})
+	if got := indirectEdges(r); len(got) != 0 {
+		t.Errorf("indirect edges = %v, want none", got)
+	}
+	if r.Graph.EdgeCount("E1", "O2", false) != 1 || r.Graph.EdgeCount("O2", "E3", false) != 1 {
+		t.Errorf("direct edges = %+v, want E1->O2->E3", r.Graph.Edges)
 	}
 }
 
@@ -134,24 +158,46 @@ func TestIndirectParents_Fig4Case4(t *testing.T) {
 	// (4) E1, O2 (during E1), then top-level E3: E3's indirect parent is
 	// E1 — the call before O2, because O2 is of a different kind.
 	b := newBuilder(t)
-	e1 := b.ecall("E", 1, 0, 20, events.NoEvent)
-	_ = b.ocall("O", 1, 5, 5, e1)
-	e3 := b.ecall("E", 1, 30, 10, events.NoEvent)
-	a := b.analyze(Options{})
-
-	if p, ok := a.IndirectParentOf(e3); !ok || p != e1 {
-		t.Errorf("E3 indirect parent = %d, want %d (skipping the ocall)", p, e1)
+	e1 := b.ecall("E1", 1, 0, 20, events.NoEvent)
+	b.ocall("O2", 1, 5, 5, e1)
+	b.ecall("E3", 1, 30, 10, events.NoEvent)
+	got := indirectEdges(b.report(Options{}))
+	if want := map[string]int{"E1->E3": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("indirect edges = %v, want %v (skipping the ocall)", got, want)
 	}
 }
 
 func TestIndirectParentsSeparateThreads(t *testing.T) {
 	// Calls on different threads never become indirect parents.
 	b := newBuilder(t)
-	_ = b.ecall("E", 1, 0, 10, events.NoEvent)
-	e2 := b.ecall("E", 2, 20, 10, events.NoEvent)
-	a := b.analyze(Options{})
-	if _, ok := a.IndirectParentOf(e2); ok {
-		t.Error("cross-thread indirect parent")
+	b.ecall("E1", 1, 0, 10, events.NoEvent)
+	b.ecall("E2", 2, 20, 10, events.NoEvent)
+	if got := indirectEdges(b.report(Options{})); len(got) != 0 {
+		t.Errorf("cross-thread indirect edges %v", got)
+	}
+}
+
+func TestParentResolvesOnlyWhileOpen(t *testing.T) {
+	// A Parent link names a call that ended before the child started:
+	// the child counts as unparented, and such late children chain as
+	// their own indirect-parent group, apart from the children that ran
+	// while the parent was open.
+	b := newBuilder(t)
+	e1 := b.ecall("E1", 1, 0, 20, events.NoEvent)
+	b.ocall("O_in", 1, 5, 5, e1)
+	b.ocall("O_late1", 1, 30, 5, e1)
+	b.ocall("O_late2", 1, 40, 5, e1)
+	r := b.report(Options{})
+	if r.Graph.EdgeCount("E1", "O_in", false) != 1 {
+		t.Errorf("open parent not resolved: edges %+v", r.Graph.Edges)
+	}
+	for _, late := range []string{"O_late1", "O_late2"} {
+		if n := r.Graph.EdgeCount("E1", late, false); n != 0 {
+			t.Errorf("closed parent resolved for %s (%d edges)", late, n)
+		}
+	}
+	if got, want := indirectEdges(r), map[string]int{"O_late1->O_late2": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("indirect edges = %v, want %v", got, want)
 	}
 }
 
@@ -163,8 +209,7 @@ func TestStatsBasics(t *testing.T) {
 	for i, d := range durations {
 		b.ecall("work", 1, float64(i*100), d, events.NoEvent)
 	}
-	a := b.analyze(Options{})
-	s, ok := a.Stats("work")
+	s, ok := b.report(Options{}).StatsFor("work")
 	if !ok {
 		t.Fatal("no stats for work")
 	}
@@ -224,8 +269,9 @@ func TestStatsTransitionSubtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, _ := a.Stats("e")
-	os, _ := a.Stats("o")
+	r := a.Analyze()
+	es, _ := r.StatsFor("e")
+	os, _ := r.StatsFor("o")
 	wantE := 10*time.Microsecond - 2130*time.Nanosecond
 	if diff := es.Mean - wantE; diff < -50*time.Nanosecond || diff > 50*time.Nanosecond {
 		t.Errorf("ecall mean = %v, want %v (transition-adjusted)", es.Mean, wantE)
@@ -284,8 +330,7 @@ func TestEquation1FlagsShortEcalls(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.ecall("bn_sub_part_words", 1, float64(i*100), 0.5, events.NoEvent)
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectMoving()
+	findings := b.report(Options{}).Findings
 	if len(findings) != 1 {
 		t.Fatalf("findings = %d, want 1", len(findings))
 	}
@@ -307,13 +352,10 @@ func TestEquation1FlagsShortOcallsAsSNC(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.ocall("ocall_malloc", 1, float64(100+i*100), 0.8, parent)
 	}
-	a := b.analyze(Options{})
 	var found *Finding
-	for _, f := range a.DetectMoving() {
-		if f.Call == "ocall_malloc" {
-			f := f
-			found = &f
-		}
+	for _, f := range b.report(Options{}).FindingsFor("ocall_malloc") {
+		f := f
+		found = &f
 	}
 	if found == nil || found.Problem != ProblemSNC {
 		t.Fatalf("short ocall not flagged as SNC: %+v", found)
@@ -334,8 +376,7 @@ func TestEquation1IgnoresLongCalls(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.ecall("long", 1, float64(i*200), 100, events.NoEvent)
 	}
-	a := b.analyze(Options{})
-	if fs := a.DetectMoving(); len(fs) != 0 {
+	if fs := b.report(Options{}).Findings; len(fs) != 0 {
 		t.Fatalf("long calls flagged: %+v", fs)
 	}
 }
@@ -350,7 +391,7 @@ func TestEquation1Boundaries(t *testing.T) {
 		for i := shortCount; i < 100; i++ {
 			b.ecall("x", 1, float64(i*100), 50, events.NoEvent)
 		}
-		return b.analyze(Options{}).DetectMoving()
+		return b.report(Options{}).Findings
 	}
 	if fs := mk(35); len(fs) != 1 {
 		t.Fatalf("35%% short: findings = %d, want 1", len(fs))
@@ -371,8 +412,7 @@ func TestEquation2FlagsCallsNearParentStart(t *testing.T) {
 		e := b.ecall("e", 1, start, 500, events.NoEvent)
 		b.ocall("ocall_malloc", 1, start+2, 30, e) // long ocall: Eq.1 silent
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectReordering()
+	findings := b.report(Options{}).Findings
 	if len(findings) != 1 {
 		t.Fatalf("findings = %v", findings)
 	}
@@ -395,8 +435,7 @@ func TestEquation2FlagsCallsNearParentEnd(t *testing.T) {
 		e := b.ecall("e", 1, start, 500, events.NoEvent)
 		b.ocall("ocall_flush", 1, start+465, 30, e) // ends 5µs before parent end
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectReordering()
+	findings := b.report(Options{}).Findings
 	if len(findings) != 1 || !strings.Contains(findings[0].Evidence, "last") {
 		t.Fatalf("findings = %+v", findings)
 	}
@@ -409,8 +448,7 @@ func TestEquation2SilentForMidCalls(t *testing.T) {
 		e := b.ecall("e", 1, start, 500, events.NoEvent)
 		b.ocall("ocall_mid", 1, start+250, 30, e)
 	}
-	a := b.analyze(Options{})
-	if fs := a.DetectReordering(); len(fs) != 0 {
+	if fs := b.report(Options{}).Findings; len(fs) != 0 {
 		t.Fatalf("mid-call ocall flagged: %+v", fs)
 	}
 }
@@ -428,16 +466,16 @@ func TestEquation3FlagsMergeablePairs(t *testing.T) {
 		b.ocall("lseek", 1, lseek, 40, e)
 		b.ocall("write", 1, lseek+40.5, 170, e) // 0.5µs gap
 	}
-	a := b.analyze(Options{})
+	r := b.report(Options{})
 	var merge *Finding
-	for _, f := range a.DetectMerging() {
+	for _, f := range r.Findings {
 		if f.Problem == ProblemSDSC && f.Call == "write" && f.Partner == "lseek" {
 			f := f
 			merge = &f
 		}
 	}
 	if merge == nil {
-		t.Fatalf("lseek+write merge not detected: %+v", a.DetectMerging())
+		t.Fatalf("lseek+write merge not detected: %+v", r.Findings)
 	}
 	if merge.Solutions[0] != SolutionMerge {
 		t.Fatal("merge not the primary solution")
@@ -453,16 +491,16 @@ func TestEquation3FlagsBatchableRepeats(t *testing.T) {
 		b.ecall("bn_sub", 1, start, 3, events.NoEvent)
 		b.ecall("bn_sub", 1, start+3.2, 3, events.NoEvent)
 	}
-	a := b.analyze(Options{})
+	r := b.report(Options{})
 	var batch *Finding
-	for _, f := range a.DetectMerging() {
+	for _, f := range r.Findings {
 		if f.Problem == ProblemSISC && f.Call == "bn_sub" {
 			f := f
 			batch = &f
 		}
 	}
 	if batch == nil {
-		t.Fatalf("self-batching not detected: %+v", a.DetectMerging())
+		t.Fatalf("self-batching not detected: %+v", r.Findings)
 	}
 	if batch.Solutions[0] != SolutionBatch {
 		t.Fatal("batch not the primary solution")
@@ -477,8 +515,8 @@ func TestEquation3SilentForDistantCalls(t *testing.T) {
 		b.ocall("a", 1, start+100, 40, e)
 		b.ocall("b", 1, start+2000, 40, e) // ~1.9ms gap
 	}
-	a := b.analyze(Options{})
-	if fs := a.DetectMerging(); len(fs) != 0 {
+	r := b.report(Options{})
+	if fs := append(findingsOf(r, ProblemSDSC), findingsOf(r, ProblemSISC)...); len(fs) != 0 {
 		t.Fatalf("distant calls flagged for merging: %+v", fs)
 	}
 }
@@ -496,9 +534,9 @@ func TestDetectSSC(t *testing.T) {
 			Thread: 1, Targets: []sgx.ThreadID{2}, Time: b.cyc(start), Call: oid,
 		})
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectSSC()
-	if len(findings) != 1 || findings[0].Problem != ProblemSSC {
+	r := b.report(Options{})
+	findings := findingsOf(r, ProblemSSC)
+	if len(findings) != 1 {
 		t.Fatalf("findings = %+v", findings)
 	}
 	sols := findings[0].Solutions
@@ -506,7 +544,7 @@ func TestDetectSSC(t *testing.T) {
 		t.Fatalf("SSC solutions = %v", sols)
 	}
 	// Wake graph: thread 1 woke thread 2 twelve times.
-	wg := a.WakeGraph()
+	wg := r.WakeGraph
 	if len(wg) != 1 || wg[0].From != 1 || wg[0].To != 2 || wg[0].Count != 12 {
 		t.Fatalf("wake graph = %+v", wg)
 	}
@@ -520,8 +558,7 @@ func TestDetectSSCBelowThresholdSilent(t *testing.T) {
 		ID: b.trace.NextID(), Kind: events.SyncWake, Thread: 1,
 		Targets: []sgx.ThreadID{2}, Time: b.cyc(10), Call: oid,
 	})
-	a := b.analyze(Options{})
-	if fs := a.DetectSSC(); len(fs) != 0 {
+	if fs := findingsOf(b.report(Options{}), ProblemSSC); len(fs) != 0 {
 		t.Fatalf("SSC fired below threshold: %+v", fs)
 	}
 }
@@ -540,12 +577,12 @@ func TestDetectPaging(t *testing.T) {
 			Vaddr: uint64(0x1000 * (i + 1)), PageKind: "heap", Time: b.cyc(float64(10 + i)),
 		})
 	}
-	a := b.analyze(Options{})
-	findings := a.DetectPaging()
-	if len(findings) != 1 || findings[0].Problem != ProblemPaging {
+	r := b.report(Options{})
+	findings := findingsOf(r, ProblemPaging)
+	if len(findings) != 1 {
 		t.Fatalf("findings = %+v", findings)
 	}
-	sum := a.PagingSummary()
+	sum := r.Paging
 	if sum.PageIns != 3 || sum.PageOuts != 2 {
 		t.Fatalf("paging summary = %+v", sum)
 	}
@@ -564,10 +601,10 @@ func TestPrivateEcallCandidates(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("ocall_cb", 1, 10, 500, e)
 	b.ecall("ecall_nested", 1, 20, 10, o)
-	a := b.analyze(Options{})
+	r := b.report(Options{})
 
 	var private *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range r.Security {
 		if h.Kind == HintMakePrivate {
 			h := h
 			private = &h
@@ -600,10 +637,10 @@ func TestShrinkAllowWithEDL(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("gate", 1, 10, 500, e)
 	b.ecall("used", 1, 20, 10, o)
-	a := b.analyze(Options{Interface: iface})
+	r := b.report(Options{Interface: iface})
 
 	var shrink *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range r.Security {
 		if h.Kind == HintShrinkAllow {
 			h := h
 			shrink = &h
@@ -622,10 +659,10 @@ func TestMinimalAllowWithoutEDL(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("gate", 1, 10, 500, e)
 	b.ecall("nested", 1, 20, 10, o)
-	a := b.analyze(Options{})
+	r := b.report(Options{})
 
 	var minimal *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range r.Security {
 		if h.Kind == HintMinimalAllow {
 			h := h
 			minimal = &h
@@ -646,9 +683,9 @@ func TestUserCheckHints(t *testing.T) {
 	}
 	b := newBuilder(t)
 	b.ecall("e", 1, 0, 10, events.NoEvent)
-	a := b.analyze(Options{Interface: iface})
+	r := b.report(Options{Interface: iface})
 	var uc *SecurityHint
-	for _, h := range a.SecurityHints() {
+	for _, h := range r.Security {
 		if h.Kind == HintUserCheck {
 			h := h
 			uc = &h
@@ -674,8 +711,8 @@ func TestAlreadyPrivateEcallNotSuggested(t *testing.T) {
 	e := b.ecall("entry", 1, 0, 1000, events.NoEvent)
 	o := b.ocall("gate", 1, 10, 500, e)
 	b.ecall("nested", 1, 20, 10, o)
-	a := b.analyze(Options{Interface: iface})
-	for _, h := range a.SecurityHints() {
+	r := b.report(Options{Interface: iface})
+	for _, h := range r.Security {
 		if h.Kind == HintMakePrivate && h.Call == "nested" {
 			t.Fatal("already-private ecall suggested as private candidate")
 		}
@@ -691,8 +728,7 @@ func TestCallGraphShapeAndDOT(t *testing.T) {
 		e := b.ecall("SSL_read", 1, start, 100, events.NoEvent)
 		b.ocall("ocall_read", 1, start+10, 20, e)
 	}
-	a := b.analyze(Options{})
-	g := a.CallGraph()
+	g := b.report(Options{}).Graph
 
 	n, ok := g.Node("SSL_read")
 	if !ok || n.Kind != events.KindEcall || n.Count != 3 {
@@ -806,10 +842,7 @@ func TestCompareTraces(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		after.ecall("ecall_mul", 1, float64(i*100), 55, events.NoEvent)
 	}
-	a := before.analyze(Options{})
-	b := after.analyze(Options{})
-
-	cmp := Compare(a, b)
+	cmp := Compare(before.report(Options{}), after.report(Options{}))
 	if cmp.CallsA != 201 || cmp.CallsB != 10 {
 		t.Fatalf("calls = %d/%d", cmp.CallsA, cmp.CallsB)
 	}
@@ -861,24 +894,32 @@ func TestEnclaveFilter(t *testing.T) {
 	mk(1, "a")
 	mk(2, "b")
 
-	all, err := New(trace, Options{})
-	if err != nil {
-		t.Fatal(err)
+	names := func(r *Report) []string {
+		var out []string
+		for _, s := range r.Stats {
+			out = append(out, s.Name)
+		}
+		sort.Strings(out)
+		return out
 	}
-	if len(all.CallNames()) != 2 {
-		t.Fatalf("unfiltered names = %v", all.CallNames())
+	analyze := func(opts Options) *Report {
+		a, err := New(trace, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Analyze()
 	}
-	only1, err := New(trace, Options{Enclave: 1})
-	if err != nil {
-		t.Fatal(err)
+	if got := names(analyze(Options{})); len(got) != 2 {
+		t.Fatalf("unfiltered names = %v", got)
 	}
-	if names := only1.CallNames(); len(names) != 1 || names[0] != "a" {
-		t.Fatalf("filtered names = %v", names)
+	only1 := analyze(Options{Enclave: 1})
+	if got := names(only1); len(got) != 1 || got[0] != "a" {
+		t.Fatalf("filtered names = %v", got)
 	}
-	if s, ok := only1.Stats("a"); !ok || s.Count != 2 {
+	if s, ok := only1.StatsFor("a"); !ok || s.Count != 2 {
 		t.Fatalf("filtered stats = %+v", s)
 	}
-	if _, ok := only1.Stats("b"); ok {
+	if _, ok := only1.StatsFor("b"); ok {
 		t.Fatal("foreign enclave's call leaked through the filter")
 	}
 }

@@ -66,10 +66,10 @@ func FoldSwitchless(seq ChunkSeq[events.SwitchlessEvent]) (map[string]*Switchles
 }
 
 // AssembleReport renders the merged fold delta, the sync prescan and
-// the switchless summary into the full Report, running the identical
-// kernels (MovingFinding, ReorderFindings, MergeFindings, SSCFindings,
-// PagingFindings, WakeEdges, SortFindings, SortStats) the resident
-// pipeline runs over the same aggregates.
+// the switchless summary into the full Report through the shared
+// kernels (StatsFromHistogram, MovingFinding, ReorderFindings,
+// MergeFindings, SSCFindings, PagingFindings, WakeEdges, SortFindings,
+// SortStats) — the same kernels the live collector runs.
 func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *SyncPrescan, sw SwitchlessStats, iface *edl.Interface) *Report {
 	w := cfg.Weights
 	r := &Report{Workload: workload, Switchless: sw}
@@ -108,8 +108,16 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 		na := delta.Names[n]
 		g.Nodes = append(g.Nodes, GraphNode{Name: n, Kind: na.Kind, CallID: na.CallID, Count: na.Count})
 	}
-	for k, n := range delta.Edges {
-		g.Edges = append(g.Edges, GraphEdge{From: k.From, To: k.To, Count: n, Indirect: k.Indirect})
+	pairs := make(map[MergePair]*MergeAgg)
+	for _, n := range names {
+		na := delta.Names[n]
+		for p, count := range na.Parents {
+			g.Edges = append(g.Edges, GraphEdge{From: p, To: n, Count: count})
+		}
+		for p, agg := range na.Indirect {
+			g.Edges = append(g.Edges, GraphEdge{From: p, To: n, Count: agg.Count, Indirect: true})
+			pairs[MergePair{Parent: p, Child: n}] = agg
+		}
 	}
 	sortGraphEdges(g.Edges)
 	r.Graph = g
@@ -132,13 +140,10 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 		}
 	}
 	for _, n := range names {
-		var agg ReorderAgg
-		if g := delta.Reorder[n]; g != nil {
-			agg = *g
-		}
-		r.Findings = append(r.Findings, ReorderFindings(n, kindOf(n), agg, w)...)
+		na := delta.Names[n]
+		r.Findings = append(r.Findings, ReorderFindings(n, na.Kind, na.Reorder, w)...)
 	}
-	r.Findings = append(r.Findings, MergeFindings(delta.Merge, totalOf, kindOf, w)...)
+	r.Findings = append(r.Findings, MergeFindings(pairs, totalOf, kindOf, w)...)
 	syncAgg := SyncAgg{
 		Total:      pre.Total,
 		Sleeps:     pre.Sleeps,
@@ -149,11 +154,10 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 	r.Findings = append(r.Findings, PagingFindings(r.Paging, w)...)
 	SortFindings(r.Findings)
 
-	// Security hints, in the resident order: make-private, allow-list,
-	// user_check.
+	// Security hints: make-private, allow-list, user_check.
 	for _, n := range names {
 		na := delta.Names[n]
-		if na.Kind != events.KindEcall {
+		if na.Kind != events.KindEcall || na.TopLevel {
 			continue
 		}
 		if iface != nil {
@@ -161,11 +165,7 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 				continue
 			}
 		}
-		pa := delta.Private[n]
-		if pa == nil || pa.TopLevel {
-			continue
-		}
-		r.Security = append(r.Security, makePrivateHint(n, sortedKeys(pa.Parents)))
+		r.Security = append(r.Security, makePrivateHint(n, sortedKeys(na.Parents)))
 	}
 	r.Security = append(r.Security, allowHintsFrom(iface, delta.Observed, totalOf)...)
 	r.Security = append(r.Security, userCheckHintsFor(iface)...)

@@ -32,48 +32,8 @@ type CallGraph struct {
 	Edges []GraphEdge
 }
 
-// CallGraph builds the graph over all recorded calls.
-func (a *Analyzer) CallGraph() *CallGraph {
-	g := &CallGraph{}
-	for _, name := range a.perNames {
-		calls := a.callsNamed(name)
-		g.Nodes = append(g.Nodes, GraphNode{
-			Name:   name,
-			Kind:   calls[0].ev.Kind,
-			CallID: calls[0].ev.CallID,
-			Count:  len(calls),
-		})
-	}
-	type edgeKey struct {
-		from, to string
-		indirect bool
-	}
-	agg := make(map[edgeKey]int)
-	byID := make(map[events.EventID]string, len(a.all))
-	for i := range a.all {
-		byID[a.all[i].ev.ID] = a.all[i].ev.Name
-	}
-	for i := range a.all {
-		c := &a.all[i]
-		if c.ev.Parent != events.NoEvent {
-			if pn, ok := byID[c.ev.Parent]; ok {
-				agg[edgeKey{pn, c.ev.Name, false}]++
-			}
-		}
-		if c.indirect >= 0 {
-			agg[edgeKey{a.all[c.indirect].ev.Name, c.ev.Name, true}]++
-		}
-	}
-	for k, n := range agg {
-		g.Edges = append(g.Edges, GraphEdge{From: k.from, To: k.to, Count: n, Indirect: k.indirect})
-	}
-	sortGraphEdges(g.Edges)
-	return g
-}
-
 // sortGraphEdges fixes the edge order of a rendered graph: by (From,
-// To), direct before indirect. Shared by the resident builder and the
-// streaming fold's assembly.
+// To), direct before indirect.
 func sortGraphEdges(edges []GraphEdge) {
 	sort.Slice(edges, func(i, j int) bool {
 		a, b := edges[i], edges[j]

@@ -11,7 +11,7 @@ import (
 
 // Comparing two traces is the paper's workflow in §5.2: record a
 // baseline, apply a recommendation, record again, and check that the
-// transitions went away. Compare aligns two analysed traces by call name
+// transitions went away. Compare aligns two traces' reports by call name
 // and reports the deltas.
 
 // CompareRow is one call's before/after numbers.
@@ -34,9 +34,9 @@ type Comparison struct {
 	CallsA, CallsB int
 }
 
-// Compare aligns two analysers' statistics by call name.
-func Compare(a, b *Analyzer) *Comparison {
-	out := &Comparison{WorkloadA: a.workload(), WorkloadB: b.workload()}
+// Compare aligns two reports' statistics by call name.
+func Compare(a, b *Report) *Comparison {
+	out := &Comparison{WorkloadA: a.Workload, WorkloadB: b.Workload}
 	rows := make(map[string]*CompareRow)
 	row := func(name string, kind events.CallKind) *CompareRow {
 		r, ok := rows[name]
@@ -46,14 +46,14 @@ func Compare(a, b *Analyzer) *Comparison {
 		}
 		return r
 	}
-	for _, s := range a.AllStats() {
+	for _, s := range a.Stats {
 		r := row(s.Name, s.Kind)
 		r.CountA = s.Count
 		r.MeanA = s.Mean
 		r.TotalA = time.Duration(s.Count) * s.Mean
 		out.CallsA += s.Count
 	}
-	for _, s := range b.AllStats() {
+	for _, s := range b.Stats {
 		r := row(s.Name, s.Kind)
 		r.CountB = s.Count
 		r.MeanB = s.Mean

@@ -8,43 +8,39 @@ import (
 )
 
 // TestAnalyzeContextUncancelled proves the context variant is a pure
-// extension: with a background context both pipelines produce exactly
-// Analyze's report.
+// extension: with a background context it produces exactly Analyze's
+// report.
 func TestAnalyzeContextUncancelled(t *testing.T) {
 	trace := goldenTrace(t, 7, 400)
-	for _, serial := range []bool{false, true} {
-		a, err := New(trace, Options{Serial: serial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := a.Analyze()
-		got, err := a.AnalyzeContext(context.Background())
-		if err != nil {
-			t.Fatalf("serial=%v: AnalyzeContext = %v", serial, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("serial=%v: AnalyzeContext diverged from Analyze", serial)
-		}
+	a, err := New(trace, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Analyze()
+	got, err := a.AnalyzeContext(context.Background())
+	if err != nil {
+		t.Fatalf("AnalyzeContext = %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("AnalyzeContext diverged from Analyze")
 	}
 }
 
-// TestAnalyzeContextCancelled proves a done context aborts both
-// pipelines with ctx.Err() and a nil report.
+// TestAnalyzeContextCancelled proves a done context aborts the analysis
+// with ctx.Err() and a nil report.
 func TestAnalyzeContextCancelled(t *testing.T) {
 	trace := goldenTrace(t, 7, 400)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, serial := range []bool{false, true} {
-		a, err := New(trace, Options{Serial: serial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := a.AnalyzeContext(ctx)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("serial=%v: err = %v, want context.Canceled", serial, err)
-		}
-		if r != nil {
-			t.Errorf("serial=%v: cancelled analysis returned a report", serial)
-		}
+	a, err := New(trace, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := a.AnalyzeContext(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if r != nil {
+		t.Error("cancelled analysis returned a report")
 	}
 }

@@ -1,10 +1,6 @@
 package analyzer
 
-import (
-	"time"
-
-	"sgxperf/internal/perf/events"
-)
+import "sgxperf/internal/perf/events"
 
 // Problem is one of the five SGX performance anti-patterns of Table 1.
 type Problem int
@@ -22,7 +18,7 @@ const (
 	ProblemPaging
 	// ProblemPermissiveInterface is the security row of Table 1 (§3.6):
 	// an enclave interface that is wider or looser than the workload
-	// needs. The analyser reports it through SecurityHints rather than
+	// needs. The analyser reports it through Report.Security rather than
 	// Findings, but it is part of the problem catalogue.
 	ProblemPermissiveInterface
 	// ProblemReentrancy flags ecall→ocall→ecall cycles reachable through
@@ -242,96 +238,6 @@ type Finding struct {
 	Score float64
 }
 
-// DetectMoving applies Equation 1: calls dominated by executions shorter
-// than the transition cost should be moved across the enclave boundary
-// (or, for ocalls during ecalls, duplicated inside — the SNC solution).
-func (a *Analyzer) DetectMoving() []Finding {
-	var out []Finding
-	for _, name := range a.perNames {
-		s, ok := a.Stats(name)
-		if !ok {
-			continue
-		}
-		if f, ok := MovingFinding(s, a.opts.Weights); ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// DetectReordering applies Equation 2: nested calls issued in the first
-// (or last) 10/20µs of their direct parent can often execute before (or
-// after) the parent instead, saving transitions without TCB changes.
-func (a *Analyzer) DetectReordering() []Finding {
-	var out []Finding
-	for _, name := range a.perNames {
-		var agg ReorderAgg
-		for _, c := range a.callsNamed(name) {
-			if c.hasDirect {
-				agg.Add(c.offsetStart, c.offsetEnd)
-			}
-		}
-		out = append(out, ReorderFindings(name, a.kindOf(name), agg, a.opts.Weights)...)
-	}
-	return out
-}
-
-// DetectMerging applies Equation 3: calls whose indirect parent ends just
-// before they start can be merged into one call (batched, when a call is
-// its own indirect parent — the SISC case).
-func (a *Analyzer) DetectMerging() []Finding {
-	pairs := make(map[MergePair]*MergeAgg)
-	for i := range a.all {
-		c := &a.all[i]
-		if c.indirect < 0 {
-			continue
-		}
-		k := MergePair{Parent: a.all[c.indirect].ev.Name, Child: c.ev.Name}
-		agg := pairs[k]
-		if agg == nil {
-			agg = &MergeAgg{}
-			pairs[k] = agg
-		}
-		agg.Add(c.gap)
-	}
-	totalOf := func(name string) int { return len(a.byName[name]) }
-	return MergeFindings(pairs, totalOf, a.kindOf, a.opts.Weights)
-}
-
-// DetectSSC analyses the sleep/wake events of the SDK synchronisation
-// ocalls (§3.4, §4.1.3): frequent short wake-ups indicate short critical
-// sections where leaving the enclave to sleep is wasteful.
-func (a *Analyzer) DetectSSC() []Finding {
-	w := a.opts.Weights
-	agg := SyncAgg{Total: a.trace.Syncs.Len()}
-	if agg.Total < w.SyncMinOcalls {
-		return nil
-	}
-	byCall := make(map[events.EventID]time.Duration)
-	for i := range a.all {
-		byCall[a.all[i].ev.ID] = a.all[i].adjusted
-	}
-	a.trace.Syncs.Scan(func(_ int, s events.SyncEvent) bool {
-		switch s.Kind {
-		case events.SyncWake:
-			agg.Wakes++
-			if d, ok := byCall[s.Call]; ok && d < w.SyncShortLimit {
-				agg.ShortWakes++
-			}
-		case events.SyncSleep:
-			agg.Sleeps++
-		}
-		return true
-	})
-	return SSCFindings(agg, w)
-}
-
-// DetectPaging flags EPC paging activity (§3.5): every page-out requires
-// re-encryption and every fault an AEX, so enclaves should rarely page.
-func (a *Analyzer) DetectPaging() []Finding {
-	return PagingFindings(a.PagingSummary(), a.opts.Weights)
-}
-
 // PagingStats summarises EPC paging activity.
 type PagingStats struct {
 	PageIns  int
@@ -343,51 +249,12 @@ type PagingStats struct {
 	ByRegion map[string]int
 }
 
-// PagingSummary aggregates the paging events (§4.1.5).
-func (a *Analyzer) PagingSummary() PagingStats {
-	out := PagingStats{ByRegion: make(map[string]int)}
-	a.trace.Paging.Scan(func(_ int, p events.PagingEvent) bool {
-		if p.Kind == events.PageIn {
-			out.PageIns++
-		} else {
-			out.PageOuts++
-		}
-		out.ByRegion[p.PageKind]++
-		for i := range a.all {
-			c := &a.all[i]
-			if c.ev.Thread == p.Thread && c.ev.Start <= p.Time && p.Time <= c.ev.End {
-				out.DuringCalls++
-				break
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // WakeEdge says thread From woke thread To n times (§4.1.3 dependency
 // tracking).
 type WakeEdge struct {
 	From  int64
 	To    int64
 	Count int
-}
-
-// WakeGraph aggregates which thread wakes which, exposing the
-// high-contention pairs the paper uses to diagnose SecureKeeper's connect
-// phase (§5.2.4).
-func (a *Analyzer) WakeGraph() []WakeEdge {
-	agg := make(map[[2]int64]int)
-	a.trace.Syncs.Scan(func(_ int, s events.SyncEvent) bool {
-		if s.Kind != events.SyncWake {
-			return true
-		}
-		for _, t := range s.Targets {
-			agg[[2]int64{int64(s.Thread), int64(t)}]++
-		}
-		return true
-	})
-	return WakeEdges(agg)
 }
 
 // isSyncName reports whether the call is one of the SDK sync ocalls.

@@ -10,12 +10,12 @@ import (
 // the plot-ready exports: CSV data plus gnuplot scripts that render in
 // the figures' style.
 
-// StatsCSV renders the per-call statistics table as CSV (durations in
-// nanoseconds).
-func (a *Analyzer) StatsCSV() string {
+// StatsCSV renders the report's per-call statistics table as CSV
+// (durations in nanoseconds).
+func (r *Report) StatsCSV() string {
 	var b strings.Builder
 	b.WriteString("call,kind,count,mean_ns,median_ns,stddev_ns,p90_ns,p95_ns,p99_ns,min_ns,max_ns,frac_below_1us,frac_below_5us,frac_below_10us,total_aex\n")
-	for _, s := range a.AllStats() {
+	for _, s := range r.Stats {
 		fmt.Fprintf(&b, "%s,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.4f,%.4f,%.4f,%d\n",
 			csvEscape(s.Name), s.Kind, s.Count,
 			s.Mean.Nanoseconds(), s.Median.Nanoseconds(), s.Std.Nanoseconds(),
@@ -56,11 +56,12 @@ func (a *Analyzer) ScatterCSV(name string) (string, error) {
 	return b.String(), nil
 }
 
-// WakeGraphCSV renders the thread wake-up dependencies (§4.1.3).
-func (a *Analyzer) WakeGraphCSV() string {
+// WakeGraphCSV renders the report's thread wake-up dependencies
+// (§4.1.3).
+func (r *Report) WakeGraphCSV() string {
 	var b strings.Builder
 	b.WriteString("waker_thread,woken_thread,count\n")
-	for _, e := range a.WakeGraph() {
+	for _, e := range r.WakeGraph {
 		fmt.Fprintf(&b, "%d,%d,%d\n", e.From, e.To, e.Count)
 	}
 	return b.String()

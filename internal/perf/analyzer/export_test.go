@@ -25,8 +25,7 @@ func exportFixture(t *testing.T) *Analyzer {
 }
 
 func TestStatsCSV(t *testing.T) {
-	a := exportFixture(t)
-	csv := a.StatsCSV()
+	csv := exportFixture(t).Analyze().StatsCSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	// Header + 3 distinct calls.
 	if len(lines) != 4 {
@@ -112,8 +111,7 @@ func TestScatterCSV(t *testing.T) {
 }
 
 func TestWakeGraphCSV(t *testing.T) {
-	a := exportFixture(t)
-	csv := a.WakeGraphCSV()
+	csv := exportFixture(t).Analyze().WakeGraphCSV()
 	if !strings.Contains(csv, "2,5,1") {
 		t.Fatalf("wake graph csv:\n%s", csv)
 	}

@@ -1,29 +1,39 @@
 package analyzer
 
-// The streaming fold: the analyser's per-table scans re-expressed as a
+// The streaming fold: the analyser's per-table scans expressed as a
 // single merge sweep over time-ordered ecall/ocall/paging chunks with
 // carry state bounded by O(open calls + threads), independent of trace
-// length. The sweep feeds the same aggregate shapes the resident
-// detectors use (ReorderAgg, MergeAgg, MergePair, graph edge counts,
-// per-name duration histograms), so AssembleReport renders a Report
-// that is reflect.DeepEqual to the resident pipeline's.
+// length. The sweep feeds per-name aggregates — duration histograms,
+// the Equation 2 and 3 accumulators (ReorderAgg, MergeAgg), parent
+// counts — and the security-hint evidence; AssembleReport renders them
+// into a Report.
+// Every report comes from here: Analyzer.Analyze folds sorted copies of
+// a resident trace, AnalyzeStream folds a saved file chunk by chunk and
+// the serve daemon folds cached windows.
 //
 // Preconditions. The fold requires the stream-sorted layout
-// events.StreamSort produces — ecalls and ocalls each globally sorted
-// by (Start, ID), paging by (Time, ID) — and verifies it as it sweeps,
-// returning ErrUnsorted otherwise. Direct-parent resolution assumes
-// proper nesting: a call's direct parent spans the call, so the parent
-// is still open when the child starts. Traces whose Parent links break
-// that (a parent that ended before its child started) resolve fewer
-// direct parents than the resident analyser's global ID index would.
+// events.StreamSort produces — ecalls and ocalls each sorted by
+// (Start, ID), paging by (Time, ID) — and verifies it as it sweeps,
+// returning ErrUnsorted when a row sorts before its predecessor.
 //
-// Carry bounds. The open-call map and per-thread maxEnd are O(threads)
-// for nested traces. Indirect-parent group slots are evicted when their
-// parent call closes; only top-level groups (one per thread × kind) and
-// groups under parents outside the enclave filter persist for the whole
-// sweep.
+// Direct parents. A call's Parent link resolves only while the parent
+// is open: the parent was swept before the child (it started first)
+// and has not ended when the child starts. A child that starts after
+// its parent ended stays unparented, and such late children chain as
+// their own indirect-parent group because the parent's group slots are
+// dropped when it closes. SDK-recorded traces nest properly, so every
+// Parent link in them resolves.
+//
+// Carry bounds. Closed calls leave the open-call map in sweeps that run
+// whenever the map has doubled since the last one (and at every window
+// bound), so the map holds at most about twice the concurrently open
+// calls; for nested traces that and the per-thread maxEnd are
+// O(threads). Indirect-parent group slots go with their parent call;
+// only top-level groups (one per thread × kind) and groups under
+// parents outside the enclave filter persist for the whole sweep.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
@@ -37,7 +47,7 @@ import (
 
 // ErrUnsorted reports that a streamed table is not in the stream-sorted
 // layout (events.StreamSort) the fold requires. Callers fall back to
-// resident analysis.
+// Analyzer.Analyze, which sorts copies of the tables first.
 var ErrUnsorted = errors.New("analyzer: trace tables are not stream-sorted")
 
 // ChunkSeq supplies one table's rows chunk-by-chunk with random access,
@@ -77,21 +87,23 @@ type callKey struct {
 	id    events.EventID
 }
 
-func (k callKey) less(o callKey) bool {
-	if k.start != o.start {
-		return k.start < o.start
+func (k callKey) compare(o callKey) int {
+	if c := cmp.Compare(k.start, o.start); c != 0 {
+		return c
 	}
-	return k.id < o.id
+	return cmp.Compare(k.id, o.id)
 }
+
+func (k callKey) less(o callKey) bool { return k.compare(o) < 0 }
 
 type openCall struct {
 	name       string
 	start, end vtime.Cycles
 }
 
-// foldGroup mirrors the resident indirect-parent group key: successive
-// calls of one (thread, kind, direct parent) group link as indirect
-// parent and child.
+// foldGroup is the indirect-parent group key: successive calls of one
+// (thread, kind, Parent link) group link as indirect parent and child
+// (Fig. 4).
 type foldGroup struct {
 	thread int64
 	kind   events.CallKind
@@ -114,16 +126,21 @@ type FoldCarry struct {
 	seenCall, seenPage bool
 
 	open     map[events.EventID]openCall
-	groups   map[foldGroup]groupPrev
+	groups   map[foldGroup]*groupPrev
 	groupsOf map[events.EventID][]foldGroup
 	maxEnd   map[sgx.ThreadID]vtime.Cycles
+	// purgeAt is the open-set size that triggers the next sweep for
+	// closed calls, keeping eviction amortised O(1) per call. A closed
+	// call still in the set is never resolved as a parent: the lookup
+	// closes it on the spot.
+	purgeAt int
 }
 
 // NewFoldCarry returns the empty carry a fold starts from.
 func NewFoldCarry() *FoldCarry {
 	return &FoldCarry{
 		open:     make(map[events.EventID]openCall),
-		groups:   make(map[foldGroup]groupPrev),
+		groups:   make(map[foldGroup]*groupPrev),
 		groupsOf: make(map[events.EventID][]foldGroup),
 		maxEnd:   make(map[sgx.ThreadID]vtime.Cycles),
 	}
@@ -137,15 +154,17 @@ func (c *FoldCarry) Clone() *FoldCarry {
 		lastCall: c.lastCall, lastPage: c.lastPage,
 		seenCall: c.seenCall, seenPage: c.seenPage,
 		open:     make(map[events.EventID]openCall, len(c.open)),
-		groups:   make(map[foldGroup]groupPrev, len(c.groups)),
+		groups:   make(map[foldGroup]*groupPrev, len(c.groups)),
 		groupsOf: make(map[events.EventID][]foldGroup, len(c.groupsOf)),
 		maxEnd:   make(map[sgx.ThreadID]vtime.Cycles, len(c.maxEnd)),
+		purgeAt:  c.purgeAt,
 	}
 	for k, v := range c.open {
 		out.open[k] = v
 	}
 	for k, v := range c.groups {
-		out.groups[k] = v
+		prev := *v
+		out.groups[k] = &prev
 	}
 	for k, v := range c.groupsOf {
 		out.groupsOf[k] = append([]foldGroup(nil), v...)
@@ -240,38 +259,71 @@ func boolInt(b bool) int {
 	return 0
 }
 
-// evict drops open calls that ended before pos, and with each the group
-// slots keyed under it: a closed parent can have no further children
-// under proper nesting, so the slots are dead.
-func (c *FoldCarry) evict(pos vtime.Cycles) {
-	for id, oc := range c.open {
-		if oc.end < pos {
-			delete(c.open, id)
-			for _, gk := range c.groupsOf[id] {
-				delete(c.groups, gk)
-			}
-			delete(c.groupsOf, id)
+// close drops one open call and the group slots keyed under it.
+func (c *FoldCarry) close(id events.EventID) {
+	delete(c.open, id)
+	c.dropSlots(id)
+}
+
+// dropSlots deletes the group slots keyed under a closed parent: later
+// children of a closed parent are late and start a chain of their own.
+//
+//sgxperf:hotpath
+func (c *FoldCarry) dropSlots(parent events.EventID) {
+	if gks, ok := c.groupsOf[parent]; ok {
+		for _, gk := range gks {
+			delete(c.groups, gk)
 		}
+		delete(c.groupsOf, parent)
 	}
 }
 
-// GraphKey identifies one call-graph edge: direct (solid) or indirect
-// (dashed) parenthood from one call name to another.
-type GraphKey struct {
-	From, To string
-	Indirect bool
+// evict closes every open call that ended before pos. Closed calls
+// outnumber the survivors, so the map is cleared and the few survivors
+// reinserted rather than the many deleted.
+func (c *FoldCarry) evict(pos vtime.Cycles) {
+	var live []openEntry
+	for id, oc := range c.open {
+		if oc.end >= pos {
+			live = append(live, openEntry{id, oc})
+		} else {
+			c.dropSlots(id)
+		}
+	}
+	clear(c.open)
+	for _, e := range live {
+		c.open[e.id] = e.call
+	}
+	c.purgeAt = 2*len(live) + 64
+}
+
+// openEntry is one open call carried across an eviction sweep.
+type openEntry struct {
+	id   events.EventID
+	call openCall
 }
 
 // NameAgg accumulates one call name's streaming aggregates: the
 // duration multiset as a histogram (bounded by distinct durations, not
-// executions), the AEX total, and the first-occurrence kind and call ID
-// the call graph reports.
+// executions), the AEX total, the first-occurrence kind and call ID the
+// call graph reports, the Equation 2 offsets of executions with a
+// resolved direct parent, the Equation 3 accumulators per indirect
+// parent, and the make-private evidence.
 type NameAgg struct {
 	Kind     events.CallKind
 	CallID   int
 	Count    int
 	TotalAEX int
 	Hist     map[time.Duration]int
+	Reorder  ReorderAgg
+	// Parents counts executions per resolved direct-parent name: the
+	// solid call-graph edges into this call (nil until one resolves).
+	Parents map[string]int
+	// Indirect holds the Equation 3 accumulator per indirect-parent
+	// name; each Count is also a dashed call-graph edge (Fig. 4).
+	Indirect map[string]*MergeAgg
+	// TopLevel records that at least one execution had no Parent link.
+	TopLevel bool
 }
 
 // PagingAgg accumulates the paging summary counters.
@@ -280,41 +332,30 @@ type PagingAgg struct {
 	ByRegion                       map[string]int
 }
 
-// PrivateAgg accumulates one ecall name's make-private evidence.
-type PrivateAgg struct {
-	// TopLevel records that at least one execution had no direct parent.
-	TopLevel bool
-	// Parents are the resolved direct-parent names.
-	Parents map[string]bool
-}
-
 // FoldDelta is one window's (or one whole sweep's) aggregate output.
 // Deltas merge associatively in window order; a merged delta equals the
 // delta of the concatenated input.
 type FoldDelta struct {
 	Names      map[string]*NameAgg
-	Reorder    map[string]*ReorderAgg
-	Merge      map[MergePair]*MergeAgg
-	Edges      map[GraphKey]int
 	Paging     PagingAgg
 	ShortWakes int
-	Private    map[string]*PrivateAgg
-	Observed   map[string]map[string]bool
+	// Observed maps each parent name to the ecalls issued during it.
+	Observed map[string]map[string]bool
 }
 
 // NewFoldDelta returns an empty delta.
 func NewFoldDelta() *FoldDelta {
 	return &FoldDelta{
 		Names:    make(map[string]*NameAgg),
-		Reorder:  make(map[string]*ReorderAgg),
-		Merge:    make(map[MergePair]*MergeAgg),
-		Edges:    make(map[GraphKey]int),
 		Paging:   PagingAgg{ByRegion: make(map[string]int)},
-		Private:  make(map[string]*PrivateAgg),
 		Observed: make(map[string]map[string]bool),
 	}
 }
 
+// name returns the call's per-name aggregate, creating it on the name's
+// first occurrence.
+//
+//sgxperf:hotpath
 func (d *FoldDelta) name(ev *events.CallEvent) *NameAgg {
 	na := d.Names[ev.Name]
 	if na == nil {
@@ -324,31 +365,27 @@ func (d *FoldDelta) name(ev *events.CallEvent) *NameAgg {
 	return na
 }
 
-func (d *FoldDelta) reorder(name string) *ReorderAgg {
-	g := d.Reorder[name]
+// indirect returns the Equation 3 accumulator for one indirect parent.
+//
+//sgxperf:hotpath
+func (na *NameAgg) indirect(parent string) *MergeAgg {
+	g := na.Indirect[parent]
 	if g == nil {
-		g = &ReorderAgg{}
-		d.Reorder[name] = g
-	}
-	return g
-}
-
-func (d *FoldDelta) merge(k MergePair) *MergeAgg {
-	g := d.Merge[k]
-	if g == nil {
+		if na.Indirect == nil {
+			na.Indirect = make(map[string]*MergeAgg)
+		}
 		g = &MergeAgg{}
-		d.Merge[k] = g
+		na.Indirect[parent] = g
 	}
 	return g
 }
 
-func (d *FoldDelta) private(name string) *PrivateAgg {
-	p := d.Private[name]
-	if p == nil {
-		p = &PrivateAgg{Parents: make(map[string]bool)}
-		d.Private[name] = p
+// addParents counts n executions under one resolved direct parent.
+func (na *NameAgg) addParents(parent string, n int) {
+	if na.Parents == nil {
+		na.Parents = make(map[string]int)
 	}
-	return p
+	na.Parents[parent] += n
 }
 
 func (d *FoldDelta) observed(parent string) map[string]bool {
@@ -374,25 +411,23 @@ func (d *FoldDelta) MergeFrom(o *FoldDelta) {
 		for dur, n := range na.Hist {
 			mine.Hist[dur] += n
 		}
-	}
-	for name, g := range o.Reorder {
-		mine := d.reorder(name)
-		mine.Total += g.Total
-		mine.S10 += g.S10
-		mine.S20 += g.S20
-		mine.E10 += g.E10
-		mine.E20 += g.E20
-	}
-	for k, g := range o.Merge {
-		mine := d.merge(k)
-		mine.Count += g.Count
-		mine.G1 += g.G1
-		mine.G5 += g.G5
-		mine.G10 += g.G10
-		mine.G20 += g.G20
-	}
-	for k, n := range o.Edges {
-		d.Edges[k] += n
+		mine.Reorder.Total += na.Reorder.Total
+		mine.Reorder.S10 += na.Reorder.S10
+		mine.Reorder.S20 += na.Reorder.S20
+		mine.Reorder.E10 += na.Reorder.E10
+		mine.Reorder.E20 += na.Reorder.E20
+		for pn, n := range na.Parents {
+			mine.addParents(pn, n)
+		}
+		for pn, g := range na.Indirect {
+			m := mine.indirect(pn)
+			m.Count += g.Count
+			m.G1 += g.G1
+			m.G5 += g.G5
+			m.G10 += g.G10
+			m.G20 += g.G20
+		}
+		mine.TopLevel = mine.TopLevel || na.TopLevel
 	}
 	d.Paging.PageIns += o.Paging.PageIns
 	d.Paging.PageOuts += o.Paging.PageOuts
@@ -401,13 +436,6 @@ func (d *FoldDelta) MergeFrom(o *FoldDelta) {
 		d.Paging.ByRegion[r] += n
 	}
 	d.ShortWakes += o.ShortWakes
-	for name, p := range o.Private {
-		mine := d.private(name)
-		mine.TopLevel = mine.TopLevel || p.TopLevel
-		for pn := range p.Parents {
-			mine.Parents[pn] = true
-		}
-	}
 	for parent, set := range o.Observed {
 		mine := d.observed(parent)
 		for n := range set {
@@ -505,8 +533,7 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 		if err != nil {
 			return nil, nil, err
 		}
-		// Pick the earlier call head by (Start, ID) — the resident
-		// prepare() sort order.
+		// Pick the earlier call head by (Start, ID).
 		var call *events.CallEvent
 		var fromE bool
 		switch {
@@ -534,10 +561,11 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 		}
 
 		// Paging events interleave after calls sharing their timestamp:
-		// the resident DuringCalls test is Start <= Time, inclusive.
+		// a call counts as spanning a paging event when
+		// Start <= Time <= End, inclusive.
 		if p != nil && (call == nil || p.Time < call.Start) {
 			k := callKey{p.Time, p.ID}
-			if carry.seenPage && !carry.lastPage.less(k) {
+			if carry.seenPage && k.less(carry.lastPage) {
 				return nil, nil, ErrUnsorted
 			}
 			carry.lastPage, carry.seenPage = k, true
@@ -558,7 +586,7 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 		}
 
 		k := callKey{call.Start, call.ID}
-		if carry.seenCall && !carry.lastCall.less(k) {
+		if carry.seenCall && k.less(carry.lastCall) {
 			return nil, nil, ErrUnsorted
 		}
 		carry.lastCall, carry.seenCall = k, true
@@ -571,7 +599,9 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 			continue
 		}
 
-		carry.evict(call.Start)
+		if len(carry.open) >= carry.purgeAt {
+			carry.evict(call.Start)
+		}
 		foldCall(cfg, carry, delta, call)
 		if fromE {
 			ec.pop()
@@ -587,64 +617,51 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 	return delta, carry, nil
 }
 
+// adjustedDuration is a call's execution duration: for ecalls the
+// transition round-trip is subtracted (§4.1.2), clamped at zero; ocall
+// timestamps already exclude transitions.
+func adjustedDuration(call *events.CallEvent, freq vtime.Frequency, transition vtime.Cycles) time.Duration {
+	if call.Kind != events.KindEcall {
+		return freq.Duration(call.Duration())
+	}
+	return max(freq.Duration(call.Duration()-transition), 0)
+}
+
 // foldCall folds one in-filter call into the delta and carry.
 func foldCall(cfg *FoldConfig, carry *FoldCarry, delta *FoldDelta, call *events.CallEvent) {
-	var adjusted time.Duration
-	if call.Kind == events.KindEcall {
-		adjusted = cfg.Freq.Duration(call.Duration() - cfg.Transition)
-		if adjusted < 0 {
-			adjusted = 0
-		}
-	} else {
-		adjusted = cfg.Freq.Duration(call.Duration())
-	}
+	adjusted := adjustedDuration(call, cfg.Freq, cfg.Transition)
 
 	na := delta.name(call)
 	na.Count++
 	na.TotalAEX += call.AEXCount
 	na.Hist[adjusted]++
 
-	if n := cfg.SyncRefs[call.ID]; n > 0 && adjusted < cfg.Weights.SyncShortLimit {
-		delta.ShortWakes += n
+	if adjusted < cfg.Weights.SyncShortLimit {
+		delta.ShortWakes += cfg.SyncRefs[call.ID]
 	}
 
-	var parentName string
-	hasDirect := false
-	if call.Parent != events.NoEvent {
-		if p, ok := carry.open[call.Parent]; ok {
-			hasDirect = true
-			parentName = p.name
-			offStart := cfg.Freq.Duration(call.Start - p.start)
-			offEnd := cfg.Freq.Duration(p.end - call.End)
-			delta.reorder(call.Name).Add(offStart, offEnd)
-			delta.Edges[GraphKey{From: p.name, To: call.Name}]++
-			if call.Kind == events.KindEcall {
-				delta.observed(p.name)[call.Name] = true
-			}
-		}
-	}
-	// Tracked for every instance regardless of kind: the resident
-	// make-private scan walks all of a name's instances and gates on the
-	// name's first-occurrence kind only at render time.
-	pa := delta.private(call.Name)
 	if call.Parent == events.NoEvent {
-		pa.TopLevel = true
-	} else if hasDirect {
-		pa.Parents[parentName] = true
+		na.TopLevel = true
+	} else if p, ok := carry.open[call.Parent]; ok && p.end < call.Start {
+		carry.close(call.Parent)
+	} else if ok {
+		na.Reorder.Add(cfg.Freq.Duration(call.Start-p.start), cfg.Freq.Duration(p.end-call.End))
+		na.addParents(p.name, 1)
+		if call.Kind == events.KindEcall {
+			delta.observed(p.name)[call.Name] = true
+		}
 	}
 
 	gk := foldGroup{thread: int64(call.Thread), kind: call.Kind, parent: call.Parent}
-	if prev, ok := carry.groups[gk]; ok {
-		gap := cfg.Freq.Duration(call.Start - prev.end)
-		if gap < 0 {
-			gap = 0
+	if prev := carry.groups[gk]; prev != nil {
+		na.indirect(prev.name).Add(max(cfg.Freq.Duration(call.Start-prev.end), 0))
+		prev.name, prev.end = call.Name, call.End
+	} else {
+		if call.Parent != events.NoEvent {
+			carry.groupsOf[call.Parent] = append(carry.groupsOf[call.Parent], gk)
 		}
-		delta.merge(MergePair{Parent: prev.name, Child: call.Name}).Add(gap)
-		delta.Edges[GraphKey{From: prev.name, To: call.Name, Indirect: true}]++
-	} else if call.Parent != events.NoEvent {
-		carry.groupsOf[call.Parent] = append(carry.groupsOf[call.Parent], gk)
+		carry.groups[gk] = &groupPrev{name: call.Name, end: call.End}
 	}
-	carry.groups[gk] = groupPrev{name: call.Name, end: call.End}
 
 	carry.open[call.ID] = openCall{name: call.Name, start: call.Start, end: call.End}
 	if call.End > carry.maxEnd[call.Thread] {

@@ -1,8 +1,8 @@
 package analyzer
 
 // The stats and detector kernels: pure functions from accumulated
-// aggregates to CallStats and Findings. The post-mortem analyser builds
-// the aggregates by scanning a finished trace; the live streaming engine
+// aggregates to CallStats and Findings. The fold builds the aggregates
+// in one time-ordered sweep (fold.go); the live streaming engine
 // (internal/perf/live) maintains the same aggregates incrementally as
 // events arrive. Both call these kernels, which is what makes the live
 // engine's equivalence guarantee hold: after a workload quiesces, a live
@@ -18,58 +18,15 @@ import (
 	"sgxperf/internal/perf/events"
 )
 
-// StatsFromDurations computes the §4.3.1 statistics for one call from the
-// multiset of its adjusted execution durations (ecalls:
-// transition-subtracted). durs is sorted in place; all derived values —
-// including the mean, summed in sorted order — depend only on the
-// multiset, never on recording order. Returns ok=false for an empty set.
-func StatsFromDurations(name string, kind events.CallKind, durs []time.Duration, totalAEX int) (CallStats, bool) {
-	if len(durs) == 0 {
-		return CallStats{}, false
-	}
-	s := CallStats{Name: name, Kind: kind, Count: len(durs), TotalAEX: totalAEX}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	var sum float64
-	for _, d := range durs {
-		sum += float64(d)
-		switch {
-		case d < time.Microsecond:
-			s.FracBelow1us++
-			fallthrough
-		case d < 5*time.Microsecond:
-			s.FracBelow5us++
-			fallthrough
-		case d < 10*time.Microsecond:
-			s.FracBelow10us++
-		}
-	}
-	n := float64(len(durs))
-	s.FracBelow1us /= n
-	s.FracBelow5us /= n
-	s.FracBelow10us /= n
-
-	s.Min, s.Max = durs[0], durs[len(durs)-1]
-	s.Mean = time.Duration(sum / n)
-	s.Median = percentile(durs, 0.50)
-	s.P90 = percentile(durs, 0.90)
-	s.P95 = percentile(durs, 0.95)
-	s.P99 = percentile(durs, 0.99)
-
-	var varSum float64
-	for _, d := range durs {
-		diff := float64(d) - float64(s.Mean)
-		varSum += diff * diff
-	}
-	s.Std = time.Duration(math.Sqrt(varSum / n))
-	return s, true
-}
-
-// StatsFromHistogram computes the same statistics as StatsFromDurations
-// from a duration→count histogram — the bounded-memory representation
-// the streaming fold carries. The float accumulations replay the exact
-// per-execution addition sequence StatsFromDurations performs over the
-// sorted multiset (one add per execution, ascending), so the two
-// kernels return bit-identical CallStats for equal multisets.
+// StatsFromHistogram computes the §4.3.1 statistics for one call from a
+// duration→count histogram of its adjusted execution durations (ecalls:
+// transition-subtracted) — the bounded-memory representation the fold
+// and the live collector carry. Percentiles use the nearest-rank
+// method. The float accumulations replay the per-execution addition
+// sequence over the sorted multiset (one add per execution, ascending),
+// so the result depends only on the multiset, never on recording order,
+// and is bit-identical to summing a sorted slice of the same durations.
+// Returns ok=false for an empty histogram.
 func StatsFromHistogram(name string, kind events.CallKind, hist map[time.Duration]int, totalAEX int) (CallStats, bool) {
 	n := 0
 	for _, k := range hist {
@@ -411,9 +368,8 @@ func WakeEdges(agg map[[2]int64]int) []WakeEdge {
 // SortFindings orders findings for a report: by problem class, then
 // descending score, then by call name, partner, kind and evidence text.
 // Every comparison key is part of the order, so the result is one total
-// order that does not depend on how (or in what order, or on how many
-// goroutines) the findings were produced — the property the parallel
-// pipeline's merge relies on.
+// order that does not depend on the order the findings were produced
+// in.
 func SortFindings(fs []Finding) {
 	sort.SliceStable(fs, func(i, j int) bool {
 		if fs[i].Problem != fs[j].Problem {

@@ -29,6 +29,17 @@ func (r *Report) TotalCalls() int {
 	return n
 }
 
+// StatsFor returns the statistics of one call name, or ok=false if the
+// call never executed.
+func (r *Report) StatsFor(call string) (CallStats, bool) {
+	for _, s := range r.Stats {
+		if s.Name == call {
+			return s, true
+		}
+	}
+	return CallStats{}, false
+}
+
 // FindingsFor returns the findings concerning one call name.
 func (r *Report) FindingsFor(call string) []Finding {
 	var out []Finding

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sgxperf/internal/edl"
-	"sgxperf/internal/perf/events"
 )
 
 // SecurityHintKind classifies the three interface hardenings of §3.6.
@@ -54,56 +53,9 @@ type SecurityHint struct {
 	Text  string
 }
 
-// SecurityHints computes all interface hints from the trace (and the EDL,
-// when available).
-func (a *Analyzer) SecurityHints() []SecurityHint {
-	var out []SecurityHint
-	out = append(out, a.privateCandidates()...)
-	out = append(out, a.allowHints()...)
-	out = append(out, a.userCheckHints()...)
-	return out
-}
-
-// privateCandidates finds ecalls whose every instance has a direct parent
-// (i.e. was issued during an ocall): those can be declared private,
-// limiting the paths into the enclave (§4.3.2).
-func (a *Analyzer) privateCandidates() []SecurityHint {
-	byID := make(map[events.EventID]string)
-	for i := range a.all {
-		byID[a.all[i].ev.ID] = a.all[i].ev.Name
-	}
-	var out []SecurityHint
-	for _, name := range a.perNames {
-		if a.kindOf(name) != events.KindEcall {
-			continue
-		}
-		if a.iface != nil {
-			if f, ok := a.iface.Lookup(name); ok && !f.Public {
-				continue // already private
-			}
-		}
-		calls := a.callsNamed(name)
-		parentOcalls := make(map[string]bool)
-		allNested := true
-		for _, c := range calls {
-			if c.ev.Parent == events.NoEvent {
-				allNested = false
-				break
-			}
-			if pn, ok := byID[c.ev.Parent]; ok {
-				parentOcalls[pn] = true
-			}
-		}
-		if !allNested || len(calls) == 0 {
-			continue
-		}
-		out = append(out, makePrivateHint(name, sortedKeys(parentOcalls)))
-	}
-	return out
-}
-
-// makePrivateHint renders one make-private hint; shared by the resident
-// scan and the streaming fold's assembly.
+// makePrivateHint renders one make-private hint: the ecall was issued
+// only during ocalls — every execution had a Parent link — so it can be
+// declared private, limiting the paths into the enclave (§4.3.2).
 func makePrivateHint(name string, parents []string) SecurityHint {
 	return SecurityHint{
 		Kind:  HintMakePrivate,
@@ -115,41 +67,15 @@ func makePrivateHint(name string, parents []string) SecurityHint {
 	}
 }
 
-// allowHints compares declared allow lists with the ecalls actually issued
-// during each ocall. With an EDL it reports removable entries; without,
-// it states the smallest observed set (§4.3.2).
-func (a *Analyzer) allowHints() []SecurityHint {
-	byID := make(map[events.EventID]string)
-	for i := range a.all {
-		byID[a.all[i].ev.ID] = a.all[i].ev.Name
-	}
-	// observed[ocall] = set of nested ecall names
-	observed := make(map[string]map[string]bool)
-	for i := range a.all {
-		c := &a.all[i]
-		if c.ev.Kind != events.KindEcall || c.ev.Parent == events.NoEvent {
-			continue
-		}
-		pn, ok := byID[c.ev.Parent]
-		if !ok {
-			continue
-		}
-		if observed[pn] == nil {
-			observed[pn] = make(map[string]bool)
-		}
-		observed[pn][c.ev.Name] = true
-	}
-	return allowHintsFrom(a.iface, observed, func(name string) int { return len(a.byName[name]) })
-}
-
-// allowHintsFrom renders the allow-list hints from the observed
-// ocall→ecall nesting sets; shared by the resident scan and the
-// streaming fold's assembly. totalOf reports a call name's execution
-// count so undeclared-but-unexercised ocalls are not judged.
+// allowHintsFrom compares declared allow lists with the ecalls actually
+// issued during each ocall (the observed ocall→ecall nesting sets). With
+// an EDL it reports removable entries; without, it states the smallest
+// observed set (§4.3.2). totalOf reports a call name's execution count
+// so undeclared-but-unexercised ocalls are not judged.
 func allowHintsFrom(iface *edl.Interface, observed map[string]map[string]bool, totalOf func(string) int) []SecurityHint {
 	var out []SecurityHint
 	if iface == nil {
-		for _, ocall := range sortedKeys2(observed) {
+		for _, ocall := range sortedKeys(observed) {
 			set := sortedKeys(observed[ocall])
 			out = append(out, SecurityHint{
 				Kind:  HintMinimalAllow,
@@ -190,14 +116,9 @@ func allowHintsFrom(iface *edl.Interface, observed map[string]map[string]bool, t
 	return out
 }
 
-// userCheckHints highlights calls with user_check pointers so developers
-// re-verify their pointer handling (§3.6).
-func (a *Analyzer) userCheckHints() []SecurityHint {
-	return userCheckHintsFor(a.iface)
-}
-
-// userCheckHintsFor derives the user_check hints from the interface
-// alone; shared by the resident scan and the streaming fold's assembly.
+// userCheckHintsFor highlights calls with user_check pointers so
+// developers re-verify their pointer handling (§3.6); the hints derive
+// from the interface alone.
 func userCheckHintsFor(iface *edl.Interface) []SecurityHint {
 	if iface == nil {
 		return nil
@@ -231,16 +152,7 @@ func userCheckHintsFor(iface *edl.Interface) []SecurityHint {
 	return out
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

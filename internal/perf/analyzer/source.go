@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"fmt"
 
 	"sgxperf/internal/edl"
@@ -127,8 +128,7 @@ func (src *StreamSource) Interface() *edl.Interface {
 	return interfaceFromMetas(src.Enclaves)
 }
 
-// interfaceFromMetas recovers the first parseable embedded EDL, the
-// streaming counterpart of interfaceFromTrace.
+// interfaceFromMetas recovers the first parseable embedded EDL.
 func interfaceFromMetas(metas []events.EnclaveMeta) *edl.Interface {
 	for _, meta := range metas {
 		if meta.EDL == "" {
@@ -149,6 +149,12 @@ func interfaceFromMetas(metas []events.EnclaveMeta) *edl.Interface {
 // events (see TestAnalyzeStreamingMatchesResident). Returns ErrUnsorted
 // when the order-sensitive tables are not stream-sorted.
 func AnalyzeStream(src *StreamSource, opts Options) (*Report, error) {
+	return analyzeStream(context.Background(), src, opts)
+}
+
+// analyzeStream is AnalyzeStream with cancellation observed between the
+// prescans, the sweep and report assembly.
+func analyzeStream(ctx context.Context, src *StreamSource, opts Options) (*Report, error) {
 	if src == nil {
 		return nil, fmt.Errorf("analyzer: %w", ErrNoTrace)
 	}
@@ -168,6 +174,9 @@ func AnalyzeStream(src *StreamSource, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	cfg := &FoldConfig{
 		Weights:    opts.Weights,
@@ -182,6 +191,9 @@ func AnalyzeStream(src *StreamSource, opts Options) (*Report, error) {
 		Paging: src.Paging,
 	}, 0, true)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sw := SwitchlessStatsFrom(swAgg, src.Freq)

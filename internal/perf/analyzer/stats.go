@@ -1,8 +1,7 @@
 package analyzer
 
 import (
-	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"sgxperf/internal/perf/events"
@@ -34,74 +33,29 @@ type CallStats struct {
 	TotalAEX int
 }
 
-// Stats computes statistics for one call name, or ok=false if unseen. It
-// gathers the call's durations and hands off to the shared
-// StatsFromDurations kernel.
-func (a *Analyzer) Stats(name string) (CallStats, bool) {
-	calls := a.callsNamed(name)
-	if len(calls) == 0 {
-		return CallStats{}, false
-	}
-	durs := make([]time.Duration, len(calls))
-	totalAEX := 0
-	for i, c := range calls {
-		durs[i] = c.adjusted
-		totalAEX += c.ev.AEXCount
-	}
-	return StatsFromDurations(name, calls[0].ev.Kind, durs, totalAEX)
-}
-
-// AllStats computes statistics for every call name, ordered by descending
-// count (the overview of §4.3.1).
-func (a *Analyzer) AllStats() []CallStats {
-	out := make([]CallStats, 0, len(a.perNames))
-	for _, n := range a.perNames {
-		if s, ok := a.Stats(n); ok {
-			out = append(out, s)
-		}
-	}
-	SortStats(out)
-	return out
-}
-
-// percentile returns the p-quantile (0..1) of sorted durations using the
-// nearest-rank method.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
 // HistogramBin is one bucket of call execution times (Fig. 7).
 type HistogramBin struct {
 	Lo, Hi time.Duration
 	Count  int
 }
 
-// Histogram buckets the call's execution times into bins equal-width bins
-// (the paper groups into 100, Fig. 7).
+// Histogram buckets the named call's execution times into bins
+// equal-width bins (the paper groups into 100, Fig. 7). It scans the
+// trace for that one call.
 func (a *Analyzer) Histogram(name string, bins int) []HistogramBin {
-	calls := a.callsNamed(name)
-	if len(calls) == 0 || bins <= 0 {
+	if bins <= 0 {
 		return nil
 	}
-	lo, hi := calls[0].adjusted, calls[0].adjusted
-	for _, c := range calls {
-		if c.adjusted < lo {
-			lo = c.adjusted
+	var durs []time.Duration
+	a.scanCalls(func(ev *events.CallEvent, adjusted time.Duration) {
+		if ev.Name == name {
+			durs = append(durs, adjusted)
 		}
-		if c.adjusted > hi {
-			hi = c.adjusted
-		}
+	})
+	if len(durs) == 0 {
+		return nil
 	}
+	lo, hi := slices.Min(durs), slices.Max(durs)
 	width := (hi - lo) / time.Duration(bins)
 	if width <= 0 {
 		width = 1
@@ -111,12 +65,8 @@ func (a *Analyzer) Histogram(name string, bins int) []HistogramBin {
 		out[i].Lo = lo + time.Duration(i)*width
 		out[i].Hi = out[i].Lo + width
 	}
-	for _, c := range calls {
-		idx := int((c.adjusted - lo) / width)
-		if idx >= bins {
-			idx = bins - 1
-		}
-		out[idx].Count++
+	for _, d := range durs {
+		out[min(int((d-lo)/width), bins-1)].Count++
 	}
 	return out
 }
@@ -130,23 +80,36 @@ type ScatterPoint struct {
 	Dur time.Duration
 }
 
-// Scatter returns the call's execution times over the course of the run.
+// Scatter returns the named call's execution times over the course of
+// the run, in start order. It scans the trace for that one call.
 func (a *Analyzer) Scatter(name string) []ScatterPoint {
-	calls := a.callsNamed(name)
-	if len(calls) == 0 {
+	type point struct {
+		ev  events.CallEvent
+		dur time.Duration
+	}
+	var (
+		pts   []point
+		first vtime.Cycles
+		seen  bool
+	)
+	a.scanCalls(func(ev *events.CallEvent, adjusted time.Duration) {
+		if !seen || ev.Start < first {
+			first, seen = ev.Start, true
+		}
+		if ev.Name == name {
+			pts = append(pts, point{*ev, adjusted})
+		}
+	})
+	if len(pts) == 0 {
 		return nil
 	}
-	var t0 vtime.Cycles
-	if len(a.all) > 0 {
-		t0 = a.all[0].ev.Start
+	slices.SortFunc(pts, func(x, y point) int {
+		return callKey{x.ev.Start, x.ev.ID}.compare(callKey{y.ev.Start, y.ev.ID})
+	})
+	freq := a.trace.Frequency()
+	out := make([]ScatterPoint, len(pts))
+	for i, p := range pts {
+		out[i] = ScatterPoint{T: freq.Duration(p.ev.Start - first), Dur: p.dur}
 	}
-	out := make([]ScatterPoint, len(calls))
-	for i, c := range calls {
-		out[i] = ScatterPoint{
-			T:   a.freq.Duration(c.ev.Start - t0),
-			Dur: c.adjusted,
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].T < out[j].T })
 	return out
 }

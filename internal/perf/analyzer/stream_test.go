@@ -1,8 +1,9 @@
 package analyzer_test
 
 // The streaming-equivalence gate of the out-of-core pipeline: the fold
-// must reproduce the resident analyser's report bit-for-bit, from both
-// a resident trace's tables and a saved trace file read chunk-by-chunk.
+// over a stream-sorted trace must reproduce the resident analyser's
+// report bit-for-bit, fed from both the trace's own tables and a saved
+// trace file read chunk-by-chunk.
 
 import (
 	"errors"
@@ -64,25 +65,11 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := streamTrace(t, 3000)
-
-			serialOpts := tc.opts
-			serialOpts.Serial = true
-			a, err := analyzer.New(tr, serialOpts)
+			a, err := analyzer.New(tr, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := a.Analyze()
-
-			// Parallel resident agrees with serial (existing guarantee,
-			// re-checked here so the chain serial == parallel == stream
-			// holds on this trace).
-			ap, err := analyzer.New(tr, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := ap.Analyze(); !reflect.DeepEqual(got, want) {
-				t.Fatal("parallel resident report differs from serial reference")
-			}
 
 			// Fold fed from the resident tables.
 			got, err := analyzer.AnalyzeStream(analyzer.NewTraceSource(tr), tc.opts)
@@ -90,7 +77,7 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("streaming (resident-fed) report differs from serial reference:\ngot  %+v\nwant %+v", got, want)
+				t.Fatalf("streaming (resident-fed) report differs from the resident analyser's:\ngot  %+v\nwant %+v", got, want)
 			}
 
 			// Fold fed from a saved file, chunk by chunk.
@@ -112,7 +99,7 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("streaming (file-fed) report differs from serial reference:\ngot  %+v\nwant %+v", got, want)
+				t.Fatalf("streaming (file-fed) report differs from the resident analyser's:\ngot  %+v\nwant %+v", got, want)
 			}
 		})
 	}
@@ -128,6 +115,38 @@ func TestAnalyzeStreamUnsorted(t *testing.T) {
 	_, err = analyzer.AnalyzeStream(analyzer.NewTraceSource(tr), analyzer.Options{})
 	if !errors.Is(err, analyzer.ErrUnsorted) {
 		t.Fatalf("AnalyzeStream on an unsorted trace: err = %v, want ErrUnsorted", err)
+	}
+}
+
+// TestAnalyzeStreamAcceptsEqualKeys pins the fold's order check: rows
+// sharing a (Start, ID) key are in order, only a row sorting before its
+// predecessor is ErrUnsorted. An ecall and an ocall recorded with one
+// key — possible in uploaded traces — must not fail Analyze, which
+// folds sorted copies.
+func TestAnalyzeStreamAcceptsEqualKeys(t *testing.T) {
+	tr, err := events.NewTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []events.CallKind{events.KindEcall, events.KindOcall} {
+		ev := events.CallEvent{ID: 7, Kind: kind, Enclave: 1, Thread: 1, Name: kind.String(),
+			Start: 100, End: 200, Parent: events.NoEvent}
+		if kind == events.KindEcall {
+			tr.Ecalls.Insert(ev)
+		} else {
+			tr.Ocalls.Insert(ev)
+		}
+	}
+	rep, err := analyzer.AnalyzeStream(analyzer.NewTraceSource(tr), analyzer.Options{})
+	if err != nil {
+		t.Fatalf("AnalyzeStream with an equal-key pair: %v", err)
+	}
+	a, err := analyzer.New(tr, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Analyze(); !reflect.DeepEqual(got, rep) {
+		t.Fatalf("Analyze = %+v, want %+v", got, rep)
 	}
 }
 
@@ -158,11 +177,11 @@ func TestStreamContentKeyMatchesResident(t *testing.T) {
 // the merged deltas assemble to the same report as one final pass.
 func TestFoldWindowedMatchesSinglePass(t *testing.T) {
 	tr := streamTrace(t, 3000)
-	serial, err := analyzer.New(tr, analyzer.Options{Serial: true})
+	a, err := analyzer.New(tr, analyzer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serial.Analyze()
+	want := a.Analyze()
 
 	src := analyzer.NewTraceSource(tr)
 	pre, err := analyzer.PrescanSyncs(src.Syncs)
@@ -217,6 +236,6 @@ func TestFoldWindowedMatchesSinglePass(t *testing.T) {
 	got := analyzer.AssembleReport("analyze-bench", cfg, total, pre,
 		analyzer.SwitchlessStatsFrom(swAgg, tr.Frequency()), nil)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("windowed fold differs from serial reference:\ngot  %+v\nwant %+v", got, want)
+		t.Fatalf("windowed fold differs from the single pass:\ngot  %+v\nwant %+v", got, want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sgxperf/internal/perf/events"
-	"sgxperf/internal/pool"
 	"sgxperf/internal/vtime"
 )
 
@@ -31,10 +30,9 @@ type SwitchlessStats struct {
 }
 
 // SwitchlessAgg is the integer accumulator behind SwitchlessCallStats.
-// Every pipeline — serial, chunk-sharded parallel, and the live
-// collector — folds events into the same accumulator and renders it
-// with SwitchlessStatsFrom, so their outputs are identical by
-// construction (integer sums commute).
+// The fold's switchless prescan and the live collector both fold events
+// into it and render it with SwitchlessStatsFrom, so their outputs are
+// identical by construction (integer sums commute).
 type SwitchlessAgg struct {
 	Kind       events.CallKind
 	Served     int
@@ -78,55 +76,4 @@ func SwitchlessStatsFrom(agg map[string]*SwitchlessAgg, freq vtime.Frequency) Sw
 		out.Calls = append(out.Calls, row)
 	}
 	return out
-}
-
-// SwitchlessSummary aggregates the trace's switchless events — the
-// serial reference kernel.
-func (a *Analyzer) SwitchlessSummary() SwitchlessStats {
-	agg := make(map[string]*SwitchlessAgg)
-	a.trace.Switchless.Scan(func(_ int, ev events.SwitchlessEvent) bool {
-		SwitchlessFold(agg, &ev)
-		return true
-	})
-	return SwitchlessStatsFrom(agg, a.trace.Frequency())
-}
-
-// switchlessSummarySharded computes the same stats with the table
-// sharded by storage chunk; per-name sums are integers, so the merged
-// aggregates equal the serial kernel's exactly.
-//
-//sgxperf:hotpath
-func (a *Analyzer) switchlessSummarySharded() SwitchlessStats {
-	var chunks [][]events.SwitchlessEvent
-	a.trace.Switchless.ScanChunks(func(rows []events.SwitchlessEvent) bool {
-		if len(rows) > 0 {
-			chunks = append(chunks, rows)
-		}
-		return true
-	})
-	if len(chunks) == 0 {
-		return SwitchlessStatsFrom(nil, a.trace.Frequency())
-	}
-	parts := make([]map[string]*SwitchlessAgg, len(chunks))
-	pool.ForEach(len(chunks), func(ci int) {
-		agg := make(map[string]*SwitchlessAgg)
-		for i := range chunks[ci] {
-			SwitchlessFold(agg, &chunks[ci][i])
-		}
-		parts[ci] = agg
-	})
-	merged := make(map[string]*SwitchlessAgg)
-	for _, part := range parts {
-		for name, p := range part {
-			m := merged[name]
-			if m == nil {
-				merged[name] = p
-				continue
-			}
-			m.Served += p.Served
-			m.Fallbacks += p.Fallbacks
-			m.WaitCycles += p.WaitCycles
-		}
-	}
-	return SwitchlessStatsFrom(merged, a.trace.Frequency())
 }

@@ -8,10 +8,10 @@
 // # Equivalence with the post-mortem analyser
 //
 // The collector maintains exactly the aggregates the post-mortem analyser
-// (internal/perf/analyzer) derives by scanning a finished trace — per-call
-// duration multisets, direct-parent offset bands, indirect-parent pair
+// (internal/perf/analyzer) folds from a finished trace — per-call
+// duration histograms, direct-parent offset bands, indirect-parent pair
 // gaps, sleep/wake counters, paging coverage — and feeds them through the
-// same kernels (analyzer.StatsFromDurations, MovingFinding,
+// same kernels (analyzer.StatsFromHistogram, MovingFinding,
 // ReorderFindings, MergeFindings, SSCFindings, PagingFindings,
 // SortFindings). Events may arrive in any order across tables — a nested
 // ocall can be delivered before or after its parent ecall depending on
@@ -22,10 +22,18 @@
 // summary and wake graph); the golden test in this package holds the two
 // implementations to that guarantee.
 //
-// Like the analyser, exact equivalence costs O(events) memory: duration
-// multisets and call spans are retained for percentile and parent
-// resolution. The collector is a second reader of the same trace, not a
-// compressed sketch.
+// The equality assumes properly nested, SDK-recorded traces. The
+// collector resolves a Parent link by event ID whenever both sides have
+// arrived; the analyser resolves it only to a parent that is still
+// running when the child starts (see analyzer.Analyzer.Analyze). The two
+// rules agree whenever every parent spans its children, which the SDK's
+// call nesting guarantees.
+//
+// Durations are kept as histograms, bounded by distinct durations, but
+// exact equivalence still costs O(events) memory: call spans are
+// retained for parent resolution and indirect-parent grouping. The
+// collector is a second reader of the same trace, not a compressed
+// sketch.
 //
 // # Concurrency
 //
@@ -110,7 +118,8 @@ type arrivedCall struct {
 // nameAgg accumulates one call name's statistics inputs.
 type nameAgg struct {
 	kind     events.CallKind
-	durs     []time.Duration
+	count    int
+	hist     map[time.Duration]int
 	totalAEX int
 	reorder  analyzer.ReorderAgg
 }
@@ -336,7 +345,7 @@ func (c *Collector) processLocked(b batch) {
 }
 
 // addCall folds one completed call event into every aggregate it feeds:
-// the name's duration multiset, its indirect-parent group, the
+// the name's duration histogram, its indirect-parent group, the
 // direct-parent offset bands (resolving whichever side arrived second),
 // pending short-wake checks and pending paging coverage.
 func (c *Collector) addCall(ev *events.CallEvent) {
@@ -353,10 +362,11 @@ func (c *Collector) addCall(ev *events.CallEvent) {
 
 	na := c.perName[ev.Name]
 	if na == nil {
-		na = &nameAgg{kind: ev.Kind}
+		na = &nameAgg{kind: ev.Kind, hist: make(map[time.Duration]int)}
 		c.perName[ev.Name] = na
 	}
-	na.durs = append(na.durs, adj)
+	na.count++
+	na.hist[adj]++
 	na.totalAEX += ev.AEXCount
 
 	c.arrived[ev.ID] = arrivedCall{start: ev.Start, end: ev.End, adjusted: adj}

@@ -47,8 +47,8 @@ type Snapshot struct {
 
 // Snapshot computes the current view from the incremental aggregates by
 // running the shared analyser kernels. It is safe to call at any time,
-// concurrently with recording; its cost is the kernels (sorting the
-// duration multisets, scoring the detectors), independent of how the
+// concurrently with recording; its cost is the kernels (walking the
+// duration histograms, scoring the detectors), independent of how the
 // aggregates were built.
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
@@ -73,11 +73,11 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	sort.Strings(names)
 
-	// Stats: the per-name duration multisets through the shared kernels,
-	// one partition per name on the worker pool (the sorting inside
-	// StatsFromDurations dominates snapshot cost). Results land in
-	// per-name slots and are assembled in sorted-name order, so the
-	// output is identical to the serial loop.
+	// Stats: the per-name duration histograms through the shared
+	// kernels, one partition per name on the worker pool (sorting each
+	// histogram's distinct durations dominates snapshot cost). Results
+	// land in per-name slots and are assembled in sorted-name order, so
+	// the output is identical to the serial loop.
 	type nameResult struct {
 		stats   analyzer.CallStats
 		ok      bool
@@ -88,7 +88,7 @@ func (c *Collector) Snapshot() Snapshot {
 	//sgxperf:allow(heldacross) c.mu guards the aggregates being read; ForEach is bounded CPU work with an inline fallback, and no task touches the collector lock
 	pool.ForEach(len(names), func(i int) {
 		na := c.perName[names[i]]
-		if st, ok := analyzer.StatsFromDurations(names[i], na.kind, na.durs, na.totalAEX); ok {
+		if st, ok := analyzer.StatsFromHistogram(names[i], na.kind, na.hist, na.totalAEX); ok {
 			res[i].stats, res[i].ok = st, true
 			res[i].moving = appendMoving(nil, st, w)
 		}
@@ -127,7 +127,7 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 	totalOf := func(name string) int {
 		if na := c.perName[name]; na != nil {
-			return len(na.durs)
+			return na.count
 		}
 		return 0
 	}

@@ -10,7 +10,7 @@ import (
 
 // defaultCacheCapacity bounds the artifact cache when Options leaves
 // CacheCapacity zero. Entries are whole analysis artifacts (reports,
-// lint reports, stats windows), so a few hundred is plenty for many
+// lint reports, report fold windows), so a few hundred is plenty for many
 // concurrently served traces.
 const defaultCacheCapacity = 512
 

@@ -24,9 +24,9 @@ import (
 // carry-in.Hash() — so after an append every frozen window replays from
 // the cache and only the tail windows are folded again, for the
 // complete report: statistics, detectors, call graph, security hints.
-// Uploads that are not stream-sorted fall back to the monolithic
-// resident analysis; either way the response is byte-identical to the
-// offline analyser's.
+// Uploads that are not stream-sorted fall back to one fold over sorted
+// copies of the tables; either way the response is byte-identical to
+// the offline analyser's.
 //
 // Window keys exploit the store's append-only growth: a row, once
 // written, never changes, so the consumed span of each table — from the
@@ -37,8 +37,9 @@ import (
 // chunk the window had consumed only partially (the appended rows sort
 // after the bound); only windows whose before-bound population actually
 // grew are refolded. Counts address content only within one append-only
-// table, so the key is scoped to the trace id — unlike the stats
-// windows, these artifacts are not shared across traces. Every window
+// table, so the key is scoped to the trace id — unlike the sync and
+// switchless digests, these artifacts are not shared across traces.
+// GET /v1/traces/{id}/stats reads the same report artifact. Every window
 // also folds the full sync chunk-hash array: the sync prescan's wake
 // references feed short-wake classification everywhere, so a sync
 // append conservatively recomputes all windows.
@@ -48,7 +49,7 @@ type reportWindowArtifact struct {
 }
 
 // windowCounts reports how much of a report request was replayed from
-// the window cache (zero-valued on the monolithic fallback path).
+// the window cache (zero-valued on the monolithic fallback).
 type windowCounts struct {
 	total, computed, reused int
 }
@@ -138,7 +139,7 @@ func (s *Server) switchlessArtifact(e *traceEntry, src *analyzer.StreamSource, s
 // foldedReport computes the full wire report through the streaming
 // fold, replaying frozen windows from the artifact cache. It returns
 // analyzer.ErrUnsorted when the trace is not stream-sorted (the caller
-// falls back to the monolithic path) and errConcurrentAppend when an
+// falls back to monolithicReport) and errConcurrentAppend when an
 // append landed mid-computation (the caller retries).
 func (s *Server) foldedReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, windowCounts, error) {
 	tr := e.trace

@@ -251,9 +251,10 @@ func TestReportCacheHitAndAppendInvalidation(t *testing.T) {
 	}
 }
 
-// TestStatsWindowsIncremental proves the windowed stats engine: the
-// assembled statistics equal the full report's, and appending a chunk's
-// worth of events recomputes only the new tail window.
+// TestStatsWindowsIncremental proves /stats reads the windowed report
+// artifact: its statistics equal the analyser's, and after appending a
+// chunk's worth of events only the previously final window (no longer
+// final, so refolded) and the new tail window are computed.
 func TestStatsWindowsIncremental(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -299,7 +300,7 @@ func TestStatsWindowsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := apiv1.FromStats(a.AllStats())
+	want := apiv1.FromStats(a.Analyze().Stats)
 	if !reflect.DeepEqual(cold.Stats, want) {
 		t.Fatal("windowed stats differ from the analyser's")
 	}
@@ -309,8 +310,8 @@ func TestStatsWindowsIncremental(t *testing.T) {
 		t.Fatalf("warm stats windows = computed %d / reused %d, want 0/2", warm.WindowsComputed, warm.WindowsReused)
 	}
 
-	// Append a third chunk's worth: the two frozen windows are reused,
-	// only the new tail is computed.
+	// Append a third chunk's worth: the first window replays from the
+	// cache; the old final window and the new tail are folded.
 	delta, err := events.NewTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -330,8 +331,8 @@ func TestStatsWindowsIncremental(t *testing.T) {
 	}
 
 	tail := getStats()
-	if tail.WindowsTotal != 3 || tail.WindowsComputed != 1 || tail.WindowsReused != 2 {
-		t.Fatalf("post-append windows = total %d / computed %d / reused %d, want 3/1/2",
+	if tail.WindowsTotal != 3 || tail.WindowsComputed != 2 || tail.WindowsReused != 1 {
+		t.Fatalf("post-append windows = total %d / computed %d / reused %d, want 3/2/1",
 			tail.WindowsTotal, tail.WindowsComputed, tail.WindowsReused)
 	}
 	// Mirror the append locally so the offline analyser sees the same rows.
@@ -340,7 +341,7 @@ func TestStatsWindowsIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(tail.Stats, apiv1.FromStats(a2.AllStats())) {
+	if !reflect.DeepEqual(tail.Stats, apiv1.FromStats(a2.Analyze().Stats)) {
 		t.Fatal("post-append windowed stats differ from the analyser's")
 	}
 }
@@ -428,6 +429,71 @@ func TestReportWindowsIncremental(t *testing.T) {
 	if !bytes.Equal(tail, offline()) {
 		t.Fatal("post-append windowed report differs from the offline analyser's")
 	}
+}
+
+// TestSortedAndUnsortedUploadsServeSameReport uploads the same events
+// twice — stream-sorted, which the daemon folds window by window, and in
+// reverse storage order, which it folds from sorted copies — and
+// requires byte-identical reports. Some ocalls name as Parent an ecall
+// that had already returned: resolving such links by event ID on one
+// path only would make the two reports disagree.
+func TestSortedAndUnsortedUploadsServeSameReport(t *testing.T) {
+	_, ts := newTestServer(t)
+	build := func(sorted bool) *events.Trace {
+		tr := synthTrace(t, 1500)
+		var late []events.CallEvent
+		for i, e := range tr.Ecalls.Rows() {
+			if i%50 == 0 {
+				late = append(late, events.CallEvent{
+					ID: events.EventID(1_000_000 + i), Kind: events.KindOcall, Enclave: 1,
+					Thread: e.Thread, Name: "ocall_log",
+					Start: e.End + 10, End: e.End + 400, Parent: e.ID,
+				})
+			}
+		}
+		tr.Ocalls.BatchInsert(late)
+		if sorted {
+			events.StreamSort(tr)
+		} else {
+			tr.Ecalls.Replace(reversed(tr.Ecalls.Rows()))
+			tr.Ocalls.Replace(reversed(tr.Ocalls.Rows()))
+		}
+		return tr
+	}
+	report := func(id string) ([]byte, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/traces/" + id + "/report")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("report %s: status %d: %s", id, resp.StatusCode, raw)
+		}
+		return raw, resp.Header.Get("Sgxperf-Windows-Total")
+	}
+	upload(t, ts, "sorted", build(true))
+	upload(t, ts, "unsorted", build(false))
+	sorted, sortedWindows := report("sorted")
+	unsorted, unsortedWindows := report("unsorted")
+	if sortedWindows == "0" || unsortedWindows != "0" {
+		t.Fatalf("windows total: sorted %s, unsorted %s — want the windowed fold only for the sorted upload",
+			sortedWindows, unsortedWindows)
+	}
+	if !bytes.Equal(sorted, unsorted) {
+		t.Fatal("the same events uploaded sorted and unsorted served different reports")
+	}
+}
+
+func reversed[T any](rows []T) []T {
+	for i, j := 0, len(rows)-1; i < j; i, j = i+1, j-1 {
+		rows[i], rows[j] = rows[j], rows[i]
+	}
+	return rows
 }
 
 // TestLintEndpoint proves the hybrid lint artifact serves the EDL

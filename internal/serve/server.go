@@ -204,7 +204,7 @@ func retryable(ctx context.Context, err error, attempt int) bool {
 
 // reportEntry is the cached full-report artifact: the wire report plus
 // how many fold windows its computation replayed versus folded fresh
-// (zero-valued when the monolithic path produced it).
+// (zero-valued when the monolithic fold produced it).
 type reportEntry struct {
 	rep     *apiv1.Report
 	windows windowCounts
@@ -213,12 +213,12 @@ type reportEntry struct {
 // reportArtifact returns the trace's full wire report, cached by
 // content key. Stream-sorted traces are computed through the windowed
 // fold (foldedReport), so even a cold content key after an append
-// refolds only the tail windows; unsorted uploads run the monolithic
-// resident analysis. Concurrency is optimistic: the key is computed
-// before the analysis and revalidated after; since the store is
-// append-only, an unchanged key proves the analysis saw exactly the
-// keyed content, and a changed one discards the run (nothing is cached)
-// and retries under the new key.
+// refolds only the tail windows; unsorted uploads run the same fold
+// over sorted copies in one window (monolithicReport). Concurrency is
+// optimistic: the key is computed before the analysis and revalidated
+// after; since the store is append-only, an unchanged key proves the
+// analysis saw exactly the keyed content, and a changed one discards
+// the run (nothing is cached) and retries under the new key.
 func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, windowCounts, bool, error) {
 	keyOf := func() string {
 		return fmt.Sprintf("report|%s|%d", e.trace.ContentKey(), enclave)
@@ -259,8 +259,10 @@ func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.
 	}
 }
 
-// monolithicReport is the resident full analysis, for traces the
-// streaming fold cannot window (not stream-sorted).
+// monolithicReport is the analyser's fold over sorted copies of the
+// trace's tables (Analyzer.AnalyzeContext), for traces the windowed
+// fold cannot walk in storage order (not stream-sorted): the same
+// engine and the same bytes, in one window without window caching.
 func (s *Server) monolithicReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, error) {
 	a, err := analyzer.New(e.trace, analyzer.Options{Enclave: enclave})
 	if err != nil {
@@ -309,71 +311,32 @@ func (s *Server) lintArtifact(ctx context.Context, e *traceEntry, src bool) (*ap
 	}
 }
 
-// statsReport assembles the windowed incremental statistics: one cached
-// artifact per chunk window, so only windows whose chunk hashes changed
-// since the last request (the appended tail) are recomputed.
+// statsReport answers /stats from the cached report artifact: its
+// per-call statistics plus the fold-window accounting of the request.
+// The content key is read before and after fetching the report; since
+// the store is append-only, an unchanged key proves the report is the
+// keyed content's, and a changed one retries.
 func (s *Server) statsReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.StatsReport, error) {
-	tr := e.trace
 	for attempt := 0; ; attempt++ {
-		contentKey := tr.ContentKey()
-		eh, oh := tr.Ecalls.ChunkHashes(), tr.Ocalls.ChunkHashes()
-		freq, trans := tr.Frequency(), tr.TransitionCycles()
-		n := len(eh)
-		if len(oh) > n {
-			n = len(oh)
+		contentKey := e.trace.ContentKey()
+		rep, wc, _, err := s.reportArtifact(ctx, e, enclave)
+		if err == nil && e.trace.ContentKey() != contentKey {
+			err = errConcurrentAppend
 		}
-		windows := make([]*windowArtifact, n)
-		computed, reused := 0, 0
-		var werr error
-		for i := 0; i < n; i++ {
-			ehi, eok := hashAt(eh, i)
-			ohi, ook := hashAt(oh, i)
-			key := windowCacheKey(i, ehi, ohi, eok, ook, enclave, freq, trans)
-			i := i
-			v, hit, err := s.cache.GetOrCompute(key, func() (any, error) {
-				w := computeWindow(tr, i, enclave, freq, trans)
-				// Revalidate: only a tail chunk can have grown mid-scan,
-				// and rehashing is cheap (full-chunk hashes are cached).
-				nowE, _ := hashAt(tr.Ecalls.ChunkHashes(), i)
-				nowO, _ := hashAt(tr.Ocalls.ChunkHashes(), i)
-				if nowE != ehi || nowO != ohi {
-					return nil, errConcurrentAppend
-				}
-				return w, nil
-			})
-			if err != nil {
-				werr = err
-				break
-			}
-			windows[i] = v.(*windowArtifact)
-			if hit {
-				reused++
-			} else {
-				computed++
-			}
-		}
-		if werr == nil {
-			// The two hash snapshots were taken table-by-table; re-reading
-			// them proves no append interleaved and the assembled windows
-			// form one consistent view of the trace.
-			if !hashesEqual(eh, tr.Ecalls.ChunkHashes()) || !hashesEqual(oh, tr.Ocalls.ChunkHashes()) {
-				werr = errConcurrentAppend
-			}
-		}
-		if werr != nil {
-			if retryable(ctx, werr, attempt) {
+		if err != nil {
+			if retryable(ctx, err, attempt) {
 				continue
 			}
-			return nil, werr
+			return nil, err
 		}
 		return &apiv1.StatsReport{
 			SchemaVersion:   apiv1.Version,
-			Workload:        workloadOf(tr),
+			Workload:        rep.Workload,
 			ContentKey:      contentKey,
-			Stats:           apiv1.FromStats(assembleStats(windows)),
-			WindowsTotal:    n,
-			WindowsComputed: computed,
-			WindowsReused:   reused,
+			Stats:           rep.Stats,
+			WindowsTotal:    wc.total,
+			WindowsComputed: wc.computed,
+			WindowsReused:   wc.reused,
 		}, nil
 	}
 }
@@ -572,7 +535,7 @@ func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, e *traceEnt
 	}
 	// The wire document is byte-identical either way; the fold-window
 	// replay accounting rides in headers (all zero on the monolithic
-	// path for unsorted traces).
+	// fold for unsorted traces).
 	w.Header().Set("Sgxperf-Windows-Total", strconv.Itoa(wc.total))
 	w.Header().Set("Sgxperf-Windows-Computed", strconv.Itoa(wc.computed))
 	w.Header().Set("Sgxperf-Windows-Reused", strconv.Itoa(wc.reused))

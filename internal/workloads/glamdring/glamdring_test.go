@@ -150,7 +150,7 @@ func TestEnclaveVariantCallShape(t *testing.T) {
 	}
 	// Mean sub duration is near the transition time (§5.2.3 reports
 	// ≈3µs); with vanilla costs expect roughly the dispatch overhead.
-	stats, ok := a.Stats("ecall_bn_sub_part_words")
+	stats, ok := report.StatsFor("ecall_bn_sub_part_words")
 	if !ok {
 		t.Fatal("no stats for the sub ecall")
 	}

@@ -202,11 +202,12 @@ func TestEcallDurationsMatchPaper(t *testing.T) {
 	// Means below are transition-adjusted; the paper's raw means include
 	// the transition, so compare against ≈14µs/18µs minus the ≈4.2µs
 	// overhead.
-	s1, ok := a.Stats(keeper.EcallFromClient)
+	report := a.Analyze()
+	s1, ok := report.StatsFor(keeper.EcallFromClient)
 	if !ok {
 		t.Fatal("no stats for client ecall")
 	}
-	s2, ok := a.Stats(keeper.EcallFromZK)
+	s2, ok := report.StatsFor(keeper.EcallFromZK)
 	if !ok {
 		t.Fatal("no stats for zk ecall")
 	}
@@ -222,7 +223,6 @@ func TestEcallDurationsMatchPaper(t *testing.T) {
 	// No performance findings: the interface is already narrow and calls
 	// are long (§5.2.4: "we were not able to spot any performance
 	// optimisation possibilities").
-	report := a.Analyze()
 	for _, f := range report.Findings {
 		if f.Call == keeper.EcallFromClient || f.Call == keeper.EcallFromZK {
 			t.Errorf("unexpected finding on a well-designed interface: %+v", f)
@@ -273,7 +273,7 @@ func TestConnectBurstProducesSyncOcalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wakes := a.WakeGraph(); len(wakes) == 0 {
+	if wakes := a.Analyze().WakeGraph; len(wakes) == 0 {
 		t.Error("sync events recorded but wake graph empty")
 	}
 }

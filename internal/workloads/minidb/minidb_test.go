@@ -360,14 +360,14 @@ func TestEnclaveCallShapeAndSDSCDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	report := a.Analyze()
 	// lseek is much shorter than write on average.
-	ls, _ := a.Stats(minidb.OcallLseek)
-	ws, _ := a.Stats(minidb.OcallWrite)
+	ls, _ := report.StatsFor(minidb.OcallLseek)
+	ws, _ := report.StatsFor(minidb.OcallWrite)
 	if ls.Mean >= ws.Mean {
 		t.Errorf("lseek mean %v not shorter than write mean %v", ls.Mean, ws.Mean)
 	}
 
-	report := a.Analyze()
 	merge := false
 	for _, f := range report.Findings {
 		if f.Problem == analyzer.ProblemSDSC &&

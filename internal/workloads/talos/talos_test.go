@@ -160,7 +160,7 @@ func TestShortCallFractionsMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shortE, totalE, shortO, totalO float64
-	for _, st := range a.AllStats() {
+	for _, st := range a.Analyze().Stats {
 		if st.Kind == events.KindEcall {
 			totalE += float64(st.Count)
 			shortE += st.FracBelow10us * float64(st.Count)

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for the always-on analysis service: build the
-# binaries, record a real workload trace with sgx-perf-log, boot
-# sgx-perf-serve on a free port, upload the trace over HTTP, and check
-# that GET /v1/report is byte-for-byte what `sgx-perf-analyze -json`
-# prints for the same file. Exercises the daemon the way a user does —
-# over the wire, not through httptest.
+# binaries, record a real workload trace with sgx-perf-log, check the
+# out-of-core `sgx-perf-analyze -stream -json` report against the
+# resident `-json` one, boot sgx-perf-serve on a free port, upload the
+# trace over HTTP, and check that GET /v1/report is byte-for-byte what
+# `sgx-perf-analyze -json` prints for the same file. Exercises the
+# daemon the way a user does — over the wire, not through httptest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +26,10 @@ echo "== record a golden trace (securekeeper, 500 ops)"
 
 echo "== offline reference report"
 "$work/sgx-perf-analyze" -json "$work/trace.evdb" > "$work/offline.json"
+
+echo "== out-of-core report (-stream) byte-compared with the resident one"
+"$work/sgx-perf-analyze" -stream -json "$work/trace.evdb" > "$work/stream.json"
+cmp "$work/offline.json" "$work/stream.json"
 
 echo "== boot sgx-perf-serve on a free port"
 "$work/sgx-perf-serve" -addr 127.0.0.1:0 -addr-file "$work/addr" &
@@ -53,4 +58,4 @@ echo "== health and metrics"
 curl -sfS "http://$addr/v1/healthz" > /dev/null
 curl -sfS "http://$addr/v1/metrics" | grep -q '"schema_version"'
 
-echo "serve smoke: OK (served report byte-identical to sgx-perf-analyze -json)"
+echo "serve smoke: OK (-stream and served reports byte-identical to sgx-perf-analyze -json)"

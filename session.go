@@ -185,23 +185,24 @@ func (e *SessionEnclave) Stop() {
 }
 
 // Analyze runs the post-mortem analysis over everything the session's
-// logger has recorded so far, on the parallel pipeline (the default;
-// see AnalyzerOptions.Serial for the reference pipeline).
+// logger has recorded so far: the analyser's fold over sorted copies of
+// the trace's tables, the engine every report comes from.
 func (s *Session) Analyze() (*Report, error) {
 	return s.AnalyzeWith(AnalyzerOptions{})
 }
 
 // AnalyzeWith is Analyze with explicit analyser options — detector
-// weights, per-enclave dissection, or the serial reference pipeline.
+// weights, an explicit EDL, or per-enclave dissection.
 func (s *Session) AnalyzeWith(opts AnalyzerOptions) (*Report, error) {
 	return s.AnalyzeContext(context.Background(), opts)
 }
 
 // AnalyzeContext is AnalyzeWith with cooperative cancellation, for
 // callers — server handlers, deadline-bound batch jobs — that may need
-// to abandon a long analysis. Cancellation is observed between analysis
-// kernels and pool partitions; a cancelled run returns ctx.Err(). An
-// uncancelled AnalyzeContext produces exactly AnalyzeWith's report.
+// to abandon a long analysis. Cancellation is observed between the
+// sort, the sweep and report assembly; a cancelled run returns
+// ctx.Err(). An uncancelled AnalyzeContext produces exactly
+// AnalyzeWith's report.
 func (s *Session) AnalyzeContext(ctx context.Context, opts AnalyzerOptions) (*Report, error) {
 	a, err := analyzer.New(s.Logger.Trace(), opts)
 	if err != nil {

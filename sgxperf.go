@@ -304,10 +304,10 @@ func Analyze(t *Trace) (*Report, error) {
 }
 
 // AnalyzeWithContext is Analyze with explicit options and cooperative
-// cancellation: long analyses stop between kernels and pool partitions
-// once ctx is done and the call returns ctx.Err(). An uncancelled call
-// produces exactly the report of Analyze / Analyzer.Analyze with the
-// same options.
+// cancellation: long analyses stop between the sort, the sweep and
+// report assembly once ctx is done and the call returns ctx.Err(). An
+// uncancelled call produces exactly the report of Analyze /
+// Analyzer.Analyze with the same options.
 func AnalyzeWithContext(ctx context.Context, t *Trace, opts AnalyzerOptions) (*Report, error) {
 	a, err := analyzer.New(t, opts)
 	if err != nil {

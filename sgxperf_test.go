@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"sgxperf"
+	"sgxperf/internal/perf/analyzer"
+	"sgxperf/internal/perf/events"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -127,11 +129,11 @@ func TestSessionQuickstart(t *testing.T) {
 	}
 }
 
-// TestSessionAnalyzeParallelMatchesSerial records a workload through a
-// Session and checks the default (parallel) analysis equals the serial
-// reference pipeline — both via Session.AnalyzeWith and via a
-// NewAnalyzer built on the session's trace.
-func TestSessionAnalyzeParallelMatchesSerial(t *testing.T) {
+// TestSessionAnalyzeMatchesStream records a workload through a Session
+// and checks its report equals the standalone analyser's on the
+// session's trace and the out-of-core fold's over a saved, stream-sorted
+// copy of it.
+func TestSessionAnalyzeMatchesStream(t *testing.T) {
 	s, err := sgxperf.NewSession(
 		sgxperf.WithEDL(`
 			enclave {
@@ -143,7 +145,7 @@ func TestSessionAnalyzeParallelMatchesSerial(t *testing.T) {
 			"ocall_read":  func(ctx *sgxperf.Context, args any) (any, error) { return nil, nil },
 			"ocall_write": func(ctx *sgxperf.Context, args any) (any, error) { return nil, nil },
 		}),
-		sgxperf.WithLogger(sgxperf.WithWorkload("parallel-vs-serial"), sgxperf.WithAEX(sgxperf.AEXCount)),
+		sgxperf.WithLogger(sgxperf.WithWorkload("session-vs-stream"), sgxperf.WithAEX(sgxperf.AEXCount)),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -175,24 +177,45 @@ func TestSessionAnalyzeParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	parallel, err := s.Analyze()
+	report, err := s.Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := s.AnalyzeWith(sgxperf.AnalyzerOptions{Serial: true})
+	a, err := sgxperf.NewAnalyzer(s.Logger.Trace(), sgxperf.AnalyzerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("Session parallel report differs from the serial reference")
+	if !reflect.DeepEqual(a.Analyze(), report) {
+		t.Fatal("standalone analyser differs from the Session report")
 	}
-	// Same equality through the standalone analyser on the session's trace.
-	a, err := sgxperf.NewAnalyzer(s.Logger.Trace(), sgxperf.AnalyzerOptions{Serial: true})
+	// The same events saved in stream order and folded from disk.
+	path := filepath.Join(t.TempDir(), "session.evdb")
+	if err := s.Logger.Trace().SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	sorted, err := sgxperf.LoadTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Analyze(), parallel) {
-		t.Fatal("standalone serial analyser differs from the Session report")
+	events.StreamSort(sorted)
+	if err := sorted.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	st, err := events.OpenStreamTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	src, err := analyzer.NewStreamTraceSource(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := analyzer.AnalyzeStream(src, sgxperf.AnalyzerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(streamed, report) {
+		t.Fatal("out-of-core report differs from the Session report")
 	}
 }
 
