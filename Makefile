@@ -19,18 +19,17 @@ vet:
 lint: vet
 	$(GO) run ./cmd/sgx-perf-vet
 
-# The recording pipeline, the live streaming engine
-# (internal/perf/live), the event store with its subscription tap and
-# parallel codec (internal/evstore), the shared worker pool
-# (internal/pool) behind the codec and the live snapshot, and the serve
-# daemon's concurrent window folds are the
-# concurrency-sensitive packages; run their suites under the race
-# detector, together with the simulator layers they drive (machine, SDK
-# runtime, host) — lock-ordering bugs between the logger and the SDK
-# sync primitives only surface when both run raced. internal/lint joins
-# them for its process-wide table of type-checked GOROOT packages, which
-# concurrently checked trees share. RACE_PKGS is the one place that list
-# lives; race and verify share it.
+# The recording pipeline, the live collector (internal/perf/live), the
+# event store with its subscription tap and parallel codec
+# (internal/evstore), the shared worker pool (internal/pool) behind the
+# codec and the hybrid lint re-ranking, and the serve daemon's
+# concurrent window folds are the concurrency-sensitive packages; run
+# their suites under the race detector, together with the simulator
+# layers they drive (machine, SDK runtime, host) — lock-ordering bugs
+# between the logger and the SDK sync primitives only surface when both
+# run raced. internal/lint joins them for its process-wide table of
+# type-checked GOROOT packages, which concurrently checked trees share.
+# RACE_PKGS is the one place that list lives; race and verify share it.
 RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 	./internal/pool/... ./internal/serve/... ./internal/experiments/... \
 	./internal/sgx/... ./internal/sdk/... ./internal/host/... \

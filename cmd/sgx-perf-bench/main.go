@@ -40,7 +40,6 @@ func run() error {
 		ops      = flag.Int("ops", 20000, "contention: ecalls per thread")
 		repeats  = flag.Int("repeats", 5, "contention: sweep repetitions (median is reported)")
 		jsonOut  = flag.String("json", "", "contention/live/serve: write machine-readable results to this file")
-		jsonOld  = flag.Bool("json-legacy", false, "with -json: write the live results in the pre-api/v1 shape")
 		baseline = flag.String("baseline", "", "contention: previous -json output to compute speedups against")
 		analyzeN = flag.Int("analyze-ops", 50000, "analyze: synthetic trace size in top-level calls")
 		oocOps   = flag.Int("outofcore-ops", 0, "outofcore: synthetic trace size in top-level calls (0 = default; raise to push the resident path past RAM)")
@@ -160,11 +159,7 @@ func run() error {
 			}
 			fmt.Println(experiments.RenderLiveRun(view))
 			if *jsonOut != "" {
-				if *jsonOld {
-					if err := writeJSON(*jsonOut, view); err != nil {
-						return err
-					}
-				} else if err := writeWireJSON(*jsonOut, liveResultsWire{
+				if err := writeWireJSON(*jsonOut, liveResultsWire{
 					SchemaVersion: apiv1.Version,
 					DurationNs:    int64(view.Duration),
 					Ticks:         view.Ticks,
@@ -447,8 +442,7 @@ func mergeJSONKey(path, key string, v any) error {
 }
 
 // liveResultsWire is the api/v1 form of -exp live -json: run totals
-// plus the final snapshot as the shared LiveSnapshot wire type
-// (-json-legacy keeps the old internal-type shape).
+// plus the final snapshot as the shared LiveSnapshot wire type.
 type liveResultsWire struct {
 	SchemaVersion int                 `json:"schema_version"`
 	DurationNs    int64               `json:"duration_ns"`

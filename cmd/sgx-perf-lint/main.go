@@ -18,8 +18,7 @@
 //	sgx-perf-lint -workload securekeeper -switchless-config > switchless.json
 //
 // -json emits the report as an api/v1 wire document (the schema shared
-// with sgx-perf-serve's /v1/traces/{id}/lint endpoint); -json-legacy
-// keeps the pre-api/v1 shape for older consumers.
+// with sgx-perf-serve's /v1/traces/{id}/lint endpoint).
 //
 // -switchless-config turns the Transition-Bound Calls findings into the
 // machine-readable configuration sgxperf.WithSwitchless consumes,
@@ -65,7 +64,6 @@ func run() error {
 		edlPath   = flag.String("edl", "", "lint the interface in this EDL file")
 		tracePath = flag.String("trace", "", "trace file for hybrid mode (rank findings by observed call counts)")
 		jsonOut   = flag.Bool("json", false, "emit the report as an api/v1 JSON document")
-		jsonOld   = flag.Bool("json-legacy", false, "emit the report in the pre-api/v1 JSON shape")
 		wideMin   = flag.Int("wide-surface", 0, "public-ecall count that flags a wide surface (0 = default)")
 		srcRoot   = flag.String("source", "", "also run the concurrency dataflow pass over the Go sources under this root")
 		srcDirs   = flag.String("source-dirs", "", "comma-separated root-relative directories limiting the source pass (default: the whole tree)")
@@ -152,23 +150,14 @@ func run() error {
 		report = sgxperf.StaticLint(iface, opts)
 	}
 
-	switch {
-	case *jsonOut && *jsonOld:
-		return fmt.Errorf("-json and -json-legacy are mutually exclusive")
-	case *jsonOut:
-		raw, err := apiv1.Marshal(apiv1.FromLintReport(report))
-		if err != nil {
-			return err
-		}
-		fmt.Print(string(raw))
-	case *jsonOld:
-		raw, err := report.MarshalJSON()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(raw))
-	default:
+	if !*jsonOut {
 		fmt.Print(report.Render())
+		return nil
 	}
+	raw, err := apiv1.Marshal(apiv1.FromLintReport(report))
+	if err != nil {
+		return err
+	}
+	fmt.Print(string(raw))
 	return nil
 }

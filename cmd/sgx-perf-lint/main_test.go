@@ -22,10 +22,11 @@ import (
 //	go test ./cmd/sgx-perf-lint -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// TestGoldenReports pins the exact text and JSON reports sgx-perf-lint
-// produces for the bundled workload interfaces. The static pass is fully
-// deterministic — same interface, same cost model, same findings in the
-// same order — so any diff here is a real behaviour change.
+// TestGoldenReports pins the exact text and api/v1 JSON reports
+// sgx-perf-lint produces for the bundled workload interfaces. The static
+// pass is fully deterministic — same interface, same cost model, same
+// findings in the same order — so any diff here is a real behaviour
+// change.
 func TestGoldenReports(t *testing.T) {
 	for name, build := range bundledInterfaces {
 		iface, err := build()
@@ -36,14 +37,6 @@ func TestGoldenReports(t *testing.T) {
 
 		text := report.Render()
 		compareGolden(t, name+".txt", []byte(text))
-
-		// The .json goldens pin the -json-legacy shape; the .api.json ones
-		// pin the api/v1 document -json now emits.
-		raw, err := report.MarshalJSON()
-		if err != nil {
-			t.Fatalf("%s json: %v", name, err)
-		}
-		compareGolden(t, name+".json", append(raw, '\n'))
 
 		wire, err := apiv1.Marshal(apiv1.FromLintReport(report))
 		if err != nil {
@@ -107,11 +100,6 @@ func TestGoldenSourceReport(t *testing.T) {
 		t.Fatalf("source pass warned: %v", report.Warnings)
 	}
 	compareGolden(t, "contend_source.txt", []byte(report.Render()))
-	raw, err := report.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "contend_source.json", append(raw, '\n'))
 	wire, err := apiv1.Marshal(apiv1.FromLintReport(report))
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +137,6 @@ func TestGoldenHybridReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareGolden(t, "contend_hybrid.txt", []byte(report.Render()))
-	raw, err := report.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "contend_hybrid.json", append(raw, '\n'))
 	wire, err := apiv1.Marshal(apiv1.FromLintReport(report))
 	if err != nil {
 		t.Fatal(err)
@@ -193,11 +176,6 @@ func TestGoldenAmplifySourceReport(t *testing.T) {
 		t.Error("expected Boundary Data Hazard findings")
 	}
 	compareGolden(t, "amplify_source.txt", []byte(report.Render()))
-	raw, err := report.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "amplify_source.json", append(raw, '\n'))
 	wire, err := apiv1.Marshal(apiv1.FromLintReport(report))
 	if err != nil {
 		t.Fatal(err)
@@ -250,11 +228,6 @@ func TestGoldenAmplifyHybridReport(t *testing.T) {
 		t.Errorf("prediction verdicts = %v, want %v", verdicts, want)
 	}
 	compareGolden(t, "amplify_hybrid.txt", []byte(report.Render()))
-	raw, err := report.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "amplify_hybrid.json", append(raw, '\n'))
 	wire, err := apiv1.Marshal(apiv1.FromLintReport(report))
 	if err != nil {
 		t.Fatal(err)
@@ -302,11 +275,6 @@ func TestGoldenLeakySourceReport(t *testing.T) {
 		}
 	}
 	compareGolden(t, "leaky_source.txt", []byte(report.Render()))
-	raw, err := report.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "leaky_source.json", append(raw, '\n'))
 	wire, err := apiv1.Marshal(apiv1.FromLintReport(report))
 	if err != nil {
 		t.Fatal(err)
@@ -351,11 +319,6 @@ func TestGoldenLeakyHybridReport(t *testing.T) {
 		t.Errorf("unsealed flow observed %d crossings, want 3 (the default run's export count)", got)
 	}
 	compareGolden(t, "leaky_hybrid.txt", []byte(report.Render()))
-	raw, err := report.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "leaky_hybrid.json", append(raw, '\n'))
 	wire, err := apiv1.Marshal(apiv1.FromLintReport(report))
 	if err != nil {
 		t.Fatal(err)

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
 
 	"sgxperf/internal/host"
+	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/live"
 	"sgxperf/internal/perf/logger"
 	"sgxperf/internal/workloads/keeper"
@@ -27,9 +29,9 @@ type LiveTick struct {
 type LiveRunResult struct {
 	Duration time.Duration `json:"duration"`
 	Ticks    int           `json:"ticks"`
-	// Final is the drained snapshot after the workload quiesced — by the
-	// live engine's equivalence guarantee, identical to what the
-	// post-mortem analyser reports over the same trace.
+	// Final is the drained snapshot after the workload quiesced,
+	// identical to what the post-mortem analyser reports over the same
+	// trace (RunLive checks it).
 	Final live.Snapshot `json:"final"`
 	// EventsSeen is the collector's processed-event total, across tables.
 	EventsSeen int64 `json:"events_seen"`
@@ -38,7 +40,9 @@ type LiveRunResult struct {
 // RunLive drives the SecureKeeper workload (§5.2.4) for the given virtual
 // duration with a live collector attached, emitting a snapshot roughly
 // every interval of wall-clock time while the run is in flight. emit may
-// be nil.
+// be nil. RunLive fails when an interim snapshot counts fewer events of
+// some table than the one before it, or when the drained final snapshot
+// differs from the post-mortem report over the same trace.
 func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunResult, error) {
 	if duration <= 0 {
 		duration = time.Second
@@ -77,6 +81,7 @@ func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunRes
 	start := time.Now()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
+	var prev live.Counts
 	for running := true; running; {
 		select {
 		case err := <-done:
@@ -86,13 +91,17 @@ func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunRes
 			running = false
 		case <-ticker.C:
 			out.Ticks++
+			// Reading the cursor flushes the logger, so the snapshot
+			// covers the calls it counts.
+			newCalls := len(cur.Ecalls()) + len(cur.Ocalls())
+			snap := col.Snapshot()
+			if c := snap.Counts; c.Ecalls < prev.Ecalls || c.Ocalls < prev.Ocalls || c.Syncs < prev.Syncs ||
+				c.AEXs < prev.AEXs || c.Paging < prev.Paging || c.Switchless < prev.Switchless {
+				return nil, fmt.Errorf("live: tick %d counts %+v fell below the previous tick's %+v", out.Ticks, c, prev)
+			}
+			prev = snap.Counts
 			if emit != nil {
-				emit(LiveTick{
-					Tick:     out.Ticks,
-					Elapsed:  time.Since(start),
-					NewCalls: len(cur.Ecalls()) + len(cur.Ocalls()),
-					Snapshot: col.Snapshot(),
-				})
+				emit(LiveTick{Tick: out.Ticks, Elapsed: time.Since(start), NewCalls: newCalls, Snapshot: snap})
 			}
 		}
 	}
@@ -100,7 +109,35 @@ func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunRes
 	col.Drain()
 	out.Final = col.Snapshot()
 	out.EventsSeen = col.EventsSeen()
+	if err := checkLiveFinal(out.Final, l); err != nil {
+		return nil, err
+	}
 	return out, nil
+}
+
+// checkLiveFinal holds the drained snapshot to the post-mortem report
+// over the same logger's trace.
+func checkLiveFinal(s live.Snapshot, l *logger.Logger) error {
+	a, err := analyzer.New(l.Trace(), analyzer.Options{})
+	if err != nil {
+		return err
+	}
+	rep := a.Analyze()
+	for _, f := range []struct {
+		name       string
+		live, post any
+	}{
+		{"stats", s.Stats, rep.Stats},
+		{"findings", s.Findings, rep.Findings},
+		{"paging summary", s.Paging, rep.Paging},
+		{"wake graph", s.WakeGraph, rep.WakeGraph},
+		{"switchless summary", s.Switchless, rep.Switchless},
+	} {
+		if !reflect.DeepEqual(f.live, f.post) {
+			return fmt.Errorf("live: the drained snapshot's %s differ from the post-mortem report's", f.name)
+		}
+	}
+	return nil
 }
 
 // RenderLiveSnapshot renders one snapshot as a compact terminal view.

@@ -6,9 +6,10 @@
 // security hints (§3.6, §4.3.2).
 //
 // One engine computes every report: the streaming fold (fold.go). A
-// saved trace streams through it chunk by chunk (AnalyzeStream); a
-// resident trace's own tables are folded in time order
-// (Analyzer.Analyze).
+// saved trace streams through it chunk by chunk (AnalyzeStream); rows
+// held in memory in any order — a resident trace's tables
+// (Analyzer.Analyze) or a live collector's delivered batches — are put
+// in time order and folded by AnalyzeUnordered.
 package analyzer
 
 import (
@@ -20,7 +21,6 @@ import (
 	"time"
 
 	"sgxperf/internal/edl"
-	"sgxperf/internal/evstore"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/sgx"
 )
@@ -148,38 +148,61 @@ func (a *Analyzer) Analyze() *Report {
 // observed between the sort, the sweep and report assembly, so an
 // uncancelled AnalyzeContext produces exactly Analyze's report.
 func (a *Analyzer) AnalyzeContext(ctx context.Context) (*Report, error) {
+	opts := a.opts
+	opts.Interface = a.iface
+	return AnalyzeUnordered(ctx, NewTraceSource(a.trace), opts)
+}
+
+// Chunks is an in-memory fold feed: one table's rows as a list of
+// chunks, in storage order.
+type Chunks[T any] [][]T
+
+func (s Chunks[T]) NumChunks() int           { return len(s) }
+func (s Chunks[T]) Chunk(i int) ([]T, error) { return s[i], nil }
+
+// AnalyzeUnordered is AnalyzeStream for a source whose tables hold
+// their rows in any order: it reads the ecall, ocall and paging feeds
+// into memory, puts them in the fold's order — by key, ties in feed
+// order — and folds them. Feeds already in that order are folded in
+// place; any other is sorted into one copied chunk. Both
+// Analyzer.Analyze and the live collector's snapshots come from here.
+func AnalyzeUnordered(ctx context.Context, src *StreamSource, opts Options) (*Report, error) {
+	if src == nil {
+		return nil, fmt.Errorf("analyzer: %w", ErrNoTrace)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	callKeyOf := func(ev *events.CallEvent) callKey { return callKey{ev.Start, ev.ID} }
-	src := NewTraceSource(a.trace)
-	src.Ecalls = foldOrder(a.trace.Ecalls, callKeyOf)
-	src.Ocalls = foldOrder(a.trace.Ocalls, callKeyOf)
-	src.Paging = foldOrder(a.trace.Paging, func(p *events.PagingEvent) callKey { return callKey{p.Time, p.ID} })
-	opts := a.opts
-	opts.Interface = a.iface
-	return analyzeStream(ctx, src, opts)
+	sorted := *src
+	var err error
+	if sorted.Ecalls, err = foldOrder(src.Ecalls, callKeyOf); err != nil {
+		return nil, err
+	}
+	if sorted.Ocalls, err = foldOrder(src.Ocalls, callKeyOf); err != nil {
+		return nil, err
+	}
+	if sorted.Paging, err = foldOrder(src.Paging, func(p *events.PagingEvent) callKey { return callKey{p.Time, p.ID} }); err != nil {
+		return nil, err
+	}
+	return analyzeStream(ctx, &sorted, opts)
 }
 
-// chunkSeq feeds in-memory chunks to the fold.
-type chunkSeq[T any] [][]T
-
-func (s chunkSeq[T]) NumChunks() int           { return len(s) }
-func (s chunkSeq[T]) Chunk(i int) ([]T, error) { return s[i], nil }
-
-// foldOrder returns a table's rows in the fold's order: by key, ties in
-// storage order. A table already in that order feeds the fold as its
+// foldOrder returns a feed's row chunks in the fold's order: by key,
+// ties in feed order. A feed already in that order is returned as its
 // own chunks, without a copy; any other is sorted into one copied
-// chunk. Either way the rows are the table's as of the call — appends
-// land past the captured chunk lengths.
-func foldOrder[T any](tbl *evstore.Table[T], key func(*T) callKey) ChunkSeq[T] {
-	var chunks [][]T
-	tbl.ScanChunks(func(rows []T) bool {
-		chunks = append(chunks, rows)
-		return true
-	})
+// chunk. Either way the rows are the feed's as of the call.
+func foldOrder[T any](seq ChunkSeq[T], key func(*T) callKey) (ChunkSeq[T], error) {
+	chunks := make(Chunks[T], seq.NumChunks())
+	for i := range chunks {
+		rows, err := seq.Chunk(i)
+		if err != nil {
+			return nil, err
+		}
+		chunks[i] = rows
+	}
 	if inFoldOrder(chunks, key) {
-		return chunkSeq[T](chunks)
+		return chunks, nil
 	}
 	// Sort small (key, position) records, then gather the rows once.
 	n := 0
@@ -197,7 +220,7 @@ func foldOrder[T any](tbl *evstore.Table[T], key func(*T) callKey) ChunkSeq[T] {
 	for i, p := range order {
 		out[i] = chunks[p.chunk][p.row]
 	}
-	return chunkSeq[T]{out}
+	return Chunks[T]{out}, nil
 }
 
 // inFoldOrder reports whether the chunks' rows are already sorted by key.

@@ -59,17 +59,15 @@ func FoldSwitchless(seq ChunkSeq[events.SwitchlessEvent]) (map[string]*Switchles
 			return nil, err
 		}
 		for j := range rows {
-			SwitchlessFold(agg, &rows[j])
+			switchlessFold(agg, &rows[j])
 		}
 	}
 	return agg, nil
 }
 
 // AssembleReport renders the merged fold delta, the sync prescan and
-// the switchless summary into the full Report through the shared
-// kernels (StatsFromHistogram, MovingFinding, ReorderFindings,
-// MergeFindings, SSCFindings, PagingFindings, WakeEdges, SortFindings,
-// SortStats) — the same kernels the live collector runs.
+// the switchless summary into the full Report through the stats and
+// detector kernels (kernels.go).
 func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *SyncPrescan, sw SwitchlessStats, iface *edl.Interface) *Report {
 	w := cfg.Weights
 	r := &Report{Workload: workload, Switchless: sw}
@@ -96,19 +94,19 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 	r.Stats = make([]CallStats, 0, len(names))
 	for _, n := range names {
 		na := delta.Names[n]
-		if s, ok := StatsFromHistogram(n, na.Kind, na.Hist, na.TotalAEX); ok {
+		if s, ok := statsFromHistogram(n, na.Kind, na.Hist, na.TotalAEX); ok {
 			statByName[n] = s
 			r.Stats = append(r.Stats, s)
 		}
 	}
-	SortStats(r.Stats)
+	sortStats(r.Stats)
 
 	g := &CallGraph{}
 	for _, n := range names {
 		na := delta.Names[n]
 		g.Nodes = append(g.Nodes, GraphNode{Name: n, Kind: na.Kind, CallID: na.CallID, Count: na.Count})
 	}
-	pairs := make(map[MergePair]*MergeAgg)
+	pairs := make(map[mergePair]*MergeAgg)
 	for _, n := range names {
 		na := delta.Names[n]
 		for p, count := range na.Parents {
@@ -116,7 +114,7 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 		}
 		for p, agg := range na.Indirect {
 			g.Edges = append(g.Edges, GraphEdge{From: p, To: n, Count: agg.Count, Indirect: true})
-			pairs[MergePair{Parent: p, Child: n}] = agg
+			pairs[mergePair{Parent: p, Child: n}] = agg
 		}
 	}
 	sortGraphEdges(g.Edges)
@@ -132,26 +130,26 @@ func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *Syn
 		r.Paging.ByRegion[region] = n
 	}
 
-	r.WakeGraph = WakeEdges(pre.WakeAgg)
+	r.WakeGraph = wakeEdges(pre.WakeAgg)
 
 	for _, n := range names {
-		if f, ok := MovingFinding(statByName[n], w); ok {
+		if f, ok := movingFinding(statByName[n], w); ok {
 			r.Findings = append(r.Findings, f)
 		}
 	}
 	for _, n := range names {
 		na := delta.Names[n]
-		r.Findings = append(r.Findings, ReorderFindings(n, na.Kind, na.Reorder, w)...)
+		r.Findings = append(r.Findings, reorderFindings(n, na.Kind, na.Reorder, w)...)
 	}
-	r.Findings = append(r.Findings, MergeFindings(pairs, totalOf, kindOf, w)...)
-	syncAgg := SyncAgg{
+	r.Findings = append(r.Findings, mergeFindings(pairs, totalOf, kindOf, w)...)
+	sa := syncAgg{
 		Total:      pre.Total,
 		Sleeps:     pre.Sleeps,
 		Wakes:      pre.Wakes,
 		ShortWakes: delta.ShortWakes,
 	}
-	r.Findings = append(r.Findings, SSCFindings(syncAgg, w)...)
-	r.Findings = append(r.Findings, PagingFindings(r.Paging, w)...)
+	r.Findings = append(r.Findings, sscFindings(sa, w)...)
+	r.Findings = append(r.Findings, pagingFindings(r.Paging, w)...)
 	SortFindings(r.Findings)
 
 	// Security hints: make-private, allow-list, user_check.

@@ -51,8 +51,9 @@ import (
 var ErrUnsorted = errors.New("analyzer: trace tables are not stream-sorted")
 
 // ChunkSeq supplies one table's rows chunk-by-chunk with random access,
-// so window recomputation can re-read only the chunks it needs. Both a
-// resident evstore table and a stream cursor satisfy it (see source.go).
+// so window recomputation can re-read only the chunks it needs. A
+// resident evstore table, a stream cursor (see source.go) and in-memory
+// Chunks satisfy it.
 type ChunkSeq[T any] interface {
 	NumChunks() int
 	Chunk(i int) ([]T, error)
@@ -66,7 +67,7 @@ type FoldConfig struct {
 	Enclave    sgx.EnclaveID
 	// SyncRefs maps a call event ID to the number of wake sync events
 	// carried by that ocall (from PrescanSyncs). The sweep resolves
-	// SyncAgg.ShortWakes from it without keeping call durations around.
+	// syncAgg.ShortWakes from it without keeping call durations around.
 	SyncRefs map[events.EventID]int
 }
 

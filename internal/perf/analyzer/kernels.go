@@ -2,12 +2,8 @@ package analyzer
 
 // The stats and detector kernels: pure functions from accumulated
 // aggregates to CallStats and Findings. The fold builds the aggregates
-// in one time-ordered sweep (fold.go); the live streaming engine
-// (internal/perf/live) maintains the same aggregates incrementally as
-// events arrive. Both call these kernels, which is what makes the live
-// engine's equivalence guarantee hold: after a workload quiesces, a live
-// snapshot and Analyze over the full trace run identical code over
-// identical aggregates.
+// in one time-ordered sweep (fold.go) and AssembleReport runs these
+// kernels over them.
 
 import (
 	"fmt"
@@ -18,16 +14,16 @@ import (
 	"sgxperf/internal/perf/events"
 )
 
-// StatsFromHistogram computes the §4.3.1 statistics for one call from a
+// statsFromHistogram computes the §4.3.1 statistics for one call from a
 // duration→count histogram of its adjusted execution durations (ecalls:
 // transition-subtracted) — the bounded-memory representation the fold
-// and the live collector carry. Percentiles use the nearest-rank
+// carries. Percentiles use the nearest-rank
 // method. The float accumulations replay the per-execution addition
 // sequence over the sorted multiset (one add per execution, ascending),
 // so the result depends only on the multiset, never on recording order,
 // and is bit-identical to summing a sorted slice of the same durations.
 // Returns ok=false for an empty histogram.
-func StatsFromHistogram(name string, kind events.CallKind, hist map[time.Duration]int, totalAEX int) (CallStats, bool) {
+func statsFromHistogram(name string, kind events.CallKind, hist map[time.Duration]int, totalAEX int) (CallStats, bool) {
 	n := 0
 	for _, k := range hist {
 		n += k
@@ -100,19 +96,19 @@ func StatsFromHistogram(name string, kind events.CallKind, hist map[time.Duratio
 	return s, true
 }
 
-// SortStats orders a stats overview by descending execution count,
+// sortStats orders a stats overview by descending execution count,
 // preserving the existing (name-sorted) order among equals — the §4.3.1
 // overview ordering.
-func SortStats(stats []CallStats) {
+func sortStats(stats []CallStats) {
 	sort.SliceStable(stats, func(i, j int) bool { return stats[i].Count > stats[j].Count })
 }
 
-// MovingFinding applies Equation 1 to one call's stats: a call dominated
+// movingFinding applies Equation 1 to one call's stats: a call dominated
 // by executions shorter than the transition cost should be moved across
 // the enclave boundary (ecalls: the SISC problem class; ocalls: SNC, with
 // in-enclave duplication as the alternative). Sync ocalls are the SSC
 // detector's business and never produce a moving finding.
-func MovingFinding(s CallStats, w Weights) (Finding, bool) {
+func movingFinding(s CallStats, w Weights) (Finding, bool) {
 	if s.Count == 0 || (s.Kind == events.KindOcall && isSyncName(s.Name)) {
 		return Finding{}, false
 	}
@@ -169,11 +165,11 @@ func (g *ReorderAgg) Add(offsetStart, offsetEnd time.Duration) {
 	}
 }
 
-// ReorderFindings applies Equation 2 to one call's aggregate: nested
+// reorderFindings applies Equation 2 to one call's aggregate: nested
 // calls issued in the first (or last) band of their direct parent can
 // often execute before (or after) the parent instead, saving transitions
 // without TCB changes.
-func ReorderFindings(name string, kind events.CallKind, g ReorderAgg, w Weights) []Finding {
+func reorderFindings(name string, kind events.CallKind, g ReorderAgg, w Weights) []Finding {
 	if g.Total == 0 {
 		return nil
 	}
@@ -203,8 +199,8 @@ func ReorderFindings(name string, kind events.CallKind, g ReorderAgg, w Weights)
 	return out
 }
 
-// MergePair identifies one (indirect parent, call) name pair.
-type MergePair struct {
+// mergePair identifies one (indirect parent, call) name pair.
+type mergePair struct {
 	Parent, Child string
 }
 
@@ -232,13 +228,13 @@ func (g *MergeAgg) Add(gap time.Duration) {
 	}
 }
 
-// MergeFindings applies Equation 3 over all accumulated pairs. totalOf
+// mergeFindings applies Equation 3 over all accumulated pairs. totalOf
 // must report the total execution count of a call name and kindOf its
 // kind. Batching is the special case of merging with the call being its
 // own indirect parent (§4.3.2) and is reported as SISC. The output is
 // ordered deterministically by pair name.
-func MergeFindings(pairs map[MergePair]*MergeAgg, totalOf func(string) int, kindOf func(string) events.CallKind, w Weights) []Finding {
-	keys := make([]MergePair, 0, len(pairs))
+func mergeFindings(pairs map[mergePair]*MergeAgg, totalOf func(string) int, kindOf func(string) events.CallKind, w Weights) []Finding {
+	keys := make([]mergePair, 0, len(pairs))
 	for k := range pairs {
 		keys = append(keys, k)
 	}
@@ -293,9 +289,9 @@ func MergeFindings(pairs map[MergePair]*MergeAgg, totalOf func(string) int, kind
 	return out
 }
 
-// SyncAgg accumulates the §4.1.3 sleep/wake counters for the SSC
+// syncAgg accumulates the §4.1.3 sleep/wake counters for the SSC
 // detector.
-type SyncAgg struct {
+type syncAgg struct {
 	// Total is the number of sync events recorded.
 	Total int
 	// Sleeps and Wakes count the two event kinds.
@@ -305,9 +301,9 @@ type SyncAgg struct {
 	ShortWakes int
 }
 
-// SSCFindings applies the §3.4 rule: frequent short wake-ups indicate
+// sscFindings applies the §3.4 rule: frequent short wake-ups indicate
 // short critical sections where leaving the enclave to sleep is wasteful.
-func SSCFindings(g SyncAgg, w Weights) []Finding {
+func sscFindings(g syncAgg, w Weights) []Finding {
 	if g.Total < w.SyncMinOcalls {
 		return nil
 	}
@@ -327,10 +323,10 @@ func SSCFindings(g SyncAgg, w Weights) []Finding {
 	}}
 }
 
-// PagingFindings applies the §3.5 rule to a paging summary: every
+// pagingFindings applies the §3.5 rule to a paging summary: every
 // page-out requires re-encryption and every fault an AEX, so enclaves
 // should rarely page.
-func PagingFindings(p PagingStats, w Weights) []Finding {
+func pagingFindings(p PagingStats, w Weights) []Finding {
 	if p.PageIns+p.PageOuts < w.PagingMinEvents {
 		return nil
 	}
@@ -345,10 +341,10 @@ func PagingFindings(p PagingStats, w Weights) []Finding {
 	}}
 }
 
-// WakeEdges turns an accumulated (from thread, to thread) → count map
+// wakeEdges turns an accumulated (from thread, to thread) → count map
 // into the sorted wake-graph edge list of §4.1.3: descending count, then
 // by thread pair.
-func WakeEdges(agg map[[2]int64]int) []WakeEdge {
+func wakeEdges(agg map[[2]int64]int) []WakeEdge {
 	out := make([]WakeEdge, 0, len(agg))
 	for k, n := range agg {
 		out = append(out, WakeEdge{From: k[0], To: k[1], Count: n})

@@ -70,7 +70,7 @@ func referenceReport(trace *events.Trace, opts Options) *Report {
 	rep.Findings = append(rep.Findings, r.detectReordering()...)
 	rep.Findings = append(rep.Findings, r.detectMerging()...)
 	rep.Findings = append(rep.Findings, r.detectSSC()...)
-	rep.Findings = append(rep.Findings, PagingFindings(rep.Paging, r.w)...)
+	rep.Findings = append(rep.Findings, pagingFindings(rep.Paging, r.w)...)
 	SortFindings(rep.Findings)
 	rep.Security = append(rep.Security, r.privateCandidates()...)
 	rep.Security = append(rep.Security, r.allowHints()...)
@@ -190,7 +190,7 @@ func (r *reference) allStats() []CallStats {
 			out = append(out, s)
 		}
 	}
-	SortStats(out)
+	sortStats(out)
 	return out
 }
 
@@ -307,13 +307,13 @@ func (r *reference) wakeGraph() []WakeEdge {
 		}
 		return true
 	})
-	return WakeEdges(agg)
+	return wakeEdges(agg)
 }
 
 func (r *reference) switchlessSummary() SwitchlessStats {
 	agg := make(map[string]*SwitchlessAgg)
 	r.trace.Switchless.Scan(func(_ int, ev events.SwitchlessEvent) bool {
-		SwitchlessFold(agg, &ev)
+		switchlessFold(agg, &ev)
 		return true
 	})
 	return SwitchlessStatsFrom(agg, r.freq)
@@ -323,7 +323,7 @@ func (r *reference) detectMoving() []Finding {
 	var out []Finding
 	for _, name := range r.names {
 		if s, ok := r.stats(name); ok {
-			if f, ok := MovingFinding(s, r.w); ok {
+			if f, ok := movingFinding(s, r.w); ok {
 				out = append(out, f)
 			}
 		}
@@ -341,29 +341,29 @@ func (r *reference) detectReordering() []Finding {
 				agg.Add(r.freq.Duration(c.ev.Start-p.Start), r.freq.Duration(p.End-c.ev.End))
 			}
 		}
-		out = append(out, ReorderFindings(name, r.kindOf(name), agg, r.w)...)
+		out = append(out, reorderFindings(name, r.kindOf(name), agg, r.w)...)
 	}
 	return out
 }
 
 func (r *reference) detectMerging() []Finding {
-	pairs := make(map[MergePair]*MergeAgg)
+	pairs := make(map[mergePair]*MergeAgg)
 	for i := range r.all {
 		c := &r.all[i]
 		if c.indirect < 0 {
 			continue
 		}
-		k := MergePair{Parent: r.all[c.indirect].ev.Name, Child: c.ev.Name}
+		k := mergePair{Parent: r.all[c.indirect].ev.Name, Child: c.ev.Name}
 		if pairs[k] == nil {
 			pairs[k] = &MergeAgg{}
 		}
 		pairs[k].Add(c.gap)
 	}
-	return MergeFindings(pairs, r.totalOf, r.kindOf, r.w)
+	return mergeFindings(pairs, r.totalOf, r.kindOf, r.w)
 }
 
 func (r *reference) detectSSC() []Finding {
-	agg := SyncAgg{Total: r.trace.Syncs.Len()}
+	agg := syncAgg{Total: r.trace.Syncs.Len()}
 	byCall := make(map[events.EventID]time.Duration)
 	for i := range r.all {
 		byCall[r.all[i].ev.ID] = r.all[i].adjusted
@@ -380,7 +380,7 @@ func (r *reference) detectSSC() []Finding {
 		}
 		return true
 	})
-	return SSCFindings(agg, r.w)
+	return sscFindings(agg, r.w)
 }
 
 // privateCandidates finds ecalls every execution of which had a Parent

@@ -30,9 +30,9 @@ type SwitchlessStats struct {
 }
 
 // SwitchlessAgg is the integer accumulator behind SwitchlessCallStats.
-// The fold's switchless prescan and the live collector both fold events
-// into it and render it with SwitchlessStatsFrom, so their outputs are
-// identical by construction (integer sums commute).
+// The fold's switchless prescan folds events into it and
+// SwitchlessStatsFrom renders it; integer sums commute, so the stats do
+// not depend on event order.
 type SwitchlessAgg struct {
 	Kind       events.CallKind
 	Served     int
@@ -40,8 +40,8 @@ type SwitchlessAgg struct {
 	WaitCycles vtime.Cycles
 }
 
-// SwitchlessFold folds one event into a per-name aggregate map.
-func SwitchlessFold(agg map[string]*SwitchlessAgg, ev *events.SwitchlessEvent) {
+// switchlessFold folds one event into a per-name aggregate map.
+func switchlessFold(agg map[string]*SwitchlessAgg, ev *events.SwitchlessEvent) {
 	a := agg[ev.Name]
 	if a == nil {
 		a = &SwitchlessAgg{Kind: ev.Kind}

@@ -3,16 +3,19 @@ package live_test
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"sgxperf/internal/edl"
 	"sgxperf/internal/host"
 	"sgxperf/internal/perf/analyzer"
+	"sgxperf/internal/perf/events"
 	"sgxperf/internal/perf/live"
 	"sgxperf/internal/perf/logger"
 	"sgxperf/internal/sdk"
 	"sgxperf/internal/sgx"
+	"sgxperf/internal/vtime"
 )
 
 // app is the instrumented fixture: one enclave with short ecalls (SISC
@@ -244,6 +247,72 @@ func TestLiveAttachMidRunReplays(t *testing.T) {
 	checkEquivalence(t, snap, l, analyzer.Options{})
 }
 
+// TestLiveSnapshotWithoutDrain samples the collector the way a
+// dashboard does, with no Drain: once the logger has flushed, Snapshot
+// itself takes in the delivered batches.
+func TestLiveSnapshotWithoutDrain(t *testing.T) {
+	a := newApp(t)
+	l, err := logger.New(a.h, logger.WithPagingTrace(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := live.Attach(l, live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i := 0; i < 40; i++ {
+		a.call(t, a.ctx, "ecall_noop", nil)
+	}
+	l.Flush()
+	snap := c.Snapshot()
+	if snap.Counts.Ecalls != 40 || snap.Counts.Ocalls != 0 {
+		t.Fatalf("snapshot without Drain counts %+v, want 40 ecalls", snap.Counts)
+	}
+	if len(snap.Stats) != 1 || snap.Stats[0].Name != "ecall_noop" || snap.Stats[0].Count != 40 {
+		t.Fatalf("snapshot without Drain stats %+v, want one ecall_noop row of 40", snap.Stats)
+	}
+}
+
+// TestLiveEqualsPostMortemLateChildren builds a trace the SDK cannot
+// record: every ocall names an ecall as its Parent but starts 1µs after
+// that ecall ended, and the ocalls reach the tables before the ecalls,
+// as a flush may deliver them. The drained snapshot must still equal
+// the analyser's report, which counts such late children as unparented.
+func TestLiveEqualsPostMortemLateChildren(t *testing.T) {
+	a := newApp(t)
+	l, err := logger.New(a.h, logger.WithWorkload("late-children"), logger.WithPagingTrace(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := live.Attach(l, live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	tr := l.Trace()
+	us := tr.Frequency().Cycles(time.Microsecond)
+	var ecalls, ocalls []events.CallEvent
+	for i := 0; i < 20; i++ {
+		start := vtime.Cycles(i+1) * 100 * us
+		e := events.CallEvent{
+			ID: tr.NextID(), Kind: events.KindEcall, Enclave: a.appEnc.ID(), Thread: 1,
+			Name: "ecall_p", Start: start, End: start + 2*us, Parent: events.NoEvent,
+		}
+		ecalls = append(ecalls, e)
+		ocalls = append(ocalls, events.CallEvent{
+			ID: tr.NextID(), Kind: events.KindOcall, Enclave: e.Enclave, Thread: 1,
+			Name: "ocall_late", Start: e.End + us, End: e.End + 2*us, Parent: e.ID,
+		})
+	}
+	tr.Ocalls.BatchInsert(ocalls)
+	tr.Ecalls.BatchInsert(ecalls)
+	c.Drain()
+	checkEquivalence(t, c.Snapshot(), l, analyzer.Options{})
+}
+
 // TestLiveSnapshotsDuringRun polls snapshots while recording continues:
 // they must be internally consistent and monotonic in event counts.
 func TestLiveSnapshotsDuringRun(t *testing.T) {
@@ -276,6 +345,64 @@ func TestLiveSnapshotsDuringRun(t *testing.T) {
 	if prev != 5*64 {
 		t.Fatalf("final count %d, want %d", prev, 5*64)
 	}
+}
+
+// TestLiveSnapshotsConcurrentWithRecording samples from two goroutines
+// while three threads record: every sampler sees its counts grow, and
+// the drained snapshot still equals the post-mortem report. Run it
+// under the race detector; the snapshot folds the delivered rows
+// outside the collector's lock while new batches arrive.
+func TestLiveSnapshotsConcurrentWithRecording(t *testing.T) {
+	a := newApp(t)
+	l, err := logger.New(a.h, logger.WithPagingTrace(false), logger.WithFlushEvery(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := live.Attach(l, live.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	stop := make(chan struct{})
+	var samplers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		samplers.Add(1)
+		go func() {
+			defer samplers.Done()
+			prev := 0
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := c.Snapshot().Counts.Ecalls
+				if n < prev {
+					t.Errorf("ecall count went backwards: %d -> %d", prev, n)
+					return
+				}
+				prev = n
+			}
+		}()
+	}
+	for w := 0; w < 3; w++ {
+		if err := a.h.Spawn("worker", func(ctx *sgx.Context) {
+			for i := 0; i < 100; i++ {
+				a.call(t, ctx, "ecall_noop", nil)
+			}
+			for i := 0; i < 20; i++ {
+				a.call(t, ctx, "ecall_with_ocall", nil)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.h.Wait()
+	close(stop)
+	samplers.Wait()
+	c.Drain()
+	checkEquivalence(t, c.Snapshot(), l, analyzer.Options{})
 }
 
 // TestLiveAttachDetachedLogger verifies the sentinel error contract.

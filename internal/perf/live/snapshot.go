@@ -1,12 +1,11 @@
 package live
 
 import (
-	"sort"
+	"context"
+	"fmt"
 	"time"
 
 	"sgxperf/internal/perf/analyzer"
-	"sgxperf/internal/perf/events"
-	"sgxperf/internal/pool"
 )
 
 // Counts are the raw event totals the collector has observed, per table.
@@ -30,9 +29,10 @@ type Rates struct {
 }
 
 // Snapshot is one consistent view of the live analysis: totals and rates
-// for dashboards, plus the analyser-grade statistics and findings. After
-// the workload quiesces and Drain returns, Stats, Findings, Paging and
-// WakeGraph equal the post-mortem analyser's report over the same trace.
+// for dashboards, plus the analyser's statistics and findings over the
+// rows delivered so far. After the workload quiesces and Drain returns,
+// Stats, Findings, Paging, WakeGraph and Switchless equal the
+// post-mortem analyser's report over the same trace.
 type Snapshot struct {
 	Workload string `json:"workload"`
 	Counts   Counts `json:"counts"`
@@ -45,19 +45,16 @@ type Snapshot struct {
 	Switchless analyzer.SwitchlessStats `json:"switchless"`
 }
 
-// Snapshot computes the current view from the incremental aggregates by
-// running the shared analyser kernels. It is safe to call at any time,
-// concurrently with recording; its cost is the kernels (walking the
-// duration histograms, scoring the detectors), independent of how the
-// aggregates were built.
+// Snapshot takes in the backlog and folds every delivered row through
+// the analyser. It is safe to call at any time, concurrently with
+// recording; the counts, rates and rows it reports are read together
+// under the collector's lock, and the fold runs outside it.
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := c.opts.Weights
-
+	c.catchUpLocked()
 	s := Snapshot{
 		Workload: c.workload,
-		Counts:   Counts{Ecalls: c.nEcalls, Ocalls: c.nOcalls, Syncs: c.nSyncs, AEXs: c.nAEX, Paging: c.nPage, Switchless: c.nSwls},
+		Counts:   c.counts,
 		Rates: Rates{
 			Window: c.opts.Window,
 			Ecalls: c.ecallRing.rate(c.freq),
@@ -66,98 +63,28 @@ func (c *Collector) Snapshot() Snapshot {
 			Paging: c.pageRing.rate(c.freq),
 		},
 	}
+	// The chunk lists are only appended to, so the slices taken here stay
+	// valid after the lock is released.
+	src := &analyzer.StreamSource{
+		Workload:   c.workload,
+		Freq:       c.freq,
+		Transition: c.transition,
+		Ecalls:     c.ecalls,
+		Ocalls:     c.ocalls,
+		Paging:     c.paging,
+		Syncs:      c.syncs,
+		Switchless: c.switchless,
+	}
+	c.mu.Unlock()
 
-	names := make([]string, 0, len(c.perName))
-	for n := range c.perName {
-		names = append(names, n)
+	rep, err := analyzer.AnalyzeUnordered(context.TODO(), src,
+		analyzer.Options{Weights: c.opts.Weights, Enclave: c.opts.Enclave})
+	if err != nil {
+		// In-memory chunks cannot fail to read, the context is never
+		// done and the fold's input is sorted first.
+		panic(fmt.Sprintf("live: snapshot fold: %v", err))
 	}
-	sort.Strings(names)
-
-	// Stats: the per-name duration histograms through the shared
-	// kernels, one partition per name on the worker pool (sorting each
-	// histogram's distinct durations dominates snapshot cost). Results
-	// land in per-name slots and are assembled in sorted-name order, so
-	// the output is identical to the serial loop.
-	type nameResult struct {
-		stats   analyzer.CallStats
-		ok      bool
-		moving  []analyzer.Finding
-		reorder []analyzer.Finding
-	}
-	res := make([]nameResult, len(names))
-	//sgxperf:allow(heldacross) c.mu guards the aggregates being read; ForEach is bounded CPU work with an inline fallback, and no task touches the collector lock
-	pool.ForEach(len(names), func(i int) {
-		na := c.perName[names[i]]
-		if st, ok := analyzer.StatsFromHistogram(names[i], na.kind, na.hist, na.totalAEX); ok {
-			res[i].stats, res[i].ok = st, true
-			res[i].moving = appendMoving(nil, st, w)
-		}
-		res[i].reorder = analyzer.ReorderFindings(names[i], na.kind, na.reorder, w)
-	})
-	s.Stats = make([]analyzer.CallStats, 0, len(names))
-	for i := range res {
-		if res[i].ok {
-			s.Findings = append(s.Findings, res[i].moving...)
-			s.Stats = append(s.Stats, res[i].stats)
-		}
-	}
-	analyzer.SortStats(s.Stats)
-
-	// Reordering: the accumulated direct-parent offset bands.
-	for i := range res {
-		s.Findings = append(s.Findings, res[i].reorder...)
-	}
-
-	// Merging: consecutive pairs within each indirect-parent group.
-	pairs := make(map[analyzer.MergePair]*analyzer.MergeAgg)
-	for _, g := range c.groups {
-		for i := 1; i < len(g); i++ {
-			k := analyzer.MergePair{Parent: g[i-1].name, Child: g[i].name}
-			agg := pairs[k]
-			if agg == nil {
-				agg = &analyzer.MergeAgg{}
-				pairs[k] = agg
-			}
-			gap := c.freq.Duration(g[i].start - g[i-1].end)
-			if gap < 0 {
-				gap = 0
-			}
-			agg.Add(gap)
-		}
-	}
-	totalOf := func(name string) int {
-		if na := c.perName[name]; na != nil {
-			return na.count
-		}
-		return 0
-	}
-	kindOf := func(name string) (k events.CallKind) {
-		if na := c.perName[name]; na != nil {
-			k = na.kind
-		}
-		return k
-	}
-	s.Findings = append(s.Findings, analyzer.MergeFindings(pairs, totalOf, kindOf, w)...)
-
-	s.Findings = append(s.Findings, analyzer.SSCFindings(c.syncAgg, w)...)
-
-	s.Paging = c.paging
-	s.Paging.ByRegion = make(map[string]int, len(c.paging.ByRegion))
-	for k, v := range c.paging.ByRegion {
-		s.Paging.ByRegion[k] = v
-	}
-	s.Findings = append(s.Findings, analyzer.PagingFindings(s.Paging, w)...)
-
-	analyzer.SortFindings(s.Findings)
-	s.WakeGraph = analyzer.WakeEdges(c.wakeAgg)
-	s.Switchless = analyzer.SwitchlessStatsFrom(c.switchless, c.freq)
+	s.Stats, s.Findings, s.Paging = rep.Stats, rep.Findings, rep.Paging
+	s.WakeGraph, s.Switchless = rep.WakeGraph, rep.Switchless
 	return s
-}
-
-// appendMoving applies the Equation 1 kernel to one call's stats.
-func appendMoving(fs []analyzer.Finding, st analyzer.CallStats, w analyzer.Weights) []analyzer.Finding {
-	if f, ok := analyzer.MovingFinding(st, w); ok {
-		fs = append(fs, f)
-	}
-	return fs
 }

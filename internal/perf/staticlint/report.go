@@ -1,7 +1,6 @@
 package staticlint
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -27,14 +26,14 @@ func (s Source) String() string {
 
 // Summary condenses the interface shape the detectors saw.
 type Summary struct {
-	Ecalls        int `json:"ecalls"`
-	PublicEcalls  int `json:"public_ecalls"`
-	PrivateEcalls int `json:"private_ecalls"`
-	Ocalls        int `json:"ocalls"`
+	Ecalls        int
+	PublicEcalls  int
+	PrivateEcalls int
+	Ocalls        int
 	// AllowEdges counts allow-list entries across all ocalls.
-	AllowEdges int `json:"allow_edges"`
+	AllowEdges int
 	// UserCheckParams counts user_check parameters across all functions.
-	UserCheckParams int `json:"user_check_params"`
+	UserCheckParams int
 }
 
 func summarise(iface *edl.Interface) Summary {
@@ -211,120 +210,4 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, "    %s\n", w)
 	}
 	return b.String()
-}
-
-// jsonFinding is the JSON view of a RankedFinding, with enums as strings.
-type jsonFinding struct {
-	Problem      string   `json:"problem"`
-	Call         string   `json:"call"`
-	Kind         string   `json:"kind"`
-	Partner      string   `json:"partner,omitempty"`
-	Evidence     string   `json:"evidence"`
-	Solutions    []string `json:"solutions,omitempty"`
-	SecurityNote string   `json:"security_note,omitempty"`
-	Score        float64  `json:"score"`
-	Observed     int      `json:"observed,omitempty"`
-	HybridScore  float64  `json:"hybrid_score,omitempty"`
-}
-
-type jsonDynamicOnly struct {
-	Name  string `json:"name"`
-	Kind  string `json:"kind"`
-	Count int    `json:"count"`
-	Note  string `json:"note,omitempty"`
-}
-
-type jsonPrediction struct {
-	Ecall       string  `json:"ecall"`
-	Handler     string  `json:"handler"`
-	Predicted   int     `json:"predicted"`
-	LoopUnknown bool    `json:"loop_unknown,omitempty"`
-	Conditional bool    `json:"conditional,omitempty"`
-	Observed    float64 `json:"observed,omitempty"`
-	Invocations int     `json:"invocations,omitempty"`
-	Verdict     string  `json:"verdict,omitempty"`
-}
-
-type jsonFlowHop struct {
-	Pos  string `json:"pos"`
-	Note string `json:"note"`
-}
-
-type jsonFlow struct {
-	Source   string        `json:"source"`
-	Sink     string        `json:"sink"`
-	SinkKind string        `json:"sink_kind"`
-	Call     string        `json:"call,omitempty"`
-	Func     string        `json:"func"`
-	Pos      string        `json:"pos"`
-	Bytes    int           `json:"bytes,omitempty"`
-	Price    string        `json:"price,omitempty"`
-	Observed int           `json:"observed,omitempty"`
-	Chain    []jsonFlowHop `json:"chain"`
-}
-
-type jsonReport struct {
-	Workload    string            `json:"workload,omitempty"`
-	Source      string            `json:"source"`
-	Summary     Summary           `json:"summary"`
-	Findings    []jsonFinding     `json:"findings"`
-	StaticOnly  []string          `json:"static_only,omitempty"`
-	DynamicOnly []jsonDynamicOnly `json:"dynamic_only,omitempty"`
-	Predicted   []jsonPrediction  `json:"predicted,omitempty"`
-	Flows       []jsonFlow        `json:"flows,omitempty"`
-	Warnings    []string          `json:"warnings,omitempty"`
-}
-
-// MarshalJSON renders the report with every enum as its string form, so
-// the output is stable against renumbering the Go constants.
-func (r *Report) MarshalJSON() ([]byte, error) {
-	out := jsonReport{
-		Workload: r.Workload,
-		Source:   r.Source.String(),
-		Summary:  r.Summary,
-		Findings: make([]jsonFinding, 0, len(r.Findings)),
-	}
-	for _, f := range r.Findings {
-		jf := jsonFinding{
-			Problem:      f.Problem.String(),
-			Call:         f.Call,
-			Kind:         f.Kind.String(),
-			Partner:      f.Partner,
-			Evidence:     f.Evidence,
-			SecurityNote: f.SecurityNote,
-			Score:        f.Score,
-			Observed:     f.Observed,
-			HybridScore:  f.HybridScore,
-		}
-		for _, s := range f.Solutions {
-			jf.Solutions = append(jf.Solutions, s.String())
-		}
-		out.Findings = append(out.Findings, jf)
-	}
-	out.StaticOnly = r.StaticOnly
-	for _, d := range r.DynamicOnly {
-		out.DynamicOnly = append(out.DynamicOnly, jsonDynamicOnly{
-			Name: d.Name, Kind: d.Kind.String(), Count: d.Count, Note: d.Note,
-		})
-	}
-	for _, p := range r.Predicted {
-		out.Predicted = append(out.Predicted, jsonPrediction{
-			Ecall: p.Ecall, Handler: p.Handler, Predicted: p.Predicted,
-			LoopUnknown: p.LoopUnknown, Conditional: p.Conditional,
-			Observed: p.Observed, Invocations: p.Invocations, Verdict: p.Verdict,
-		})
-	}
-	for _, fl := range r.Flows {
-		jf := jsonFlow{
-			Source: fl.Source, Sink: fl.Sink, SinkKind: fl.SinkKind,
-			Call: fl.Call, Func: fl.Func, Pos: fl.Pos,
-			Bytes: fl.Bytes, Price: fl.Price, Observed: fl.Observed,
-		}
-		for _, h := range fl.Chain {
-			jf.Chain = append(jf.Chain, jsonFlowHop{Pos: h.Pos, Note: h.Note})
-		}
-		out.Flows = append(out.Flows, jf)
-	}
-	out.Warnings = r.Warnings
-	return json.MarshalIndent(out, "", "  ")
 }

@@ -1,7 +1,6 @@
 package staticlint
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -278,36 +277,6 @@ func mustTrace(t *testing.T) *events.Trace {
 		t.Fatal(err)
 	}
 	return tr
-}
-
-func TestReportJSONUsesStringEnums(t *testing.T) {
-	r := Static(parse(t, lintEDL), Options{})
-	raw, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded struct {
-		Source   string `json:"source"`
-		Findings []struct {
-			Problem   string   `json:"problem"`
-			Kind      string   `json:"kind"`
-			Solutions []string `json:"solutions"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(raw, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if decoded.Source != "static" {
-		t.Fatalf("source = %q", decoded.Source)
-	}
-	if len(decoded.Findings) == 0 {
-		t.Fatal("no findings in JSON")
-	}
-	for _, f := range decoded.Findings {
-		if f.Problem == "" || (f.Kind != "ecall" && f.Kind != "ocall") {
-			t.Fatalf("finding enums not stringified: %+v", f)
-		}
-	}
 }
 
 func TestCopyCostEvidenceMentionsBreakeven(t *testing.T) {

@@ -1,10 +1,9 @@
 // Package pool is the repository's shared bounded worker pool: one
 // GOMAXPROCS-sized concurrency budget for every CPU-bound fan-out — the
-// evstore codec's chunk encode/decode and hashing, the live snapshot's
-// per-name statistics and the static-lint hybrid re-ranking all draw
-// from it. Sharing one budget keeps the process from
-// oversubscribing the machine when several subsystems fan out at once
-// (a hybrid lint re-ranking while a trace is being saved, say).
+// evstore codec's chunk encode/decode and hashing and the static-lint
+// hybrid re-ranking draw from it. Sharing one budget keeps the process
+// from oversubscribing the machine when several subsystems fan out at
+// once (a hybrid lint re-ranking while a trace is being saved, say).
 //
 // The pool is deliberately tiny: no long-lived workers, no queues to
 // drain on shutdown, no wall-clock timeouts (the simulator packages run

@@ -147,10 +147,11 @@ type (
 	// CallGraph is the Fig. 5-style call graph.
 	CallGraph = analyzer.CallGraph
 	// LiveCollector streams analysis from a running workload: it
-	// subscribes to the recorder's flush path and folds events into
-	// incremental statistics, detectors and sliding-window rates. After
-	// the workload quiesces, Drain + Snapshot reproduce exactly what the
-	// post-mortem analyser reports over the same trace.
+	// subscribes to the recorder's flush path, keeps the delivered rows
+	// and sliding-window rates, and folds the rows through the analyser
+	// on every Snapshot. After the workload quiesces, Drain + Snapshot
+	// reproduce exactly what the post-mortem analyser reports over the
+	// same trace.
 	LiveCollector = live.Collector
 	// LiveSnapshot is one consistent view of a LiveCollector: event
 	// counts, windowed rates, per-call statistics and current findings.
