@@ -1,4 +1,5 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: build test vet lint race verify fuzz bench-contention bench-analyze bench-switchless bench-serve bench-outofcore serve-smoke
 
@@ -11,12 +12,17 @@ test:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the repository's own analyzer suite
-# (cmd/sgx-perf-vet): the virtual-clock and lock-free hot-path
-# invariants, the concurrency dataflow checks (lock order, held-across,
-# atomic mixing) and the interprocedural boundary checks (transition
-# amplification, double fetch, pointer escape).
+# lint runs go vet, fails when gofmt -l lists any file, and runs the
+# repository's own analyzer suite (cmd/sgx-perf-vet): the virtual-clock
+# and lock-free hot-path invariants, the concurrency dataflow checks
+# (lock order, held-across, atomic mixing) and the interprocedural
+# boundary checks (transition amplification, double fetch, pointer
+# escape).
 lint: vet
+	@unformatted="$$($(GOFMT) -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) run ./cmd/sgx-perf-vet
 
 # The recording pipeline, the live collector (internal/perf/live), the
@@ -38,20 +44,24 @@ RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# verify is the documented check for this repo: lint (go vet + the
-# custom analyzers) + the tier-1 gate (build + full test suite, see
-# ROADMAP.md) + the race-detector suites.
+# verify is the documented check for this repo: lint (go vet, the gofmt
+# gate and the custom analyzers) + the tier-1 gate (build + full test
+# suite, see ROADMAP.md) + the race-detector suites + vet and tests of
+# the bench/ module, which the root ./... does not reach.
 verify: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz smoke over the two parser/codec boundaries that accept
-# untrusted bytes: the columnar trace codec round-trip and the EDL
-# parser. FUZZTIME bounds each target (CI uses the default).
+# Short fuzz smoke over the boundaries that accept untrusted bytes: the
+# columnar trace codec round-trip, trace loading as the serve daemon's
+# upload and append handlers call it, and the EDL parser. FUZZTIME
+# bounds each target (CI uses the default).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/evstore
+	$(GO) test -fuzz=FuzzTraceLoad -fuzztime=$(FUZZTIME) ./internal/perf/events
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/edl
 
 # Re-measure logger recording throughput, chaining the previous results
@@ -61,8 +71,8 @@ bench-contention:
 		-baseline BENCH_results.json -json BENCH_results.json
 
 # Measure analysis throughput (Analyze: the fold over sorted copies of
-# the trace's tables) and trace codec speed (gob vs columnar), merging
-# the rows into BENCH_results.json under the "analyze" key.
+# the trace's tables) and trace save/load speed and size, merging the
+# rows into BENCH_results.json under the "analyze" key.
 bench-analyze:
 	GOMAXPROCS=8 $(GO) run ./cmd/sgx-perf-bench -exp analyze -repeats 5 \
 		-json BENCH_results.json

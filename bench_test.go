@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"sgxperf"
-	"sgxperf/internal/evstore"
 	"sgxperf/internal/experiments"
 	"sgxperf/internal/perf/events"
 )
@@ -266,50 +265,40 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportMetric(float64(nEvents)*float64(b.N)/time.Since(start).Seconds(), "events/s")
 }
 
-// BenchmarkCodecSaveLoad compares trace serialisation through the legacy
-// gob format and the chunked columnar codec; MB/s is against each
-// format's own encoded size.
+// BenchmarkCodecSaveLoad prices trace serialisation through the chunked
+// columnar format; MB/s is against the encoded size.
 func BenchmarkCodecSaveLoad(b *testing.B) {
 	trace, err := experiments.SynthAnalysisTrace(10000)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		opts evstore.SaveOptions
-	}{
-		{"gob", evstore.SaveOptions{Format: evstore.FormatGob}},
-		{"binary", evstore.SaveOptions{Format: evstore.FormatBinary}},
-		{"binary-flate", evstore.SaveOptions{Format: evstore.FormatBinary, Compress: true}},
-	} {
-		var buf bytes.Buffer
-		if err := trace.SaveWith(&buf, tc.opts); err != nil {
-			b.Fatal(err)
-		}
-		mb := float64(buf.Len()) / 1e6
-		b.Run("save/"+tc.name, func(b *testing.B) {
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := trace.SaveWith(&buf, tc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(mb*float64(b.N)/time.Since(start).Seconds(), "MB/s")
-			b.ReportMetric(float64(buf.Len()), "bytes")
-		})
-		b.Run("load/"+tc.name, func(b *testing.B) {
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				dst, err := events.NewTrace()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(mb*float64(b.N)/time.Since(start).Seconds(), "MB/s")
-		})
+	var buf bytes.Buffer
+	if err := trace.Save(&buf); err != nil {
+		b.Fatal(err)
 	}
+	mb := float64(buf.Len()) / 1e6
+	b.Run("save", func(b *testing.B) {
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := trace.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(mb*float64(b.N)/time.Since(start).Seconds(), "MB/s")
+		b.ReportMetric(float64(buf.Len()), "bytes")
+	})
+	b.Run("load", func(b *testing.B) {
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			dst, err := events.NewTrace()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(mb*float64(b.N)/time.Since(start).Seconds(), "MB/s")
+	})
 }

@@ -1,37 +1,34 @@
 package evstore
 
-// The versioned binary trace codec — the replacement for gob on the
-// Save/Load path. The gob format round-tripped every table through
-// reflection in one monolithic stream; at paper-size traces (§5's
-// multi-million-event runs) both directions were the slowest link in the
-// pipeline. The codec instead writes each table as a sequence of
-// independent row chunks:
+// The trace file format: one layout, columnar throughout. Each table is
+// written as a sequence of independent row chunks, followed by the
+// chunk index and footer described in stream.go:
 //
-//	file   := magic "sgxperf-evc\x02" | uvarint(#tables) | table*
-//	table  := str(name) | byte(codec: 0 gob, 1 columnar) |
+//	file   := magic "sgxperf-evc\x04" | uvarint(#tables) | table* |
+//	          index | footer
+//	table  := str(name) | byte(codec: 1 columnar) |
 //	          uvarint(#rows) | uvarint(#chunks) | chunk*
-//	chunk  := uvarint(#rows) | byte(flags: bit0 flate) |
+//	chunk  := uvarint(#rows ≤ 1024) | byte(flags: 0) |
 //	          uvarint(len(payload)) | payload
 //
-// A columnar chunk payload is self-contained: a string dictionary (call
-// names intern to small indexes) followed by column-major varint data,
-// with delta encoding for the monotone columns (event IDs, timestamps)
+// A chunk payload is self-contained: a string dictionary (call names
+// intern to small indexes) followed by column-major varint data, with
+// delta encoding for the monotone columns (event IDs, timestamps)
 // supplied by the per-type RowCodec implementations in
 // internal/perf/events. Self-containment is what buys parallelism: every
 // chunk encodes and decodes independently on the shared worker pool, and
-// the loader streams chunks into BatchInsert a window at a time instead
-// of materialising whole tables. Tables without a registered RowCodec
-// fall back to gob per chunk (codec byte 0) and still gain chunking,
-// optional compression and parallelism.
+// the loader streams chunks into the table a window at a time instead of
+// materialising whole tables.
 //
-// Legacy traces saved by the gob format are still readable: Load peeks
-// at the first bytes and dispatches on the magic (see db.Load).
+// The codec and flags bytes admit one value each; they stay in the
+// layout because the chunk hash covers the codec byte. A reader refuses
+// any other value, and any file whose version byte is not 4 — earlier
+// versions carried gob-encoded tables, an index-less layout or
+// flate-compressed chunks — with ErrCorrupt.
 
 import (
-	"bytes"
-	"compress/flate"
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -40,39 +37,10 @@ import (
 	"sgxperf/internal/pool"
 )
 
-// magicBinary identifies the columnar format; the trailing byte is the
-// format version. Version 2 is the index-less layout; version 3 appends
-// the chunk index and footer described in stream.go. Both versions load;
-// Save writes version 3.
-const (
-	magicBinary   = "sgxperf-evc\x02"
-	magicBinaryV3 = "sgxperf-evc\x03"
-)
-
-// Format selects the on-disk representation for SaveWith.
-type Format int
+// magic opens every trace file; its last byte is the format version.
+const magic = "sgxperf-evc\x04"
 
 const (
-	// FormatBinary is the chunked columnar codec (the default).
-	FormatBinary Format = iota
-	// FormatGob is the legacy reflection-based format, kept writable for
-	// interop tests and migration fixtures.
-	FormatGob
-)
-
-// SaveOptions configures SaveWith.
-type SaveOptions struct {
-	Format Format
-	// Compress flate-compresses each chunk payload. It costs encode CPU
-	// and is off by default; chunks record the choice per chunk, so
-	// readers need no configuration.
-	Compress bool
-}
-
-const (
-	chunkFlagFlate = 1 << 0
-
-	codecGob      = 0
 	codecColumnar = 1
 
 	// Decode-side sanity caps: corrupted counts must produce errors, not
@@ -81,6 +49,10 @@ const (
 	maxDecodeName     = 1 << 12
 	maxDecodeChunkLen = 1 << 28
 	maxDecodeRows     = 1 << 24
+
+	// maxPrealloc bounds what readN allocates before the bytes arrive:
+	// far above a 1,024-row chunk, far below a declared 256 MiB.
+	maxPrealloc = 1 << 20
 )
 
 // ErrCorrupt reports a structurally invalid binary trace. Test with
@@ -89,6 +61,19 @@ var ErrCorrupt = errors.New("corrupt trace data")
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("evstore: %w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
+}
+
+// checkMagic validates a file's first len(magic) bytes, naming the
+// version of a trace file this build cannot read.
+func checkMagic(head []byte) error {
+	n := len(magic) - 1
+	if len(head) != len(magic) || string(head[:n]) != magic[:n] {
+		return corruptf("not an sgx-perf trace file")
+	}
+	if head[n] != magic[n] {
+		return corruptf("trace format version %d is not supported; this build reads version %d only", head[n], magic[n])
+	}
+	return nil
 }
 
 // A RowCodec encodes one chunk of rows into the columnar payload and
@@ -100,11 +85,6 @@ type RowCodec[T any] interface {
 	Encode(e *Encoder, rows []T)
 	Decode(d *Decoder, n int) []T
 }
-
-// SetCodec registers the table's columnar codec. It must be called
-// before the table is shared between goroutines (in practice: right
-// after NewTable); tables without a codec serialise chunks through gob.
-func (t *Table[T]) SetCodec(c RowCodec[T]) { t.codec = c }
 
 // ---------------------------------------------------------------------
 // Encoder / Decoder: the primitive layer RowCodecs are written against.
@@ -174,7 +154,7 @@ type Decoder struct {
 	err  error
 }
 
-func newDecoder(payload []byte, nrows int) (*Decoder, error) {
+func newDecoder(payload []byte) (*Decoder, error) {
 	d := &Decoder{data: payload}
 	ndict := d.Uvarint()
 	if d.err != nil {
@@ -195,7 +175,6 @@ func newDecoder(payload []byte, nrows int) (*Decoder, error) {
 		d.dict = append(d.dict, string(d.data[d.pos:d.pos+int(n)]))
 		d.pos += int(n)
 	}
-	_ = nrows
 	return d, nil
 }
 
@@ -305,47 +284,35 @@ func (t *Table[T]) chunkSnapshot() (chunks [][]T, total int) {
 	return chunks, t.length
 }
 
-// encodeChunkPayload produces one chunk's payload bytes (pre-compression).
-func (t *Table[T]) encodeChunkPayload(rows []T) ([]byte, byte, error) {
-	if t.codec != nil {
-		// Pre-size for the common shape — a dozen-odd mostly-single-byte
-		// columns per row — so the append path grows the buffer rarely.
-		e := Encoder{col: make([]byte, 0, 16*len(rows)+64)}
-		t.codec.Encode(&e, rows)
-		return e.finish(), codecColumnar, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rows); err != nil {
-		return nil, codecGob, err
-	}
-	return buf.Bytes(), codecGob, nil
+// encodeChunkPayload produces one chunk's payload bytes.
+func (t *Table[T]) encodeChunkPayload(rows []T) []byte {
+	// Pre-size for the common shape — a dozen-odd mostly-single-byte
+	// columns per row — so the append path grows the buffer rarely.
+	e := Encoder{col: make([]byte, 0, 16*len(rows)+64)}
+	t.codec.Encode(&e, rows)
+	return e.finish()
 }
 
-// tableIndex is one table's slice of the v3 chunk index (stream.go),
-// collected while writeBinary emits the table.
+// tableIndex is one table's entry in the chunk index (stream.go). Save
+// collects it while writeBinary emits the table, Load while readBinary
+// decodes it, and a StreamReader parses it from the file's index.
 type tableIndex struct {
-	name      string
-	codecByte byte
-	rows      int
-	chunks    []ChunkInfo
+	name   string
+	rows   int
+	chunks []ChunkInfo
 }
 
-// writeBinary serialises the table: header, then each chunk encoded (and
-// optionally compressed) in parallel on the shared pool and written in
-// order. The returned index records each chunk's file offset, row count
-// and pre-compression content hash for the v3 chunk index.
-func (t *Table[T]) writeBinary(w *countingWriter, opts SaveOptions) (tableIndex, error) {
+// writeBinary serialises the table: header, then each chunk encoded and
+// hashed in parallel on the shared pool and written in order. The
+// returned index records each chunk's file offset, row count and
+// content hash.
+func (t *Table[T]) writeBinary(w *countingWriter) (tableIndex, error) {
 	chunks, total := t.chunkSnapshot()
-
-	codecByte := byte(codecGob)
-	if t.codec != nil {
-		codecByte = codecColumnar
-	}
-	idx := tableIndex{name: t.name, codecByte: codecByte, rows: total}
+	idx := tableIndex{name: t.name, rows: total}
 
 	head := binary.AppendUvarint(nil, uint64(len(t.name)))
 	head = append(head, t.name...)
-	head = append(head, codecByte)
+	head = append(head, codecColumnar)
 	head = binary.AppendUvarint(head, uint64(total))
 	head = binary.AppendUvarint(head, uint64(len(chunks)))
 	if _, err := w.Write(head); err != nil {
@@ -353,47 +320,18 @@ func (t *Table[T]) writeBinary(w *countingWriter, opts SaveOptions) (tableIndex,
 	}
 
 	payloads := make([][]byte, len(chunks))
-	flags := make([]byte, len(chunks))
 	hashes := make([]uint64, len(chunks))
-	errs := make([]error, len(chunks))
 	pool.ForEach(len(chunks), func(i int) {
-		p, _, err := t.encodeChunkPayload(chunks[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		hashes[i] = hashChunkPayload(codecByte, p)
-		if opts.Compress {
-			var buf bytes.Buffer
-			fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-			if err == nil {
-				if _, err = fw.Write(p); err == nil {
-					err = fw.Close()
-				}
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if buf.Len() < len(p) {
-				p = buf.Bytes()
-				flags[i] = chunkFlagFlate
-			}
-		}
-		payloads[i] = p
+		payloads[i] = t.encodeChunkPayload(chunks[i])
+		hashes[i] = hashChunkPayload(payloads[i])
 	})
-	for i, err := range errs {
-		if err != nil {
-			return idx, fmt.Errorf("chunk %d: %w", i, err)
-		}
-	}
 
 	idx.chunks = make([]ChunkInfo, len(chunks))
 	var chead []byte
 	for i, p := range payloads {
 		idx.chunks[i] = ChunkInfo{Offset: w.n, Rows: len(chunks[i]), Hash: hashes[i]}
 		chead = binary.AppendUvarint(chead[:0], uint64(len(chunks[i])))
-		chead = append(chead, flags[i])
+		chead = append(chead, 0) // flags
 		chead = binary.AppendUvarint(chead, uint64(len(p)))
 		if _, err := w.Write(chead); err != nil {
 			return idx, err
@@ -420,46 +358,27 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // ---------------------------------------------------------------------
 // Table-level decode: stream chunk windows, decode them on the pool,
-// batch-insert in order.
+// append in order.
 
-// rawChunk is one chunk read off the wire, pre-decode.
+// rawChunk is one chunk read off the wire, pre-decode, with the file
+// offset of its header.
 type rawChunk struct {
+	off     int64
 	nrows   int
-	flags   byte
 	payload []byte
 }
 
-// binTableReader carries the streaming state the DB loader hands each
-// table. pos, when set, reports the absolute file offset consumed so far
-// so readBinary can record per-chunk marks for the v3 index validation.
-type binTableReader struct {
-	br  *countingReader
-	pos func() int64
-}
-
-func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
+func (t *Table[T]) readBinary(cr *countingReader) (tableIndex, error) {
 	idx := tableIndex{name: t.name}
-	codecByte, err := r.br.readByte()
-	if err != nil {
+	if err := cr.readCodec(t.name); err != nil {
 		return idx, err
 	}
-	idx.codecByte = codecByte
-	switch codecByte {
-	case codecColumnar:
-		if t.codec == nil {
-			return idx, corruptf("table %q was written with a columnar codec but none is registered", t.name)
-		}
-	case codecGob:
-		// Decodable regardless of registration.
-	default:
-		return idx, corruptf("table %q: unknown codec %d", t.name, codecByte)
-	}
-	total, err := r.br.readUvarint(maxDecodeRows)
+	total, err := cr.readUvarint(maxDecodeRows)
 	if err != nil {
 		return idx, err
 	}
 	idx.rows = int(total)
-	nchunks, err := r.br.readUvarint(maxDecodeRows)
+	nchunks, err := cr.readUvarint(maxDecodeRows)
 	if err != nil {
 		return idx, err
 	}
@@ -484,19 +403,15 @@ func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 			n = window
 		}
 		raws := make([]rawChunk, n)
-		offs := make([]int64, n)
 		for i := 0; i < n; i++ {
-			if r.pos != nil {
-				offs[i] = r.pos()
-			}
-			if raws[i], err = r.br.readChunk(); err != nil {
+			if raws[i], err = cr.readChunk(); err != nil {
 				return idx, fmt.Errorf("table %q chunk %d: %w", t.name, done+i, err)
 			}
 		}
 		rows := make([][]T, n)
 		errs := make([]error, n)
 		pool.ForEach(n, func(i int) {
-			rows[i], errs[i] = t.decodeChunk(raws[i], codecByte)
+			rows[i], errs[i] = decodeChunkPayload(t.codec, raws[i].payload, raws[i].nrows)
 		})
 		for i := 0; i < n; i++ {
 			if errs[i] != nil {
@@ -506,9 +421,7 @@ func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 			if decoded > int(total) {
 				return idx, corruptf("table %q: more rows than declared (%d > %d)", t.name, decoded, total)
 			}
-			if r.pos != nil {
-				idx.chunks = append(idx.chunks, ChunkInfo{Offset: offs[i], Rows: len(rows[i])})
-			}
+			idx.chunks = append(idx.chunks, ChunkInfo{Offset: raws[i].off, Rows: len(rows[i])})
 			t.appendQuiet(rows[i])
 		}
 		done += n
@@ -519,44 +432,16 @@ func (t *Table[T]) readBinary(r *binTableReader) (tableIndex, error) {
 	return idx, nil
 }
 
-// inflateChunk undoes the optional per-chunk flate compression,
-// returning the pre-compression payload bytes.
-func inflateChunk(rc rawChunk) ([]byte, error) {
-	if rc.flags&chunkFlagFlate == 0 {
-		return rc.payload, nil
-	}
-	fr := flate.NewReader(bytes.NewReader(rc.payload))
-	inflated, err := io.ReadAll(io.LimitReader(fr, maxDecodeChunkLen+1))
-	if err != nil {
-		return nil, corruptf("inflate: %v", err)
-	}
-	if len(inflated) > maxDecodeChunkLen {
-		return nil, corruptf("inflated chunk exceeds %d bytes", maxDecodeChunkLen)
-	}
-	return inflated, nil
-}
-
-// decodeChunkPayload decodes one pre-compression chunk payload into
-// rows — the shared core of the resident loader and the stream cursors.
-// codec may be nil only for gob chunks.
-func decodeChunkPayload[T any](codec RowCodec[T], codecByte byte, payload []byte, nrows int) ([]T, error) {
-	if codecByte == codecGob {
-		var rows []T
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rows); err != nil {
-			return nil, corruptf("gob chunk: %v", err)
-		}
-		if len(rows) != nrows {
-			return nil, corruptf("gob chunk decoded %d rows, header declared %d", len(rows), nrows)
-		}
-		return rows, nil
-	}
-	// Every columnar row occupies at least one payload byte, so a row
-	// count above the payload size is corrupt — reject it before the
-	// RowCodec allocates the row slice.
+// decodeChunkPayload decodes one chunk payload into rows — the shared
+// core of the resident loader and the stream cursors.
+func decodeChunkPayload[T any](codec RowCodec[T], payload []byte, nrows int) ([]T, error) {
+	// Every row occupies at least one payload byte, so a row count above
+	// the payload size is corrupt — reject it before the RowCodec
+	// allocates the row slice.
 	if nrows > len(payload) {
 		return nil, corruptf("%d rows declared in a %d-byte payload", nrows, len(payload))
 	}
-	d, err := newDecoder(payload, nrows)
+	d, err := newDecoder(payload)
 	if err != nil {
 		return nil, err
 	}
@@ -570,23 +455,13 @@ func decodeChunkPayload[T any](codec RowCodec[T], codecByte byte, payload []byte
 	return rows, nil
 }
 
-// decodeChunk inflates and decodes one raw chunk.
-func (t *Table[T]) decodeChunk(rc rawChunk, codecByte byte) ([]T, error) {
-	payload, err := inflateChunk(rc)
-	if err != nil {
-		return nil, err
-	}
-	return decodeChunkPayload(t.codec, codecByte, payload, rc.nrows)
-}
-
-// appendQuiet appends decoded rows without notifying subscribers — the
-// load path mirrors the gob decodeRows semantics (a restore, not an
-// insert stream). Decoded chunks arrive at exactly the storage chunk
-// size except the last (writeBinary emits storage chunks), so a full
-// chunk slice is adopted directly instead of copied; the indexing
-// invariant — every chunk but the last holds exactly chunkSize rows —
-// is preserved because adoption only happens when the previous chunk is
-// full.
+// appendQuiet appends decoded rows without notifying subscribers — a
+// load is a restore, not an insert stream. Decoded chunks arrive at
+// exactly the storage chunk size except the last (writeBinary emits
+// storage chunks), so a full chunk slice is adopted directly instead of
+// copied; the indexing invariant — every chunk but the last holds
+// exactly chunkSize rows — is preserved because adoption only happens
+// when the previous chunk is full.
 func (t *Table[T]) appendQuiet(rows []T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -603,23 +478,27 @@ func (t *Table[T]) appendQuiet(rows []T) {
 // ---------------------------------------------------------------------
 // Wire-reading helpers.
 
-// countingReader wraps the load stream with bounds-checked primitives.
+// countingReader wraps a file stream with bounds-checked primitives and
+// counts the bytes consumed, so the loader can record chunk offsets.
 type countingReader struct {
-	r io.Reader
-	// scratch avoids a per-call allocation for single bytes.
-	scratch [1]byte
+	r interface {
+		io.Reader
+		io.ByteReader
+	}
+	n int64
 }
 
-func (c *countingReader) readByte() (byte, error) {
-	if br, ok := c.r.(io.ByteReader); ok {
-		return br.ReadByte()
+// ReadByte makes the reader an io.ByteReader for binary.ReadUvarint.
+func (c *countingReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
+	if err == nil {
+		c.n++
 	}
-	_, err := io.ReadFull(c.r, c.scratch[:])
-	return c.scratch[0], err
+	return b, err
 }
 
 func (c *countingReader) readUvarint(limit uint64) (uint64, error) {
-	v, err := binary.ReadUvarint(byteReaderFunc(c.readByte))
+	v, err := binary.ReadUvarint(c)
 	if err != nil {
 		return 0, corruptf("truncated varint: %v", err)
 	}
@@ -629,12 +508,24 @@ func (c *countingReader) readUvarint(limit uint64) (uint64, error) {
 	return v, nil
 }
 
+// readN reads exactly n bytes. The declared n is not trusted: at most
+// maxPrealloc bytes are allocated up front, and the buffer doubles only
+// once the bytes already read fill it, so a header that promises more
+// than the input holds costs about what the input actually holds.
 func (c *countingReader) readN(n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		return nil, corruptf("truncated read of %d bytes: %v", n, err)
+	buf := make([]byte, min(n, maxPrealloc))
+	for read := 0; ; {
+		m, err := io.ReadFull(c.r, buf[read:])
+		c.n += int64(m)
+		read += m
+		if err != nil {
+			return nil, corruptf("truncated read of %d bytes: %v", n, err)
+		}
+		if read == n {
+			return buf, nil
+		}
+		buf = append(buf, make([]byte, min(n-read, read))...)
 	}
-	return buf, nil
 }
 
 func (c *countingReader) readString(limit uint64) (string, error) {
@@ -649,48 +540,55 @@ func (c *countingReader) readString(limit uint64) (string, error) {
 	return string(b), nil
 }
 
-func (c *countingReader) readChunk() (rawChunk, error) {
-	nrows, err := c.readUvarint(maxDecodeRows)
+// readCodec reads a table's codec byte, which must name the columnar
+// codec.
+func (c *countingReader) readCodec(table string) error {
+	b, err := c.ReadByte()
 	if err != nil {
-		return rawChunk{}, err
+		return corruptf("table %q: truncated codec byte: %v", table, err)
 	}
-	flags, err := c.readByte()
+	if b != codecColumnar {
+		return corruptf("table %q: codec byte %d is not columnar (%d)", table, b, codecColumnar)
+	}
+	return nil
+}
+
+func (c *countingReader) readChunk() (rawChunk, error) {
+	rc := rawChunk{off: c.n}
+	nrows, err := c.readUvarint(chunkSize)
 	if err != nil {
-		return rawChunk{}, corruptf("truncated chunk flags: %v", err)
+		return rc, err
+	}
+	flags, err := c.ReadByte()
+	if err != nil {
+		return rc, corruptf("truncated chunk flags: %v", err)
+	}
+	if flags != 0 {
+		return rc, corruptf("chunk flags %#x set; no chunk flag is defined", flags)
 	}
 	plen, err := c.readUvarint(maxDecodeChunkLen)
 	if err != nil {
-		return rawChunk{}, err
+		return rc, err
 	}
-	payload, err := c.readN(int(plen))
-	if err != nil {
-		return rawChunk{}, err
-	}
-	return rawChunk{nrows: int(nrows), flags: flags, payload: payload}, nil
+	rc.nrows = int(nrows)
+	rc.payload, err = c.readN(int(plen))
+	return rc, err
 }
-
-// byteReaderFunc adapts a func to io.ByteReader.
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }
 
 // ---------------------------------------------------------------------
 // DB-level save/load.
 
-// saveBinary writes the columnar format (version 3: table data followed
-// by the chunk index and footer, see stream.go). Caller holds db.mu.
-func (db *DB) saveBinary(w io.Writer, opts SaveOptions) error {
+// saveBinary writes the table data followed by the chunk index and
+// footer (stream.go). Caller holds db.mu.
+func (db *DB) saveBinary(w io.Writer) error {
 	cw := &countingWriter{w: w}
-	if _, err := io.WriteString(cw, magicBinaryV3); err != nil {
-		return fmt.Errorf("evstore: header: %w", err)
-	}
-	head := binary.AppendUvarint(nil, uint64(len(db.tables)))
+	head := binary.AppendUvarint([]byte(magic), uint64(len(db.tables)))
 	if _, err := cw.Write(head); err != nil {
 		return fmt.Errorf("evstore: header: %w", err)
 	}
 	index := make([]tableIndex, 0, len(db.tables))
 	for _, t := range db.tables {
-		idx, err := t.writeBinary(cw, opts)
+		idx, err := t.writeBinary(cw)
 		if err != nil {
 			return fmt.Errorf("evstore: table %q: %w", t.Name(), err)
 		}
@@ -706,52 +604,51 @@ func (db *DB) saveBinary(w io.Writer, opts SaveOptions) error {
 	return nil
 }
 
-// loadBinary reads the columnar format; r is positioned just past the
-// magic. For v3 files the trailing chunk index and footer are read and
-// cross-checked against the tables actually decoded, so a truncated or
-// structurally inconsistent file always errors even on this sequential
-// path.
-func (db *DB) loadBinary(r io.Reader, v3 bool) error {
-	src := &countedSource{r: r, n: int64(len(magicBinary))}
-	cr := &countingReader{r: src}
+// loadBinary reads a trace file front to back. The trailing chunk index
+// and footer are read and cross-checked against the tables actually
+// decoded, so a truncated or structurally inconsistent file always
+// errors even on this sequential path. Caller holds db.mu.
+func (db *DB) loadBinary(r *bufio.Reader) error {
+	cr := &countingReader{r: r}
+	head, err := cr.readN(len(magic))
+	if err != nil {
+		return fmt.Errorf("evstore: header: %w", err)
+	}
+	if err := checkMagic(head); err != nil {
+		return err
+	}
 	ntables, err := cr.readUvarint(maxDecodeTables)
 	if err != nil {
 		return fmt.Errorf("evstore: header: %w", err)
 	}
 	if int(ntables) != len(db.tables) {
-		return fmt.Errorf("evstore: file has %d tables, schema has %d", ntables, len(db.tables))
+		return corruptf("file has %d tables, schema has %d", ntables, len(db.tables))
 	}
 	marks := make([]tableIndex, 0, len(db.tables))
-	btr := &binTableReader{br: cr}
-	if v3 {
-		btr.pos = func() int64 { return src.n }
-	}
 	for i, t := range db.tables {
 		name, err := cr.readString(maxDecodeName)
 		if err != nil {
 			return fmt.Errorf("evstore: table %d: %w", i, err)
 		}
 		if name != t.Name() {
-			return fmt.Errorf("evstore: table %d is %q in file, %q in schema", i, name, t.Name())
+			return corruptf("table %d is %q in file, %q in schema", i, name, t.Name())
 		}
-		idx, err := t.readBinary(btr)
+		idx, err := t.readBinary(cr)
 		if err != nil {
 			return fmt.Errorf("evstore: table %q: %w", name, err)
 		}
 		marks = append(marks, idx)
 	}
-	if !v3 {
-		return nil
-	}
-	return validateStreamIndex(cr, src.n, marks)
+	return validateStreamIndex(cr, marks)
 }
 
-// validateStreamIndex reads a v3 file's index block and footer off the
+// validateStreamIndex reads the index block and footer off the
 // sequential stream and checks them against the tables just decoded.
 // Chunk hashes are carried, not recomputed — the structural cross-check
 // is what guarantees truncations cannot pass silently.
-func validateStreamIndex(cr *countingReader, indexOff int64, marks []tableIndex) error {
-	tables, err := parseStreamIndex(byteReaderAdapter{cr}, indexOff)
+func validateStreamIndex(cr *countingReader, marks []tableIndex) error {
+	indexOff := cr.n
+	tables, err := parseStreamIndex(cr, indexOff)
 	if err != nil {
 		return fmt.Errorf("evstore: %w", err)
 	}
@@ -760,7 +657,7 @@ func validateStreamIndex(cr *countingReader, indexOff int64, marks []tableIndex)
 	}
 	for i, ti := range tables {
 		m := marks[i]
-		if ti.name != m.name || ti.codecByte != m.codecByte || ti.rows != m.rows || len(ti.chunks) != len(m.chunks) {
+		if ti.name != m.name || ti.rows != m.rows || len(ti.chunks) != len(m.chunks) {
 			return corruptf("index entry for table %q does not match its data", m.name)
 		}
 		for j, c := range ti.chunks {
@@ -777,20 +674,4 @@ func validateStreamIndex(cr *countingReader, indexOff int64, marks []tableIndex)
 		return corruptf("footer does not match index position")
 	}
 	return nil
-}
-
-// byteReaderAdapter re-exposes a countingReader as a plain io.Reader so
-// parseStreamIndex can run over the sequential load stream.
-type byteReaderAdapter struct{ cr *countingReader }
-
-func (a byteReaderAdapter) Read(p []byte) (int, error) {
-	if len(p) == 0 {
-		return 0, nil
-	}
-	b, err := a.cr.readByte()
-	if err != nil {
-		return 0, err
-	}
-	p[0] = b
-	return 1, nil
 }

@@ -1,9 +1,9 @@
 // Package evstore is a small embedded, typed, append-oriented event
 // database — the stand-in for the SQLite database sgx-perf serialises its
 // events to (§4). It offers named tables of record types, predicate
-// queries, ordering, simple aggregation, and binary (gob) serialisation so
-// traces can be written by the logger and analysed later by a different
-// process, just as the paper's toolchain does.
+// queries, ordering, simple aggregation, and a chunked columnar file
+// format (codec.go) so traces can be written by the logger and analysed
+// later by a different process, just as the paper's toolchain does.
 //
 // Storage is chunked: rows live in fixed-size row chunks, so appends never
 // reslice-copy the whole table and batch inserts from the logger's
@@ -14,7 +14,6 @@ package evstore
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"os"
@@ -40,9 +39,8 @@ type Table[T any] struct {
 	// regardless of batching.
 	readHook atomic.Pointer[func()]
 
-	// codec, when set (SetCodec), serialises chunks through the columnar
-	// binary format instead of gob. Written once during schema setup,
-	// before the table is shared; read-only afterwards.
+	// codec encodes and decodes the table's chunks for Save, Load, the
+	// stream cursors and ChunkHashes. Fixed at NewTable.
 	codec RowCodec[T]
 
 	mu     sync.RWMutex
@@ -66,9 +64,11 @@ type subscriber[T any] struct {
 	fn func(rows []T)
 }
 
-// NewTable creates an empty table.
-func NewTable[T any](name string) *Table[T] {
-	return &Table[T]{name: name}
+// NewTable creates an empty table whose chunks serialise through codec.
+// A table without a codec can hold and query rows, but it cannot be
+// registered, saved or hashed.
+func NewTable[T any](name string, codec RowCodec[T]) *Table[T] {
+	return &Table[T]{name: name, codec: codec}
 }
 
 // Name returns the table's name.
@@ -386,33 +386,8 @@ func (t *Table[T]) Reset() {
 // table is the untyped view the DB uses for serialisation.
 type table interface {
 	Name() string
-	encodeRows(enc *gob.Encoder) error
-	decodeRows(dec *gob.Decoder) error
-	writeBinary(w *countingWriter, opts SaveOptions) (tableIndex, error)
-	readBinary(r *binTableReader) (tableIndex, error)
-}
-
-func (t *Table[T]) encodeRows(enc *gob.Encoder) error {
-	t.notifyRead()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	// Encode a flat []T so the on-disk format is identical to the
-	// pre-chunking version of the store.
-	return enc.Encode(t.rowsLocked())
-}
-
-func (t *Table[T]) decodeRows(dec *gob.Decoder) error {
-	var rows []T
-	if err := dec.Decode(&rows); err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.chunks = nil
-	t.length = 0
-	t.invalidateHashesLocked()
-	t.appendLocked(rows)
-	return nil
+	writeBinary(w *countingWriter) (tableIndex, error)
+	readBinary(cr *countingReader) (tableIndex, error)
 }
 
 // DB is a named collection of tables with a stable serialisation format.
@@ -430,7 +405,11 @@ func NewDB() *DB {
 // Register attaches a table to the database. Registration order defines
 // the serialisation order, so writers and readers must register the same
 // tables in the same order (they share the schema definition in practice).
+// A table without a codec is rejected.
 func Register[T any](db *DB, t *Table[T]) error {
+	if t.codec == nil {
+		return fmt.Errorf("evstore: table %q has no codec", t.Name())
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, dup := db.byName[t.Name()]; dup {
@@ -452,108 +431,26 @@ func (db *DB) TableNames() []string {
 	return out
 }
 
-// format header for serialised databases.
-const (
-	magic   = "sgxperf-evstore"
-	version = 1
-)
-
-type header struct {
-	Magic   string
-	Version int
-	Tables  []string
-}
-
-// Save serialises every registered table to w in the default format —
-// the chunked columnar codec (see codec.go). Use SaveWith to choose the
-// legacy gob format or per-chunk compression.
+// Save serialises every registered table to w in the chunked columnar
+// format (codec.go).
 func (db *DB) Save(w io.Writer) error {
-	return db.SaveWith(w, SaveOptions{})
-}
-
-// SaveWith serialises every registered table to w with explicit format
-// options.
-func (db *DB) SaveWith(w io.Writer, opts SaveOptions) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if opts.Format == FormatBinary {
-		return db.saveBinary(w, opts)
-	}
-	return db.saveGob(w)
-}
-
-// saveGob writes the legacy gob format. Caller holds db.mu.
-func (db *DB) saveGob(w io.Writer) error {
-	enc := gob.NewEncoder(w)
-	h := header{Magic: magic, Version: version}
-	for _, t := range db.tables {
-		h.Tables = append(h.Tables, t.Name())
-	}
-	if err := enc.Encode(h); err != nil {
-		return fmt.Errorf("evstore: header: %w", err)
-	}
-	for _, t := range db.tables {
-		if err := t.encodeRows(enc); err != nil {
-			return fmt.Errorf("evstore: table %q: %w", t.Name(), err)
-		}
-	}
-	return nil
+	return db.saveBinary(w)
 }
 
 // Load restores table contents from r, materialising every table into
 // memory — it is the resident read path. The registered schema must
-// match the one the file was written with. Binary format versions 2 and
-// 3 and the legacy gob format are accepted; the magic bytes decide.
-// Binary files decode chunk-by-chunk (a window at a time, so transient
-// memory stays bounded even though the tables end up resident); callers
-// that only need a chunk-at-a-time pass over a saved file should use
-// OpenStream and cursors instead of loading at all.
+// match the one the file was written with, and any input that is not a
+// trace file of the current format version is ErrCorrupt. Chunks decode
+// a window at a time, so transient memory stays bounded even though the
+// tables end up resident; callers that only need a chunk-at-a-time pass
+// over a saved file should use OpenStream and cursors instead of loading
+// at all.
 func (db *DB) Load(r io.Reader) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	br := bufio.NewReaderSize(r, 1<<16)
-	peek, err := br.Peek(len(magicBinary))
-	if err == nil && (string(peek) == magicBinary || string(peek) == magicBinaryV3) {
-		v3 := string(peek) == magicBinaryV3
-		if _, err := br.Discard(len(magicBinary)); err != nil {
-			return fmt.Errorf("evstore: header: %w", err)
-		}
-		return db.loadBinary(br, v3)
-	}
-	// Not the binary magic (or too short to hold it): try the legacy gob
-	// format, which produces its own error on garbage.
-	return db.loadGob(br)
-}
-
-// loadGob reads the legacy gob format. Caller holds db.mu. Gob is one
-// monolithic reflection stream with no chunk boundaries, so this path
-// necessarily decodes the whole file into memory at once — there is no
-// streaming equivalent; migrate to the binary format (re-Save) to get
-// chunked loads and OpenStream access.
-func (db *DB) loadGob(r io.Reader) error {
-	dec := gob.NewDecoder(r)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return fmt.Errorf("evstore: header: %w", err)
-	}
-	if h.Magic != magic {
-		return fmt.Errorf("evstore: not an evstore file (magic %q)", h.Magic)
-	}
-	if h.Version != version {
-		return fmt.Errorf("evstore: unsupported version %d", h.Version)
-	}
-	if len(h.Tables) != len(db.tables) {
-		return fmt.Errorf("evstore: file has %d tables, schema has %d", len(h.Tables), len(db.tables))
-	}
-	for i, t := range db.tables {
-		if h.Tables[i] != t.Name() {
-			return fmt.Errorf("evstore: table %d is %q in file, %q in schema", i, h.Tables[i], t.Name())
-		}
-		if err := t.decodeRows(dec); err != nil {
-			return fmt.Errorf("evstore: table %q: %w", t.Name(), err)
-		}
-	}
-	return nil
+	return db.loadBinary(bufio.NewReaderSize(r, 1<<16))
 }
 
 // SaveFile writes the database to a file path.

@@ -16,7 +16,7 @@ type rec struct {
 }
 
 func TestInsertSelectCount(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{1, "a", 10}, rec{2, "b", 20}, rec{3, "a", 30})
 	if tb.Len() != 3 {
 		t.Fatalf("len = %d", tb.Len())
@@ -37,7 +37,7 @@ func TestInsertSelectCount(t *testing.T) {
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{1, "a", 1}, rec{2, "b", 2}, rec{3, "c", 3})
 	var seen []int
 	tb.Scan(func(i int, r rec) bool {
@@ -50,7 +50,7 @@ func TestScanEarlyStop(t *testing.T) {
 }
 
 func TestOrderedByDoesNotMutate(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{3, "c", 3}, rec{1, "a", 1}, rec{2, "b", 2})
 	sorted := tb.OrderedBy(func(a, b rec) bool { return a.ID < b.ID })
 	if sorted[0].ID != 1 || sorted[2].ID != 3 {
@@ -62,7 +62,7 @@ func TestOrderedByDoesNotMutate(t *testing.T) {
 }
 
 func TestGroupBy(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{1, "a", 1}, rec{2, "b", 2}, rec{3, "a", 3})
 	groups := GroupBy(tb, func(r rec) string { return r.Name })
 	if len(groups) != 2 || len(groups["a"]) != 2 || len(groups["b"]) != 1 {
@@ -71,7 +71,7 @@ func TestGroupBy(t *testing.T) {
 }
 
 func TestRowsIsACopy(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{1, "a", 1})
 	rows := tb.Rows()
 	rows[0].Name = "mutated"
@@ -81,7 +81,7 @@ func TestRowsIsACopy(t *testing.T) {
 }
 
 func TestConcurrentInsert(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -100,8 +100,8 @@ func TestConcurrentInsert(t *testing.T) {
 
 func newSchema() (*DB, *Table[rec], *Table[string]) {
 	db := NewDB()
-	recs := NewTable[rec]("recs")
-	names := NewTable[string]("names")
+	recs := NewTable[rec]("recs", recCodec{})
+	names := NewTable[string]("names", stringCodec{})
 	_ = Register(db, recs)
 	_ = Register(db, names)
 	return db, recs, names
@@ -153,7 +153,7 @@ func TestLoadSchemaMismatch(t *testing.T) {
 	}
 
 	other := NewDB()
-	_ = Register(other, NewTable[rec]("different"))
+	_ = Register(other, NewTable[rec]("different", recCodec{}))
 	err := other.Load(bytes.NewReader(buf.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), "tables") {
 		t.Fatalf("schema mismatch: %v", err)
@@ -161,8 +161,8 @@ func TestLoadSchemaMismatch(t *testing.T) {
 
 	// Same count, different name.
 	other2 := NewDB()
-	_ = Register(other2, NewTable[rec]("recs"))
-	_ = Register(other2, NewTable[string]("wrong"))
+	_ = Register(other2, NewTable[rec]("recs", recCodec{}))
+	_ = Register(other2, NewTable[string]("wrong", stringCodec{}))
 	err = other2.Load(bytes.NewReader(buf.Bytes()))
 	if err == nil || !strings.Contains(err.Error(), `"wrong"`) {
 		t.Fatalf("name mismatch: %v", err)
@@ -178,10 +178,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestRegisterDuplicate(t *testing.T) {
 	db := NewDB()
-	if err := Register(db, NewTable[rec]("t")); err != nil {
+	if err := Register(db, NewTable[rec]("t", recCodec{})); err != nil {
 		t.Fatal(err)
 	}
-	if err := Register(db, NewTable[rec]("t")); err == nil {
+	if err := Register(db, NewTable[rec]("t", recCodec{})); err == nil {
 		t.Fatal("duplicate table registered")
 	}
 	if names := db.TableNames(); len(names) != 1 || names[0] != "t" {
@@ -190,7 +190,7 @@ func TestRegisterDuplicate(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{1, "a", 1})
 	tb.Reset()
 	if tb.Len() != 0 {
@@ -199,7 +199,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestScanFrom(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	// Span several chunks so the offset maths is exercised.
 	for i := 0; i < 3*chunkSize+7; i++ {
 		tb.Insert(rec{ID: i})
@@ -229,7 +229,7 @@ func TestScanFrom(t *testing.T) {
 }
 
 func TestSubscribeObservesInserts(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{ID: 0}, rec{ID: 1})
 
 	var got []int
@@ -259,7 +259,7 @@ func TestSubscribeObservesInserts(t *testing.T) {
 }
 
 func TestSubscribeBatchSpansChunks(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	pad := make([]rec, chunkSize-2)
 	tb.BatchInsert(pad)
 
@@ -286,7 +286,7 @@ func TestSubscribeBatchSpansChunks(t *testing.T) {
 }
 
 func TestSubscribeConcurrentExactlyOnce(t *testing.T) {
-	tb := NewTable[rec]("recs")
+	tb := NewTable[rec]("recs", recCodec{})
 	var mu sync.Mutex
 	seen := make(map[int]int)
 	record := func(rows []rec) {

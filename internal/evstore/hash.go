@@ -8,7 +8,7 @@ import (
 
 // ChunkHashes returns one 64-bit content hash per storage chunk, in
 // chunk order. The hash covers the chunk's encoded payload (the same
-// bytes writeBinary would emit pre-compression), so two tables whose
+// bytes writeBinary emits), so two tables whose
 // chunks hold equal rows hash equally regardless of how the rows were
 // inserted, and any row change changes its chunk's hash.
 //
@@ -59,25 +59,22 @@ func (t *Table[T]) ChunkHashes() []uint64 {
 	return out
 }
 
-// hashChunk hashes one chunk's rows via its encoded payload (FNV-1a
-// over the codec byte and the payload bytes).
+// hashChunk hashes one chunk's rows via its encoded payload.
 func (t *Table[T]) hashChunk(rows []T) uint64 {
-	payload, codecByte, err := t.encodeChunkPayload(rows)
+	return hashChunkPayload(t.encodeChunkPayload(rows))
+}
+
+// hashChunkPayload is the chunk content hash: FNV-1a over the codec byte
+// and the payload — what the chunk index records for each chunk.
+func hashChunkPayload(payload []byte) uint64 {
 	h := fnv.New64a()
-	if err != nil {
-		// Gob refusing an in-memory row type is a schema bug that Save
-		// would also hit; keep the hash deterministic rather than panic.
-		h.Write([]byte(err.Error()))
-		return h.Sum64()
-	}
-	h.Write([]byte{codecByte})
+	h.Write([]byte{codecColumnar})
 	h.Write(payload)
 	return h.Sum64()
 }
 
 // invalidateHashesLocked drops the full-chunk hash cache; the rewrite
-// paths (Replace, Reset, decodeRows, readBinary) call it with t.mu
-// held.
+// paths (Replace, Reset, readBinary) call it with t.mu held.
 func (t *Table[T]) invalidateHashesLocked() {
 	t.hashed = nil
 	t.hashGen++

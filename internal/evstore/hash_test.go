@@ -22,8 +22,8 @@ func hashRows(n, base int) []hashRow {
 // two tables with equal rows hash equally regardless of insert batching,
 // and differing rows hash differently.
 func TestChunkHashesContentAddressed(t *testing.T) {
-	a := NewTable[hashRow]("a")
-	b := NewTable[hashRow]("b")
+	a := NewTable[hashRow]("a", hashRowCodec{})
+	b := NewTable[hashRow]("b", hashRowCodec{})
 	rows := hashRows(3*chunkSize+17, 0)
 	a.BatchInsert(rows)
 	for _, r := range rows {
@@ -39,7 +39,7 @@ func TestChunkHashesContentAddressed(t *testing.T) {
 		}
 	}
 
-	c := NewTable[hashRow]("c")
+	c := NewTable[hashRow]("c", hashRowCodec{})
 	mutated := append([]hashRow(nil), rows...)
 	mutated[chunkSize+5].ID = -1
 	c.BatchInsert(mutated)
@@ -58,7 +58,7 @@ func TestChunkHashesContentAddressed(t *testing.T) {
 // trailing hash: full-chunk prefixes are immutable, which is what lets
 // the serve cache invalidate nothing but the tail window.
 func TestChunkHashesAppendOnlyTail(t *testing.T) {
-	tab := NewTable[hashRow]("t")
+	tab := NewTable[hashRow]("t", hashRowCodec{})
 	tab.BatchInsert(hashRows(2*chunkSize+10, 0))
 	before := tab.ChunkHashes()
 
@@ -92,7 +92,7 @@ func TestChunkHashesAppendOnlyTail(t *testing.T) {
 // TestChunkHashesCacheInvalidation proves the full-chunk cache does not
 // survive the rewrite paths.
 func TestChunkHashesCacheInvalidation(t *testing.T) {
-	tab := NewTable[hashRow]("t")
+	tab := NewTable[hashRow]("t", hashRowCodec{})
 	tab.BatchInsert(hashRows(chunkSize, 0))
 	h1 := tab.ChunkHashes()
 
@@ -113,7 +113,7 @@ func TestChunkHashesCacheInvalidation(t *testing.T) {
 // original populated.
 func TestChunkHashesSurviveSaveLoad(t *testing.T) {
 	mk := func() (*DB, *Table[hashRow]) {
-		tab := NewTable[hashRow]("t")
+		tab := NewTable[hashRow]("t", hashRowCodec{})
 		db := NewDB()
 		if err := Register(db, tab); err != nil {
 			t.Fatal(err)

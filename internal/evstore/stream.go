@@ -1,64 +1,50 @@
 package evstore
 
-// The out-of-core read path. Format v3 ("sgxperf-evc\x03") extends the
-// chunked columnar codec with a chunk index appended after the table
-// data:
+// The out-of-core read path. A trace file (codec.go) ends with a chunk
+// index after the table data:
 //
 //	file   := magic | uvarint(#tables) | table* | index | footer
 //	index  := uvarint(#tables) | tindex*
-//	tindex := str(name) | byte(codec) | uvarint(#rows) |
+//	tindex := str(name) | byte(codec: 1 columnar) | uvarint(#rows) |
 //	          uvarint(#chunks) | centry*
 //	centry := uvarint(file offset of chunk header) | uvarint(#rows) |
 //	          8-byte LE FNV-1a chunk hash
 //	footer := 8-byte LE file offset of index | "sgxEVIDX"
 //
 // The per-chunk hash is exactly Table.hashChunk's: FNV-1a over the codec
-// byte and the pre-compression payload. That identity is what lets a
-// reader compute Trace.ContentKey — and an artifact cache reuse
-// chunk-keyed work — without decoding a single row.
+// byte and the payload. That identity is what lets a reader compute
+// Trace.ContentKey — and an artifact cache reuse chunk-keyed work —
+// without decoding a single row.
 //
 // StreamReader opens a saved file through the index and hands out
 // per-table StreamCursors that decode one chunk at a time, reusing
-// rawChunk, decodeChunk's inflate/decode core and the sticky-error
-// Decoder. Nothing is materialised beyond the chunk in hand, so a
-// multi-GiB trace streams through O(chunk) memory. Files written by
-// format v2 carry no index; OpenStream builds one by scanning the chunk
-// headers once (hashing payloads as it goes), which reads the file
-// sequentially but still holds only one chunk at a time.
+// rawChunk, decodeChunkPayload and the sticky-error Decoder. Nothing is
+// materialised beyond the chunk in hand, so a multi-GiB trace streams
+// through O(chunk) memory.
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 )
 
-// indexMagic terminates a v3 file; the preceding 8 bytes locate the
+// indexMagic terminates a trace file; the preceding 8 bytes locate the
 // index block.
 const indexMagic = "sgxEVIDX"
 
-// footerSize is the fixed byte size of the v3 footer.
+// footerSize is the fixed byte size of the footer.
 const footerSize = 8 + len(indexMagic)
 
 // ChunkInfo describes one chunk of a streamed table: where it lives in
 // the file, how many rows it decodes to, and its content hash (FNV-1a
-// over the codec byte and the pre-compression payload — identical to
-// Table.ChunkHashes).
+// over the codec byte and the payload — identical to Table.ChunkHashes).
 type ChunkInfo struct {
 	Offset int64
 	Rows   int
 	Hash   uint64
-}
-
-// streamTable is the per-table slice of the chunk index.
-type streamTable struct {
-	name      string
-	codecByte byte
-	rows      int
-	chunks    []ChunkInfo
 }
 
 // StreamReader iterates a saved binary trace file chunk-by-chunk without
@@ -69,8 +55,8 @@ type StreamReader struct {
 	r      io.ReaderAt
 	size   int64
 	closer io.Closer
-	tables []*streamTable
-	byName map[string]*streamTable
+	tables []*tableIndex
+	byName map[string]*tableIndex
 }
 
 // OpenStream opens the trace file at path for streaming reads.
@@ -93,30 +79,21 @@ func OpenStream(path string) (*StreamReader, error) {
 	return sr, nil
 }
 
-// NewStreamReader builds a StreamReader over size bytes of r. Format v3
-// files are opened through their index; v2 files get an index built by
-// one sequential scan of the chunk headers. The legacy gob format cannot
-// be streamed (it is one monolithic reflection stream) — load it fully
-// with DB.Load instead.
+// NewStreamReader builds a StreamReader over size bytes of r, opening the
+// file through its chunk index.
 func NewStreamReader(r io.ReaderAt, size int64) (*StreamReader, error) {
-	magic := make([]byte, len(magicBinaryV3))
-	if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), magic); err != nil {
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(io.NewSectionReader(r, 0, size), head); err != nil {
 		return nil, corruptf("reading magic: %v", err)
 	}
-	sr := &StreamReader{r: r, size: size}
-	switch string(magic) {
-	case magicBinaryV3:
-		if err := sr.openIndexed(); err != nil {
-			return nil, err
-		}
-	case magicBinary:
-		if err := sr.scanIndex(); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, corruptf("not a streamable trace (magic %q); gob-format traces must be fully loaded with Load", magic)
+	if err := checkMagic(head); err != nil {
+		return nil, err
 	}
-	sr.byName = make(map[string]*streamTable, len(sr.tables))
+	sr := &StreamReader{r: r, size: size}
+	if err := sr.openIndexed(); err != nil {
+		return nil, err
+	}
+	sr.byName = make(map[string]*tableIndex, len(sr.tables))
 	for _, t := range sr.tables {
 		if _, dup := sr.byName[t.name]; dup {
 			return nil, corruptf("duplicate table %q in index", t.name)
@@ -126,10 +103,10 @@ func NewStreamReader(r io.ReaderAt, size int64) (*StreamReader, error) {
 	return sr, nil
 }
 
-// openIndexed reads a v3 file's footer and index block.
+// openIndexed reads the file's footer and index block.
 func (sr *StreamReader) openIndexed() error {
-	if sr.size < int64(len(magicBinaryV3)+footerSize) {
-		return corruptf("file of %d bytes cannot hold a v3 footer", sr.size)
+	if sr.size < int64(len(magic)+footerSize) {
+		return corruptf("file of %d bytes cannot hold a footer", sr.size)
 	}
 	foot := make([]byte, footerSize)
 	if _, err := io.ReadFull(io.NewSectionReader(sr.r, sr.size-int64(footerSize), int64(footerSize)), foot); err != nil {
@@ -139,14 +116,14 @@ func (sr *StreamReader) openIndexed() error {
 		return corruptf("bad index magic %q", foot[8:])
 	}
 	off := int64(binary.LittleEndian.Uint64(foot[:8]))
-	if off < int64(len(magicBinaryV3)) || off >= sr.size-int64(footerSize) {
+	if off < int64(len(magic)) || off >= sr.size-int64(footerSize) {
 		return corruptf("index offset %d outside file of %d bytes", off, sr.size)
 	}
 	blob := make([]byte, sr.size-int64(footerSize)-off)
 	if _, err := io.ReadFull(io.NewSectionReader(sr.r, off, int64(len(blob))), blob); err != nil {
 		return corruptf("reading index: %v", err)
 	}
-	tables, err := parseStreamIndex(bytes.NewReader(blob), off)
+	tables, err := parseStreamIndex(&countingReader{r: bytes.NewReader(blob)}, off)
 	if err != nil {
 		return err
 	}
@@ -156,21 +133,20 @@ func (sr *StreamReader) openIndexed() error {
 
 // parseStreamIndex decodes an index block. dataEnd bounds the chunk
 // offsets: every chunk must start before the index does.
-func parseStreamIndex(r io.Reader, dataEnd int64) ([]*streamTable, error) {
-	cr := &countingReader{r: r}
+func parseStreamIndex(cr *countingReader, dataEnd int64) ([]*tableIndex, error) {
 	ntables, err := cr.readUvarint(maxDecodeTables)
 	if err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	tables := make([]*streamTable, 0, ntables)
-	prevEnd := int64(len(magicBinaryV3))
+	tables := make([]*tableIndex, 0, ntables)
+	prevEnd := int64(len(magic))
 	for i := 0; i < int(ntables); i++ {
-		t := &streamTable{}
+		t := &tableIndex{}
 		if t.name, err = cr.readString(maxDecodeName); err != nil {
 			return nil, fmt.Errorf("index table %d: %w", i, err)
 		}
-		if t.codecByte, err = cr.readByte(); err != nil {
-			return nil, corruptf("index table %q: truncated codec: %v", t.name, err)
+		if err := cr.readCodec(t.name); err != nil {
+			return nil, fmt.Errorf("index: %w", err)
 		}
 		rows, err := cr.readUvarint(maxDecodeRows)
 		if err != nil {
@@ -182,13 +158,15 @@ func parseStreamIndex(r io.Reader, dataEnd int64) ([]*streamTable, error) {
 			return nil, fmt.Errorf("index table %q: %w", t.name, err)
 		}
 		sum := 0
-		t.chunks = make([]ChunkInfo, 0, nchunks)
+		// Every entry takes at least ten bytes, but the sequential load
+		// path cannot see how many remain: cap the up-front capacity.
+		t.chunks = make([]ChunkInfo, 0, min(nchunks, 1<<10))
 		for j := 0; j < int(nchunks); j++ {
 			off, err := cr.readUvarint(uint64(dataEnd))
 			if err != nil {
 				return nil, fmt.Errorf("index table %q chunk %d: %w", t.name, j, err)
 			}
-			crows, err := cr.readUvarint(maxDecodeRows)
+			crows, err := cr.readUvarint(chunkSize)
 			if err != nil {
 				return nil, fmt.Errorf("index table %q chunk %d: %w", t.name, j, err)
 			}
@@ -221,7 +199,7 @@ func appendStreamIndex(buf []byte, tables []tableIndex) []byte {
 	for _, t := range tables {
 		buf = binary.AppendUvarint(buf, uint64(len(t.name)))
 		buf = append(buf, t.name...)
-		buf = append(buf, t.codecByte)
+		buf = append(buf, codecColumnar)
 		buf = binary.AppendUvarint(buf, uint64(t.rows))
 		buf = binary.AppendUvarint(buf, uint64(len(t.chunks)))
 		for _, c := range t.chunks {
@@ -231,69 +209,6 @@ func appendStreamIndex(buf []byte, tables []tableIndex) []byte {
 		}
 	}
 	return buf
-}
-
-// scanIndex builds the index for a v2 file by reading every chunk header
-// (and payload, to hash it) once, front to back. Memory stays bounded by
-// one chunk.
-func (sr *StreamReader) scanIndex() error {
-	src := &countedSource{r: bufio.NewReaderSize(io.NewSectionReader(sr.r, int64(len(magicBinary)), sr.size-int64(len(magicBinary))), 1<<16), n: int64(len(magicBinary))}
-	cr := &countingReader{r: src}
-	ntables, err := cr.readUvarint(maxDecodeTables)
-	if err != nil {
-		return fmt.Errorf("evstore: header: %w", err)
-	}
-	for i := 0; i < int(ntables); i++ {
-		t := &streamTable{}
-		if t.name, err = cr.readString(maxDecodeName); err != nil {
-			return fmt.Errorf("evstore: table %d: %w", i, err)
-		}
-		if t.codecByte, err = cr.readByte(); err != nil {
-			return corruptf("table %q: truncated codec: %v", t.name, err)
-		}
-		total, err := cr.readUvarint(maxDecodeRows)
-		if err != nil {
-			return fmt.Errorf("evstore: table %q: %w", t.name, err)
-		}
-		t.rows = int(total)
-		nchunks, err := cr.readUvarint(maxDecodeRows)
-		if err != nil {
-			return fmt.Errorf("evstore: table %q: %w", t.name, err)
-		}
-		sum := 0
-		for j := 0; j < int(nchunks); j++ {
-			off := src.n
-			rc, err := cr.readChunk()
-			if err != nil {
-				return fmt.Errorf("evstore: table %q chunk %d: %w", t.name, j, err)
-			}
-			payload, err := inflateChunk(rc)
-			if err != nil {
-				return fmt.Errorf("evstore: table %q chunk %d: %w", t.name, j, err)
-			}
-			sum += rc.nrows
-			t.chunks = append(t.chunks, ChunkInfo{
-				Offset: off,
-				Rows:   rc.nrows,
-				Hash:   hashChunkPayload(t.codecByte, payload),
-			})
-		}
-		if sum != t.rows {
-			return corruptf("table %q: chunk rows sum to %d, header declares %d", t.name, sum, t.rows)
-		}
-		sr.tables = append(sr.tables, t)
-	}
-	return nil
-}
-
-// hashChunkPayload is the chunk content hash: FNV-1a over the codec byte
-// and the pre-compression payload — byte-identical to Table.hashChunk on
-// the rows the payload decodes to.
-func hashChunkPayload(codecByte byte, payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte{codecByte})
-	h.Write(payload)
-	return h.Sum64()
 }
 
 // Close releases the underlying file, when the reader owns one.
@@ -353,28 +268,17 @@ func (sr *StreamReader) Chunks(name string) []ChunkInfo {
 // read by several goroutines each holding its own cursor.
 type StreamCursor[T any] struct {
 	sr    *StreamReader
-	t     *streamTable
+	t     *tableIndex
 	codec RowCodec[T]
 	next  int
 }
 
-// NewStreamCursor opens a cursor over the named table. codec must match
-// the codec registered when the table was written: a columnar table
-// needs the RowCodec, a gob table accepts nil.
+// NewStreamCursor opens a cursor over the named table. codec must be the
+// RowCodec the table was written with.
 func NewStreamCursor[T any](sr *StreamReader, name string, codec RowCodec[T]) (*StreamCursor[T], error) {
 	t, ok := sr.byName[name]
 	if !ok {
 		return nil, corruptf("no table %q in stream (have %v)", name, sr.TableNames())
-	}
-	switch t.codecByte {
-	case codecColumnar:
-		if codec == nil {
-			return nil, corruptf("table %q was written with a columnar codec but none was supplied", name)
-		}
-	case codecGob:
-		// Decodable regardless of codec.
-	default:
-		return nil, corruptf("table %q: unknown codec %d", name, t.codecByte)
 	}
 	return &StreamCursor[T]{sr: sr, t: t, codec: codec}, nil
 }
@@ -412,7 +316,7 @@ func (c *StreamCursor[T]) Next() ([]T, error) {
 }
 
 // readChunkAt reads, verifies and decodes one indexed chunk.
-func readChunkAt[T any](sr *StreamReader, t *streamTable, i int, codec RowCodec[T]) ([]T, error) {
+func readChunkAt[T any](sr *StreamReader, t *tableIndex, i int, codec RowCodec[T]) ([]T, error) {
 	info := t.chunks[i]
 	sect := io.NewSectionReader(sr.r, info.Offset, sr.size-info.Offset)
 	cr := &countingReader{r: bufio.NewReaderSize(sect, 32<<10)}
@@ -423,25 +327,8 @@ func readChunkAt[T any](sr *StreamReader, t *streamTable, i int, codec RowCodec[
 	if rc.nrows != info.Rows {
 		return nil, corruptf("chunk header declares %d rows, index %d", rc.nrows, info.Rows)
 	}
-	payload, err := inflateChunk(rc)
-	if err != nil {
-		return nil, err
-	}
-	if h := hashChunkPayload(t.codecByte, payload); h != info.Hash {
+	if h := hashChunkPayload(rc.payload); h != info.Hash {
 		return nil, corruptf("chunk hash %016x does not match index hash %016x", h, info.Hash)
 	}
-	return decodeChunkPayload(codec, t.codecByte, payload, rc.nrows)
-}
-
-// countedSource counts the bytes consumed from an underlying reader —
-// the offset bookkeeping for sequential scans of unindexed files.
-type countedSource struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countedSource) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return decodeChunkPayload(codec, rc.payload, rc.nrows)
 }

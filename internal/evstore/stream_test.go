@@ -2,34 +2,20 @@ package evstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
 	"testing"
 )
 
-// saveBytes serialises a testDB in the (v3) binary format.
-func saveBytes(t *testing.T, db *DB, opts SaveOptions) []byte {
+// saveBytes serialises a testDB.
+func saveBytes(t *testing.T, db *DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := db.SaveWith(&buf, opts); err != nil {
+	if err := db.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// asV2 rewrites v3 file bytes as the index-less v2 layout: the data
-// section is byte-identical between the versions, so stripping the
-// index block and footer and patching the magic yields a valid v2 file.
-func asV2(t *testing.T, v3 []byte) []byte {
-	t.Helper()
-	if len(v3) < len(magicBinaryV3)+footerSize || string(v3[:len(magicBinaryV3)]) != magicBinaryV3 {
-		t.Fatalf("not a v3 file (%d bytes)", len(v3))
-	}
-	indexOff := binary.LittleEndian.Uint64(v3[len(v3)-footerSize:][:8])
-	out := append([]byte(magicBinary), v3[len(magicBinary):indexOff]...)
-	return out
 }
 
 // drain reads every remaining chunk off a cursor.
@@ -70,82 +56,45 @@ func rowsEqual[T any](a, b []T) bool {
 
 // TestStreamMatchesLoad proves the chunk-at-a-time read path delivers
 // exactly the rows a full Load would, across table sizes (including the
-// multi-chunk regime), both chunk codecs (columnar and gob fallback)
-// and both compression settings — and that the index's chunk hashes are
-// identical to the resident Table.ChunkHashes.
+// multi-chunk regime) — and that the index's chunk hashes are identical
+// to the resident Table.ChunkHashes. The compress=false label keeps the
+// case names stable from when chunks could be compressed.
 func TestStreamMatchesLoad(t *testing.T) {
 	for _, n := range []int{0, 1, 100, chunkSize + 1, 3*chunkSize + 17} {
-		for _, compress := range []bool{false, true} {
-			t.Run(fmt.Sprintf("n=%d/compress=%v", n, compress), func(t *testing.T) {
-				src, recs, extra := testDB(t)
-				fillDB(recs, extra, n)
-				b := saveBytes(t, src, SaveOptions{Compress: compress})
-				sr, err := NewStreamReader(bytes.NewReader(b), int64(len(b)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := drainTable[rec](t, sr, "recs", recCodec{}); !rowsEqual(got, recs.Rows()) {
-					t.Errorf("streamed recs differ from resident rows")
-				}
-				if got := drainTable[aux](t, sr, "extra", nil); !rowsEqual(got, extra.Rows()) {
-					t.Errorf("streamed extra differs from resident rows")
-				}
-				if got, _ := sr.Rows("recs"); got != recs.Len() {
-					t.Errorf("Rows(recs) = %d, want %d", got, recs.Len())
-				}
-				if got := sr.ChunkHashes("recs"); !rowsEqual(got, recs.ChunkHashes()) {
-					t.Errorf("stream chunk hashes %x != table %x", got, recs.ChunkHashes())
-				}
-			})
-		}
-	}
-}
-
-// TestStreamV2ScanIndex proves index-less v2 files stream too: the
-// sequential header scan rebuilds row counts and chunk hashes identical
-// to what the v3 index carries.
-func TestStreamV2ScanIndex(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
+		t.Run(fmt.Sprintf("n=%d/compress=false", n), func(t *testing.T) {
 			src, recs, extra := testDB(t)
-			fillDB(recs, extra, 2*chunkSize+9)
-			v3 := saveBytes(t, src, SaveOptions{Compress: compress})
-			v2 := asV2(t, v3)
-			sr3, err := NewStreamReader(bytes.NewReader(v3), int64(len(v3)))
+			fillDB(recs, extra, n)
+			b := saveBytes(t, src)
+			sr, err := NewStreamReader(bytes.NewReader(b), int64(len(b)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			sr2, err := NewStreamReader(bytes.NewReader(v2), int64(len(v2)))
-			if err != nil {
-				t.Fatalf("opening v2 layout: %v", err)
+			if got := drainTable[rec](t, sr, "recs", recCodec{}); !rowsEqual(got, recs.Rows()) {
+				t.Errorf("streamed recs differ from resident rows")
 			}
-			if !reflect.DeepEqual(sr2.TableNames(), sr3.TableNames()) {
-				t.Fatalf("table names %v != %v", sr2.TableNames(), sr3.TableNames())
+			if got := drainTable[aux](t, sr, "extra", auxCodec{}); !rowsEqual(got, extra.Rows()) {
+				t.Errorf("streamed extra differs from resident rows")
 			}
-			for _, name := range sr3.TableNames() {
-				if !reflect.DeepEqual(sr2.ChunkHashes(name), sr3.ChunkHashes(name)) {
-					t.Errorf("table %q: scanned hashes differ from indexed", name)
-				}
+			if got, _ := sr.Rows("recs"); got != recs.Len() {
+				t.Errorf("Rows(recs) = %d, want %d", got, recs.Len())
 			}
-			if got := drainTable[rec](t, sr2, "recs", recCodec{}); !rowsEqual(got, recs.Rows()) {
-				t.Errorf("v2 streamed recs differ from resident rows")
+			if got := sr.ChunkHashes("recs"); !rowsEqual(got, recs.ChunkHashes()) {
+				t.Errorf("stream chunk hashes %x != table %x", got, recs.ChunkHashes())
 			}
 		})
 	}
 }
 
 // TestStreamTruncationErrors feeds every truncation of a saved file to
-// the stream opener: each must fail to open (v3 loses its footer, v2
-// loses chunk data) — never panic, never open with missing rows.
+// the stream opener: each must fail to open (it loses its footer) —
+// never panic, never open with missing rows.
 func TestStreamTruncationErrors(t *testing.T) {
 	src, recs, extra := testDB(t)
 	fillDB(recs, extra, 300)
-	v3 := saveBytes(t, src, SaveOptions{Compress: true})
-	for name, full := range map[string][]byte{"v3": v3, "v2": asV2(t, v3)} {
-		for cut := 0; cut < len(full); cut += 7 {
-			if _, err := NewStreamReader(bytes.NewReader(full[:cut]), int64(cut)); err == nil {
-				t.Fatalf("%s truncated at %d/%d opened without error", name, cut, len(full))
-			}
+	full := saveBytes(t, src)
+	for cut := 0; cut < len(full); cut += 7 {
+		if _, err := NewStreamReader(bytes.NewReader(full[:cut]), int64(cut)); err == nil {
+			t.Fatalf("truncated at %d/%d opened without error", cut, len(full))
 		}
 	}
 }
@@ -160,7 +109,7 @@ func TestStreamTruncationErrors(t *testing.T) {
 func TestStreamBitFlipNeverWrongRows(t *testing.T) {
 	src, recs, extra := testDB(t)
 	fillDB(recs, extra, 300)
-	full := saveBytes(t, src, SaveOptions{Compress: true})
+	full := saveBytes(t, src)
 	for pos := 0; pos < len(full); pos += 11 {
 		mut := append([]byte(nil), full...)
 		mut[pos] ^= 0x41
@@ -177,7 +126,7 @@ func TestStreamBitFlipNeverWrongRows(t *testing.T) {
 				return drain(cur)
 			},
 			func() (any, error) {
-				cur, err := NewStreamCursor[aux](sr, "extra", nil)
+				cur, err := NewStreamCursor[aux](sr, "extra", auxCodec{})
 				if err != nil {
 					return nil, err
 				}
@@ -209,7 +158,7 @@ func TestStreamBitFlipNeverWrongRows(t *testing.T) {
 func TestStreamMidStreamCorruption(t *testing.T) {
 	src, recs, extra := testDB(t)
 	fillDB(recs, extra, 3*chunkSize+17)
-	full := saveBytes(t, src, SaveOptions{})
+	full := saveBytes(t, src)
 	clean, err := NewStreamReader(bytes.NewReader(full), int64(len(full)))
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +206,7 @@ func TestStreamMidStreamCorruption(t *testing.T) {
 func TestStreamSeek(t *testing.T) {
 	src, recs, extra := testDB(t)
 	fillDB(recs, extra, 2*chunkSize+5)
-	b := saveBytes(t, src, SaveOptions{})
+	b := saveBytes(t, src)
 	sr, err := NewStreamReader(bytes.NewReader(b), int64(len(b)))
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,10 @@ package experiments
 
 // The analysis-throughput experiment: how fast the post-processing
 // pipeline (§4.2) chews through a recorded trace, and how fast traces
-// move through the two on-disk formats (legacy gob versus the chunked
-// columnar codec). Unlike the paper's virtual-time figures these are
-// wall-clock numbers for the tool itself — the sgx-perf analogue of
-// "how long until the report is on screen".
+// save to and load from the chunked columnar file format. Unlike the
+// paper's virtual-time figures these are wall-clock numbers for the tool
+// itself — the sgx-perf analogue of "how long until the report is on
+// screen".
 
 import (
 	"bytes"
@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"sgxperf/internal/evstore"
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/sgx"
@@ -24,8 +23,7 @@ import (
 
 // CodecRow is one serialisation measurement.
 type CodecRow struct {
-	Op       string        `json:"op"`     // "save" or "load"
-	Format   string        `json:"format"` // "gob" or "binary"
+	Op       string        `json:"op"` // "save" or "load"
 	Bytes    int           `json:"bytes"`
 	Wall     time.Duration `json:"wall_ns"`
 	MBPerSec float64       `json:"mb_per_sec"`
@@ -38,12 +36,9 @@ type AnalyzeResult struct {
 	Repeats int `json:"repeats"`
 	// AnalyzeWall is the median wall time of one Analyze of the trace:
 	// the fold over sorted copies of its tables, report assembled.
-	AnalyzeWall       time.Duration `json:"analyze_wall_ns"`
-	EventsPerSec      float64       `json:"events_per_sec"`
-	Codec             []CodecRow    `json:"codec"`
-	SaveSpeedup       float64       `json:"codec_save_speedup_vs_gob"`
-	LoadSpeedup       float64       `json:"codec_load_speedup_vs_gob"`
-	BinaryBytesPerGob float64       `json:"binary_size_fraction_of_gob"`
+	AnalyzeWall  time.Duration `json:"analyze_wall_ns"`
+	EventsPerSec float64       `json:"events_per_sec"`
+	Codec        []CodecRow    `json:"codec"`
 }
 
 // synthRNG is the deterministic generator for the synthetic trace.
@@ -171,8 +166,8 @@ func medianWall(runs []time.Duration) time.Duration {
 }
 
 // RunAnalyzeThroughput measures the analysis pipeline and the trace
-// codec versus gob on a synthetic nOps-call trace. repeats ≤ 0 selects
-// a default; the median run is reported.
+// codec on a synthetic nOps-call trace. repeats ≤ 0 selects a default;
+// the median run is reported.
 func RunAnalyzeThroughput(nOps, repeats int) (*AnalyzeResult, error) {
 	if nOps <= 0 {
 		nOps = 50000
@@ -200,53 +195,41 @@ func RunAnalyzeThroughput(nOps, repeats int) (*AnalyzeResult, error) {
 	res.AnalyzeWall = medianWall(runs)
 	res.EventsPerSec = float64(nEvents) / res.AnalyzeWall.Seconds()
 
-	// Serialisation: save and load in both formats, same trace.
-	var sizes [2]int
-	for fi, format := range []evstore.Format{evstore.FormatGob, evstore.FormatBinary} {
-		name := [...]string{"gob", "binary"}[fi]
-		var buf bytes.Buffer
-		saves := make([]time.Duration, 0, repeats)
-		for rep := 0; rep < repeats; rep++ {
-			buf.Reset()
-			start := time.Now()
-			if err := tr.SaveWith(&buf, evstore.SaveOptions{Format: format}); err != nil {
-				return nil, err
-			}
-			saves = append(saves, time.Since(start))
+	// Serialisation: save and load the same trace.
+	var buf bytes.Buffer
+	saves := make([]time.Duration, 0, repeats)
+	for rep := 0; rep < repeats; rep++ {
+		buf.Reset()
+		start := time.Now()
+		if err := tr.Save(&buf); err != nil {
+			return nil, err
 		}
-		sizes[fi] = buf.Len()
-		wall := medianWall(saves)
-		res.Codec = append(res.Codec, CodecRow{
-			Op: "save", Format: name, Bytes: buf.Len(), Wall: wall,
-			MBPerSec: float64(buf.Len()) / 1e6 / wall.Seconds(),
-		})
-
-		loads := make([]time.Duration, 0, repeats)
-		for rep := 0; rep < repeats; rep++ {
-			dst, err := events.NewTrace()
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
-				return nil, err
-			}
-			loads = append(loads, time.Since(start))
-			if got := traceEvents(dst); got != nEvents {
-				return nil, fmt.Errorf("analyze bench: %s load returned %d events, want %d", name, got, nEvents)
-			}
-		}
-		wall = medianWall(loads)
-		res.Codec = append(res.Codec, CodecRow{
-			Op: "load", Format: name, Bytes: buf.Len(), Wall: wall,
-			MBPerSec: float64(buf.Len()) / 1e6 / wall.Seconds(),
-		})
+		saves = append(saves, time.Since(start))
 	}
-	// Rows are [gob save, gob load, binary save, binary load].
-	res.SaveSpeedup = float64(res.Codec[0].Wall) / float64(res.Codec[2].Wall)
-	res.LoadSpeedup = float64(res.Codec[1].Wall) / float64(res.Codec[3].Wall)
-	if sizes[0] > 0 {
-		res.BinaryBytesPerGob = float64(sizes[1]) / float64(sizes[0])
+	loads := make([]time.Duration, 0, repeats)
+	for rep := 0; rep < repeats; rep++ {
+		dst, err := events.NewTrace()
+		if err != nil {
+			return nil, err
+		}
+		start := time.Now()
+		if err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil {
+			return nil, err
+		}
+		loads = append(loads, time.Since(start))
+		if got := traceEvents(dst); got != nEvents {
+			return nil, fmt.Errorf("analyze bench: load returned %d events, want %d", got, nEvents)
+		}
+	}
+	for _, r := range []struct {
+		op   string
+		runs []time.Duration
+	}{{"save", saves}, {"load", loads}} {
+		wall := medianWall(r.runs)
+		res.Codec = append(res.Codec, CodecRow{
+			Op: r.op, Bytes: buf.Len(), Wall: wall,
+			MBPerSec: float64(buf.Len()) / 1e6 / wall.Seconds(),
+		})
 	}
 	return res, nil
 }
@@ -258,12 +241,10 @@ func RenderAnalyze(res *AnalyzeResult) string {
 		res.Events, res.Threads, res.Repeats)
 	fmt.Fprintf(&b, "  %12s %14s\n", "wall", "events/sec")
 	fmt.Fprintf(&b, "  %12v %14.0f\n\n", res.AnalyzeWall.Round(time.Microsecond), res.EventsPerSec)
-	fmt.Fprintf(&b, "Trace codec (same trace, both formats)\n")
-	fmt.Fprintf(&b, "  %-6s %-7s %10s %12s %10s\n", "op", "format", "bytes", "wall", "MB/s")
+	fmt.Fprintf(&b, "Trace codec (same trace)\n")
+	fmt.Fprintf(&b, "  %-6s %10s %12s %10s\n", "op", "bytes", "wall", "MB/s")
 	for _, r := range res.Codec {
-		fmt.Fprintf(&b, "  %-6s %-7s %10d %12v %10.1f\n", r.Op, r.Format, r.Bytes, r.Wall.Round(time.Microsecond), r.MBPerSec)
+		fmt.Fprintf(&b, "  %-6s %10d %12v %10.1f\n", r.Op, r.Bytes, r.Wall.Round(time.Microsecond), r.MBPerSec)
 	}
-	fmt.Fprintf(&b, "  codec vs gob: save %.2fx, load %.2fx, size %.2fx\n",
-		res.SaveSpeedup, res.LoadSpeedup, res.BinaryBytesPerGob)
 	return b.String()
 }

@@ -33,8 +33,8 @@ type OutOfCoreResult struct {
 	StreamWall           time.Duration `json:"stream_wall_ns"`
 	// Peak heap growth over each phase's post-GC baseline, sampled at
 	// millisecond granularity while the phase runs.
-	ResidentPeakBytes uint64 `json:"resident_peak_bytes"`
-	StreamPeakBytes   uint64 `json:"stream_peak_bytes"`
+	ResidentPeakBytes uint64  `json:"resident_peak_bytes"`
+	StreamPeakBytes   uint64  `json:"stream_peak_bytes"`
 	PeakReduction     float64 `json:"peak_reduction"`
 }
 

@@ -238,12 +238,12 @@ type paramSink struct {
 
 // a taintFunc is one declared function plus its composable summary.
 type taintFunc struct {
-	pkg    *Package
-	name   string
-	full   string
-	decl   *ast.FuncDecl
-	sig    *types.Signature
-	sanit  bool
+	pkg   *Package
+	name  string
+	full  string
+	decl  *ast.FuncDecl
+	sig   *types.Signature
+	sanit bool
 	// Summary bits, grown monotonically by the fixpoint rounds.
 	sinkVia      map[int]*paramSink // param index → sink it reaches
 	resultSecret map[int]*taintVal  // result index → secret taint born inside

@@ -1,14 +1,13 @@
 package events
 
-// Columnar RowCodecs for the event tables. Each codec writes one chunk
+// Columnar RowCodecs for the trace tables. Each codec writes one chunk
 // of rows column-major so that like values sit together: event IDs and
 // timestamps are delta-encoded (deltas between consecutive events are
 // tiny, so varints collapse to one or two bytes), call and region names
 // intern into the chunk's string dictionary, and parent links are stored
 // relative to the row's own ID (parents are recent, so the delta is
-// small). Meta and Enclaves stay on the gob fallback: they hold a
-// handful of rows with free-form text, where columnar encoding buys
-// nothing.
+// small). Meta and Enclaves hold a handful of rows, so their codecs are
+// plain columns: strings through the dictionary, integers as varints.
 //
 // Decode runs against untrusted bytes (fuzzed, truncated, bit-flipped
 // traces); it relies on the Decoder's sticky error and never panics.
@@ -18,6 +17,74 @@ import (
 	"sgxperf/internal/sgx"
 	"sgxperf/internal/vtime"
 )
+
+type metaCodec struct{}
+
+func (metaCodec) Encode(e *evstore.Encoder, rows []TraceMeta) {
+	for i := range rows {
+		e.String(rows[i].Workload)
+	}
+	for i := range rows {
+		e.Float64(rows[i].FrequencyHz)
+	}
+	for i := range rows {
+		e.String(rows[i].Mitigation)
+	}
+	for i := range rows {
+		e.Varint(rows[i].TransitionCycles)
+	}
+}
+
+func (metaCodec) Decode(d *evstore.Decoder, n int) []TraceMeta {
+	rows := make([]TraceMeta, n)
+	for i := range rows {
+		rows[i].Workload = d.String()
+	}
+	for i := range rows {
+		rows[i].FrequencyHz = d.Float64()
+	}
+	for i := range rows {
+		rows[i].Mitigation = d.String()
+	}
+	for i := range rows {
+		rows[i].TransitionCycles = d.Varint()
+	}
+	return rows
+}
+
+type enclaveCodec struct{}
+
+func (enclaveCodec) Encode(e *evstore.Encoder, rows []EnclaveMeta) {
+	for i := range rows {
+		e.Uvarint(uint64(rows[i].Enclave))
+	}
+	for i := range rows {
+		e.String(rows[i].Name)
+	}
+	for i := range rows {
+		e.Varint(int64(rows[i].NumPages))
+	}
+	for i := range rows {
+		e.String(rows[i].EDL)
+	}
+}
+
+func (enclaveCodec) Decode(d *evstore.Decoder, n int) []EnclaveMeta {
+	rows := make([]EnclaveMeta, n)
+	for i := range rows {
+		rows[i].Enclave = sgx.EnclaveID(d.Uvarint())
+	}
+	for i := range rows {
+		rows[i].Name = d.String()
+	}
+	for i := range rows {
+		rows[i].NumPages = int(d.Varint())
+	}
+	for i := range rows {
+		rows[i].EDL = d.String()
+	}
+	return rows
+}
 
 type callCodec struct{}
 

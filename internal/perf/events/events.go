@@ -219,8 +219,7 @@ type Trace struct {
 	Syncs    *evstore.Table[SyncEvent]
 	Threads  *evstore.Table[ThreadEvent]
 	Enclaves *evstore.Table[EnclaveMeta]
-	// Switchless holds the synthetic events the switchless runtime emits;
-	// registered last so older traces remain loadable by older schemas.
+	// Switchless holds the synthetic events the switchless runtime emits.
 	Switchless *evstore.Table[SwitchlessEvent]
 
 	db     *evstore.DB
@@ -242,27 +241,19 @@ func (t *Trace) SetReadFlush(flush func()) {
 
 // NewTrace creates an empty trace with its schema registered.
 func NewTrace() (*Trace, error) {
+	// Every table serialises through its columnar codec (codec.go).
 	t := &Trace{
-		Meta:       evstore.NewTable[TraceMeta]("meta"),
-		Ecalls:     evstore.NewTable[CallEvent]("ecalls"),
-		Ocalls:     evstore.NewTable[CallEvent]("ocalls"),
-		AEXs:       evstore.NewTable[AEXEvent]("aexs"),
-		Paging:     evstore.NewTable[PagingEvent]("paging"),
-		Syncs:      evstore.NewTable[SyncEvent]("syncs"),
-		Threads:    evstore.NewTable[ThreadEvent]("threads"),
-		Enclaves:   evstore.NewTable[EnclaveMeta]("enclaves"),
-		Switchless: evstore.NewTable[SwitchlessEvent]("switchless"),
+		Meta:       evstore.NewTable[TraceMeta]("meta", metaCodec{}),
+		Ecalls:     evstore.NewTable[CallEvent]("ecalls", callCodec{}),
+		Ocalls:     evstore.NewTable[CallEvent]("ocalls", callCodec{}),
+		AEXs:       evstore.NewTable[AEXEvent]("aexs", aexCodec{}),
+		Paging:     evstore.NewTable[PagingEvent]("paging", pagingCodec{}),
+		Syncs:      evstore.NewTable[SyncEvent]("syncs", syncCodec{}),
+		Threads:    evstore.NewTable[ThreadEvent]("threads", threadCodec{}),
+		Enclaves:   evstore.NewTable[EnclaveMeta]("enclaves", enclaveCodec{}),
+		Switchless: evstore.NewTable[SwitchlessEvent]("switchless", switchlessCodec{}),
 		db:         evstore.NewDB(),
 	}
-	// Columnar codecs for the high-volume tables (see codec.go); Meta and
-	// Enclaves intentionally stay on the gob fallback.
-	t.Ecalls.SetCodec(callCodec{})
-	t.Ocalls.SetCodec(callCodec{})
-	t.AEXs.SetCodec(aexCodec{})
-	t.Paging.SetCodec(pagingCodec{})
-	t.Syncs.SetCodec(syncCodec{})
-	t.Threads.SetCodec(threadCodec{})
-	t.Switchless.SetCodec(switchlessCodec{})
 	for _, err := range []error{
 		evstore.Register(t.db, t.Meta),
 		evstore.Register(t.db, t.Ecalls),
@@ -324,14 +315,8 @@ func (t *Trace) TransitionCycles() vtime.Cycles {
 	return 0
 }
 
-// Save serialises the trace in the default (columnar binary) format.
+// Save serialises the trace in the chunked columnar format.
 func (t *Trace) Save(w io.Writer) error { return t.db.Save(w) }
-
-// SaveWith serialises the trace with explicit format options — the
-// legacy gob format or per-chunk compression.
-func (t *Trace) SaveWith(w io.Writer, opts evstore.SaveOptions) error {
-	return t.db.SaveWith(w, opts)
-}
 
 // maxEventID scans every ID-carrying table without copying rows and
 // returns the highest event ID present.

@@ -19,8 +19,6 @@ type StreamTrace struct {
 }
 
 // OpenStreamTrace opens the trace file at path for streaming access.
-// Only binary-format traces (v2 or v3) can stream; gob traces must be
-// loaded fully with Trace.LoadFile.
 func OpenStreamTrace(path string) (*StreamTrace, error) {
 	sr, err := evstore.OpenStream(path)
 	if err != nil {
@@ -49,10 +47,10 @@ func newStreamTrace(sr *evstore.StreamReader) (*StreamTrace, error) {
 	// The header tables are a handful of rows; materialise them so
 	// Frequency, TransitionCycles and the EDL are as cheap as on a
 	// resident trace.
-	if err := drainCursor[TraceMeta](st.sr, "meta", nil, &st.meta); err != nil {
+	if err := drainCursor[TraceMeta](st.sr, "meta", metaCodec{}, &st.meta); err != nil {
 		return nil, err
 	}
-	if err := drainCursor[EnclaveMeta](st.sr, "enclaves", nil, &st.enclaves); err != nil {
+	if err := drainCursor[EnclaveMeta](st.sr, "enclaves", enclaveCodec{}, &st.enclaves); err != nil {
 		return nil, err
 	}
 	return st, nil

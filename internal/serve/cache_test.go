@@ -114,8 +114,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	get("a")
 	get("b")
-	get("a")        // refresh a: b is now LRU
-	get("c")        // evicts b
+	get("a") // refresh a: b is now LRU
+	get("c") // evicts b
 	if _, hit := get("a"); !hit {
 		t.Error("a was evicted although recently used")
 	}

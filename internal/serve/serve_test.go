@@ -3,6 +3,8 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +18,7 @@ import (
 
 	"sgxperf"
 	apiv1 "sgxperf/api/v1"
+	"sgxperf/internal/evstore"
 	"sgxperf/internal/host"
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
@@ -677,6 +680,85 @@ func TestErrorStatuses(t *testing.T) {
 		if e.Status != c.status || e.SchemaVersion != apiv1.Version || e.Error == "" {
 			t.Errorf("%s: error doc %+v", c.name, e)
 		}
+	}
+}
+
+// retiredBodies renders tr in each layout earlier versions of the store
+// wrote, derived from its current save: a whole-file gob stream in the
+// old header shape, the index-less version 2, a version 3 file whose
+// meta table is a gob chunk (codec byte 0), and a file whose first chunk
+// is flate-flagged.
+func retiredBodies(t *testing.T, tr *events.Trace) map[string][]byte {
+	t.Helper()
+	var gobBody bytes.Buffer
+	enc := gob.NewEncoder(&gobBody)
+	for _, v := range []any{
+		struct {
+			Magic   string
+			Version int
+			Tables  []string
+		}{"sgxperf-evstore", 1, []string{"meta", "ecalls", "ocalls", "aexs", "paging", "syncs", "threads", "enclaves", "switchless"}},
+		tr.Meta.Rows(), tr.Ecalls.Rows(), tr.Ocalls.Rows(), tr.AEXs.Rows(), tr.Paging.Rows(),
+		tr.Syncs.Rows(), tr.Threads.Rows(), tr.Enclaves.Rows(), tr.Switchless.Rows(),
+	} {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	valid := traceBytes(t, tr)
+	const versionAt = len("sgxperf-evc")
+	// The footer is the index's 8-byte offset and the 8-byte "sgxEVIDX".
+	indexOff := int(binary.LittleEndian.Uint64(valid[len(valid)-16:]))
+	v2 := append([]byte(nil), valid[:indexOff]...)
+	v2[versionAt] = 2
+
+	// Meta's codec byte follows #tables and the name "meta", in the data
+	// section and in the index alike.
+	const metaCodecAt = 1 + 1 + len("meta")
+	v3 := append([]byte(nil), valid...)
+	v3[versionAt] = 3
+	v3[versionAt+1+metaCodecAt] = 0
+	v3[indexOff+metaCodecAt] = 0
+
+	sr, err := evstore.NewStreamReader(bytes.NewReader(valid), int64(len(valid)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sr.Chunks("meta")[0]
+	flate := append([]byte(nil), valid...)
+	flate[int(first.Offset)+len(binary.AppendUvarint(nil, uint64(first.Rows)))] = 1
+
+	return map[string][]byte{
+		"whole-file gob":      gobBody.Bytes(),
+		"v2 magic":            v2,
+		"v3 meta gob chunk":   v3,
+		"flate-flagged chunk": flate,
+	}
+}
+
+// TestRetiredTraceFormatsAreBadRequest: an upload or append body in a
+// layout the store no longer reads gets 400 with an api/v1 error
+// document, registers no trace and leaves the append target unchanged.
+func TestRetiredTraceFormatsAreBadRequest(t *testing.T) {
+	_, ts := newTestServer(t)
+	before := upload(t, ts, "base", synthTrace(t, 20))
+	for name, body := range retiredBodies(t, synthTrace(t, 10)) {
+		for _, path := range []string{"/v1/traces?id=retired", "/v1/traces/base/append"} {
+			status, raw := doReq(t, "POST", ts.URL+path, body)
+			var e apiv1.Error
+			if status != http.StatusBadRequest || json.Unmarshal(raw, &e) != nil || e.Status != http.StatusBadRequest {
+				t.Errorf("%s to %s: status %d, body %s; want 400 with an error document", name, path, status, raw)
+			}
+		}
+	}
+	status, raw := doReq(t, "GET", ts.URL+"/v1/traces", nil)
+	var list apiv1.TraceList
+	if status != http.StatusOK || json.Unmarshal(raw, &list) != nil {
+		t.Fatalf("list: status %d body %s", status, raw)
+	}
+	if len(list.Traces) != 1 || !reflect.DeepEqual(list.Traces[0], before) {
+		t.Fatalf("traces after refused bodies = %+v, want only the unchanged %+v", list.Traces, before)
 	}
 }
 
