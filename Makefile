@@ -56,13 +56,15 @@ verify: lint
 
 # Short fuzz smoke over the boundaries that accept untrusted bytes: the
 # columnar trace codec round-trip, trace loading as the serve daemon's
-# upload and append handlers call it, and the EDL parser. FUZZTIME
+# upload and append handlers call it, and the EDL parser; plus the
+# analysis fold against its serial reference on fuzzed traces. FUZZTIME
 # bounds each target (CI uses the default).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz=FuzzCodecRoundTrip -fuzztime=$(FUZZTIME) ./internal/evstore
 	$(GO) test -fuzz=FuzzTraceLoad -fuzztime=$(FUZZTIME) ./internal/perf/events
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/edl
+	$(GO) test -fuzz=FuzzFoldMatchesReference -fuzztime=$(FUZZTIME) ./internal/perf/analyzer
 
 # Re-measure logger recording throughput, chaining the previous results
 # in BENCH_results.json as the baseline for the speedup computation.

@@ -14,11 +14,13 @@ package sgxperf_test
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"sgxperf"
 	"sgxperf/internal/experiments"
+	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
 )
 
@@ -261,6 +263,42 @@ func BenchmarkAnalyze(b *testing.B) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		a.Analyze()
+	}
+	b.ReportMetric(float64(nEvents)*float64(b.N)/time.Since(start).Seconds(), "events/s")
+}
+
+// BenchmarkAnalyzeStream prices one AnalyzeStream — the fold fed chunk
+// by chunk from a saved, stream-sorted SynthAnalysisTrace(100000) file,
+// report assembled — so the fold's cost per report, its bytes and its
+// allocations can be measured without the bench/ harness. events/s
+// counts the ecall, ocall, paging and sync rows the report covers.
+func BenchmarkAnalyzeStream(b *testing.B) {
+	trace, err := experiments.SynthAnalysisTrace(100000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	events.StreamSort(trace)
+	path := filepath.Join(b.TempDir(), "trace.evc")
+	if err := trace.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	nEvents := trace.Ecalls.Len() + trace.Ocalls.Len() + trace.Paging.Len() + trace.Syncs.Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		st, err := events.OpenStreamTrace(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src, err := analyzer.NewStreamTraceSource(st)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := analyzer.AnalyzeStream(src, analyzer.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		st.Close()
 	}
 	b.ReportMetric(float64(nEvents)*float64(b.N)/time.Since(start).Seconds(), "events/s")
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sgxperf/internal/pool"
 )
@@ -79,11 +80,14 @@ func checkMagic(head []byte) error {
 // A RowCodec encodes one chunk of rows into the columnar payload and
 // back. Implementations live next to the row types (internal/perf/
 // events); they choose the column order and the delta/interning scheme.
-// Decode must tolerate arbitrary input by relying on the Decoder's
-// sticky error — never panic.
+// Decode fills rows, a slice the caller owns: its length is the chunk's
+// declared row count and every element is the zero value, so a caller
+// can hand the same storage to chunk after chunk. Decode must tolerate
+// arbitrary input by relying on the Decoder's sticky error — never
+// panic.
 type RowCodec[T any] interface {
 	Encode(e *Encoder, rows []T)
-	Decode(d *Decoder, n int) []T
+	Decode(d *Decoder, rows []T)
 }
 
 // ---------------------------------------------------------------------
@@ -154,28 +158,32 @@ type Decoder struct {
 	err  error
 }
 
-func newDecoder(payload []byte) (*Decoder, error) {
-	d := &Decoder{data: payload}
+// reset points the decoder at a new payload and reads its dictionary,
+// reusing the previous chunk's dictionary storage. The dictionary
+// strings are copies, so rows decoded from the payload do not keep it
+// alive.
+func (d *Decoder) reset(payload []byte) error {
+	*d = Decoder{data: payload, dict: d.dict[:0]}
 	ndict := d.Uvarint()
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if ndict > uint64(len(payload)) {
-		return nil, corruptf("dictionary of %d entries in a %d-byte payload", ndict, len(payload))
+		return corruptf("dictionary of %d entries in a %d-byte payload", ndict, len(payload))
 	}
-	d.dict = make([]string, 0, ndict)
+	d.dict = slices.Grow(d.dict, int(ndict))
 	for i := uint64(0); i < ndict; i++ {
 		n := d.Uvarint()
 		if d.err != nil {
-			return nil, d.err
+			return d.err
 		}
 		if n > uint64(len(d.data)-d.pos) {
-			return nil, corruptf("dictionary string of %d bytes with %d remaining", n, len(d.data)-d.pos)
+			return corruptf("dictionary string of %d bytes with %d remaining", n, len(d.data)-d.pos)
 		}
 		d.dict = append(d.dict, string(d.data[d.pos:d.pos+int(n)]))
 		d.pos += int(n)
 	}
-	return d, nil
+	return nil
 }
 
 func (d *Decoder) fail(err error) {
@@ -408,10 +416,12 @@ func (t *Table[T]) readBinary(cr *countingReader) (tableIndex, error) {
 				return idx, fmt.Errorf("table %q chunk %d: %w", t.name, done+i, err)
 			}
 		}
+		// Fresh row slices per chunk: the table adopts them.
 		rows := make([][]T, n)
 		errs := make([]error, n)
 		pool.ForEach(n, func(i int) {
-			rows[i], errs[i] = decodeChunkPayload(t.codec, raws[i].payload, raws[i].nrows)
+			var d Decoder
+			rows[i], errs[i] = decodeChunkPayload(t.codec, &d, raws[i].payload, raws[i].nrows, nil)
 		})
 		for i := 0; i < n; i++ {
 			if errs[i] != nil {
@@ -432,25 +442,30 @@ func (t *Table[T]) readBinary(cr *countingReader) (tableIndex, error) {
 	return idx, nil
 }
 
-// decodeChunkPayload decodes one chunk payload into rows — the shared
-// core of the resident loader and the stream cursors.
-func decodeChunkPayload[T any](codec RowCodec[T], payload []byte, nrows int) ([]T, error) {
+// decodeChunkPayload decodes one chunk payload of nrows rows through d
+// — the shared core of the resident loader and the stream cursors. The
+// rows land in buf's storage, cleared first, when it has the capacity,
+// and in a fresh slice otherwise.
+func decodeChunkPayload[T any](codec RowCodec[T], d *Decoder, payload []byte, nrows int, buf []T) ([]T, error) {
 	// Every row occupies at least one payload byte, so a row count above
-	// the payload size is corrupt — reject it before the RowCodec
-	// allocates the row slice.
+	// the payload size is corrupt — reject it before the row slice is
+	// allocated.
 	if nrows > len(payload) {
 		return nil, corruptf("%d rows declared in a %d-byte payload", nrows, len(payload))
 	}
-	d, err := newDecoder(payload)
-	if err != nil {
+	if err := d.reset(payload); err != nil {
 		return nil, err
 	}
-	rows := codec.Decode(d, nrows)
+	var rows []T
+	if cap(buf) >= nrows {
+		rows = buf[:nrows]
+		clear(rows)
+	} else {
+		rows = make([]T, nrows)
+	}
+	codec.Decode(d, rows)
 	if err := d.Err(); err != nil {
 		return nil, err
-	}
-	if len(rows) != nrows {
-		return nil, corruptf("codec decoded %d rows, header declared %d", len(rows), nrows)
 	}
 	return rows, nil
 }
@@ -555,24 +570,34 @@ func (c *countingReader) readCodec(table string) error {
 
 func (c *countingReader) readChunk() (rawChunk, error) {
 	rc := rawChunk{off: c.n}
-	nrows, err := c.readUvarint(chunkSize)
+	nrows, plen, err := c.readChunkHeader()
 	if err != nil {
 		return rc, err
+	}
+	rc.nrows = nrows
+	rc.payload, err = c.readN(plen)
+	return rc, err
+}
+
+// readChunkHeader reads a chunk header: the row count, the flags byte
+// and the payload length, each checked against its cap.
+func (c *countingReader) readChunkHeader() (nrows, plen int, err error) {
+	rows, err := c.readUvarint(chunkSize)
+	if err != nil {
+		return 0, 0, err
 	}
 	flags, err := c.ReadByte()
 	if err != nil {
-		return rc, corruptf("truncated chunk flags: %v", err)
+		return 0, 0, corruptf("truncated chunk flags: %v", err)
 	}
 	if flags != 0 {
-		return rc, corruptf("chunk flags %#x set; no chunk flag is defined", flags)
+		return 0, 0, corruptf("chunk flags %#x set; no chunk flag is defined", flags)
 	}
-	plen, err := c.readUvarint(maxDecodeChunkLen)
+	n, err := c.readUvarint(maxDecodeChunkLen)
 	if err != nil {
-		return rc, err
+		return 0, 0, err
 	}
-	rc.nrows = int(nrows)
-	rc.payload, err = c.readN(int(plen))
-	return rc, err
+	return int(rows), int(n), nil
 }
 
 // ---------------------------------------------------------------------

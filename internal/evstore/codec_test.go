@@ -30,8 +30,7 @@ func (recCodec) Encode(e *Encoder, rows []rec) {
 	}
 }
 
-func (recCodec) Decode(d *Decoder, n int) []rec {
-	rows := make([]rec, n)
+func (recCodec) Decode(d *Decoder, rows []rec) {
 	prev := int64(0)
 	for i := range rows {
 		prev += d.Varint()
@@ -43,7 +42,6 @@ func (recCodec) Decode(d *Decoder, n int) []rec {
 	for i := range rows {
 		rows[i].Dur = d.Varint()
 	}
-	return rows
 }
 
 // aux is a second row type with its own codec, so every DB in these
@@ -62,13 +60,11 @@ func (auxCodec) Encode(e *Encoder, rows []aux) {
 	}
 }
 
-func (auxCodec) Decode(d *Decoder, n int) []aux {
-	rows := make([]aux, n)
+func (auxCodec) Decode(d *Decoder, rows []aux) {
 	for i := range rows {
 		rows[i].Tag = d.String()
 		rows[i].N = d.Float64()
 	}
-	return rows
 }
 
 type stringCodec struct{}
@@ -79,12 +75,10 @@ func (stringCodec) Encode(e *Encoder, rows []string) {
 	}
 }
 
-func (stringCodec) Decode(d *Decoder, n int) []string {
-	rows := make([]string, n)
+func (stringCodec) Decode(d *Decoder, rows []string) {
 	for i := range rows {
 		rows[i] = d.String()
 	}
-	return rows
 }
 
 type hashRowCodec struct{}
@@ -96,13 +90,11 @@ func (hashRowCodec) Encode(e *Encoder, rows []hashRow) {
 	}
 }
 
-func (hashRowCodec) Decode(d *Decoder, n int) []hashRow {
-	rows := make([]hashRow, n)
+func (hashRowCodec) Decode(d *Decoder, rows []hashRow) {
 	for i := range rows {
 		rows[i].ID = d.Varint()
 		rows[i].Name = d.String()
 	}
-	return rows
 }
 
 // testDB builds a two-table schema: "recs" then "extra".

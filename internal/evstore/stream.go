@@ -17,13 +17,13 @@ package evstore
 // without decoding a single row.
 //
 // StreamReader opens a saved file through the index and hands out
-// per-table StreamCursors that decode one chunk at a time, reusing
-// rawChunk, decodeChunkPayload and the sticky-error Decoder. Nothing is
-// materialised beyond the chunk in hand, so a multi-GiB trace streams
-// through O(chunk) memory.
+// per-table StreamCursors that decode one chunk at a time, reusing the
+// chunk header checks, decodeChunkPayload and the sticky-error Decoder.
+// A cursor reads each chunk into the same buffers, so nothing is
+// materialised or allocated beyond the chunk in hand, and a multi-GiB
+// trace streams through O(chunk) memory.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -263,15 +263,32 @@ func (sr *StreamReader) Chunks(name string) []ChunkInfo {
 }
 
 // StreamCursor iterates one table's chunks in order, decoding each with
-// the table's RowCodec. A cursor holds at most one decoded chunk's rows;
-// cursors over the same StreamReader are independent, so one table can be
-// read by several goroutines each holding its own cursor.
+// the table's RowCodec. A cursor holds at most one decoded chunk's rows
+// and recycles its buffers: each chunk is read into the same payload
+// buffer and decoded into the same row slice, so the rows Next returns
+// stay valid only until the cursor's next Next or Seek. A caller that
+// keeps rows longer copies them, or reads through a second cursor
+// (Clone). Cursors over the same StreamReader are independent, so one
+// table can be read by several goroutines each holding its own cursor.
 type StreamCursor[T any] struct {
 	sr    *StreamReader
 	t     *tableIndex
 	codec RowCodec[T]
 	next  int
+
+	// The recycled read state: the chunk header bytes and the readers
+	// over them, the payload, the decoder and the decoded rows.
+	head    [maxChunkHeader]byte
+	headR   bytes.Reader
+	headCR  countingReader
+	payload []byte
+	dec     Decoder
+	rows    []T
 }
+
+// maxChunkHeader bounds a chunk header: two uvarints around the flags
+// byte.
+const maxChunkHeader = 2*binary.MaxVarintLen64 + 1
 
 // NewStreamCursor opens a cursor over the named table. codec must be the
 // RowCodec the table was written with.
@@ -281,6 +298,13 @@ func NewStreamCursor[T any](sr *StreamReader, name string, codec RowCodec[T]) (*
 		return nil, corruptf("no table %q in stream (have %v)", name, sr.TableNames())
 	}
 	return &StreamCursor[T]{sr: sr, t: t, codec: codec}, nil
+}
+
+// Clone returns a cursor over the same table at the same position with
+// buffers of its own, so neither cursor's reads overwrite the rows the
+// other returned.
+func (c *StreamCursor[T]) Clone() *StreamCursor[T] {
+	return &StreamCursor[T]{sr: c.sr, t: c.t, codec: c.codec, next: c.next}
 }
 
 // NumChunks returns the number of chunks the cursor iterates.
@@ -299,36 +323,75 @@ func (c *StreamCursor[T]) Seek(i int) error {
 }
 
 // Next decodes and returns the next chunk's rows, or (nil, nil) after the
-// last chunk. The decoded payload is verified against the index's chunk
-// hash, so silent mid-stream corruption surfaces as ErrCorrupt rather
-// than as wrong rows.
+// last chunk. The rows live in the cursor's buffer until its next Next
+// or Seek. The payload is verified against the index's chunk hash before
+// it is decoded, so silent mid-stream corruption surfaces as ErrCorrupt
+// rather than as wrong rows.
 func (c *StreamCursor[T]) Next() ([]T, error) {
 	if c.next >= len(c.t.chunks) {
 		return nil, nil
 	}
 	i := c.next
 	c.next++
-	rows, err := readChunkAt(c.sr, c.t, i, c.codec)
+	rows, err := c.readChunk(i)
 	if err != nil {
 		return nil, fmt.Errorf("evstore: table %q chunk %d: %w", c.t.name, i, err)
 	}
+	c.rows = rows
 	return rows, nil
 }
 
-// readChunkAt reads, verifies and decodes one indexed chunk.
-func readChunkAt[T any](sr *StreamReader, t *tableIndex, i int, codec RowCodec[T]) ([]T, error) {
-	info := t.chunks[i]
-	sect := io.NewSectionReader(sr.r, info.Offset, sr.size-info.Offset)
-	cr := &countingReader{r: bufio.NewReaderSize(sect, 32<<10)}
-	rc, err := cr.readChunk()
+// readChunk reads, verifies and decodes one indexed chunk into the
+// cursor's buffers: one read of the header, one of the payload.
+func (c *StreamCursor[T]) readChunk(i int) ([]T, error) {
+	info := c.t.chunks[i]
+	head, err := c.sr.readAt(info.Offset, int(min(int64(len(c.head)), c.sr.size-info.Offset)), c.head[:0])
 	if err != nil {
 		return nil, err
 	}
-	if rc.nrows != info.Rows {
-		return nil, corruptf("chunk header declares %d rows, index %d", rc.nrows, info.Rows)
+	c.headR.Reset(head)
+	c.headCR = countingReader{r: &c.headR}
+	nrows, plen, err := c.headCR.readChunkHeader()
+	if err != nil {
+		return nil, err
 	}
-	if h := hashChunkPayload(rc.payload); h != info.Hash {
+	if nrows != info.Rows {
+		return nil, corruptf("chunk header declares %d rows, index %d", nrows, info.Rows)
+	}
+	payload, err := c.sr.readAt(info.Offset+c.headCR.n, plen, c.payload)
+	if err != nil {
+		return nil, err
+	}
+	c.payload = payload
+	if h := hashChunkPayload(payload); h != info.Hash {
 		return nil, corruptf("chunk hash %016x does not match index hash %016x", h, info.Hash)
 	}
-	return decodeChunkPayload(codec, rc.payload, rc.nrows)
+	return decodeChunkPayload(c.codec, &c.dec, payload, nrows, c.rows)
+}
+
+// readAt reads exactly n bytes at off into buf's storage when it has the
+// capacity. No byte past the reader's size is read, and like readN it
+// does not trust n: beyond buf's capacity at most maxPrealloc bytes are
+// allocated before any arrive, and the buffer grows only as reads fill
+// it.
+func (sr *StreamReader) readAt(off int64, n int, buf []byte) ([]byte, error) {
+	if off < 0 || off > sr.size || int64(n) > sr.size-off {
+		return nil, corruptf("truncated read of %d bytes at offset %d of %d", n, off, sr.size)
+	}
+	if cap(buf) < min(n, maxPrealloc) {
+		buf = make([]byte, 0, min(n, maxPrealloc))
+	}
+	buf = buf[:min(n, cap(buf))]
+	for read := 0; read < n; {
+		m, err := sr.r.ReadAt(buf[read:], off+int64(read))
+		read += m
+		if read == n {
+			return buf, nil
+		}
+		if read < len(buf) {
+			return nil, corruptf("truncated read of %d bytes: %v", n, err)
+		}
+		buf = append(buf, make([]byte, min(n-read, read))...)
+	}
+	return buf, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -236,5 +237,59 @@ func TestStreamSeek(t *testing.T) {
 	}
 	if err := cur.Seek(cur.NumChunks() + 1); err == nil {
 		t.Fatal("seek past end must error")
+	}
+}
+
+// TestStreamCursorBuffers pins the cursor's buffer contract: Next
+// decodes every chunk into the same row storage, so its rows live until
+// the next read; a Clone reads into buffers of its own; and a declared
+// length that runs past the file is ErrCorrupt before it is allocated.
+func TestStreamCursorBuffers(t *testing.T) {
+	src, recs, extra := testDB(t)
+	fillDB(recs, extra, 3*chunkSize)
+	b := saveBytes(t, src)
+	sr, err := NewStreamReader(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := NewStreamCursor[rec](sr, "recs", recCodec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := recs.Rows()
+	first, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := cur.Clone()
+	fromClone, err := clone.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := cur.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &second[0] {
+		t.Error("Next decoded the second chunk into new storage")
+	}
+	if &fromClone[0] == &second[0] {
+		t.Error("a clone shares the original cursor's row storage")
+	}
+	for name, rows := range map[string][]rec{"cursor": second, "clone": fromClone} {
+		if !rowsEqual(rows, want[chunkSize:2*chunkSize]) {
+			t.Errorf("%s: chunk 1 decoded wrong rows", name)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = sr.readAt(0, maxDecodeChunkLen, nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("read of %d bytes from a %d-byte file: err = %v, want ErrCorrupt", maxDecodeChunkLen, len(b), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refused read allocated %.1f MiB", float64(grew)/(1<<20))
 	}
 }

@@ -191,13 +191,19 @@ func AnalyzeUnordered(ctx context.Context, src *StreamSource, opts Options) (*Re
 // foldOrder returns a feed's row chunks in the fold's order: by key,
 // ties in feed order. A feed already in that order is returned as its
 // own chunks, without a copy; any other is sorted into one copied
-// chunk. Either way the rows are the feed's as of the call.
+// chunk. Either way the rows are the feed's as of the call. It keeps
+// every chunk the feed returns, so it copies the chunks of a feed that
+// recycles its rows at the next read (see ChunkSeq).
 func foldOrder[T any](seq ChunkSeq[T], key func(*T) callKey) (ChunkSeq[T], error) {
 	chunks := make(Chunks[T], seq.NumChunks())
+	stable := stableRows(seq)
 	for i := range chunks {
 		rows, err := seq.Chunk(i)
 		if err != nil {
 			return nil, err
+		}
+		if !stable {
+			rows = slices.Clone(rows)
 		}
 		chunks[i] = rows
 	}
@@ -221,6 +227,17 @@ func foldOrder[T any](seq ChunkSeq[T], key func(*T) callKey) (ChunkSeq[T], error
 		out[i] = chunks[p.chunk][p.row]
 	}
 	return Chunks[T]{out}, nil
+}
+
+// stableRows reports whether a feed's chunks stay valid across Chunk
+// calls: resident tables and Chunks hand out rows that never change,
+// while any other feed, a stream cursor's among them, may recycle them.
+func stableRows[T any](seq ChunkSeq[T]) bool {
+	switch seq.(type) {
+	case tableSeq[T], Chunks[T]:
+		return true
+	}
+	return false
 }
 
 // inFoldOrder reports whether the chunks' rows are already sorted by key.

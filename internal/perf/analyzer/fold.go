@@ -24,20 +24,35 @@ package analyzer
 // dropped when it closes. SDK-recorded traces nest properly, so every
 // Parent link in them resolves.
 //
-// Carry bounds. Closed calls leave the open-call map in sweeps that run
-// whenever the map has doubled since the last one (and at every window
-// bound), so the map holds at most about twice the concurrently open
-// calls; for nested traces that and the per-thread maxEnd are
-// O(threads). Indirect-parent group slots go with their parent call;
-// only top-level groups (one per thread × kind) and groups under
-// parents outside the enclave filter persist for the whole sweep.
+// Carry layout. Open calls live on per-thread stacks: before a call is
+// folded its thread pops every frame that ended before the call starts,
+// so the call's parent, in a nested trace, is the innermost frame left,
+// and the call is pushed on top when it nests inside that frame. Each
+// frame holds the group slots of its same-thread children, one per
+// kind, and each thread its top-level slots, so a nested trace folds
+// with no map work per call. The exact fallbacks cost only when used:
+//   - a call that does not nest inside its thread's innermost open call
+//     waits in the open map, from which closed calls leave in sweeps
+//     that run whenever the map has doubled since the last one (and at
+//     every window bound);
+//   - a Parent link that misses both the child's own stack and the open
+//     map resolves through an ID index of every thread's frames, built
+//     on the first such miss and maintained from then on;
+//   - group slots under cross-thread, late, dangling or forward Parent
+//     links live in the groups/groupsOf maps; slots opened under an ID
+//     before it was swept move into its frame when it is pushed.
+// Slots go with their parent call; only top-level groups (one per
+// thread × kind) and groups under parents that are never open persist
+// for the whole sweep.
 
 import (
 	"cmp"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
-	"sort"
+	"math"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"sgxperf/internal/perf/events"
@@ -54,6 +69,12 @@ var ErrUnsorted = errors.New("analyzer: trace tables are not stream-sorted")
 // so window recomputation can re-read only the chunks it needs. A
 // resident evstore table, a stream cursor (see source.go) and in-memory
 // Chunks satisfy it.
+//
+// The rows Chunk returns are read-only and stay valid only until the
+// next Chunk call on the same ChunkSeq: a stream cursor decodes every
+// chunk into one recycled buffer. A consumer that keeps rows across
+// calls copies them (foldOrder does), unless the feed is a resident
+// table or Chunks, whose rows never change (stableRows).
 type ChunkSeq[T any] interface {
 	NumChunks() int
 	Chunk(i int) ([]T, error)
@@ -111,39 +132,104 @@ type foldGroup struct {
 	parent events.EventID
 }
 
+// groupPrev is a group slot: the group's previous call. set marks an
+// inline slot (a frame's or a thread's) in use; the maps hold only set
+// slots.
 type groupPrev struct {
 	name string
 	end  vtime.Cycles
+	set  bool
+}
+
+// slotIndex returns the inline group slot of a call kind: 0 for
+// ecalls, 1 for ocalls, -1 for any other kind (only corrupt input has
+// one), which chains through the maps.
+func slotIndex(kind events.CallKind) int {
+	if k := int(kind - events.KindEcall); k == 0 || k == 1 {
+		return k
+	}
+	return -1
+}
+
+// frame is one open call on its thread's stack, nested inside the frame
+// below it.
+type frame struct {
+	id events.EventID
+	openCall
+	// slots are the group slots of the call's same-thread children, one
+	// per kind.
+	slots [2]groupPrev
+	// mapped records that the group maps hold slots under this call (its
+	// children on other threads), dropped when the frame pops.
+	mapped bool
+}
+
+// threadState is one thread's part of the carry.
+type threadState struct {
+	id sgx.ThreadID
+	// stack holds the thread's properly nested open calls, innermost
+	// last.
+	stack []frame
+	// top holds the thread's top-level group slots (Parent == NoEvent),
+	// one per kind.
+	top [2]groupPrev
+	// maxEnd is the latest end of the thread's calls so far.
+	maxEnd vtime.Cycles
+}
+
+// find returns the thread's open frame with the given ID, or nil.
+//
+//sgxperf:hotpath
+func (ts *threadState) find(id events.EventID) *frame {
+	for i := len(ts.stack) - 1; i >= 0; i-- {
+		if ts.stack[i].id == id {
+			return &ts.stack[i]
+		}
+	}
+	return nil
 }
 
 // FoldCarry is the cross-chunk state of a fold: cursor resume
-// positions, monotonicity watermarks, the open-call set, the
-// indirect-parent group slots and the per-thread latest call end. Its
-// size is bounded by the number of concurrently open calls and threads,
-// never by trace length.
+// positions, monotonicity watermarks, the open calls, the
+// indirect-parent group slots and the per-thread latest call end (see
+// "Carry layout" above). Its size is bounded by the number of
+// concurrently open calls and threads, never by trace length.
 type FoldCarry struct {
 	ePos, oPos, pPos   foldPos
 	lastCall, lastPage callKey
 	seenCall, seenPage bool
 
-	open     map[events.EventID]openCall
+	// threads holds each thread's stack, top-level slots and latest
+	// call end; last caches the most recent lookup.
+	threads map[sgx.ThreadID]*threadState
+	last    *threadState
+
+	// open holds the calls that did not nest inside their thread's
+	// innermost open call. purgeAt is the size that triggers the next
+	// sweep for closed calls, keeping eviction amortised O(1) per call.
+	// A closed call still in the map is never resolved as a parent: the
+	// lookup closes it on the spot.
+	open    map[events.EventID]openCall
+	purgeAt int
+
+	// groups holds the group slots that live in no frame; groupsOf lists
+	// them by Parent link, so they can be dropped when that call closes.
 	groups   map[foldGroup]*groupPrev
 	groupsOf map[events.EventID][]foldGroup
-	maxEnd   map[sgx.ThreadID]vtime.Cycles
-	// purgeAt is the open-set size that triggers the next sweep for
-	// closed calls, keeping eviction amortised O(1) per call. A closed
-	// call still in the set is never resolved as a parent: the lookup
-	// closes it on the spot.
-	purgeAt int
+
+	// index maps the ID of every thread's frames to their thread; nil
+	// until a Parent link first misses both the child's own stack and the
+	// open map.
+	index map[events.EventID]*threadState
 }
 
 // NewFoldCarry returns the empty carry a fold starts from.
 func NewFoldCarry() *FoldCarry {
 	return &FoldCarry{
+		threads:  make(map[sgx.ThreadID]*threadState),
 		open:     make(map[events.EventID]openCall),
 		groups:   make(map[foldGroup]*groupPrev),
 		groupsOf: make(map[events.EventID][]foldGroup),
-		maxEnd:   make(map[sgx.ThreadID]vtime.Cycles),
 	}
 }
 
@@ -154,11 +240,16 @@ func (c *FoldCarry) Clone() *FoldCarry {
 		ePos: c.ePos, oPos: c.oPos, pPos: c.pPos,
 		lastCall: c.lastCall, lastPage: c.lastPage,
 		seenCall: c.seenCall, seenPage: c.seenPage,
+		threads:  make(map[sgx.ThreadID]*threadState, len(c.threads)),
 		open:     make(map[events.EventID]openCall, len(c.open)),
+		purgeAt:  c.purgeAt,
 		groups:   make(map[foldGroup]*groupPrev, len(c.groups)),
 		groupsOf: make(map[events.EventID][]foldGroup, len(c.groupsOf)),
-		maxEnd:   make(map[sgx.ThreadID]vtime.Cycles, len(c.maxEnd)),
-		purgeAt:  c.purgeAt,
+	}
+	for id, ts := range c.threads {
+		t := *ts
+		t.stack = slices.Clone(ts.stack)
+		out.threads[id] = &t
 	}
 	for k, v := range c.open {
 		out.open[k] = v
@@ -168,18 +259,23 @@ func (c *FoldCarry) Clone() *FoldCarry {
 		out.groups[k] = &prev
 	}
 	for k, v := range c.groupsOf {
-		out.groupsOf[k] = append([]foldGroup(nil), v...)
+		out.groupsOf[k] = slices.Clone(v)
 	}
-	for k, v := range c.maxEnd {
-		out.maxEnd[k] = v
+	if c.index != nil {
+		out.index = make(map[events.EventID]*threadState, len(c.index))
+		for id, ts := range c.index {
+			out.index[id] = out.threads[ts.id]
+		}
 	}
 	return out
 }
 
 // Hash digests the carry's semantic content (positions, watermarks,
 // open calls, group slots, thread watermarks) in a sorted, deterministic
-// order, so equal carries — however produced — hash equally. The serve
-// daemon chains it into window cache keys.
+// order, so equal carries — however produced — hash equally: an open
+// call hashes the same on a stack or in the open map, and a group slot,
+// keyed by (thread, kind, parent), the same in a frame, in its thread
+// or in the maps. The serve daemon chains it into window cache keys.
 func (c *FoldCarry) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -202,53 +298,70 @@ func (c *FoldCarry) Hash() uint64 {
 	wi(int64(boolInt(c.seenCall)))
 	wi(int64(boolInt(c.seenPage)))
 
-	ids := make([]events.EventID, 0, len(c.open))
-	for id := range c.open {
-		ids = append(ids, id)
+	type openEntry struct {
+		id events.EventID
+		openCall
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	wi(int64(len(ids)))
-	for _, id := range ids {
-		oc := c.open[id]
-		wi(int64(id))
-		ws(oc.name)
-		wi(int64(oc.start))
-		wi(int64(oc.end))
+	type slotEntry struct {
+		foldGroup
+		groupPrev
+	}
+	var opens []openEntry
+	var slots []slotEntry
+	var threads []*threadState
+	for _, ts := range c.threads {
+		threads = append(threads, ts)
+		for k, p := range ts.top {
+			if p.set {
+				slots = append(slots, slotEntry{foldGroup{int64(ts.id), events.KindEcall + events.CallKind(k), events.NoEvent}, p})
+			}
+		}
+		for _, f := range ts.stack {
+			opens = append(opens, openEntry{f.id, f.openCall})
+			for k, p := range f.slots {
+				if p.set {
+					slots = append(slots, slotEntry{foldGroup{int64(ts.id), events.KindEcall + events.CallKind(k), f.id}, p})
+				}
+			}
+		}
+	}
+	for id, oc := range c.open {
+		opens = append(opens, openEntry{id, oc})
+	}
+	for k, p := range c.groups {
+		slots = append(slots, slotEntry{k, *p})
 	}
 
-	gks := make([]foldGroup, 0, len(c.groups))
-	for k := range c.groups {
-		gks = append(gks, k)
-	}
-	sort.Slice(gks, func(i, j int) bool {
-		a, b := gks[i], gks[j]
-		if a.thread != b.thread {
-			return a.thread < b.thread
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.parent < b.parent
+	slices.SortFunc(opens, func(a, b openEntry) int {
+		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.start, b.start),
+			cmp.Compare(a.end, b.end), cmp.Compare(a.name, b.name))
 	})
-	wi(int64(len(gks)))
-	for _, k := range gks {
-		wi(k.thread)
-		wi(int64(k.kind))
-		wi(int64(k.parent))
-		p := c.groups[k]
-		ws(p.name)
-		wi(int64(p.end))
+	wi(int64(len(opens)))
+	for _, o := range opens {
+		wi(int64(o.id))
+		ws(o.name)
+		wi(int64(o.start))
+		wi(int64(o.end))
 	}
 
-	ths := make([]sgx.ThreadID, 0, len(c.maxEnd))
-	for t := range c.maxEnd {
-		ths = append(ths, t)
+	slices.SortFunc(slots, func(a, b slotEntry) int {
+		return cmp.Or(cmp.Compare(a.thread, b.thread), cmp.Compare(a.kind, b.kind),
+			cmp.Compare(a.parent, b.parent), cmp.Compare(a.name, b.name), cmp.Compare(a.end, b.end))
+	})
+	wi(int64(len(slots)))
+	for _, s := range slots {
+		wi(s.thread)
+		wi(int64(s.kind))
+		wi(int64(s.parent))
+		ws(s.name)
+		wi(int64(s.end))
 	}
-	sort.Slice(ths, func(i, j int) bool { return ths[i] < ths[j] })
-	wi(int64(len(ths)))
-	for _, t := range ths {
-		wi(int64(t))
-		wi(int64(c.maxEnd[t]))
+
+	slices.SortFunc(threads, func(a, b *threadState) int { return cmp.Compare(a.id, b.id) })
+	wi(int64(len(threads)))
+	for _, ts := range threads {
+		wi(int64(ts.id))
+		wi(int64(ts.maxEnd))
 	}
 	return h.Sum64()
 }
@@ -260,14 +373,122 @@ func boolInt(b bool) int {
 	return 0
 }
 
-// close drops one open call and the group slots keyed under it.
+// thread returns a thread's state, creating it on the thread's first
+// call.
+//
+//sgxperf:hotpath
+func (c *FoldCarry) thread(id sgx.ThreadID) *threadState {
+	if ts := c.last; ts != nil && ts.id == id {
+		return ts
+	}
+	ts := c.threads[id]
+	if ts == nil {
+		ts = &threadState{id: id, maxEnd: math.MinInt64}
+		c.threads[id] = ts
+	}
+	c.last = ts
+	return ts
+}
+
+// popEnded closes the thread's frames that ended before pos. They sit
+// at the top of its stack, since each frame nests inside the one below,
+// and their inline slots go with them.
+//
+//sgxperf:hotpath
+func (c *FoldCarry) popEnded(ts *threadState, pos vtime.Cycles) {
+	n := len(ts.stack)
+	for n > 0 && ts.stack[n-1].end < pos {
+		n--
+		f := &ts.stack[n]
+		if f.mapped {
+			c.dropSlots(f.id)
+		}
+		if c.index != nil && c.index[f.id] == ts {
+			delete(c.index, f.id)
+		}
+	}
+	ts.stack = ts.stack[:n]
+}
+
+// push opens a folded call: on its thread's stack when it nests inside
+// the innermost open frame there, in the open map otherwise.
+//
+//sgxperf:hotpath
+func (c *FoldCarry) push(ts *threadState, call *events.CallEvent) {
+	oc := openCall{name: call.Name, start: call.Start, end: call.End}
+	n := len(ts.stack)
+	if n > 0 && call.End > ts.stack[n-1].end {
+		c.open[call.ID] = oc
+		return
+	}
+	ts.stack = append(ts.stack, frame{id: call.ID, openCall: oc})
+	if len(c.groupsOf) > 0 {
+		c.adoptSlots(ts, &ts.stack[n])
+	}
+	if c.index != nil {
+		c.index[call.ID] = ts
+	}
+}
+
+// adoptSlots moves the slots opened under a call's ID before the call
+// was swept — its forward children on the same thread — into its new
+// frame. Other threads' slots stay in the maps, and the frame notes it.
+func (c *FoldCarry) adoptSlots(ts *threadState, f *frame) {
+	gks, ok := c.groupsOf[f.id]
+	if !ok {
+		return
+	}
+	keep := gks[:0]
+	for _, gk := range gks {
+		if k := slotIndex(gk.kind); k >= 0 && gk.thread == int64(ts.id) {
+			f.slots[k] = *c.groups[gk]
+			delete(c.groups, gk)
+		} else {
+			keep = append(keep, gk)
+		}
+	}
+	if len(keep) == 0 {
+		delete(c.groupsOf, f.id)
+	} else {
+		c.groupsOf[f.id] = keep
+		f.mapped = true
+	}
+}
+
+// indexed looks a frame up by ID across every thread, building the
+// index on first use.
+func (c *FoldCarry) indexed(id events.EventID) (*threadState, *frame) {
+	if c.index == nil {
+		c.index = make(map[events.EventID]*threadState)
+		// Thread order makes the index deterministic should two frames
+		// share an ID.
+		ids := make([]sgx.ThreadID, 0, len(c.threads))
+		for tid := range c.threads {
+			ids = append(ids, tid)
+		}
+		slices.Sort(ids)
+		for _, tid := range ids {
+			for _, f := range c.threads[tid].stack {
+				c.index[f.id] = c.threads[tid]
+			}
+		}
+	}
+	ts := c.index[id]
+	if ts == nil {
+		return nil, nil
+	}
+	return ts, ts.find(id)
+}
+
+// close drops one open-map call and the group slots keyed under it.
 func (c *FoldCarry) close(id events.EventID) {
 	delete(c.open, id)
 	c.dropSlots(id)
 }
 
-// dropSlots deletes the group slots keyed under a closed parent: later
-// children of a closed parent are late and start a chain of their own.
+// dropSlots deletes the map group slots keyed under a closed parent:
+// later children of a closed parent are late and start a chain of their
+// own.
 //
 //sgxperf:hotpath
 func (c *FoldCarry) dropSlots(parent events.EventID) {
@@ -279,29 +500,37 @@ func (c *FoldCarry) dropSlots(parent events.EventID) {
 	}
 }
 
-// evict closes every open call that ended before pos. Closed calls
+// evict closes every open-map call that ended before pos. Closed calls
 // outnumber the survivors, so the map is cleared and the few survivors
 // reinserted rather than the many deleted.
 func (c *FoldCarry) evict(pos vtime.Cycles) {
-	var live []openEntry
+	type entry struct {
+		id events.EventID
+		openCall
+	}
+	var live []entry
 	for id, oc := range c.open {
 		if oc.end >= pos {
-			live = append(live, openEntry{id, oc})
+			live = append(live, entry{id, oc})
 		} else {
 			c.dropSlots(id)
 		}
 	}
 	clear(c.open)
 	for _, e := range live {
-		c.open[e.id] = e.call
+		c.open[e.id] = e.openCall
 	}
 	c.purgeAt = 2*len(live) + 64
 }
 
-// openEntry is one open call carried across an eviction sweep.
-type openEntry struct {
-	id   events.EventID
-	call openCall
+// closeBefore closes every open call, on the stacks and in the open
+// map, that ended before pos: a window's carry-out holds only the calls
+// later windows can still see.
+func (c *FoldCarry) closeBefore(pos vtime.Cycles) {
+	for _, ts := range c.threads {
+		c.popEnded(ts, pos)
+	}
+	c.evict(pos)
 }
 
 // NameAgg accumulates one call name's streaming aggregates: the
@@ -446,24 +675,29 @@ func (d *FoldDelta) MergeFrom(o *FoldDelta) {
 }
 
 // seqCursor walks one ChunkSeq from a resume position, holding at most
-// one chunk resident.
+// one chunk resident — two when it reads ahead.
 type seqCursor[T any] struct {
 	seq        ChunkSeq[T]
 	n          int
 	chunk, row int
 	buf        []T
 	loaded     bool
+	ahead      *readAhead[T]
 }
 
 func newSeqCursor[T any](seq ChunkSeq[T], pos foldPos) *seqCursor[T] {
-	return &seqCursor[T]{seq: seq, n: seq.NumChunks(), chunk: pos.chunk, row: pos.row}
+	c := &seqCursor[T]{seq: seq, n: seq.NumChunks(), chunk: pos.chunk, row: pos.row}
+	if f, ok := seq.(forkSeq[T]); ok && c.n-c.chunk > 1 {
+		c.ahead = &readAhead[T]{spare: f.fork(), next: -1, done: make(chan chunkRead[T], 1)}
+	}
+	return c
 }
 
 // head returns the current row without consuming it, or nil at EOF.
 func (c *seqCursor[T]) head() (*T, error) {
 	for c.chunk < c.n {
 		if !c.loaded {
-			buf, err := c.seq.Chunk(c.chunk)
+			buf, err := c.load(c.chunk)
 			if err != nil {
 				return nil, err
 			}
@@ -484,6 +718,85 @@ func (c *seqCursor[T]) head() (*T, error) {
 func (c *seqCursor[T]) pop() { c.row++ }
 
 func (c *seqCursor[T]) pos() foldPos { return foldPos{c.chunk, c.row} }
+
+// forkSeq is a feed that decodes from a file into recycled buffers
+// (cursorSeq). fork opens a second feed over the same table with
+// buffers of its own, so one can decode the next chunk while the sweep
+// still folds the other's.
+type forkSeq[T any] interface {
+	ChunkSeq[T]
+	fork() ChunkSeq[T]
+}
+
+// readAhead decodes a file-backed feed's next chunk on another
+// goroutine while the sweep folds the current one. The two feeds trade
+// places at every chunk: the sweep's rows always come from one, and the
+// read in flight always writes into the other.
+type readAhead[T any] struct {
+	spare ChunkSeq[T]
+	next  int // the chunk in flight, or -1
+	done  chan chunkRead[T]
+}
+
+type chunkRead[T any] struct {
+	rows []T
+	err  error
+}
+
+// readsInFlight counts the read-ahead chunk reads started and not yet
+// finished, so tests can check that none outlives its FoldWindow.
+var readsInFlight atomic.Int64
+
+// load returns chunk i, through the read-ahead when one is set up, and
+// starts reading chunk i+1.
+func (c *seqCursor[T]) load(i int) ([]T, error) {
+	ra := c.ahead
+	if ra == nil {
+		return c.seq.Chunk(i)
+	}
+	var r chunkRead[T]
+	if ra.next == i {
+		r = <-ra.done
+		ra.next = -1
+		c.seq, ra.spare = ra.spare, c.seq
+	} else {
+		ra.wait()
+		r.rows, r.err = c.seq.Chunk(i)
+	}
+	if r.err == nil && i+1 < c.n {
+		ra.start(i + 1)
+	}
+	return r.rows, r.err
+}
+
+// start reads chunk i into the spare feed on a new goroutine.
+func (ra *readAhead[T]) start(i int) {
+	ra.next = i
+	readsInFlight.Add(1)
+	seq, done := ra.spare, ra.done
+	go func() {
+		rows, err := seq.Chunk(i)
+		readsInFlight.Add(-1)
+		done <- chunkRead[T]{rows, err}
+	}()
+}
+
+// wait blocks until the read in flight, if any, has finished and drops
+// its result.
+func (ra *readAhead[T]) wait() {
+	if ra.next >= 0 {
+		<-ra.done
+		ra.next = -1
+	}
+}
+
+// stop waits for the cursor's read-ahead: FoldWindow calls it before it
+// returns, on every path, so no read outlives the fold that started it.
+func (c *seqCursor[T]) stop() {
+	if c.ahead != nil {
+		c.ahead.wait()
+	}
+}
 
 // WindowBound returns the exclusive time bound of window k: the
 // earliest first-row Start of the two call tables' chunk k+1. Events at
@@ -515,15 +828,20 @@ func WindowBound(in FoldInput, k int) (vtime.Cycles, bool, error) {
 // (but excluding) events at or after bound, or to end of data when
 // final is set. It returns the window's delta and the carry-out; the
 // carry-in is not mutated. The carry-out is canonical for (carry-in,
-// consumed events): open calls ending before the bound are evicted, so
-// its Hash depends only on semantic content.
+// consumed events): open calls ending before the bound are closed, so
+// its Hash depends only on semantic content. A feed that decodes from a
+// file is read one chunk ahead of the sweep; FoldWindow waits for that
+// read before it returns.
 func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.Cycles, final bool) (*FoldDelta, *FoldCarry, error) {
 	carry := carryIn.Clone()
 	delta := NewFoldDelta()
 
 	ec := newSeqCursor[events.CallEvent](in.Ecalls, carry.ePos)
+	defer ec.stop()
 	oc := newSeqCursor[events.CallEvent](in.Ocalls, carry.oPos)
+	defer oc.stop()
 	pc := newSeqCursor[events.PagingEvent](in.Paging, carry.pPos)
+	defer pc.stop()
 
 	for {
 		e, err := ec.head()
@@ -576,7 +894,7 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 				delta.Paging.PageOuts++
 			}
 			delta.Paging.ByRegion[p.PageKind]++
-			if me, ok := carry.maxEnd[p.Thread]; ok && me >= p.Time {
+			if ts := carry.threads[p.Thread]; ts != nil && ts.maxEnd >= p.Time {
 				delta.Paging.DuringCalls++
 			}
 			pc.pop()
@@ -612,7 +930,7 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 	}
 
 	if !final {
-		carry.evict(bound)
+		carry.closeBefore(bound)
 	}
 	carry.ePos, carry.oPos, carry.pPos = ec.pos(), oc.pos(), pc.pos()
 	return delta, carry, nil
@@ -641,31 +959,89 @@ func foldCall(cfg *FoldConfig, carry *FoldCarry, delta *FoldDelta, call *events.
 		delta.ShortWakes += cfg.SyncRefs[call.ID]
 	}
 
+	ts := carry.thread(call.Thread)
+	carry.popEnded(ts, call.Start)
+
+	// The call's group slot: inline in its thread or its parent's frame
+	// when it has one there, in the maps otherwise (slot == nil).
+	k := slotIndex(call.Kind)
+	var slot *groupPrev
 	if call.Parent == events.NoEvent {
 		na.TopLevel = true
-	} else if p, ok := carry.open[call.Parent]; ok && p.end < call.Start {
-		carry.close(call.Parent)
-	} else if ok {
-		na.Reorder.Add(cfg.Freq.Duration(call.Start-p.start), cfg.Freq.Duration(p.end-call.End))
-		na.addParents(p.name, 1)
-		if call.Kind == events.KindEcall {
-			delta.observed(p.name)[call.Name] = true
+		if k >= 0 {
+			slot = &ts.top[k]
 		}
+	} else if f := ts.find(call.Parent); f != nil {
+		delta.parented(cfg, na, call, &f.openCall)
+		if k >= 0 {
+			slot = &f.slots[k]
+		} else {
+			f.mapped = true
+		}
+	} else {
+		carry.resolveElsewhere(cfg, delta, na, call)
+	}
+	if slot == nil {
+		carry.chainMapped(cfg, na, call)
+	} else {
+		if slot.set {
+			na.indirect(slot.name).Add(max(cfg.Freq.Duration(call.Start-slot.end), 0))
+		}
+		*slot = groupPrev{name: call.Name, end: call.End, set: true}
 	}
 
+	carry.push(ts, call)
+	ts.maxEnd = max(ts.maxEnd, call.End)
+}
+
+// resolveElsewhere resolves a Parent link that missed the child's own
+// stack: through the open map, else through the frame index. A parent
+// found closed is closed on the spot, so its late children chain apart.
+func (c *FoldCarry) resolveElsewhere(cfg *FoldConfig, delta *FoldDelta, na *NameAgg, call *events.CallEvent) {
+	if p, ok := c.open[call.Parent]; ok {
+		if p.end < call.Start {
+			c.close(call.Parent)
+		} else {
+			delta.parented(cfg, na, call, &p)
+		}
+		return
+	}
+	owner, f := c.indexed(call.Parent)
+	if f == nil {
+		return
+	}
+	if f.end < call.Start {
+		c.popEnded(owner, call.Start)
+		return
+	}
+	delta.parented(cfg, na, call, &f.openCall)
+	f.mapped = true // the child's slot lives in the maps under f
+}
+
+// parented records a call's resolved direct parent: the Equation 2
+// offsets, the solid call-graph edge and, for ecalls, the allow-list
+// evidence.
+//
+//sgxperf:hotpath
+func (d *FoldDelta) parented(cfg *FoldConfig, na *NameAgg, call *events.CallEvent, p *openCall) {
+	na.Reorder.Add(cfg.Freq.Duration(call.Start-p.start), cfg.Freq.Duration(p.end-call.End))
+	na.addParents(p.name, 1)
+	if call.Kind == events.KindEcall {
+		d.observed(p.name)[call.Name] = true
+	}
+}
+
+// chainMapped chains a call through the group maps, which hold the
+// slots that live in no frame.
+func (c *FoldCarry) chainMapped(cfg *FoldConfig, na *NameAgg, call *events.CallEvent) {
 	gk := foldGroup{thread: int64(call.Thread), kind: call.Kind, parent: call.Parent}
-	if prev := carry.groups[gk]; prev != nil {
+	if prev := c.groups[gk]; prev != nil {
 		na.indirect(prev.name).Add(max(cfg.Freq.Duration(call.Start-prev.end), 0))
 		prev.name, prev.end = call.Name, call.End
-	} else {
-		if call.Parent != events.NoEvent {
-			carry.groupsOf[call.Parent] = append(carry.groupsOf[call.Parent], gk)
-		}
-		carry.groups[gk] = &groupPrev{name: call.Name, end: call.End}
+		return
 	}
-
-	carry.open[call.ID] = openCall{name: call.Name, start: call.Start, end: call.End}
-	if call.End > carry.maxEnd[call.Thread] {
-		carry.maxEnd[call.Thread] = call.End
+	if call.Parent != events.NoEvent {
+		c.groupsOf[call.Parent] = append(c.groupsOf[call.Parent], gk)
 	}
+	c.groups[gk] = &groupPrev{name: call.Name, end: call.End, set: true}
 }

@@ -38,8 +38,14 @@ func (s tableSeq[T]) Chunk(i int) ([]T, error) { return s.t.ChunkAt(i), nil }
 func TableSeq[T any](t *evstore.Table[T]) ChunkSeq[T] { return tableSeq[T]{t} }
 
 // cursorSeq adapts an evstore stream cursor to ChunkSeq. Chunk seeks,
-// so out-of-order window recomputation re-reads only what it needs.
+// so out-of-order window recomputation re-reads only what it needs. The
+// cursor decodes every chunk into one recycled buffer, so the rows
+// Chunk returns stay valid only until its next call.
 type cursorSeq[T any] struct{ c *evstore.StreamCursor[T] }
+
+// fork opens a second feed over the same table with buffers of its own:
+// the fold reads one chunk ahead through it.
+func (s cursorSeq[T]) fork() ChunkSeq[T] { return cursorSeq[T]{s.c.Clone()} }
 
 func (s cursorSeq[T]) NumChunks() int { return s.c.NumChunks() }
 

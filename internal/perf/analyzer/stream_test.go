@@ -6,6 +6,7 @@ package analyzer_test
 // trace file read chunk-by-chunk.
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
@@ -102,6 +103,46 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 				t.Fatalf("streaming (file-fed) report differs from the resident analyser's:\ngot  %+v\nwant %+v", got, want)
 			}
 		})
+	}
+}
+
+// TestAnalyzeUnorderedFileBacked folds a saved multi-chunk trace in
+// recording order through AnalyzeUnordered, which keeps every chunk its
+// feeds return. A stream cursor recycles its rows at the next read, so
+// the report must still equal Analyze of the same trace.
+func TestAnalyzeUnorderedFileBacked(t *testing.T) {
+	tr, err := experiments.SynthAnalysisTrace(3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := analyzer.New(tr, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := a.Analyze()
+
+	path := filepath.Join(t.TempDir(), "trace.evc")
+	if err := tr.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	st, err := events.OpenStreamTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	src, err := analyzer.NewStreamTraceSource(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := src.Ecalls.NumChunks(); n < 2 {
+		t.Fatalf("want a multi-chunk trace, got %d ecall chunks", n)
+	}
+	got, err := analyzer.AnalyzeUnordered(context.Background(), src, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AnalyzeUnordered over the file differs from Analyze:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -35,8 +35,7 @@ func (metaCodec) Encode(e *evstore.Encoder, rows []TraceMeta) {
 	}
 }
 
-func (metaCodec) Decode(d *evstore.Decoder, n int) []TraceMeta {
-	rows := make([]TraceMeta, n)
+func (metaCodec) Decode(d *evstore.Decoder, rows []TraceMeta) {
 	for i := range rows {
 		rows[i].Workload = d.String()
 	}
@@ -49,7 +48,6 @@ func (metaCodec) Decode(d *evstore.Decoder, n int) []TraceMeta {
 	for i := range rows {
 		rows[i].TransitionCycles = d.Varint()
 	}
-	return rows
 }
 
 type enclaveCodec struct{}
@@ -69,8 +67,7 @@ func (enclaveCodec) Encode(e *evstore.Encoder, rows []EnclaveMeta) {
 	}
 }
 
-func (enclaveCodec) Decode(d *evstore.Decoder, n int) []EnclaveMeta {
-	rows := make([]EnclaveMeta, n)
+func (enclaveCodec) Decode(d *evstore.Decoder, rows []EnclaveMeta) {
 	for i := range rows {
 		rows[i].Enclave = sgx.EnclaveID(d.Uvarint())
 	}
@@ -83,7 +80,6 @@ func (enclaveCodec) Decode(d *evstore.Decoder, n int) []EnclaveMeta {
 	for i := range rows {
 		rows[i].EDL = d.String()
 	}
-	return rows
 }
 
 type callCodec struct{}
@@ -134,8 +130,7 @@ func (c callCodec) Encode(e *evstore.Encoder, rows []CallEvent) {
 }
 
 //sgxperf:hotpath
-func (c callCodec) Decode(d *evstore.Decoder, n int) []CallEvent {
-	rows := make([]CallEvent, n)
+func (c callCodec) Decode(d *evstore.Decoder, rows []CallEvent) {
 	prev := int64(0)
 	for i := range rows {
 		prev += d.Varint()
@@ -173,7 +168,6 @@ func (c callCodec) Decode(d *evstore.Decoder, n int) []CallEvent {
 	for i := range rows {
 		rows[i].Err = d.Uvarint() != 0
 	}
-	return rows
 }
 
 type aexCodec struct{}
@@ -202,8 +196,7 @@ func (c aexCodec) Encode(e *evstore.Encoder, rows []AEXEvent) {
 }
 
 //sgxperf:hotpath
-func (c aexCodec) Decode(d *evstore.Decoder, n int) []AEXEvent {
-	rows := make([]AEXEvent, n)
+func (c aexCodec) Decode(d *evstore.Decoder, rows []AEXEvent) {
 	prev := int64(0)
 	for i := range rows {
 		prev += d.Varint()
@@ -223,7 +216,6 @@ func (c aexCodec) Decode(d *evstore.Decoder, n int) []AEXEvent {
 	for i := range rows {
 		rows[i].During = rows[i].ID + EventID(d.Varint())
 	}
-	return rows
 }
 
 type pagingCodec struct{}
@@ -258,8 +250,7 @@ func (c pagingCodec) Encode(e *evstore.Encoder, rows []PagingEvent) {
 }
 
 //sgxperf:hotpath
-func (c pagingCodec) Decode(d *evstore.Decoder, n int) []PagingEvent {
-	rows := make([]PagingEvent, n)
+func (c pagingCodec) Decode(d *evstore.Decoder, rows []PagingEvent) {
 	prev := int64(0)
 	for i := range rows {
 		prev += d.Varint()
@@ -285,7 +276,6 @@ func (c pagingCodec) Decode(d *evstore.Decoder, n int) []PagingEvent {
 		prev += d.Varint()
 		rows[i].Time = vtime.Cycles(prev)
 	}
-	return rows
 }
 
 type syncCodec struct{}
@@ -324,8 +314,7 @@ func (c syncCodec) Encode(e *evstore.Encoder, rows []SyncEvent) {
 }
 
 //sgxperf:hotpath
-func (c syncCodec) Decode(d *evstore.Decoder, n int) []SyncEvent {
-	rows := make([]SyncEvent, n)
+func (c syncCodec) Decode(d *evstore.Decoder, rows []SyncEvent) {
 	prev := int64(0)
 	for i := range rows {
 		prev += d.Varint()
@@ -345,7 +334,7 @@ func (c syncCodec) Decode(d *evstore.Decoder, n int) []SyncEvent {
 	for i := range rows {
 		rows[i].Call = rows[i].ID + EventID(d.Varint())
 	}
-	lens := make([]int, n)
+	lens := make([]int, len(rows))
 	for i := range rows {
 		lens[i] = d.Length()
 	}
@@ -359,7 +348,6 @@ func (c syncCodec) Decode(d *evstore.Decoder, n int) []SyncEvent {
 		}
 		rows[i].Targets = ts
 	}
-	return rows
 }
 
 type switchlessCodec struct{}
@@ -414,8 +402,7 @@ func (c switchlessCodec) Encode(e *evstore.Encoder, rows []SwitchlessEvent) {
 }
 
 //sgxperf:hotpath
-func (c switchlessCodec) Decode(d *evstore.Decoder, n int) []SwitchlessEvent {
-	rows := make([]SwitchlessEvent, n)
+func (c switchlessCodec) Decode(d *evstore.Decoder, rows []SwitchlessEvent) {
 	prev := int64(0)
 	for i := range rows {
 		prev += d.Varint()
@@ -453,7 +440,6 @@ func (c switchlessCodec) Decode(d *evstore.Decoder, n int) []SwitchlessEvent {
 	for i := range rows {
 		rows[i].Err = d.Uvarint() != 0
 	}
-	return rows
 }
 
 type threadCodec struct{}
@@ -474,8 +460,7 @@ func (c threadCodec) Encode(e *evstore.Encoder, rows []ThreadEvent) {
 }
 
 //sgxperf:hotpath
-func (c threadCodec) Decode(d *evstore.Decoder, n int) []ThreadEvent {
-	rows := make([]ThreadEvent, n)
+func (c threadCodec) Decode(d *evstore.Decoder, rows []ThreadEvent) {
 	for i := range rows {
 		rows[i].Thread = sgx.ThreadID(d.Varint())
 	}
@@ -487,5 +472,4 @@ func (c threadCodec) Decode(d *evstore.Decoder, n int) []ThreadEvent {
 		prev += d.Varint()
 		rows[i].Time = vtime.Cycles(prev)
 	}
-	return rows
 }
