@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet lint race verify fuzz bench-contention bench-analyze bench-switchless bench-serve bench-outofcore serve-smoke
+.PHONY: build test vet lint race verify fuzz bench-switchless serve-smoke
 
 build:
 	$(GO) build ./...
@@ -45,13 +45,17 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # verify is the documented check for this repo: lint (go vet, the gofmt
-# gate and the custom analyzers) + the tier-1 gate (build + full test
-# suite, see ROADMAP.md) + the race-detector suites + vet and tests of
-# the bench/ module, which the root ./... does not reach.
+# gate and the custom analyzers), the tier-1 gate (build + full test
+# suite, see ROADMAP.md), the race-detector suites, one iteration of
+# each root Go benchmark that times the toolchain (analysis, codec and
+# recorder: one that fails or panics breaks the build, and no timing is
+# asserted), and vet and tests of the bench/ module, which the root
+# ./... does not reach.
 verify: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -run '^$$' -bench 'Analyze|CodecSaveLoad|LoggerContention' -benchtime 1x .
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz smoke over the boundaries that accept untrusted bytes: the
@@ -66,19 +70,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/edl
 	$(GO) test -fuzz=FuzzFoldMatchesReference -fuzztime=$(FUZZTIME) ./internal/perf/analyzer
 
-# Re-measure logger recording throughput, chaining the previous results
-# in BENCH_results.json as the baseline for the speedup computation.
-bench-contention:
-	$(GO) run ./cmd/sgx-perf-bench -exp contention \
-		-baseline BENCH_results.json -json BENCH_results.json
-
-# Measure analysis throughput (Analyze: the fold over sorted copies of
-# the trace's tables) and trace save/load speed and size, merging the
-# rows into BENCH_results.json under the "analyze" key.
-bench-analyze:
-	GOMAXPROCS=8 $(GO) run ./cmd/sgx-perf-bench -exp analyze -repeats 5 \
-		-json BENCH_results.json
-
 # Run the closed switchless loop (baseline → lint → auto-config →
 # re-measure) and merge the outcome into BENCH_results.json under the
 # "switchless" key; the bench exits non-zero unless the auto-configured
@@ -86,27 +77,6 @@ bench-analyze:
 # scheduler.
 bench-switchless:
 	$(GO) run ./cmd/sgx-perf-bench -exp switchless -json BENCH_results.json
-
-# Benchmark the always-on analysis service: 8 concurrent sessions, cold
-# vs warm report latency through the artifact cache, sustained request
-# throughput and append invalidation, merging the outcome into
-# BENCH_results.json under the "serve" key. The bench exits non-zero
-# unless the served report matches the offline analyser byte-for-byte,
-# warm requests beat cold by ≥ 5x and an append reuses cached windows.
-bench-serve:
-	$(GO) run ./cmd/sgx-perf-bench -exp serve -json BENCH_results.json
-
-# Price the out-of-core streaming analysis against the resident path on
-# the same on-disk trace, merging the outcome into BENCH_results.json
-# under the "outofcore" key. The bench exits non-zero unless the
-# streaming report is byte-identical to the resident one, peak heap
-# drops by ≥ 3x and the streaming peak stays under an absolute 64 MiB
-# bound regardless of trace size. OUTOFCORE_OPS overrides the synthetic
-# trace size (0 = the experiment's default).
-OUTOFCORE_OPS ?= 0
-bench-outofcore:
-	$(GO) run ./cmd/sgx-perf-bench -exp outofcore \
-		-outofcore-ops $(OUTOFCORE_OPS) -json BENCH_results.json
 
 # End-to-end daemon smoke: build the binaries, record a trace, check
 # `sgx-perf-analyze -stream -json` is byte-identical to `-json`, boot

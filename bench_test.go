@@ -211,7 +211,8 @@ func BenchmarkLoggerContention(b *testing.B) {
 // BenchmarkLoggerContentionLive repeats the contention sweep with a live
 // streaming collector subscribed to the trace: the subscribers run on the
 // recording hot path (under the table write lock) but only enqueue
-// batches, so events/s must stay within ~10% of BenchmarkLoggerContention.
+// batches. Its events/s next to BenchmarkLoggerContention's is the tap's
+// cost; nothing gates it.
 func BenchmarkLoggerContentionLive(b *testing.B) {
 	for _, threads := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,36 +23,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "sgx-perf-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, runs the selected experiments and prints their
+// reports to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("sgx-perf-bench", flag.ExitOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment: all, transitions, table2, fig5, fig6-sqlite, fig6-libressl, fig78, ws-glamdring, ablation-lock, ablation-paging, ablation-switchless, switchless, contention, live, analyze, serve, outofcore")
-		requests = flag.Int("requests", 1000, "fig5: HTTP GET count")
-		inserts  = flag.Int("inserts", 2000, "fig6-sqlite: insert count")
-		signs    = flag.Int("signs", 5, "fig6-libressl: signatures per variant")
-		duration = flag.Duration("duration", time.Second, "fig78/live: load duration (paper: 31s)")
-		full     = flag.Bool("full", false, "use the paper's full experiment sizes (slower)")
-		dotOut   = flag.String("dot", "", "fig5: also write the call graph to this DOT file")
-		ops      = flag.Int("ops", 20000, "contention: ecalls per thread")
-		repeats  = flag.Int("repeats", 5, "contention: sweep repetitions (median is reported)")
-		jsonOut  = flag.String("json", "", "contention/live/serve: write machine-readable results to this file")
-		baseline = flag.String("baseline", "", "contention: previous -json output to compute speedups against")
-		analyzeN = flag.Int("analyze-ops", 50000, "analyze: synthetic trace size in top-level calls")
-		oocOps   = flag.Int("outofcore-ops", 0, "outofcore: synthetic trace size in top-level calls (0 = default; raise to push the resident path past RAM)")
+		exp      = fs.String("exp", "all", "experiment: all, transitions, table2, fig5, fig6-sqlite, fig6-libressl, fig78, ws-glamdring, ablation-lock, ablation-paging, ablation-switchless, switchless, live")
+		requests = fs.Int("requests", 1000, "fig5: HTTP GET count")
+		inserts  = fs.Int("inserts", 2000, "fig6-sqlite: insert count")
+		signs    = fs.Int("signs", 5, "fig6-libressl: signatures per variant")
+		duration = fs.Duration("duration", time.Second, "fig78/live: load duration (paper: 31s)")
+		full     = fs.Bool("full", false, "use the paper's full experiment sizes (slower)")
+		dotOut   = fs.String("dot", "", "fig5: also write the call graph to this DOT file")
+		jsonOut  = fs.String("json", "", "switchless/live: merge machine-readable results into this file under the experiment's name")
 
-		switchlessOps = flag.Int("switchless-ops", 400, "switchless: transition-bound calls per caller thread")
-		serveSessions = flag.Int("serve-sessions", 0, "serve: concurrent analysis sessions (0 = default 8)")
-		serveOps      = flag.Int("serve-ops", 0, "serve: calls per session trace (0 = default)")
-		serveReqs     = flag.Int("serve-requests", 0, "serve: warm report requests per session in the throughput phase (0 = default)")
-		liveView      = flag.Bool("live", false, "shorthand for -exp live: monitor the SecureKeeper run with streaming snapshots")
-		interval      = flag.Duration("interval", 200*time.Millisecond, "live: wall-clock delay between streamed snapshots")
+		switchlessOps = fs.Int("switchless-ops", 400, "switchless: transition-bound calls per caller thread")
+		liveView      = fs.Bool("live", false, "shorthand for -exp live: monitor the SecureKeeper run with streaming snapshots")
+		interval      = fs.Duration("interval", 200*time.Millisecond, "live: wall-clock delay between streamed snapshots")
 	)
-	flag.Parse()
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with the usage text instead of returning
 	if *liveView {
 		*exp = "live"
 	}
@@ -69,76 +65,76 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderTransitions(rows))
+			fmt.Fprintln(out, experiments.RenderTransitions(rows))
 		case "table2":
 			t2, err := experiments.RunTable2(experiments.Table2Options{})
 			if err != nil {
 				return err
 			}
-			fmt.Println(t2.Render())
+			fmt.Fprintln(out, t2.Render())
 		case "fig5":
 			f, err := experiments.RunFig5(*requests)
 			if err != nil {
 				return err
 			}
-			fmt.Println(f.Render())
+			fmt.Fprintln(out, f.Render())
 			if *dotOut != "" {
 				if err := os.WriteFile(*dotOut, []byte(f.DOT), 0o644); err != nil {
 					return err
 				}
-				fmt.Printf("call graph written to %s\n\n", *dotOut)
+				fmt.Fprintf(out, "call graph written to %s\n\n", *dotOut)
 			}
 		case "fig6-sqlite":
 			rows, err := experiments.RunFig6SQLite(*inserts)
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderFig6("SQLite inserts (paper: 1.00 / 0.57 / 0.76 vanilla bars)", rows))
+			fmt.Fprintln(out, experiments.RenderFig6("SQLite inserts (paper: 1.00 / 0.57 / 0.76 vanilla bars)", rows))
 		case "fig6-libressl":
 			rows, err := experiments.RunFig6LibreSSL(*signs)
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderFig6("LibreSSL signing (paper: 1.00 / 0.23 / 0.50 vanilla bars)", rows))
+			fmt.Fprintln(out, experiments.RenderFig6("LibreSSL signing (paper: 1.00 / 0.23 / 0.50 vanilla bars)", rows))
 			speedups := experiments.Speedups(rows, "enclave", "optimized")
-			fmt.Printf("optimised/enclave speedups: vanilla %.2fx, spectre %.2fx, l1tf %.2fx (paper: 2.16 / 2.66 / 2.87)\n\n",
+			fmt.Fprintf(out, "optimised/enclave speedups: vanilla %.2fx, spectre %.2fx, l1tf %.2fx (paper: 2.16 / 2.66 / 2.87)\n\n",
 				speedups["vanilla"], speedups["spectre"], speedups["spectre+l1tf"])
 		case "fig78":
 			f, err := experiments.RunFig78(*duration)
 			if err != nil {
 				return err
 			}
-			fmt.Println(f.Render())
+			fmt.Fprintln(out, f.Render())
 		case "ws-glamdring":
 			ws, err := experiments.RunGlamdringWorkingSet()
 			if err != nil {
 				return err
 			}
-			fmt.Println(ws.Render())
+			fmt.Fprintln(out, ws.Render())
 		case "ablation-lock":
 			rows, err := experiments.RunHybridLockAblation(0, 0)
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderHybridLock(rows))
+			fmt.Fprintln(out, experiments.RenderHybridLock(rows))
 		case "ablation-paging":
 			rows, err := experiments.RunPagingAblation(0, 0, 0)
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderPaging(rows))
+			fmt.Fprintln(out, experiments.RenderPaging(rows))
 		case "ablation-switchless":
 			rows, err := experiments.RunSwitchlessAblation(*signs)
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderSwitchless(rows))
+			fmt.Fprintln(out, experiments.RenderSwitchless(rows))
 		case "switchless":
 			res, err := experiments.RunSwitchlessLoop(0, *switchlessOps)
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderSwitchlessLoop(res))
+			fmt.Fprintln(out, experiments.RenderSwitchlessLoop(res))
 			if err := checkSwitchlessLoop(res); err != nil {
 				return err
 			}
@@ -146,20 +142,20 @@ func run() error {
 				if err := mergeJSONKey(*jsonOut, "switchless", res); err != nil {
 					return err
 				}
-				fmt.Printf("switchless results merged into %s\n\n", *jsonOut)
+				fmt.Fprintf(out, "switchless results merged into %s\n\n", *jsonOut)
 			}
 		case "live":
 			view, err := experiments.RunLive(*duration, *interval, func(t experiments.LiveTick) {
-				fmt.Printf("[t+%v] +%d call events\n%s\n",
+				fmt.Fprintf(out, "[t+%v] +%d call events\n%s\n",
 					t.Elapsed.Round(time.Millisecond), t.NewCalls,
 					experiments.RenderLiveSnapshot(t.Snapshot))
 			})
 			if err != nil {
 				return err
 			}
-			fmt.Println(experiments.RenderLiveRun(view))
+			fmt.Fprintln(out, experiments.RenderLiveRun(view))
 			if *jsonOut != "" {
-				if err := writeWireJSON(*jsonOut, liveResultsWire{
+				if err := mergeJSONKey(*jsonOut, "live", liveResultsWire{
 					SchemaVersion: apiv1.Version,
 					DurationNs:    int64(view.Duration),
 					Ticks:         view.Ticks,
@@ -168,96 +164,7 @@ func run() error {
 				}); err != nil {
 					return err
 				}
-				fmt.Printf("live results written to %s\n\n", *jsonOut)
-			}
-		case "serve":
-			res, err := experiments.RunServeBench(*serveSessions, *serveOps, *serveReqs)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderServe(res))
-			if err := checkServe(res); err != nil {
-				return err
-			}
-			if *jsonOut != "" {
-				if err := mergeJSONKey(*jsonOut, "serve", res); err != nil {
-					return err
-				}
-				fmt.Printf("serve results merged into %s\n\n", *jsonOut)
-			}
-		case "contention":
-			rows, err := experiments.RunLoggerContentionMedian(*ops, *repeats)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderContention(rows))
-			liveRows, err := experiments.RunLoggerContentionLiveMedian(*ops, *repeats)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderContentionLive(liveRows))
-			res := contentionResults{
-				Benchmark:    "logger_contention",
-				OpsPerThread: *ops,
-				Repeats:      *repeats,
-				Rows:         rows,
-				LiveRows:     liveRows,
-				LiveOverhead: contentionOverheads(rows, liveRows),
-			}
-			for _, r := range liveRows {
-				key := fmt.Sprintf("threads=%d", r.Threads)
-				if o, ok := res.LiveOverhead[key]; ok {
-					fmt.Printf("live subscriber throughput at %s: %.1f%% of plain recording\n", key, o*100)
-				}
-			}
-			fmt.Println()
-			if *baseline != "" {
-				base, err := readContentionBaseline(*baseline)
-				if err != nil {
-					return err
-				}
-				res.Baseline = base
-				res.Speedup = contentionSpeedups(base, rows)
-				for _, r := range rows {
-					key := fmt.Sprintf("threads=%d", r.Threads)
-					if s, ok := res.Speedup[key]; ok {
-						fmt.Printf("speedup vs baseline at %s: %.2fx\n", key, s)
-					}
-				}
-				fmt.Println()
-			}
-			if *jsonOut != "" {
-				if err := writeJSON(*jsonOut, res); err != nil {
-					return err
-				}
-				fmt.Printf("results written to %s\n\n", *jsonOut)
-			}
-		case "analyze":
-			res, err := experiments.RunAnalyzeThroughput(*analyzeN, *repeats)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderAnalyze(res))
-			if *jsonOut != "" {
-				if err := mergeJSONKey(*jsonOut, "analyze", res); err != nil {
-					return err
-				}
-				fmt.Printf("analyze results merged into %s\n\n", *jsonOut)
-			}
-		case "outofcore":
-			res, err := experiments.RunOutOfCore(*oocOps)
-			if err != nil {
-				return err
-			}
-			if err := checkOutOfCore(res); err != nil {
-				return err
-			}
-			fmt.Println(experiments.RenderOutOfCore(res))
-			if *jsonOut != "" {
-				if err := mergeJSONKey(*jsonOut, "outofcore", res); err != nil {
-					return err
-				}
-				fmt.Printf("outofcore results merged into %s\n\n", *jsonOut)
+				fmt.Fprintf(out, "live results merged into %s\n\n", *jsonOut)
 			}
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
@@ -271,14 +178,13 @@ func run() error {
 	for _, name := range []string{
 		"transitions", "table2", "fig5", "fig6-sqlite", "fig6-libressl",
 		"fig78", "ws-glamdring", "ablation-lock", "ablation-paging",
-		"ablation-switchless", "switchless", "contention", "live", "analyze",
-		"serve", "outofcore",
+		"ablation-switchless", "switchless", "live",
 	} {
 		start := time.Now()
 		if err := runOne(name); err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Printf("[%s finished in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(out, "[%s finished in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }
@@ -309,121 +215,10 @@ func checkSwitchlessLoop(res *experiments.SwitchlessLoopResult) error {
 	return nil
 }
 
-// checkServe enforces the always-on service's acceptance criteria: the
-// served report must match the offline analyser exactly, the run must
-// exercise real concurrency, the artifact cache must make warm requests
-// at least 5x faster than cold ones, and an append must refold only the
-// tail windows of the report behind /stats.
-func checkServe(res *experiments.ServeResult) error {
-	if !res.ServedEqualsOffline {
-		return fmt.Errorf("serve: served report diverges from the offline analyser")
-	}
-	if res.Sessions < 8 {
-		return fmt.Errorf("serve: only %d concurrent sessions, want >= 8", res.Sessions)
-	}
-	if res.WarmSpeedup < 5 {
-		return fmt.Errorf("serve: warm/cold speedup %.1fx below the 5x bar", res.WarmSpeedup)
-	}
-	if res.AppendWindowsReused < 1 || res.AppendWindowsComputed < 1 {
-		return fmt.Errorf("serve: append recomputed %d and reused %d windows — incremental invalidation regressed",
-			res.AppendWindowsComputed, res.AppendWindowsReused)
-	}
-	if res.AppendWindowsComputed >= res.AppendWindowsTotal {
-		return fmt.Errorf("serve: append recomputed all %d windows — nothing was reused", res.AppendWindowsTotal)
-	}
-	return nil
-}
-
-// checkOutOfCore enforces the streaming pipeline's acceptance criteria:
-// the out-of-core report must be byte-identical to the resident one,
-// and peak memory must sit at the chunk-window scale — far below the
-// resident path (which holds every table) and below an absolute ceiling
-// that does not grow with the trace (chunk size x a handful of cursors,
-// plus aggregate state and GC slack).
-func checkOutOfCore(res *experiments.OutOfCoreResult) error {
-	if !res.StreamEqualsResident {
-		return fmt.Errorf("outofcore: streaming report diverges from resident")
-	}
-	if res.PeakReduction < 3 {
-		return fmt.Errorf("outofcore: peak memory reduction %.1fx below the 3x bar (resident %d B, stream %d B)",
-			res.PeakReduction, res.ResidentPeakBytes, res.StreamPeakBytes)
-	}
-	if limit := uint64(64 << 20); res.StreamPeakBytes > limit {
-		return fmt.Errorf("outofcore: streaming peak %d B exceeds the %d B chunk-window budget",
-			res.StreamPeakBytes, limit)
-	}
-	return nil
-}
-
-// contentionResults is the machine-readable schema of -exp contention
-// -json: the measured sweep, and optionally the baseline sweep it was
-// compared against with per-thread-count speedups.
-type contentionResults struct {
-	Benchmark    string                      `json:"benchmark"`
-	OpsPerThread int                         `json:"ops_per_thread"`
-	Repeats      int                         `json:"repeats"`
-	Rows         []experiments.ContentionRow `json:"rows"`
-	// LiveRows repeats the sweep with a live streaming collector
-	// subscribed to the trace; LiveOverhead is live/plain throughput per
-	// thread count (1.0 = free, the acceptance bar is ≥ 0.9).
-	LiveRows     []experiments.ContentionRow `json:"live_rows,omitempty"`
-	LiveOverhead map[string]float64          `json:"live_overhead,omitempty"`
-	Baseline     []experiments.ContentionRow `json:"baseline,omitempty"`
-	Speedup      map[string]float64          `json:"speedup_vs_baseline,omitempty"`
-}
-
-// readContentionBaseline accepts a previous -json output file (the
-// baseline is its "rows" field, so results chain run-over-run) or a bare
-// JSON array of rows.
-func readContentionBaseline(path string) ([]experiments.ContentionRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var res contentionResults
-	if err := json.Unmarshal(data, &res); err == nil && len(res.Rows) > 0 {
-		return res.Rows, nil
-	}
-	var rows []experiments.ContentionRow
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	return rows, nil
-}
-
-// contentionOverheads reports the live sweep's throughput as a fraction
-// of the plain sweep's, per thread count.
-func contentionOverheads(plain, live []experiments.ContentionRow) map[string]float64 {
-	byThreads := make(map[int]float64, len(plain))
-	for _, r := range plain {
-		byThreads[r.Threads] = r.EventsPerSec
-	}
-	out := make(map[string]float64, len(live))
-	for _, r := range live {
-		if p := byThreads[r.Threads]; p > 0 {
-			out[fmt.Sprintf("threads=%d", r.Threads)] = r.EventsPerSec / p
-		}
-	}
-	return out
-}
-
-func contentionSpeedups(base, cur []experiments.ContentionRow) map[string]float64 {
-	byThreads := make(map[int]float64, len(base))
-	for _, b := range base {
-		byThreads[b.Threads] = b.EventsPerSec
-	}
-	out := make(map[string]float64, len(cur))
-	for _, c := range cur {
-		if b := byThreads[c.Threads]; b > 0 {
-			out[fmt.Sprintf("threads=%d", c.Threads)] = c.EventsPerSec / b
-		}
-	}
-	return out
-}
-
 // mergeJSONKey sets key to v inside the JSON object stored at path,
-// preserving every other top-level field (the contention results live in
-// the same file). A missing or non-object file starts a fresh object.
+// preserving every other top-level field, so each experiment's -json
+// result sits under its own name in one file. A missing or non-object
+// file starts a fresh object.
 func mergeJSONKey(path, key string, v any) error {
 	obj := map[string]json.RawMessage{}
 	if data, err := os.ReadFile(path); err == nil {
@@ -441,30 +236,12 @@ func mergeJSONKey(path, key string, v any) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// liveResultsWire is the api/v1 form of -exp live -json: run totals
-// plus the final snapshot as the shared LiveSnapshot wire type.
+// liveResultsWire is the "live" value of -exp live -json: run totals
+// plus the final snapshot as the shared api/v1 LiveSnapshot wire type.
 type liveResultsWire struct {
 	SchemaVersion int                 `json:"schema_version"`
 	DurationNs    int64               `json:"duration_ns"`
 	Ticks         int                 `json:"ticks"`
 	EventsSeen    int64               `json:"events_seen"`
 	Final         *apiv1.LiveSnapshot `json:"final"`
-}
-
-// writeWireJSON writes an api/v1 document in the canonical
-// serialisation.
-func writeWireJSON(path string, v any) error {
-	data, err := apiv1.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"sgxperf/internal/edl"
@@ -39,8 +37,8 @@ func RunLoggerContention(threads, opsPerThread int) (ContentionRow, error) {
 // RunLoggerContentionLive is the same experiment with a live streaming
 // collector subscribed to the trace: it measures what the analysis tap
 // costs the recording hot path. The collector's subscribers only enqueue
-// batches, so throughput should stay within a few percent of the plain
-// run.
+// batches; BenchmarkLoggerContentionLive reports the throughput next to
+// BenchmarkLoggerContention's, and nothing gates the difference.
 func RunLoggerContentionLive(threads, opsPerThread int) (ContentionRow, error) {
 	return runLoggerContention(threads, opsPerThread, true)
 }
@@ -136,64 +134,4 @@ func runLoggerContention(threads, opsPerThread int, withLive bool) (ContentionRo
 		row.NsPerEvent = float64(wall.Nanoseconds()) / float64(events)
 	}
 	return row, nil
-}
-
-// RunLoggerContentionSweep measures the standard thread counts (1, 4, 16).
-func RunLoggerContentionSweep(opsPerThread int) ([]ContentionRow, error) {
-	return RunLoggerContentionMedian(opsPerThread, 1)
-}
-
-// RunLoggerContentionMedian runs the sweep repeats times per thread count
-// and keeps the median row by throughput, damping scheduler noise.
-func RunLoggerContentionMedian(opsPerThread, repeats int) ([]ContentionRow, error) {
-	return contentionMedian(opsPerThread, repeats, false)
-}
-
-// RunLoggerContentionLiveMedian is the median sweep with a live collector
-// attached.
-func RunLoggerContentionLiveMedian(opsPerThread, repeats int) ([]ContentionRow, error) {
-	return contentionMedian(opsPerThread, repeats, true)
-}
-
-func contentionMedian(opsPerThread, repeats int, withLive bool) ([]ContentionRow, error) {
-	if repeats <= 0 {
-		repeats = 1
-	}
-	var out []ContentionRow
-	for _, n := range []int{1, 4, 16} {
-		runs := make([]ContentionRow, 0, repeats)
-		for r := 0; r < repeats; r++ {
-			row, err := runLoggerContention(n, opsPerThread, withLive)
-			if err != nil {
-				return nil, err
-			}
-			runs = append(runs, row)
-		}
-		sort.Slice(runs, func(i, j int) bool {
-			return runs[i].EventsPerSec < runs[j].EventsPerSec
-		})
-		out = append(out, runs[len(runs)/2])
-	}
-	return out, nil
-}
-
-// RenderContention renders the sweep as a table.
-func RenderContention(rows []ContentionRow) string {
-	return renderContention("Logger recording throughput under thread contention", rows)
-}
-
-// RenderContentionLive renders the live-subscriber sweep as a table.
-func RenderContentionLive(rows []ContentionRow) string {
-	return renderContention("Logger recording throughput with a live collector subscribed", rows)
-}
-
-func renderContention(title string, rows []ContentionRow) string {
-	var b strings.Builder
-	b.WriteString(title + "\n")
-	b.WriteString("threads |     events |   events/s | ns/event\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%7d | %10d | %10.0f | %8.0f\n",
-			r.Threads, r.Events, r.EventsPerSec, r.NsPerEvent)
-	}
-	return b.String()
 }

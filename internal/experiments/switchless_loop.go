@@ -60,7 +60,7 @@ type SwitchlessLoopResult struct {
 	// Queue statistics and the scheduler's trajectory.
 	Served      uint64                   `json:"served"`
 	Fallbacks   uint64                   `json:"fallbacks"`
-	Decisions   []sdk.EpochDecision      `json:"decisions"`
+	Decisions   []sdk.EpochDecision      `json:"-"`
 	FinalEcallW int                      `json:"final_ecall_workers"`
 	FinalOcallW int                      `json:"final_ocall_workers"`
 	Converged   bool                     `json:"converged"`

@@ -6,12 +6,16 @@ package analyzer_test
 // trace file read chunk-by-chunk.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	apiv1 "sgxperf/api/v1"
 	"sgxperf/internal/edl"
 	"sgxperf/internal/experiments"
 	"sgxperf/internal/perf/analyzer"
@@ -104,6 +108,98 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAnalyzeStreamHeapBounded holds the out-of-core memory bound on a
+// saved, stream-sorted 100k-call trace: the streaming report is
+// byte-identical to the resident one, its peak heap stays under 64 MiB,
+// and the resident path, which holds every table, peaks at least 3×
+// higher. Not parallel: another test's allocations would count.
+func TestAnalyzeStreamHeapBounded(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.evc")
+	if err := streamTrace(t, 100_000).SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	resident, residentPeak, err := heapPeak(func() (*analyzer.Report, error) {
+		tr, err := events.NewTrace()
+		if err != nil {
+			return nil, err
+		}
+		if err := tr.LoadFile(path); err != nil {
+			return nil, err
+		}
+		a, err := analyzer.New(tr, analyzer.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return a.Analyze(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, streamPeak, err := heapPeak(func() (*analyzer.Report, error) {
+		st, err := events.OpenStreamTrace(path)
+		if err != nil {
+			return nil, err
+		}
+		defer st.Close()
+		src, err := analyzer.NewStreamTraceSource(st)
+		if err != nil {
+			return nil, err
+		}
+		return analyzer.AnalyzeStream(src, analyzer.Options{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	residentDoc, err := apiv1.Marshal(apiv1.FromReport(resident))
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamDoc, err := apiv1.Marshal(apiv1.FromReport(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(residentDoc, streamDoc) {
+		t.Fatal("streaming report differs from the resident one")
+	}
+	t.Logf("peak heap: resident %.1f MB, streaming %.1f MB", float64(residentPeak)/1e6, float64(streamPeak)/1e6)
+	if limit := uint64(64 << 20); streamPeak > limit {
+		t.Errorf("streaming peak %d B exceeds the %d B bound", streamPeak, limit)
+	}
+	if residentPeak < 3*streamPeak {
+		t.Errorf("resident peak %d B is less than 3x the streaming peak %d B", residentPeak, streamPeak)
+	}
+}
+
+// heapPeak runs phase while sampling HeapAlloc every millisecond and
+// returns its report with the peak growth over the post-GC baseline.
+func heapPeak(phase func() (*analyzer.Report, error)) (*analyzer.Report, uint64, error) {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base, peak := ms.HeapAlloc, ms.HeapAlloc
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	rep, err := phase()
+	close(stop)
+	<-done
+	return rep, peak - base, err
 }
 
 // TestAnalyzeUnorderedFileBacked folds a saved multi-chunk trace in
