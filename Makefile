@@ -33,8 +33,9 @@ lint: vet
 # their suites under the race detector, together with the simulator
 # layers they drive (machine, SDK runtime, host) — lock-ordering bugs
 # between the logger and the SDK sync primitives only surface when both
-# run raced. internal/lint joins them for its process-wide table of
-# type-checked GOROOT packages, which concurrently checked trees share.
+# run raced. internal/lint joins them for its process-wide tables of
+# type-checked GOROOT packages and of the last root's parsed and checked
+# packages, which concurrently checked trees share.
 # RACE_PKGS is the one place that list lives; race and verify share it.
 RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 	./internal/pool/... ./internal/serve/... ./internal/experiments/... \
@@ -47,15 +48,15 @@ race:
 # verify is the documented check for this repo: lint (go vet, the gofmt
 # gate and the custom analyzers), the tier-1 gate (build + full test
 # suite, see ROADMAP.md), the race-detector suites, one iteration of
-# each root Go benchmark that times the toolchain (analysis, codec and
-# recorder: one that fails or panics breaks the build, and no timing is
-# asserted), and vet and tests of the bench/ module, which the root
-# ./... does not reach.
+# each root Go benchmark that times the toolchain (analysis, codec,
+# recorder and re-lint: one that fails or panics breaks the build, and
+# no timing is asserted), and vet and tests of the bench/ module, which
+# the root ./... does not reach.
 verify: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -run '^$$' -bench 'Analyze|CodecSaveLoad|LoggerContention' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Analyze|CodecSaveLoad|LoggerContention|LintRelint' -benchtime 1x .
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz smoke over the boundaries that accept untrusted bytes: the

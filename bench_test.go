@@ -14,14 +14,18 @@ package sgxperf_test
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"sgxperf"
 	"sgxperf/internal/experiments"
+	"sgxperf/internal/lint"
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
+	"sgxperf/internal/perf/staticlint"
 )
 
 // BenchmarkSec231_TransitionCost regenerates the §2.3.1 measurement:
@@ -339,5 +343,83 @@ func BenchmarkCodecSaveLoad(b *testing.B) {
 			}
 		}
 		b.ReportMetric(mb*float64(b.N)/time.Since(start).Seconds(), "MB/s")
+	})
+}
+
+// BenchmarkLintRelint prices one lint round over a fresh copy of the
+// sgx-perf-vet badrepo fixture: a cold vet pass (LoadTree and the ten
+// analyzers), the staticlint source pass over the same root, an edit
+// that plants one more held-across send, and a re-lint. Its B/op and
+// allocs/op show what the later loads of one root reuse from the first.
+func BenchmarkLintRelint(b *testing.B) {
+	const edited = "internal/app/queue.go"
+	plant := []byte(`
+func (q *queue) pushAgain(v int) {
+	q.mu.Lock()
+	q.out <- v
+	q.mu.Unlock()
+}
+`)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		root := filepath.Join(b.TempDir(), "badrepo")
+		if err := copyTree(filepath.Join("cmd", "sgx-perf-vet", "testdata", "badrepo"), root); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		diags := vetPass(b, root)
+		if _, err := staticlint.AnalyzeSource(root, nil, staticlint.Options{}); err != nil {
+			b.Fatal(err)
+		}
+		f, err := os.OpenFile(filepath.Join(root, edited), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = f.Write(plant)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rediags := vetPass(b, root); len(rediags) != len(diags)+1 {
+			b.Fatalf("re-lint reported %d diagnostics, want %d", len(rediags), len(diags)+1)
+		}
+	}
+}
+
+// vetPass loads root and runs the full analyzer suite over it.
+func vetPass(b *testing.B, root string) []lint.Diagnostic {
+	b.Helper()
+	tree, err := lint.LoadTree(root)
+	if err != nil {
+		b.Fatal(err)
+	}
+	diags, err := lint.RunTree(tree, lint.Analyzers())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return diags
+}
+
+// copyTree copies the regular files under src to dst.
+func copyTree(src, dst string) error {
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
 	})
 }

@@ -54,11 +54,13 @@
 package lint
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -301,10 +303,16 @@ func dedupe(diags []Diagnostic) []Diagnostic {
 	return out
 }
 
-// parseTree parses all non-test Go files under root, grouped by their
-// directory relative to root.
-func parseTree(root string) ([]*Package, *token.FileSet, error) {
-	fset := token.NewFileSet()
+// parseTree parses all non-test Go files under e's root into its FileSet,
+// grouped by their directory relative to the root. A file whose path and
+// bytes are those of e's latest load keeps that load's AST.
+func (e *rootEntry) parseTree() ([]*Package, error) {
+	root := e.root
+	lastRoot.Lock()
+	last := e.files
+	lastRoot.Unlock()
+	files := make(map[string]parsedFile, len(last))
+	parsed := 0
 	byDir := make(map[string][]*ast.File)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -321,19 +329,30 @@ func parseTree(root string) ([]*Package, *token.FileSet, error) {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		src, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("lint: %w", err)
 		}
+		pf, ok := last[path]
+		if sum := sha256.Sum256(src); !ok || pf.sum != sum {
+			file, err := parser.ParseFile(e.fset, path, src, parser.ParseComments)
+			parsed++
+			if err != nil {
+				return fmt.Errorf("lint: %w", err)
+			}
+			pf = parsedFile{sum: sum, file: file}
+		}
+		files[path] = pf
 		rel, err := filepath.Rel(root, filepath.Dir(path))
 		if err != nil {
 			return err
 		}
-		byDir[rel] = append(byDir[rel], file)
+		byDir[rel] = append(byDir[rel], pf.file)
 		return nil
 	})
+	e.loaded(files, parsed, err == nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	dirs := make([]string, 0, len(byDir))
 	for dir := range byDir {
@@ -344,11 +363,11 @@ func parseTree(root string) ([]*Package, *token.FileSet, error) {
 	for _, dir := range dirs {
 		files := byDir[dir]
 		sort.Slice(files, func(i, j int) bool {
-			return fset.Position(files[i].Package).Filename < fset.Position(files[j].Package).Filename
+			return e.fset.Position(files[i].Package).Filename < e.fset.Position(files[j].Package).Filename
 		})
 		pkgs = append(pkgs, &Package{Dir: dir, Files: files})
 	}
-	return pkgs, fset, nil
+	return pkgs, nil
 }
 
 // importName returns the local name under which file imports the given

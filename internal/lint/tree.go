@@ -10,25 +10,29 @@ import (
 // — the go/types view, the suppression directives, the dataflow-engine
 // summaries and the interprocedural call graphs — computed at most once
 // per Tree and shared by every analyzer and exported analysis that runs
-// over it. Each LoadTree parses and type-checks the tree's own packages
-// afresh, so a caller that loads the same root twice pays twice; only
-// standard-library imports are checked once per process (see
-// importGOROOT).
+// over it. Parsed files and checked packages outlive the Tree: a later
+// LoadTree of the same root re-parses only files whose bytes changed and
+// re-checks only the packages they change, plus their reverse
+// dependencies (see lastRoot). Standard-library imports are checked once
+// per process (see importGOROOT).
 //
 // Fset positions the tree's own files and any import resolved outside
-// GOROOT. Standard-library objects carry positions from the shared
-// table's FileSet instead, so no analyzer resolves the position of an
-// imported GOROOT object through Fset (see Package).
+// GOROOT; it is shared with other loads of the same root, so it may also
+// hold earlier versions of edited files. Standard-library objects carry
+// positions from the shared table's FileSet instead, so no analyzer
+// resolves the position of an imported GOROOT object through Fset (see
+// Package).
 //
 // A Tree is not safe for concurrent use: the driver runs analyzers
-// sequentially, and the memo maps are plain. Distinct Trees may be
-// loaded and checked concurrently.
+// sequentially, and the memo maps are plain. Distinct Trees, of one root
+// or of several, may be loaded and checked concurrently.
 type Tree struct {
 	Root string
 	Fset *token.FileSet
 	// Pkgs are every parsed package, sorted by Dir.
 	Pkgs []*Package
 
+	entry   *rootEntry
 	typed   bool
 	allows  *allowSet
 	engines map[string]*engine
@@ -39,14 +43,16 @@ type Tree struct {
 // LoadTree parses every Go package under root. Type checking is lazy:
 // it happens on the first use that needs it.
 func LoadTree(root string) (*Tree, error) {
-	pkgs, fset, err := parseTree(root)
+	e := rootEntryFor(root)
+	pkgs, err := e.parseTree()
 	if err != nil {
 		return nil, err
 	}
 	return &Tree{
 		Root:    root,
-		Fset:    fset,
+		Fset:    e.fset,
 		Pkgs:    pkgs,
+		entry:   e,
 		engines: make(map[string]*engine),
 		graphs:  make(map[string]*interproc),
 	}, nil
@@ -57,7 +63,7 @@ func (t *Tree) ensureTypes() {
 	if t.typed {
 		return
 	}
-	typecheck(t.Root, t.Fset, t.Pkgs)
+	t.entry.typecheck(t.Pkgs)
 	t.typed = true
 }
 

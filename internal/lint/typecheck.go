@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"crypto/sha256"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -10,6 +11,8 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"sync"
 )
 
@@ -26,6 +29,10 @@ import (
 // position of an object declared in an imported GOROOT package: lock
 // identities key by package path and name, summaries by FullName, and
 // diagnostics sit on the tree's own nodes.
+//
+// Each Tree has its own Package structs, but Files, Types and Info may be
+// the objects an earlier load of the same root produced (see lastRoot):
+// they are shared read-only.
 type Package struct {
 	// Dir is the package directory relative to the analysis root.
 	Dir string
@@ -46,8 +53,12 @@ type Package struct {
 // fails, so analysis of partial trees (test fixtures, other checkouts)
 // still type-checks what it can instead of aborting. Standard-library
 // paths go to the process-wide GOROOT table; everything else, stubs
-// included, lives as long as the tree.
+// included, lives as long as the root's entry in lastRoot, so reused and
+// re-checked packages agree on one identity per path. Trees of one root
+// may check concurrently, and the source importer is not safe for
+// concurrent use, so one mutex serialises Import.
 type tolerantImporter struct {
+	mu    sync.Mutex
 	src   types.Importer
 	stubs map[string]*types.Package
 }
@@ -60,6 +71,8 @@ func newTolerantImporter(fset *token.FileSet) *tolerantImporter {
 }
 
 func (imp *tolerantImporter) Import(p string) (*types.Package, error) {
+	imp.mu.Lock()
+	defer imp.mu.Unlock()
 	if stub, ok := imp.stubs[p]; ok {
 		return stub, nil
 	}
@@ -90,8 +103,8 @@ var goroot struct {
 // importGOROOT returns the shared package for an import path that
 // resolves under $GOROOT/src, type-checking it on first use; a hit is a
 // map lookup, with no go/build directory scan. shared is false for every
-// other path, which the caller resolves per tree. Failures are not
-// cached: the caller stubs them per tree, as it does any other.
+// other path, which the caller resolves per root. Failures are not
+// cached: the caller stubs them per root, as it does any other.
 func importGOROOT(p string) (pkg *types.Package, shared bool, err error) {
 	goroot.Lock()
 	defer goroot.Unlock()
@@ -125,9 +138,86 @@ func inGOROOT(p string) bool {
 	return err == nil && fi.IsDir()
 }
 
+// lastRoot is the process-wide table of the most recently loaded root:
+// its FileSet, each file's AST keyed by path and the SHA-256 of its bytes,
+// and each checked package keyed by import path, files and in-tree
+// imports. LoadTree re-parses only files whose bytes changed, and
+// ensureTypes re-checks only packages whose key changed plus their
+// reverse dependencies; every other file and package is the object the
+// previous load produced. A cold load is the same path over an empty
+// entry.
+//
+// The table holds one root because trees kept for earlier roots would
+// sit in every later heap; loading another root replaces the entry. It
+// stays bounded for one root too: a file a load does not see leaves the
+// entry, and once stale file versions in the FileSet outnumber live
+// files the entry is dropped, so the next load is cold. ASTs and checked
+// packages are shared read-only; each entry's maps are replaced whole,
+// never written in place, and one mutex guards the table.
+var lastRoot struct {
+	sync.Mutex
+	e *rootEntry
+}
+
+// A rootEntry is lastRoot's state for one root.
+type rootEntry struct {
+	root string
+	fset *token.FileSet
+	imp  *tolerantImporter
+	// files are the latest load's ASTs, by path.
+	files map[string]parsedFile
+	// pkgs are the latest check's packages, by import path.
+	pkgs map[string]*checkedPkg
+	// parsed counts the file versions parsed into fset.
+	parsed int
+}
+
+// A parsedFile is one file's AST and the hash of the bytes it came from.
+type parsedFile struct {
+	sum  [sha256.Size]byte
+	file *ast.File
+}
+
+// A checkedPkg is one checked package and the key it was checked under
+// (its files and in-tree imports; the import path keys the map).
+type checkedPkg struct {
+	files []*ast.File
+	deps  []string
+	types *types.Package
+	info  *types.Info
+}
+
+// rootEntryFor returns the table's entry for root, replacing the entry
+// of any other root with an empty one.
+func rootEntryFor(root string) *rootEntry {
+	lastRoot.Lock()
+	defer lastRoot.Unlock()
+	if lastRoot.e == nil || lastRoot.e.root != root {
+		fset := token.NewFileSet()
+		lastRoot.e = &rootEntry{root: root, fset: fset, imp: newTolerantImporter(fset)}
+	}
+	return lastRoot.e
+}
+
+// loaded records a load that parsed n new file versions. A load that
+// succeeded replaces the file table with the files it saw. Once stale
+// versions outnumber live files, the entry leaves the table.
+func (e *rootEntry) loaded(files map[string]parsedFile, n int, ok bool) {
+	lastRoot.Lock()
+	defer lastRoot.Unlock()
+	e.parsed += n
+	if ok {
+		e.files = files
+	}
+	if lastRoot.e == e && e.parsed-len(e.files) > len(e.files) {
+		lastRoot.e = nil
+	}
+}
+
 var moduleRE = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 
 // modulePath reads the module path from root/go.mod ("" when absent).
+// go.mod may quote the path as an interpreted or raw string literal.
 func modulePath(root string) string {
 	raw, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -136,6 +226,9 @@ func modulePath(root string) string {
 	m := moduleRE.FindSubmatch(raw)
 	if m == nil {
 		return ""
+	}
+	if p, err := strconv.Unquote(string(m[1])); err == nil {
+		return p
 	}
 	return string(m[1])
 }
@@ -146,12 +239,18 @@ func modulePath(root string) string {
 // else goes through the tolerant source importer. Checking is tolerant
 // throughout: a types error never fails the run (the build gate catches
 // real ones); it only leaves holes in Info that analyzers skip.
-func typecheck(root string, fset *token.FileSet, pkgs []*Package) {
-	mod := modulePath(root)
+//
+// A package keeps the objects of the entry's previous check when its
+// import path, files and in-tree imports are unchanged and each of those
+// imports was itself kept (see reusable). Files compare by AST identity,
+// which LoadTree keeps only for an unchanged path and hash.
+func (e *rootEntry) typecheck(pkgs []*Package) {
+	mod := modulePath(e.root)
 	tc := &treeChecker{
-		fset:   fset,
-		imp:    newTolerantImporter(fset),
+		fset:   e.fset,
+		imp:    e.imp,
 		byPath: make(map[string]*Package, len(pkgs)),
+		pkgs:   make(map[string]*checkedPkg, len(pkgs)),
 		state:  make(map[string]int, len(pkgs)),
 	}
 	for _, pkg := range pkgs {
@@ -167,9 +266,65 @@ func typecheck(root string, fset *token.FileSet, pkgs []*Package) {
 		pkg.ImportPath = ipath
 		tc.byPath[ipath] = pkg
 	}
+	for ipath, pkg := range tc.byPath {
+		tc.pkgs[ipath] = &checkedPkg{files: pkg.Files, deps: inTreeImports(pkg.Files, tc.byPath)}
+	}
+	lastRoot.Lock()
+	prev := e.pkgs
+	lastRoot.Unlock()
+	for ipath, ok := range reusable(prev, tc.pkgs) {
+		if ok {
+			tc.pkgs[ipath] = prev[ipath]
+		}
+	}
 	for _, pkg := range pkgs {
 		tc.check(pkg)
 	}
+	lastRoot.Lock()
+	e.pkgs = tc.pkgs
+	lastRoot.Unlock()
+}
+
+// inTreeImports returns the import paths in files that name packages of
+// the tree, in first-import order.
+func inTreeImports(files []*ast.File, byPath map[string]*Package) []string {
+	var deps []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			p, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && byPath[p] != nil && !slices.Contains(deps, p) {
+				deps = append(deps, p)
+			}
+		}
+	}
+	return deps
+}
+
+// reusable reports, for each import path in next, whether its checked
+// package in prev still holds: the same files and in-tree imports, each
+// import itself reusable. A package that reaches an in-tree import cycle
+// is never reused, because the checker stubs whichever side is in
+// progress.
+func reusable(prev, next map[string]*checkedPkg) map[string]bool {
+	keep := make(map[string]bool, len(next))
+	var visit func(p string) bool
+	visit = func(p string) bool {
+		if ok, seen := keep[p]; seen {
+			return ok // false while p is in progress: a cycle
+		}
+		keep[p] = false
+		old, cur := prev[p], next[p]
+		ok := old != nil && slices.Equal(old.files, cur.files) && slices.Equal(old.deps, cur.deps)
+		for _, d := range cur.deps {
+			ok = ok && visit(d)
+		}
+		keep[p] = ok
+		return ok
+	}
+	for p := range next {
+		visit(p)
+	}
+	return keep
 }
 
 // treeChecker type-checks the parsed packages, resolving in-tree imports
@@ -178,7 +333,10 @@ type treeChecker struct {
 	fset   *token.FileSet
 	imp    *tolerantImporter
 	byPath map[string]*Package
-	state  map[string]int // 0 unvisited, 1 in progress, 2 done
+	// pkgs are the packages by import path: kept from the previous check
+	// (types set) or keyed for this one (types nil until checked).
+	pkgs  map[string]*checkedPkg
+	state map[string]int // 0 unvisited, 1 in progress, 2 done
 }
 
 func (tc *treeChecker) check(pkg *Package) {
@@ -186,23 +344,26 @@ func (tc *treeChecker) check(pkg *Package) {
 		return
 	}
 	tc.state[pkg.ImportPath] = 1
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	c := tc.pkgs[pkg.ImportPath]
+	if c.types == nil {
+		info := &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		}
+		conf := types.Config{
+			Importer:    tc,
+			Error:       func(error) {}, // collect nothing; keep checking
+			FakeImportC: true,
+		}
+		tpkg, _ := conf.Check(pkg.ImportPath, tc.fset, pkg.Files, info)
+		if tpkg == nil {
+			tpkg = types.NewPackage(pkg.ImportPath, "")
+		}
+		c.types, c.info = tpkg, info
 	}
-	conf := types.Config{
-		Importer:    tc,
-		Error:       func(error) {}, // collect nothing; keep checking
-		FakeImportC: true,
-	}
-	tpkg, _ := conf.Check(pkg.ImportPath, tc.fset, pkg.Files, info)
-	if tpkg == nil {
-		tpkg = types.NewPackage(pkg.ImportPath, "")
-	}
-	pkg.Types = tpkg
-	pkg.Info = info
+	pkg.Types, pkg.Info = c.types, c.info
 	tc.state[pkg.ImportPath] = 2
 }
 

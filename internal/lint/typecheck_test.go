@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"fmt"
+	"go/ast"
 	"go/build"
 	"go/types"
 	"os"
@@ -42,7 +44,7 @@ func importOf(pkg *types.Package, p string) *types.Package {
 // assertSharedOnlyGOROOT fails unless every path in the process-wide
 // table names a directory under $GOROOT/src and none of the given paths
 // made it in: in-tree packages, out-of-tree resolutions and stubs must
-// keep their per-tree lifetime.
+// live only as long as their root's entry in lastRoot.
 func assertSharedOnlyGOROOT(t *testing.T, perTree ...string) {
 	t.Helper()
 	goroot.Lock()
@@ -104,15 +106,31 @@ func FromB() int { return a.FromA() }
 	}
 	// The package checked second still resolves the first for real: Left
 	// sees the genuine b.Right, not a stub.
-	a := findPkg(t, tree, "internal/a")
-	left, ok := a.Types.Scope().Lookup("Left").(*types.TypeName)
-	if !ok {
-		t.Fatal("internal/a: Left not type-checked")
+	leftResolves := func(tree *Tree) {
+		a := findPkg(t, tree, "internal/a")
+		left, ok := a.Types.Scope().Lookup("Left").(*types.TypeName)
+		if !ok {
+			t.Fatal("internal/a: Left not type-checked")
+		}
+		st := left.Type().Underlying().(*types.Struct)
+		if got := st.Field(0).Type().String(); got != "example.com/fix/internal/b.Right" {
+			t.Errorf("Left.R resolved to %s, want the in-tree b.Right", got)
+		}
 	}
-	st := left.Type().Underlying().(*types.Struct)
-	if got := st.Field(0).Type().String(); got != "example.com/fix/internal/b.Right" {
-		t.Errorf("Left.R resolved to %s, want the in-tree b.Right", got)
+	leftResolves(tree)
+	// Which side of a cycle gets the stub depends on the walk, so a reload
+	// re-checks both instead of reusing them, and resolves the same way.
+	again, err := LoadTree(tree.Root)
+	if err != nil {
+		t.Fatal(err)
 	}
+	again.ensureTypes()
+	for _, dir := range []string{"internal/a", "internal/b"} {
+		if findPkg(t, again, dir).Types == findPkg(t, tree, dir).Types {
+			t.Errorf("%s: reload reused a package on an import cycle", dir)
+		}
+	}
+	leftResolves(again)
 	assertSharedOnlyGOROOT(t, "example.com/fix/internal/a", "example.com/fix/internal/b")
 }
 
@@ -241,9 +259,13 @@ func Two() { dep.Call() }
 	assertSharedOnlyGOROOT(t, "example.org/elsewhere/dep", "lintfixture/pkg/one")
 }
 
-// TestTypecheckGOROOTTableConcurrent type-checks two copies of one tree
-// from separate goroutines. The process-wide GOROOT table must hand both
-// the same sync package, and the copies must lint identically.
+// TestTypecheckGOROOTTableConcurrent type-checks one tree from two
+// goroutines while a third checks a copy at another root, twice: first
+// cold, when the same-root pair may check through one importer at once,
+// then after a warm load, when the pair reuses its checked packages while
+// the third goroutine evicts them from the root table. The process-wide
+// GOROOT table must hand every load the same sync package, and every load
+// must lint identically.
 func TestTypecheckGOROOTTableConcurrent(t *testing.T) {
 	files := map[string]string{
 		"go.mod":             "module example.com/fix\n\ngo 1.22\n",
@@ -266,44 +288,312 @@ func stamp(n *node) time.Duration {
 	return time.Duration(started)
 }
 `,
+		// A missing dependency: each cold check stubs it through the
+		// root's one importer.
+		"pkg/stubbed/stubbed.go": `package stubbed
+
+import "example.com/fix/pkg/gone"
+
+func Call() { gone.Call() }
+`,
 	}
-	roots := []string{writeTree(t, files), writeTree(t, files)}
-	trees := make([]*Tree, len(roots))
-	diags := make([][]string, len(roots))
-	errs := make([]error, len(roots))
-	var wg sync.WaitGroup
-	for i, root := range roots {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tree, err := LoadTree(root)
+	same := writeTree(t, files)
+	roots := []string{same, same, writeTree(t, files)}
+	// lintAll lints roots[i] on goroutine i. With hold set, the third
+	// goroutine starts loading only once the same-root pair has loaded.
+	lintAll := func(hold bool) []*Tree {
+		trees := make([]*Tree, len(roots))
+		diags := make([][]string, len(roots))
+		errs := make([]error, len(roots))
+		var loaded, wg sync.WaitGroup
+		loaded.Add(2)
+		for i, root := range roots {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if i == 2 && hold {
+					loaded.Wait()
+				}
+				tree, err := LoadTree(root)
+				if i < 2 {
+					loaded.Done()
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				ds, err := RunTree(tree, Analyzers())
+				trees[i], errs[i] = tree, err
+				for _, d := range ds {
+					diags[i] = append(diags[i], strings.ReplaceAll(d.String(), root, ""))
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
 			if err != nil {
-				errs[i] = err
-				return
+				t.Fatal(err)
 			}
-			ds, err := RunTree(tree, Analyzers())
-			trees[i], errs[i] = tree, err
-			for _, d := range ds {
-				diags[i] = append(diags[i], strings.ReplaceAll(d.String(), root, ""))
+		}
+		if len(diags[0]) < 3 {
+			t.Fatalf("diagnostics = %v, want a lock cycle, a held lock and a mixed variable", diags[0])
+		}
+		s0 := importOf(findPkg(t, trees[0], "pkg/locks").Types, "sync")
+		if s0 == nil {
+			t.Fatal("pkg/locks does not import sync")
+		}
+		for i := 1; i < len(roots); i++ {
+			if !slices.Equal(diags[0], diags[i]) {
+				t.Errorf("concurrent trees disagree:\n%v\n%v", diags[0], diags[i])
 			}
-		}()
+			if si := importOf(findPkg(t, trees[i], "pkg/locks").Types, "sync"); si != s0 {
+				t.Errorf("sync imports = %p and %p, want one shared package", s0, si)
+			}
+		}
+		return trees
 	}
-	wg.Wait()
-	for _, err := range errs {
+	lintAll(false)
+	warm, _ := lintedTree(t, same)
+	trees := lintAll(true)
+	for _, tree := range trees[:2] {
+		if findPkg(t, tree, "pkg/locks").Types != findPkg(t, warm, "pkg/locks").Types {
+			t.Error("a same-root load re-checked pkg/locks; want the warm load's package")
+		}
+	}
+	assertSharedOnlyGOROOT(t, "example.com/fix/pkg/locks", "example.com/fix/pkg/held", "example.com/fix/pkg/mix",
+		"example.com/fix/pkg/gone")
+}
+
+// crossLockFiles is a module whose two packages form a lock-order cycle
+// through exported mutexes: b takes a.Mu then its own Mu in one function
+// and the reverse in another. The cycle exists only when b's import of a
+// resolves in-tree.
+func crossLockFiles(gomod string) map[string]string {
+	return map[string]string{
+		"go.mod": gomod,
+		"a/a.go": `package a
+
+import "sync"
+
+var Mu sync.Mutex
+`,
+		"b/b.go": `package b
+
+import (
+	"sync"
+
+	"example.com/q/a"
+)
+
+var Mu sync.Mutex
+
+func Forward() {
+	a.Mu.Lock()
+	Mu.Lock()
+	Mu.Unlock()
+	a.Mu.Unlock()
+}
+
+func Backward() {
+	Mu.Lock()
+	a.Mu.Lock()
+	a.Mu.Unlock()
+	Mu.Unlock()
+}
+`,
+	}
+}
+
+// TestTypecheckQuotedModulePath proves a go.mod that quotes its module
+// path, as go build accepts, checks in-tree imports against the unquoted
+// path: the cross-package lock cycle is found under every spelling.
+func TestTypecheckQuotedModulePath(t *testing.T) {
+	for _, gomod := range []string{
+		"module example.com/q\n\ngo 1.22\n",
+		"module \"example.com/q\"\n\ngo 1.22\n",
+		"module `example.com/q` // raw\n\ngo 1.22\n",
+	} {
+		root := writeTree(t, crossLockFiles(gomod))
+		diags, err := Run(root, []*Analyzer{LockOrder})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(diags) != 1 {
+			t.Errorf("%q: diagnostics = %v, want the one cross-package lock cycle", gomod, messages(diags))
+		}
 	}
-	if len(diags[0]) < 3 {
-		t.Fatalf("diagnostics = %v, want a lock cycle, a held lock and a mixed variable", diags[0])
+}
+
+// relintFiles is the reuse fixture: c imports b, b imports a, and d
+// stands alone. Each package draws a diagnostic, and b's and c's need
+// their in-tree imports resolved.
+var relintFiles = map[string]string{
+	"go.mod": "module example.com/fix\n\ngo 1.22\n",
+	"a/a.go": `package a
+
+import "sync"
+
+var Mu sync.Mutex
+
+func Touch() {
+	Mu.Lock()
+	Mu.Unlock()
+}
+`,
+	"b/b.go": `package b
+
+import (
+	"sync"
+
+	"example.com/fix/a"
+)
+
+var Mu sync.Mutex
+
+func Forward() {
+	a.Mu.Lock()
+	Mu.Lock()
+	Mu.Unlock()
+	a.Mu.Unlock()
+}
+
+func Backward() {
+	Mu.Lock()
+	a.Mu.Lock()
+	a.Mu.Unlock()
+	Mu.Unlock()
+}
+`,
+	"c/c.go": `package c
+
+import "example.com/fix/b"
+
+func Send(ch chan int) {
+	b.Mu.Lock()
+	defer b.Mu.Unlock()
+	ch <- 1
+}
+`,
+	"d/held.go": heldSendSrc,
+	"d/extra.go": `package held
+
+func extra() int { return 1 }
+`,
+}
+
+// lintedTree loads root and runs the full suite over it.
+func lintedTree(t *testing.T, root string) (*Tree, []string) {
+	t.Helper()
+	tree, err := LoadTree(root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !slices.Equal(diags[0], diags[1]) {
-		t.Errorf("concurrent trees disagree:\n%v\n%v", diags[0], diags[1])
+	diags, err := RunTree(tree, Analyzers())
+	if err != nil {
+		t.Fatal(err)
 	}
-	s0 := importOf(findPkg(t, trees[0], "pkg/locks").Types, "sync")
-	s1 := importOf(findPkg(t, trees[1], "pkg/locks").Types, "sync")
-	if s0 == nil || s0 != s1 {
-		t.Errorf("sync imports = %p and %p, want one shared package", s0, s1)
+	return tree, messages(diags)
+}
+
+// TestLoadTreeReusesUnchangedPackages walks one root through a reload, an
+// edit, a file added and removed, a deleted dependency and a new module
+// path. After each step exactly the changed packages and their reverse
+// dependencies are checked afresh, every other package and file is the
+// previous load's object, and the diagnostics equal a cold load's.
+func TestLoadTreeReusesUnchangedPackages(t *testing.T) {
+	root := writeTree(t, relintFiles)
+	other := writeTree(t, map[string]string{"o/o.go": "package o\n"})
+	write := func(rel, src string) {
+		if err := os.WriteFile(filepath.Join(root, filepath.FromSlash(rel)), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	assertSharedOnlyGOROOT(t, "example.com/fix/pkg/locks", "example.com/fix/pkg/held", "example.com/fix/pkg/mix")
+	remove := func(rel string) {
+		if err := os.RemoveAll(filepath.Join(root, filepath.FromSlash(rel))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev, _ := lintedTree(t, root)
+	for _, step := range []struct {
+		name      string
+		edit      func()
+		rechecked []string // the rest must be reused
+	}{
+		{"reload", func() {}, nil},
+		{"edit b", func() { write("b/b.go", relintFiles["b/b.go"]+"\nfunc Extra() {}\n") }, []string{"b", "c"}},
+		{"add and delete in d", func() {
+			write("d/more.go", "package held\n\nfunc more() int { return 2 }\n")
+			remove("d/extra.go")
+		}, []string{"d"}},
+		{"delete a", func() { remove("a") }, []string{"b", "c"}},
+		{"new module path", func() { write("go.mod", "module example.com/moved\n\ngo 1.22\n") }, []string{"b", "c", "d"}},
+	} {
+		step.edit()
+		warm, got := lintedTree(t, root)
+		for _, pkg := range warm.Pkgs {
+			old := findPkg(t, prev, pkg.Dir)
+			if slices.Contains(step.rechecked, pkg.Dir) {
+				if pkg.Types == old.Types {
+					t.Errorf("%s: %s kept its old check; want it re-checked", step.name, pkg.Dir)
+				}
+				continue
+			}
+			if pkg.Types != old.Types || pkg.Info != old.Info {
+				t.Errorf("%s: %s re-checked; want the previous load's package", step.name, pkg.Dir)
+			}
+			if !slices.Equal(pkg.Files, old.Files) {
+				t.Errorf("%s: %s re-parsed; want the previous load's files", step.name, pkg.Dir)
+			}
+		}
+		if step.name == "delete a" {
+			// go/types drops an incomplete stub from Imports.
+			if got := importOf(findPkg(t, warm, "b").Types, "example.com/fix/a"); got != nil {
+				t.Errorf("delete a: b still imports %v", got)
+			}
+			if warm.entry.imp.stubs["example.com/fix/a"] == nil {
+				t.Error("delete a: the deleted package was not stubbed")
+			}
+		}
+		// Loading another root evicts this one, so the next load is cold.
+		lintedTree(t, other)
+		cold, want := lintedTree(t, root)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: reused load reports\n%v\ncold load reports\n%v", step.name, got, want)
+		}
+		if findPkg(t, cold, "c").Types == findPkg(t, warm, "c").Types {
+			t.Errorf("%s: the load after another root reused c; want a cold load", step.name)
+		}
+		prev = cold
+	}
+}
+
+// TestLoadTreeDropsStaleRoot proves the root table stays bounded under
+// edits: once the FileSet holds more stale file versions than live ones,
+// the entry is dropped and the next load parses every file afresh.
+func TestLoadTreeDropsStaleRoot(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"p/a.go": "package p\n",
+		"p/b.go": "package p\n\nfunc B() {}\n",
+	})
+	load := func() *ast.File {
+		tree, err := LoadTree(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return findPkg(t, tree, "p").Files[1]
+	}
+	b := load()
+	for edit := 1; edit <= 3; edit++ {
+		src := fmt.Sprintf("package p\n\nvar A = %d\n", edit)
+		if err := os.WriteFile(filepath.Join(root, "p", "a.go"), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Two live files: the third stale version of a.go drops the entry.
+		if got := load(); got != b {
+			t.Errorf("edit %d: unchanged b.go re-parsed with %d stale versions", edit, edit)
+		}
+	}
+	if load() == b {
+		t.Error("b.go kept its AST after stale versions outnumbered live files; want a cold load")
+	}
 }

@@ -278,24 +278,14 @@ func (t *Trace) NextID() EventID {
 }
 
 // Calls returns all call events of the given kind in one exactly-sized
-// copy (built from the bulk chunk scan); hot paths should use ScanCalls
-// instead.
+// copy (built from the bulk chunk scan); hot paths should call
+// Ecalls.Scan or Ocalls.Scan instead.
 func (t *Trace) Calls(kind CallKind) []CallEvent {
 	tab := t.Ecalls
 	if kind != KindEcall {
 		tab = t.Ocalls
 	}
 	return collect(tab)
-}
-
-// ScanCalls iterates all call events of the given kind in insertion order
-// without copying, until yield returns false.
-func (t *Trace) ScanCalls(kind CallKind, yield func(i int, ev CallEvent) bool) {
-	if kind == KindEcall {
-		t.Ecalls.Scan(yield)
-		return
-	}
-	t.Ocalls.Scan(yield)
 }
 
 // Frequency returns the trace's recorded CPU frequency, defaulting to the

@@ -50,9 +50,11 @@ func predictionTolerance(predicted int) float64 {
 	return tol
 }
 
-// analyzeInterproc runs the interprocedural call-graph analysis
-// (internal/lint's transition summaries) over the Go sources under root
-// and converts its raw facts into the analyser's currency:
+// analyzeInterprocTree runs the interprocedural call-graph analysis
+// (internal/lint's transition summaries) over an already-loaded tree, so
+// Static's source pass parses and type-checks the repo once for all of
+// the sync, interprocedural and taint analyses, and converts its raw
+// facts into the analyser's currency:
 //
 //   - every ocall dispatch reached inside a loop — directly or through
 //     a transitively-dispatching callee — becomes a
@@ -69,18 +71,6 @@ func predictionTolerance(predicted int) float64 {
 // Like AnalyzeSource, suppression annotations are deliberately ignored:
 // //sgxperf:allow gates the repository lint, while this pass prices the
 // pattern for the performance report regardless of intent.
-func analyzeInterproc(root string, dirs []string, opts Options) ([]analyzer.Finding, []Prediction, error) {
-	tree, err := lint.LoadTree(root)
-	if err != nil {
-		return nil, nil, fmt.Errorf("staticlint: interprocedural analysis: %w", err)
-	}
-	findings, preds := analyzeInterprocTree(tree, dirs, opts)
-	return findings, preds, nil
-}
-
-// analyzeInterprocTree is analyzeInterproc over an already-loaded tree,
-// so Static's source pass parses and type-checks the repo once for all
-// of the sync, interprocedural and taint analyses.
 func analyzeInterprocTree(tree *lint.Tree, dirs []string, opts Options) ([]analyzer.Finding, []Prediction) {
 	root := tree.Root
 	rep := lint.AnalyzeInterprocTree(tree, dirs)
