@@ -49,14 +49,14 @@ race:
 # gate and the custom analyzers), the tier-1 gate (build + full test
 # suite, see ROADMAP.md), the race-detector suites, one iteration of
 # each root Go benchmark that times the toolchain (analysis, codec,
-# recorder and re-lint: one that fails or panics breaks the build, and
-# no timing is asserted), and vet and tests of the bench/ module, which
+# recorder, re-lint and the daemon's warm report read: one that fails
+# or panics breaks the build, and no timing is asserted), and vet and tests of the bench/ module, which
 # the root ./... does not reach.
 verify: lint
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -run '^$$' -bench 'Analyze|CodecSaveLoad|LoggerContention|LintRelint' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Analyze|CodecSaveLoad|LoggerContention|LintRelint|ServeWarm' -benchtime 1x .
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz smoke over the boundaries that accept untrusted bytes: the

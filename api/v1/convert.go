@@ -7,7 +7,6 @@ import (
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/live"
 	"sgxperf/internal/perf/staticlint"
-	"sgxperf/internal/sdk"
 )
 
 // FromReport converts an analyser report to its wire form.
@@ -134,34 +133,6 @@ func FromDiagnostics(root string, analyzers []string, diags []lint.Diagnostic) *
 			Analyzer: d.Analyzer,
 			Message:  d.Message,
 		})
-	}
-	return out
-}
-
-// FromEpochDecision converts one switchless tuner decision to its wire
-// form.
-func FromEpochDecision(d sdk.EpochDecision) EpochDecision {
-	return EpochDecision{
-		Pool:            d.Pool,
-		Epoch:           d.Epoch,
-		Action:          d.Action,
-		Workers:         d.Workers,
-		Served:          d.Served,
-		Fallbacks:       d.Fallbacks,
-		AvgWaitNs:       int64(d.AvgWait),
-		Callers:         d.Callers,
-		PredictedWaitNs: int64(d.PredictedWait),
-	}
-}
-
-// FromEpochDecisions converts a tuner trajectory.
-func FromEpochDecisions(ds []sdk.EpochDecision) []EpochDecision {
-	if ds == nil {
-		return nil
-	}
-	out := make([]EpochDecision, len(ds))
-	for i, d := range ds {
-		out[i] = FromEpochDecision(d)
 	}
 	return out
 }

@@ -310,19 +310,6 @@ type VetReport struct {
 	Diagnostics   []VetDiagnostic `json:"diagnostics"`
 }
 
-// EpochDecision is one self-tuning switchless scheduler decision.
-type EpochDecision struct {
-	Pool            string `json:"pool"` // "ecall" or "ocall"
-	Epoch           int    `json:"epoch"`
-	Action          string `json:"action"` // "grow", "shrink" or "hold"
-	Workers         int    `json:"workers"`
-	Served          uint64 `json:"served"`
-	Fallbacks       uint64 `json:"fallbacks"`
-	AvgWaitNs       int64  `json:"avg_wait_ns"`
-	Callers         int    `json:"callers"`
-	PredictedWaitNs int64  `json:"predicted_wait_ns"`
-}
-
 // TraceInfo describes one trace registered with the serve daemon.
 type TraceInfo struct {
 	SchemaVersion int    `json:"schema_version"`

@@ -12,7 +12,6 @@ import (
 
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
-	"sgxperf/internal/sdk"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
@@ -99,14 +98,6 @@ func sampleLintReport() *LintReport {
 	}
 }
 
-func sampleDecision() EpochDecision {
-	return EpochDecision{
-		Pool: "ecall", Epoch: 3, Action: "grow", Workers: 4,
-		Served: 800, Fallbacks: 2, AvgWaitNs: 1500, Callers: 9,
-		PredictedWaitNs: 2100,
-	}
-}
-
 // TestRoundTrip proves every top-level document survives
 // marshal → unmarshal unchanged, so the wire types carry no state the
 // encoding loses.
@@ -115,7 +106,6 @@ func TestRoundTrip(t *testing.T) {
 		"report":   sampleReport(),
 		"snapshot": sampleSnapshot(),
 		"lint":     sampleLintReport(),
-		"decision": func() *EpochDecision { d := sampleDecision(); return &d }(),
 		"trace_info": &TraceInfo{
 			SchemaVersion: Version, ID: "t1", Workload: "sample",
 			ContentKey: "deadbeef", Counts: Counts{Ecalls: 3}, Seq: 2,
@@ -177,7 +167,6 @@ func TestGoldenWire(t *testing.T) {
 		{"report.json", sampleReport()},
 		{"snapshot.json", sampleSnapshot()},
 		{"lint.json", sampleLintReport()},
-		{"decision.json", sampleDecision()},
 	}
 	for _, d := range docs {
 		raw, err := Marshal(d.doc)
@@ -242,24 +231,6 @@ func TestFromReport(t *testing.T) {
 	got.Paging.ByRegion["heap"] = 99
 	if in.Paging.ByRegion["heap"] != 1 {
 		t.Error("FromReport aliased the paging map")
-	}
-}
-
-// TestFromEpochDecision checks the tuner-decision conversion.
-func TestFromEpochDecision(t *testing.T) {
-	in := sdk.EpochDecision{
-		Pool: "ocall", Epoch: 2, Action: "shrink", Workers: 1,
-		Served: 10, Fallbacks: 0, AvgWait: 1500 * time.Nanosecond,
-		Callers: 3, PredictedWait: 700 * time.Nanosecond,
-	}
-	got := FromEpochDecision(in)
-	want := EpochDecision{
-		Pool: "ocall", Epoch: 2, Action: "shrink", Workers: 1,
-		Served: 10, Fallbacks: 0, AvgWaitNs: 1500, Callers: 3,
-		PredictedWaitNs: 700,
-	}
-	if got != want {
-		t.Errorf("FromEpochDecision:\n got  %+v\n want %+v", got, want)
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"fmt"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -26,6 +28,7 @@ import (
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/perf/staticlint"
+	"sgxperf/internal/serve"
 )
 
 // BenchmarkSec231_TransitionCost regenerates the §2.3.1 measurement:
@@ -344,6 +347,43 @@ func BenchmarkCodecSaveLoad(b *testing.B) {
 		}
 		b.ReportMetric(mb*float64(b.N)/time.Since(start).Seconds(), "MB/s")
 	})
+}
+
+// BenchmarkServeWarmReport prices one cached report read through the
+// daemon's handler in process: a GET /v1/traces/{id}/report of a
+// SynthAnalysisTrace(6000) whose report is already cached, served into
+// an httptest.ResponseRecorder. Its B/op and allocs/op are the warm
+// path's fixed cost — content key, cache lookup, headers, body write.
+func BenchmarkServeWarmReport(b *testing.B) {
+	trace, err := experiments.SynthAnalysisTrace(6000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := trace.Save(&body); err != nil {
+		b.Fatal(err)
+	}
+	h := serve.New(serve.Options{}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/traces?id=warm", &body))
+	if rec.Code != http.StatusCreated {
+		b.Fatalf("upload: status %d: %s", rec.Code, rec.Body)
+	}
+	get := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/traces/warm/report", nil))
+		return rec
+	}
+	if rec := get(); rec.Code != http.StatusOK {
+		b.Fatalf("cold report: status %d: %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := get(); rec.Code != http.StatusOK {
+			b.Fatalf("warm report: status %d", rec.Code)
+		}
+	}
 }
 
 // BenchmarkLintRelint prices one lint round over a fresh copy of the

@@ -51,10 +51,11 @@ type Table[T any] struct {
 	// table with no subscribers pays only a nil-slice check.
 	subs []*subscriber[T]
 
-	// hashed caches ChunkHashes results for full (immutable) chunks;
-	// hashGen invalidates the cache on the rewrite paths (Replace, Reset,
-	// load). Both guarded by mu.
+	// hashed caches ChunkHashes results for full (immutable) chunks and
+	// tail memoises the partial last chunk's; hashGen invalidates both on
+	// the rewrite paths (Replace, Reset, load). All guarded by mu.
 	hashed  []uint64
+	tail    tailHash
 	hashGen uint64
 }
 

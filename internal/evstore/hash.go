@@ -17,46 +17,61 @@ import (
 // full and therefore immutable, so appending events only ever changes
 // the trailing hashes — an artifact cache keyed per chunk hash
 // invalidates nothing but the tail. Full-chunk hashes are cached inside
-// the table (appends never recompute them); the partial tail chunk is
-// rehashed on every call.
+// the table (appends never recompute them), and the partial tail
+// chunk's hash is memoised under (hashGen, row count): a repeat call on
+// an unchanged table encodes nothing, and an append re-encodes only the
+// tail it grew, once.
 func (t *Table[T]) ChunkHashes() []uint64 {
 	t.notifyRead()
 	t.mu.RLock()
-	gen := t.hashGen
-	chunks := make([][]T, 0, len(t.chunks))
-	for _, c := range t.chunks {
-		chunks = append(chunks, c[:len(c):len(c)])
+	gen, length := t.hashGen, t.length
+	out := make([]uint64, len(t.chunks))
+	n := copy(out, t.hashed)
+	if last := len(t.chunks) - 1; n == last && t.tail.gen == gen && t.tail.rows == length {
+		out[n] = t.tail.hash
+		n++
 	}
-	var cached []uint64
-	if n := len(t.hashed); n > 0 && n <= len(chunks) {
-		cached = t.hashed[:n:n]
+	var missing [][]T
+	for _, c := range t.chunks[n:] {
+		missing = append(missing, c[:len(c):len(c)])
 	}
 	t.mu.RUnlock()
-
-	out := make([]uint64, len(chunks))
-	n := copy(out, cached)
-	if missing := len(chunks) - n; missing > 0 {
-		pool.ForEach(missing, func(i int) {
-			out[n+i] = t.hashChunk(chunks[n+i])
-		})
+	if len(missing) == 0 {
+		return out
 	}
+	pool.ForEach(len(missing), func(i int) {
+		out[n+i] = t.hashChunk(missing[i])
+	})
 
-	// Adopt newly computed full-chunk hashes into the cache. Only full
-	// chunks are cached: they are immutable, so a hash computed from any
-	// snapshot stays correct. hashGen guards against a Replace/Reset/load
-	// having swapped the contents since the snapshot.
-	full := len(chunks)
-	if full > 0 && len(chunks[full-1]) < chunkSize {
+	// Adopt the newly computed hashes. Within one hashGen rows are only
+	// appended, so a full chunk never changes and the row count pins the
+	// partial tail's rows: a hash computed from any snapshot stays
+	// correct for that snapshot's (hashGen, row count). The rewrite paths
+	// (Replace, Reset, readBinary) bump hashGen, which discards both.
+	full := len(out)
+	if len(missing[len(missing)-1]) < chunkSize {
 		full--
 	}
-	if full > n {
-		t.mu.Lock()
-		if t.hashGen == gen && len(t.hashed) < full {
-			t.hashed = append([]uint64(nil), out[:full]...)
+	t.mu.Lock()
+	if t.hashGen == gen {
+		if len(t.hashed) < full {
+			t.hashed = append(t.hashed, out[len(t.hashed):full]...)
 		}
-		t.mu.Unlock()
+		// Keep a memo of a longer table: this snapshot may be older.
+		if full < len(out) && (t.tail.gen != gen || t.tail.rows < length) {
+			t.tail = tailHash{gen: gen, rows: length, hash: out[full]}
+		}
 	}
+	t.mu.Unlock()
 	return out
+}
+
+// tailHash memoises the hash of a table's partial last chunk: it holds
+// while the table is still at generation gen with rows rows.
+type tailHash struct {
+	gen  uint64
+	rows int
+	hash uint64
 }
 
 // hashChunk hashes one chunk's rows via its encoded payload.
@@ -73,8 +88,9 @@ func hashChunkPayload(payload []byte) uint64 {
 	return h.Sum64()
 }
 
-// invalidateHashesLocked drops the full-chunk hash cache; the rewrite
-// paths (Replace, Reset, readBinary) call it with t.mu held.
+// invalidateHashesLocked drops the full-chunk hash cache and, by
+// bumping hashGen, retires the tail memo; the rewrite paths (Replace,
+// Reset, readBinary) call it with t.mu held.
 func (t *Table[T]) invalidateHashesLocked() {
 	t.hashed = nil
 	t.hashGen++

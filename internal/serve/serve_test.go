@@ -660,6 +660,8 @@ func TestErrorStatuses(t *testing.T) {
 		{"corrupt upload", "POST", "/v1/traces", []byte("not an evstore stream"), http.StatusBadRequest},
 		{"duplicate id", "POST", "/v1/traces?id=dup", traceBytes(t, synthTrace(t, 5)), http.StatusConflict},
 		{"bad id", "POST", "/v1/traces?id=bad/slash", traceBytes(t, synthTrace(t, 5)), http.StatusBadRequest},
+		{"dot id", "POST", "/v1/traces?id=.", traceBytes(t, synthTrace(t, 5)), http.StatusBadRequest},
+		{"dot-dot id", "POST", "/v1/traces?id=..", traceBytes(t, synthTrace(t, 5)), http.StatusBadRequest},
 		{"bad enclave param", "GET", "/v1/traces/dup/report?enclave=x", nil, http.StatusBadRequest},
 		{"append to unknown", "POST", "/v1/traces/nope/append", traceBytes(t, synthTrace(t, 5)), http.StatusNotFound},
 		{"report alias ambiguous", "GET", "/v1/report?trace=ghost", nil, http.StatusNotFound},

@@ -151,8 +151,8 @@ func (s *Server) register(id string, tr *events.Trace) (*traceEntry, error) {
 	if tr == nil {
 		return nil, fmt.Errorf("serve: %w", analyzer.ErrNoTrace)
 	}
-	if id != "" && !traceIDPattern.MatchString(id) {
-		return nil, fmt.Errorf("%w: trace id %q (want %s)", ErrBadRequest, id, traceIDPattern)
+	if id != "" && (!traceIDPattern.MatchString(id) || id == "." || id == "..") {
+		return nil, fmt.Errorf("%w: trace id %q (want %s, other than \".\" and \"..\")", ErrBadRequest, id, traceIDPattern)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,6 +173,9 @@ func (s *Server) register(id string, tr *events.Trace) (*traceEntry, error) {
 	return e, nil
 }
 
+// traceIDPattern is what a trace id may spell; "." and ".." match it
+// but are refused, because the mux cleans them out of every
+// /v1/traces/{id}/... path and such a trace could not be addressed.
 var traceIDPattern = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
 // lookup resolves a request's {id} path value.
@@ -202,29 +205,34 @@ func retryable(ctx context.Context, err error, attempt int) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// reportEntry is the cached full-report artifact: the wire report plus
-// how many fold windows its computation replayed versus folded fresh
-// (zero-valued when the monolithic fold produced it).
+// reportEntry is the cached full-report artifact: the wire report, its
+// canonical apiv1.Marshal bytes (what a report request writes, so a
+// cache hit marshals nothing), and how many fold windows its
+// computation replayed versus folded fresh (zero-valued when the
+// monolithic fold produced it).
 type reportEntry struct {
 	rep     *apiv1.Report
+	raw     []byte
 	windows windowCounts
 }
 
 // reportArtifact returns the trace's full wire report, cached by
-// content key. Stream-sorted traces are computed through the windowed
-// fold (foldedReport), so even a cold content key after an append
-// refolds only the tail windows; unsorted uploads run the same fold
-// over sorted copies in one window (monolithicReport). Concurrency is
-// optimistic: the key is computed before the analysis and revalidated
-// after; since the store is append-only, an unchanged key proves the
-// analysis saw exactly the keyed content, and a changed one discards
-// the run (nothing is cached) and retries under the new key.
-func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, windowCounts, bool, error) {
-	keyOf := func() string {
-		return fmt.Sprintf("report|%s|%d", e.trace.ContentKey(), enclave)
-	}
+// content key, together with that content key and the request's
+// fold-window accounting. Stream-sorted traces are computed through the
+// windowed fold (foldedReport), so even a cold content key after an
+// append refolds only the tail windows; unsorted uploads run the same
+// fold over sorted copies in one window (monolithicReport). Concurrency
+// is optimistic: the key is computed before the analysis and
+// revalidated after; since the store is append-only, an unchanged key
+// proves the analysis saw exactly the keyed content, and a changed one
+// discards the run (nothing is cached) and retries under the new key.
+// A returned entry therefore always belongs to the returned content
+// key, cache hit or not.
+func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*reportEntry, string, windowCounts, error) {
+	suffix := "|" + strconv.FormatUint(uint64(enclave), 10)
 	for attempt := 0; ; attempt++ {
-		key := keyOf()
+		contentKey := e.trace.ContentKey()
+		key := "report|" + contentKey + suffix
 		v, hit, err := s.cache.GetOrCompute(key, func() (any, error) {
 			rep, wc, err := s.foldedReport(ctx, e, enclave)
 			if errors.Is(err, analyzer.ErrUnsorted) {
@@ -234,10 +242,14 @@ func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.
 			if err != nil {
 				return nil, err
 			}
-			if keyOf() != key {
+			if e.trace.ContentKey() != contentKey {
 				return nil, errConcurrentAppend
 			}
-			return &reportEntry{rep: rep, windows: wc}, nil
+			raw, err := apiv1.Marshal(rep)
+			if err != nil {
+				return nil, err
+			}
+			return &reportEntry{rep: rep, raw: raw, windows: wc}, nil
 		})
 		if err == nil {
 			ent := v.(*reportEntry)
@@ -250,12 +262,12 @@ func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.
 			} else {
 				s.noteHeap() // a fresh analysis is where the heap crests
 			}
-			return ent.rep, wc, hit, nil
+			return ent, contentKey, wc, nil
 		}
 		if retryable(ctx, err, attempt) {
 			continue
 		}
-		return nil, windowCounts{}, false, err
+		return nil, "", windowCounts{}, err
 	}
 }
 
@@ -276,11 +288,13 @@ func (s *Server) monolithicReport(ctx context.Context, e *traceEntry, enclave sg
 }
 
 // lintArtifact returns the trace's hybrid lint report (static findings
-// from the EDL embedded in the trace, re-ranked by observed traffic),
-// cached by content key like reportArtifact. With src set the source
-// passes join in under the server's configured root; the artifact is
-// cached under its own key so the two variants never collide.
-func (s *Server) lintArtifact(ctx context.Context, e *traceEntry, src bool) (*apiv1.LintReport, bool, error) {
+// from the EDL embedded in the trace, re-ranked by observed traffic) in
+// its canonical apiv1.Marshal bytes, cached by content key like
+// reportArtifact. Nothing reads the report but the response, so only
+// the bytes are kept. With src set the source passes join in under the
+// server's configured root; the artifact is cached under its own key so
+// the two variants never collide.
+func (s *Server) lintArtifact(ctx context.Context, e *traceEntry, src bool) ([]byte, error) {
 	prefix := "lint|"
 	var opts staticlint.Options
 	if src {
@@ -288,57 +302,46 @@ func (s *Server) lintArtifact(ctx context.Context, e *traceEntry, src bool) (*ap
 		opts.SourceRoot = s.opts.SourceRoot
 		opts.SourceDirs = s.opts.SourceDirs
 	}
-	keyOf := func() string { return prefix + e.trace.ContentKey() }
 	for attempt := 0; ; attempt++ {
-		key := keyOf()
-		v, hit, err := s.cache.GetOrCompute(key, func() (any, error) {
+		contentKey := e.trace.ContentKey()
+		v, _, err := s.cache.GetOrCompute(prefix+contentKey, func() (any, error) {
 			rep, err := staticlint.HybridContext(ctx, nil, e.trace, opts)
 			if err != nil {
 				return nil, err
 			}
-			if keyOf() != key {
+			if e.trace.ContentKey() != contentKey {
 				return nil, errConcurrentAppend
 			}
-			return apiv1.FromLintReport(rep), nil
+			return apiv1.Marshal(apiv1.FromLintReport(rep))
 		})
 		if err == nil {
-			return v.(*apiv1.LintReport), hit, nil
+			return v.([]byte), nil
 		}
 		if retryable(ctx, err, attempt) {
 			continue
 		}
-		return nil, false, err
+		return nil, err
 	}
 }
 
 // statsReport answers /stats from the cached report artifact: its
-// per-call statistics plus the fold-window accounting of the request.
-// The content key is read before and after fetching the report; since
-// the store is append-only, an unchanged key proves the report is the
-// keyed content's, and a changed one retries.
+// per-call statistics, the content key the artifact is cached under
+// (which pins the content the statistics describe), and the fold-window
+// accounting of the request.
 func (s *Server) statsReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.StatsReport, error) {
-	for attempt := 0; ; attempt++ {
-		contentKey := e.trace.ContentKey()
-		rep, wc, _, err := s.reportArtifact(ctx, e, enclave)
-		if err == nil && e.trace.ContentKey() != contentKey {
-			err = errConcurrentAppend
-		}
-		if err != nil {
-			if retryable(ctx, err, attempt) {
-				continue
-			}
-			return nil, err
-		}
-		return &apiv1.StatsReport{
-			SchemaVersion:   apiv1.Version,
-			Workload:        rep.Workload,
-			ContentKey:      contentKey,
-			Stats:           rep.Stats,
-			WindowsTotal:    wc.total,
-			WindowsComputed: wc.computed,
-			WindowsReused:   wc.reused,
-		}, nil
+	ent, contentKey, wc, err := s.reportArtifact(ctx, e, enclave)
+	if err != nil {
+		return nil, err
 	}
+	return &apiv1.StatsReport{
+		SchemaVersion:   apiv1.Version,
+		Workload:        ent.rep.Workload,
+		ContentKey:      contentKey,
+		Stats:           ent.rep.Stats,
+		WindowsTotal:    wc.total,
+		WindowsComputed: wc.computed,
+		WindowsReused:   wc.reused,
+	}, nil
 }
 
 func hashesEqual(a, b []uint64) bool {
@@ -360,10 +363,11 @@ func hashesEqual(a, b []uint64) bool {
 // sliding clock window, which an uploaded trace does not have.
 func (s *Server) snapshotDoc(ctx context.Context, e *traceEntry) (*apiv1.LiveSnapshot, error) {
 	seq := e.hub.current()
-	rep, _, _, err := s.reportArtifact(ctx, e, 0)
+	ent, _, _, err := s.reportArtifact(ctx, e, 0)
 	if err != nil {
 		return nil, err
 	}
+	rep := ent.rep
 	return &apiv1.LiveSnapshot{
 		SchemaVersion: apiv1.Version,
 		Workload:      rep.Workload,
@@ -528,7 +532,7 @@ func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, e *traceEnt
 		writeError(w, err)
 		return
 	}
-	rep, wc, _, err := s.reportArtifact(r.Context(), e, enclave)
+	ent, _, wc, err := s.reportArtifact(r.Context(), e, enclave)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -539,7 +543,7 @@ func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, e *traceEnt
 	w.Header().Set("Sgxperf-Windows-Total", strconv.Itoa(wc.total))
 	w.Header().Set("Sgxperf-Windows-Computed", strconv.Itoa(wc.computed))
 	w.Header().Set("Sgxperf-Windows-Reused", strconv.Itoa(wc.reused))
-	writeDoc(w, http.StatusOK, rep)
+	writeRaw(w, http.StatusOK, ent.raw)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -579,12 +583,12 @@ func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: pass -source-root when starting the daemon", ErrNoSource))
 		return
 	}
-	rep, _, err := s.lintArtifact(r.Context(), e, src != 0)
+	raw, err := s.lintArtifact(r.Context(), e, src != 0)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeDoc(w, http.StatusOK, rep)
+	writeRaw(w, http.StatusOK, raw)
 }
 
 // handleSnapshot is the long-poll subscription: with ?seq=N the
@@ -729,13 +733,20 @@ func uintParam(r *http.Request, name string) (uint64, error) {
 	return v, nil
 }
 
-// writeDoc writes a wire document in the canonical serialisation.
+// writeDoc writes a wire document in the canonical serialisation. It
+// is for documents with per-request fields; cached artifacts keep their
+// canonical bytes and go out through writeRaw.
 func writeDoc(w http.ResponseWriter, status int, v any) {
 	raw, err := apiv1.Marshal(v)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	writeRaw(w, status, raw)
+}
+
+// writeRaw writes a wire document already in its canonical bytes.
+func writeRaw(w http.ResponseWriter, status int, raw []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(raw)
@@ -751,7 +762,5 @@ func writeError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(raw)
+	writeRaw(w, status, raw)
 }

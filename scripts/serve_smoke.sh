@@ -4,8 +4,10 @@
 # out-of-core `sgx-perf-analyze -stream -json` report against the
 # resident `-json` one, boot sgx-perf-serve on a free port, upload the
 # trace over HTTP, and check that GET /v1/report is byte-for-byte what
-# `sgx-perf-analyze -json` prints for the same file. Exercises the
-# daemon the way a user does — over the wire, not through httptest.
+# `sgx-perf-analyze -json` prints for the same file — both the cold
+# answer and a second, warm one written from the cached bytes.
+# Exercises the daemon the way a user does — over the wire, not through
+# httptest.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,8 +56,12 @@ curl -sfS "http://$addr/v1/report?trace=golden" > "$work/served.json"
 echo "== byte-compare served vs offline"
 cmp "$work/offline.json" "$work/served.json"
 
+echo "== fetch it again (a cache hit, written from the cached bytes) and byte-compare"
+curl -sfS "http://$addr/v1/traces/golden/report" > "$work/served_warm.json"
+cmp "$work/offline.json" "$work/served_warm.json"
+
 echo "== health and metrics"
 curl -sfS "http://$addr/v1/healthz" > /dev/null
 curl -sfS "http://$addr/v1/metrics" | grep -q '"schema_version"'
 
-echo "serve smoke: OK (-stream and served reports byte-identical to sgx-perf-analyze -json)"
+echo "serve smoke: OK (-stream, cold and warm served reports byte-identical to sgx-perf-analyze -json)"
