@@ -29,7 +29,8 @@ lint: vet
 # event store with its subscription tap and parallel codec
 # (internal/evstore), the shared worker pool (internal/pool) behind the
 # codec and the hybrid lint re-ranking, and the serve daemon's
-# concurrent window folds are the concurrency-sensitive packages; run
+# concurrent reports, appends and cache fills are the
+# concurrency-sensitive packages; run
 # their suites under the race detector, together with the simulator
 # layers they drive (machine, SDK runtime, host) — lock-ordering bugs
 # between the logger and the SDK sync primitives only surface when both

@@ -331,19 +331,17 @@ type TraceList struct {
 }
 
 // StatsReport is the statistics view (GET /v1/traces/{id}/stats): the
-// Stats of the trace's cached report, with the fold-window accounting
-// of the request that produced it, so an appended trace only refolds
-// its tail windows.
+// Stats of the trace's cached report and the content key it is cached
+// under.
 type StatsReport struct {
 	SchemaVersion int         `json:"schema_version"`
 	Workload      string      `json:"workload"`
 	ContentKey    string      `json:"content_key"`
 	Stats         []CallStats `json:"stats"`
-	// WindowsTotal is how many report fold windows the trace spans;
-	// WindowsComputed of them were folded for this request and
-	// WindowsReused came from the artifact cache. All three are zero
-	// for a trace that is not stream-sorted, which is reported by one
-	// uncached fold over sorted copies of its tables.
+	// WindowsTotal, WindowsComputed and WindowsReused are always 0: the
+	// daemon folds each report in one pass, with no fold windows to
+	// count. They stay because removing a field is a breaking change,
+	// which needs api/v2 (see the package doc).
 	WindowsTotal    int `json:"windows_total"`
 	WindowsComputed int `json:"windows_computed"`
 	WindowsReused   int `json:"windows_reused"`

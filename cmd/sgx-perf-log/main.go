@@ -66,8 +66,8 @@ func run() error {
 	fmt.Printf("recorded %d ecall, %d ocall, %d AEX, %d paging, %d sync events (wall %v)\n",
 		runRes.Trace.Ecalls.Len(), runRes.Trace.Ocalls.Len(), runRes.Trace.AEXs.Len(),
 		runRes.Trace.Paging.Len(), runRes.Trace.Syncs.Len(), time.Since(start).Round(time.Millisecond))
-	// Save in stream order, so sgx-perf-analyze -stream and the serve
-	// daemon's windowed fold accept the file as is.
+	// Save in stream order, so sgx-perf-analyze -stream accepts the
+	// file as is and the fold reads every table in place.
 	events.StreamSort(runRes.Trace)
 	if err := runRes.Trace.SaveFile(*out); err != nil {
 		return err

@@ -1,9 +1,10 @@
 // Command sgx-perf-serve is the always-on analysis service: a long-lived
 // daemon that accepts recorded traces over HTTP, serves analyser
-// reports, windowed statistics, hybrid lint reports and live snapshots
+// reports, their statistics, hybrid lint reports and live snapshots
 // from them, and caches every computed artifact content-addressed by the
-// trace's chunk hashes — so re-analysing an appended trace recomputes
-// only the changed tail.
+// trace's chunk hashes — so a repeat request for unchanged content
+// computes nothing, and a report after an append is one fold of the
+// grown trace.
 //
 // Every response is an api/v1 wire document in the canonical
 // serialisation; GET /v1/traces/{id}/report is byte-for-byte what
@@ -21,7 +22,7 @@
 //	GET  /v1/traces/{id}               one trace's info (content key, counts, seq)
 //	POST /v1/traces/{id}/append        append a delta trace stream
 //	GET  /v1/traces/{id}/report        full analyser report (?enclave=N)
-//	GET  /v1/traces/{id}/stats         the report's statistics + fold-window counts
+//	GET  /v1/traces/{id}/stats         the report's statistics and content key
 //	GET  /v1/traces/{id}/lint          hybrid lint report (embedded EDL; ?source=1 adds the source passes)
 //	GET  /v1/traces/{id}/snapshot      live snapshot; ?seq=N long-polls for a change
 //	GET  /v1/traces/{id}/live          server-sent-events snapshot stream

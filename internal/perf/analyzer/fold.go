@@ -7,9 +7,10 @@ package analyzer
 // the Equation 2 and 3 accumulators (ReorderAgg, MergeAgg), parent
 // counts — and the security-hint evidence; AssembleReport renders them
 // into a Report.
-// Every report comes from here: Analyzer.Analyze folds sorted copies of
-// a resident trace, AnalyzeStream folds a saved file chunk by chunk and
-// the serve daemon folds cached windows.
+// Every report comes from here, in one pass from an empty carry to the
+// end of the feeds: Analyzer.Analyze folds sorted copies of a resident
+// trace (the serve daemon's reports among them) and AnalyzeStream folds
+// a saved file chunk by chunk.
 //
 // Preconditions. The fold requires the stream-sorted layout
 // events.StreamSort produces — ecalls and ocalls each sorted by
@@ -33,8 +34,7 @@ package analyzer
 // with no map work per call. The exact fallbacks cost only when used:
 //   - a call that does not nest inside its thread's innermost open call
 //     waits in the open map, from which closed calls leave in sweeps
-//     that run whenever the map has doubled since the last one (and at
-//     every window bound);
+//     that run whenever the map has doubled since the last one;
 //   - a Parent link that misses both the child's own stack and the open
 //     map resolves through an ID index of every thread's frames, built
 //     on the first such miss and maintained from then on;
@@ -47,9 +47,7 @@ package analyzer
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -65,10 +63,10 @@ import (
 // Analyzer.Analyze, which sorts copies of the tables first.
 var ErrUnsorted = errors.New("analyzer: trace tables are not stream-sorted")
 
-// ChunkSeq supplies one table's rows chunk-by-chunk with random access,
-// so window recomputation can re-read only the chunks it needs. A
-// resident evstore table, a stream cursor (see source.go) and in-memory
-// Chunks satisfy it.
+// ChunkSeq supplies one table's rows chunk-by-chunk with random access:
+// the read-ahead alternates two feeds over one table, each reading every
+// other chunk. A resident evstore table, a stream cursor (see source.go)
+// and in-memory Chunks satisfy it.
 //
 // The rows Chunk returns are read-only and stay valid only until the
 // next Chunk call on the same ChunkSeq: a stream cursor decodes every
@@ -97,11 +95,6 @@ type FoldInput struct {
 	Ecalls ChunkSeq[events.CallEvent]
 	Ocalls ChunkSeq[events.CallEvent]
 	Paging ChunkSeq[events.PagingEvent]
-}
-
-// foldPos is a resume position inside a ChunkSeq.
-type foldPos struct {
-	chunk, row int
 }
 
 type callKey struct {
@@ -189,13 +182,12 @@ func (ts *threadState) find(id events.EventID) *frame {
 	return nil
 }
 
-// FoldCarry is the cross-chunk state of a fold: cursor resume
-// positions, monotonicity watermarks, the open calls, the
-// indirect-parent group slots and the per-thread latest call end (see
-// "Carry layout" above). Its size is bounded by the number of
-// concurrently open calls and threads, never by trace length.
+// FoldCarry is the cross-chunk state of a fold: monotonicity
+// watermarks, the open calls, the indirect-parent group slots and the
+// per-thread latest call end (see "Carry layout" above). Its size is
+// bounded by the number of concurrently open calls and threads, never
+// by trace length.
 type FoldCarry struct {
-	ePos, oPos, pPos   foldPos
 	lastCall, lastPage callKey
 	seenCall, seenPage bool
 
@@ -231,146 +223,6 @@ func NewFoldCarry() *FoldCarry {
 		groups:   make(map[foldGroup]*groupPrev),
 		groupsOf: make(map[events.EventID][]foldGroup),
 	}
-}
-
-// Clone deep-copies the carry so a cached carry-out can seed the next
-// window without aliasing.
-func (c *FoldCarry) Clone() *FoldCarry {
-	out := &FoldCarry{
-		ePos: c.ePos, oPos: c.oPos, pPos: c.pPos,
-		lastCall: c.lastCall, lastPage: c.lastPage,
-		seenCall: c.seenCall, seenPage: c.seenPage,
-		threads:  make(map[sgx.ThreadID]*threadState, len(c.threads)),
-		open:     make(map[events.EventID]openCall, len(c.open)),
-		purgeAt:  c.purgeAt,
-		groups:   make(map[foldGroup]*groupPrev, len(c.groups)),
-		groupsOf: make(map[events.EventID][]foldGroup, len(c.groupsOf)),
-	}
-	for id, ts := range c.threads {
-		t := *ts
-		t.stack = slices.Clone(ts.stack)
-		out.threads[id] = &t
-	}
-	for k, v := range c.open {
-		out.open[k] = v
-	}
-	for k, v := range c.groups {
-		prev := *v
-		out.groups[k] = &prev
-	}
-	for k, v := range c.groupsOf {
-		out.groupsOf[k] = slices.Clone(v)
-	}
-	if c.index != nil {
-		out.index = make(map[events.EventID]*threadState, len(c.index))
-		for id, ts := range c.index {
-			out.index[id] = out.threads[ts.id]
-		}
-	}
-	return out
-}
-
-// Hash digests the carry's semantic content (positions, watermarks,
-// open calls, group slots, thread watermarks) in a sorted, deterministic
-// order, so equal carries — however produced — hash equally: an open
-// call hashes the same on a stack or in the open map, and a group slot,
-// keyed by (thread, kind, parent), the same in a frame, in its thread
-// or in the maps. The serve daemon chains it into window cache keys.
-func (c *FoldCarry) Hash() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	wi := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	ws := func(s string) {
-		wi(int64(len(s)))
-		h.Write([]byte(s))
-	}
-	for _, p := range []foldPos{c.ePos, c.oPos, c.pPos} {
-		wi(int64(p.chunk))
-		wi(int64(p.row))
-	}
-	for _, k := range []callKey{c.lastCall, c.lastPage} {
-		wi(int64(k.start))
-		wi(int64(k.id))
-	}
-	wi(int64(boolInt(c.seenCall)))
-	wi(int64(boolInt(c.seenPage)))
-
-	type openEntry struct {
-		id events.EventID
-		openCall
-	}
-	type slotEntry struct {
-		foldGroup
-		groupPrev
-	}
-	var opens []openEntry
-	var slots []slotEntry
-	var threads []*threadState
-	for _, ts := range c.threads {
-		threads = append(threads, ts)
-		for k, p := range ts.top {
-			if p.set {
-				slots = append(slots, slotEntry{foldGroup{int64(ts.id), events.KindEcall + events.CallKind(k), events.NoEvent}, p})
-			}
-		}
-		for _, f := range ts.stack {
-			opens = append(opens, openEntry{f.id, f.openCall})
-			for k, p := range f.slots {
-				if p.set {
-					slots = append(slots, slotEntry{foldGroup{int64(ts.id), events.KindEcall + events.CallKind(k), f.id}, p})
-				}
-			}
-		}
-	}
-	for id, oc := range c.open {
-		opens = append(opens, openEntry{id, oc})
-	}
-	for k, p := range c.groups {
-		slots = append(slots, slotEntry{k, *p})
-	}
-
-	slices.SortFunc(opens, func(a, b openEntry) int {
-		return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(a.start, b.start),
-			cmp.Compare(a.end, b.end), cmp.Compare(a.name, b.name))
-	})
-	wi(int64(len(opens)))
-	for _, o := range opens {
-		wi(int64(o.id))
-		ws(o.name)
-		wi(int64(o.start))
-		wi(int64(o.end))
-	}
-
-	slices.SortFunc(slots, func(a, b slotEntry) int {
-		return cmp.Or(cmp.Compare(a.thread, b.thread), cmp.Compare(a.kind, b.kind),
-			cmp.Compare(a.parent, b.parent), cmp.Compare(a.name, b.name), cmp.Compare(a.end, b.end))
-	})
-	wi(int64(len(slots)))
-	for _, s := range slots {
-		wi(s.thread)
-		wi(int64(s.kind))
-		wi(int64(s.parent))
-		ws(s.name)
-		wi(int64(s.end))
-	}
-
-	slices.SortFunc(threads, func(a, b *threadState) int { return cmp.Compare(a.id, b.id) })
-	wi(int64(len(threads)))
-	for _, ts := range threads {
-		wi(int64(ts.id))
-		wi(int64(ts.maxEnd))
-	}
-	return h.Sum64()
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // thread returns a thread's state, creating it on the thread's first
@@ -523,16 +375,6 @@ func (c *FoldCarry) evict(pos vtime.Cycles) {
 	c.purgeAt = 2*len(live) + 64
 }
 
-// closeBefore closes every open call, on the stacks and in the open
-// map, that ended before pos: a window's carry-out holds only the calls
-// later windows can still see.
-func (c *FoldCarry) closeBefore(pos vtime.Cycles) {
-	for _, ts := range c.threads {
-		c.popEnded(ts, pos)
-	}
-	c.evict(pos)
-}
-
 // NameAgg accumulates one call name's streaming aggregates: the
 // duration multiset as a histogram (bounded by distinct durations, not
 // executions), the AEX total, the first-occurrence kind and call ID the
@@ -562,9 +404,8 @@ type PagingAgg struct {
 	ByRegion                       map[string]int
 }
 
-// FoldDelta is one window's (or one whole sweep's) aggregate output.
-// Deltas merge associatively in window order; a merged delta equals the
-// delta of the concatenated input.
+// FoldDelta is one sweep's aggregate output, which AssembleReport
+// renders.
 type FoldDelta struct {
 	Names      map[string]*NameAgg
 	Paging     PagingAgg
@@ -610,12 +451,12 @@ func (na *NameAgg) indirect(parent string) *MergeAgg {
 	return g
 }
 
-// addParents counts n executions under one resolved direct parent.
-func (na *NameAgg) addParents(parent string, n int) {
+// addParent counts one execution under a resolved direct parent.
+func (na *NameAgg) addParent(parent string) {
 	if na.Parents == nil {
 		na.Parents = make(map[string]int)
 	}
-	na.Parents[parent] += n
+	na.Parents[parent]++
 }
 
 func (d *FoldDelta) observed(parent string) map[string]bool {
@@ -627,55 +468,8 @@ func (d *FoldDelta) observed(parent string) map[string]bool {
 	return s
 }
 
-// MergeFrom folds a later window's delta into this one. Window order
-// matters only for the first-occurrence fields of NameAgg.
-func (d *FoldDelta) MergeFrom(o *FoldDelta) {
-	for name, na := range o.Names {
-		mine := d.Names[name]
-		if mine == nil {
-			mine = &NameAgg{Kind: na.Kind, CallID: na.CallID, Hist: make(map[time.Duration]int)}
-			d.Names[name] = mine
-		}
-		mine.Count += na.Count
-		mine.TotalAEX += na.TotalAEX
-		for dur, n := range na.Hist {
-			mine.Hist[dur] += n
-		}
-		mine.Reorder.Total += na.Reorder.Total
-		mine.Reorder.S10 += na.Reorder.S10
-		mine.Reorder.S20 += na.Reorder.S20
-		mine.Reorder.E10 += na.Reorder.E10
-		mine.Reorder.E20 += na.Reorder.E20
-		for pn, n := range na.Parents {
-			mine.addParents(pn, n)
-		}
-		for pn, g := range na.Indirect {
-			m := mine.indirect(pn)
-			m.Count += g.Count
-			m.G1 += g.G1
-			m.G5 += g.G5
-			m.G10 += g.G10
-			m.G20 += g.G20
-		}
-		mine.TopLevel = mine.TopLevel || na.TopLevel
-	}
-	d.Paging.PageIns += o.Paging.PageIns
-	d.Paging.PageOuts += o.Paging.PageOuts
-	d.Paging.DuringCalls += o.Paging.DuringCalls
-	for r, n := range o.Paging.ByRegion {
-		d.Paging.ByRegion[r] += n
-	}
-	d.ShortWakes += o.ShortWakes
-	for parent, set := range o.Observed {
-		mine := d.observed(parent)
-		for n := range set {
-			mine[n] = true
-		}
-	}
-}
-
-// seqCursor walks one ChunkSeq from a resume position, holding at most
-// one chunk resident — two when it reads ahead.
+// seqCursor walks one ChunkSeq from its first row, holding at most one
+// chunk resident — two when it reads ahead.
 type seqCursor[T any] struct {
 	seq        ChunkSeq[T]
 	n          int
@@ -685,9 +479,9 @@ type seqCursor[T any] struct {
 	ahead      *readAhead[T]
 }
 
-func newSeqCursor[T any](seq ChunkSeq[T], pos foldPos) *seqCursor[T] {
-	c := &seqCursor[T]{seq: seq, n: seq.NumChunks(), chunk: pos.chunk, row: pos.row}
-	if f, ok := seq.(forkSeq[T]); ok && c.n-c.chunk > 1 {
+func newSeqCursor[T any](seq ChunkSeq[T]) *seqCursor[T] {
+	c := &seqCursor[T]{seq: seq, n: seq.NumChunks()}
+	if f, ok := seq.(forkSeq[T]); ok && c.n > 1 {
 		c.ahead = &readAhead[T]{spare: f.fork(), next: -1, done: make(chan chunkRead[T], 1)}
 	}
 	return c
@@ -717,8 +511,6 @@ func (c *seqCursor[T]) head() (*T, error) {
 
 func (c *seqCursor[T]) pop() { c.row++ }
 
-func (c *seqCursor[T]) pos() foldPos { return foldPos{c.chunk, c.row} }
-
 // forkSeq is a feed that decodes from a file into recycled buffers
 // (cursorSeq). fork opens a second feed over the same table with
 // buffers of its own, so one can decode the next chunk while the sweep
@@ -744,7 +536,7 @@ type chunkRead[T any] struct {
 }
 
 // readsInFlight counts the read-ahead chunk reads started and not yet
-// finished, so tests can check that none outlives its FoldWindow.
+// finished, so tests can check that none outlives its fold.
 var readsInFlight atomic.Int64
 
 // load returns chunk i, through the read-ahead when one is set up, and
@@ -790,7 +582,7 @@ func (ra *readAhead[T]) wait() {
 	}
 }
 
-// stop waits for the cursor's read-ahead: FoldWindow calls it before it
+// stop waits for the cursor's read-ahead: fold calls it before it
 // returns, on every path, so no read outlives the fold that started it.
 func (c *seqCursor[T]) stop() {
 	if c.ahead != nil {
@@ -798,59 +590,29 @@ func (c *seqCursor[T]) stop() {
 	}
 }
 
-// WindowBound returns the exclusive time bound of window k: the
-// earliest first-row Start of the two call tables' chunk k+1. Events at
-// or after the bound belong to later windows. ok=false means neither
-// table has a chunk k+1, so window k is the final one.
-func WindowBound(in FoldInput, k int) (vtime.Cycles, bool, error) {
-	var bound vtime.Cycles
-	ok := false
-	for _, seq := range []ChunkSeq[events.CallEvent]{in.Ecalls, in.Ocalls} {
-		if seq == nil || k+1 >= seq.NumChunks() {
-			continue
-		}
-		rows, err := seq.Chunk(k + 1)
-		if err != nil {
-			return 0, false, err
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		if !ok || rows[0].Start < bound {
-			bound = rows[0].Start
-			ok = true
-		}
-	}
-	return bound, ok, nil
-}
-
-// FoldWindow runs the merge sweep from carry's resume positions up to
-// (but excluding) events at or after bound, or to end of data when
-// final is set. It returns the window's delta and the carry-out; the
-// carry-in is not mutated. The carry-out is canonical for (carry-in,
-// consumed events): open calls ending before the bound are closed, so
-// its Hash depends only on semantic content. A feed that decodes from a
-// file is read one chunk ahead of the sweep; FoldWindow waits for that
-// read before it returns.
-func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.Cycles, final bool) (*FoldDelta, *FoldCarry, error) {
-	carry := carryIn.Clone()
+// fold runs the merge sweep over every row of the feeds, from an empty
+// carry, and returns the aggregates. A feed that decodes from a file is
+// read one chunk ahead of the sweep; fold waits for that read before it
+// returns.
+func fold(cfg *FoldConfig, in FoldInput) (*FoldDelta, error) {
+	carry := NewFoldCarry()
 	delta := NewFoldDelta()
 
-	ec := newSeqCursor[events.CallEvent](in.Ecalls, carry.ePos)
+	ec := newSeqCursor[events.CallEvent](in.Ecalls)
 	defer ec.stop()
-	oc := newSeqCursor[events.CallEvent](in.Ocalls, carry.oPos)
+	oc := newSeqCursor[events.CallEvent](in.Ocalls)
 	defer oc.stop()
-	pc := newSeqCursor[events.PagingEvent](in.Paging, carry.pPos)
+	pc := newSeqCursor[events.PagingEvent](in.Paging)
 	defer pc.stop()
 
 	for {
 		e, err := ec.head()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		o, err := oc.head()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Pick the earlier call head by (Start, ID).
 		var call *events.CallEvent
@@ -867,16 +629,10 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 		case o != nil:
 			call, fromE = o, false
 		}
-		if call != nil && !final && call.Start >= bound {
-			call = nil
-		}
 
 		p, err := pc.head()
 		if err != nil {
-			return nil, nil, err
-		}
-		if p != nil && !final && p.Time >= bound {
-			p = nil
+			return nil, err
 		}
 
 		// Paging events interleave after calls sharing their timestamp:
@@ -885,7 +641,7 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 		if p != nil && (call == nil || p.Time < call.Start) {
 			k := callKey{p.Time, p.ID}
 			if carry.seenPage && k.less(carry.lastPage) {
-				return nil, nil, ErrUnsorted
+				return nil, ErrUnsorted
 			}
 			carry.lastPage, carry.seenPage = k, true
 			if p.Kind == events.PageIn {
@@ -906,7 +662,7 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 
 		k := callKey{call.Start, call.ID}
 		if carry.seenCall && k.less(carry.lastCall) {
-			return nil, nil, ErrUnsorted
+			return nil, ErrUnsorted
 		}
 		carry.lastCall, carry.seenCall = k, true
 		if cfg.Enclave != 0 && call.Enclave != cfg.Enclave {
@@ -929,11 +685,7 @@ func FoldWindow(cfg *FoldConfig, carryIn *FoldCarry, in FoldInput, bound vtime.C
 		}
 	}
 
-	if !final {
-		carry.closeBefore(bound)
-	}
-	carry.ePos, carry.oPos, carry.pPos = ec.pos(), oc.pos(), pc.pos()
-	return delta, carry, nil
+	return delta, nil
 }
 
 // adjustedDuration is a call's execution duration: for ecalls the
@@ -1025,7 +777,7 @@ func (c *FoldCarry) resolveElsewhere(cfg *FoldConfig, delta *FoldDelta, na *Name
 //sgxperf:hotpath
 func (d *FoldDelta) parented(cfg *FoldConfig, na *NameAgg, call *events.CallEvent, p *openCall) {
 	na.Reorder.Add(cfg.Freq.Duration(call.Start-p.start), cfg.Freq.Duration(p.end-call.End))
-	na.addParents(p.name, 1)
+	na.addParent(p.name)
 	if call.Kind == events.KindEcall {
 		d.observed(p.name)[call.Name] = true
 	}

@@ -157,7 +157,8 @@ func fuzzTrace(t *testing.T, data []byte) *events.Trace {
 	return tr
 }
 
-// splitChunks cuts rows into chunks of n, a feed with many windows.
+// splitChunks cuts rows into chunks of n, a feed with many chunk
+// boundaries.
 func splitChunks[T any](rows []T, n int) Chunks[T] {
 	var out Chunks[T]
 	for len(rows) > n {
@@ -167,56 +168,26 @@ func splitChunks[T any](rows []T, n int) Chunks[T] {
 	return append(out, rows)
 }
 
-// foldWindowed folds a stream-sorted trace window by window, chaining
-// carries and merging deltas the way the serve daemon does, through
-// feeds of three-row chunks.
-func foldWindowed(t *testing.T, tr *events.Trace, opts Options) *Report {
+// foldChunked folds a stream-sorted trace in one pass through feeds of
+// three-row chunks, so the sweep crosses a chunk boundary every few
+// rows.
+func foldChunked(t *testing.T, tr *events.Trace, opts Options) *Report {
 	t.Helper()
-	in := FoldInput{
-		Ecalls: splitChunks(tr.Ecalls.Rows(), 3),
-		Ocalls: splitChunks(tr.Ocalls.Rows(), 3),
-		Paging: splitChunks(tr.Paging.Rows(), 3),
-	}
-	pre, err := PrescanSyncs(TableSeq(tr.Syncs))
+	src := NewTraceSource(tr)
+	src.Ecalls = splitChunks(tr.Ecalls.Rows(), 3)
+	src.Ocalls = splitChunks(tr.Ocalls.Rows(), 3)
+	src.Paging = splitChunks(tr.Paging.Rows(), 3)
+	rep, err := AnalyzeStream(src, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swAgg, err := FoldSwitchless(TableSeq(tr.Switchless))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &FoldConfig{
-		Weights:    DefaultWeights(),
-		Freq:       tr.Frequency(),
-		Transition: tr.TransitionCycles(),
-		Enclave:    opts.Enclave,
-		SyncRefs:   pre.Refs,
-	}
-	carry, total := NewFoldCarry(), NewFoldDelta()
-	for k := 0; ; k++ {
-		bound, more, err := WindowBound(in, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delta, out, err := FoldWindow(cfg, carry, in, bound, !more)
-		if err != nil {
-			t.Fatalf("window %d: %v", k, err)
-		}
-		if h := out.Hash(); h != out.Clone().Hash() {
-			t.Fatalf("window %d: carry-out hash %016x changes under Clone", k, h)
-		}
-		total.MergeFrom(delta)
-		carry = out
-		if !more {
-			break
-		}
-	}
-	return AssembleReport("fuzz", cfg, total, pre, SwitchlessStatsFrom(swAgg, tr.Frequency()), nil)
+	return rep
 }
 
 // FuzzFoldMatchesReference holds the fold to the serial reference on
-// fuzzed traces: Analyze over the recorded order and a window-by-window
-// fold over a stream-sorted copy, for all enclaves and for enclave 1.
+// fuzzed traces: Analyze over the recorded order and a fold of a
+// stream-sorted copy through three-row chunks, for all enclaves and for
+// enclave 1.
 func FuzzFoldMatchesReference(f *testing.F) {
 	// Calls ending at or before cycle 0 with a page-in inside: [0,0]
 	// with a page-in at 0, then [-1µs,-1µs] and [-1µs,0] on two threads.
@@ -242,8 +213,8 @@ func FuzzFoldMatchesReference(f *testing.F) {
 			}
 			sorted := fuzzTrace(t, data)
 			events.StreamSort(sorted)
-			if got := foldWindowed(t, sorted, opts); !reflect.DeepEqual(got, want) {
-				t.Fatalf("enclave %d: windowed fold diverges from the reference:\ngot:  %+v\nwant: %+v", opts.Enclave, got, want)
+			if got := foldChunked(t, sorted, opts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("enclave %d: chunked fold diverges from the reference:\ngot:  %+v\nwant: %+v", opts.Enclave, got, want)
 			}
 		}
 	})
@@ -251,9 +222,8 @@ func FuzzFoldMatchesReference(f *testing.F) {
 
 // TestReadAheadEndsWithFold checks that a fold fed from a file reads
 // ahead, and that no chunk read is still in flight once the fold
-// returns: after a window that stops short of the data, whose read-ahead
-// runs past its bound; after a whole AnalyzeStream; and after a corrupt
-// third ecall chunk, which must surface as ErrCorrupt.
+// returns: after a whole AnalyzeStream and after a corrupt third ecall
+// chunk, which must surface as ErrCorrupt.
 func TestReadAheadEndsWithFold(t *testing.T) {
 	tr := goldenTrace(t, 5, 3000)
 	events.StreamSort(tr)
@@ -263,7 +233,7 @@ func TestReadAheadEndsWithFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := analyzeTrace(t, tr, Options{})
-	if newSeqCursor(TableSeq(tr.Ecalls), foldPos{}).ahead != nil {
+	if newSeqCursor(TableSeq(tr.Ecalls)).ahead != nil {
 		t.Fatal("a resident feed reads ahead")
 	}
 
@@ -277,7 +247,7 @@ func TestReadAheadEndsWithFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if newSeqCursor(src.Ecalls, foldPos{}).ahead == nil {
+		if newSeqCursor(src.Ecalls).ahead == nil {
 			t.Fatal("a file-backed feed does not read ahead")
 		}
 		return src
@@ -288,18 +258,6 @@ func TestReadAheadEndsWithFold(t *testing.T) {
 			t.Fatalf("%d chunk reads in flight after %s", n, what)
 		}
 	}
-
-	src := open(path)
-	in := FoldInput{Ecalls: src.Ecalls, Ocalls: src.Ocalls, Paging: src.Paging}
-	bound, more, err := WindowBound(in, 0)
-	if err != nil || !more {
-		t.Fatalf("WindowBound(0) = %v, %v, %v; want a bound short of the data", bound, more, err)
-	}
-	cfg := &FoldConfig{Weights: DefaultWeights(), Freq: src.Freq, Transition: src.Transition}
-	if _, _, err := FoldWindow(cfg, NewFoldCarry(), in, bound, false); err != nil {
-		t.Fatal(err)
-	}
-	settled("a window short of the data")
 
 	got, err := AnalyzeStream(open(path), Options{})
 	if err != nil {

@@ -38,7 +38,7 @@ func (s tableSeq[T]) Chunk(i int) ([]T, error) { return s.t.ChunkAt(i), nil }
 func TableSeq[T any](t *evstore.Table[T]) ChunkSeq[T] { return tableSeq[T]{t} }
 
 // cursorSeq adapts an evstore stream cursor to ChunkSeq. Chunk seeks,
-// so out-of-order window recomputation re-reads only what it needs. The
+// so each of the read-ahead's two feeds can read every other chunk. The
 // cursor decodes every chunk into one recycled buffer, so the rows
 // Chunk returns stay valid only until its next call.
 type cursorSeq[T any] struct{ c *evstore.StreamCursor[T] }
@@ -191,11 +191,11 @@ func analyzeStream(ctx context.Context, src *StreamSource, opts Options) (*Repor
 		Enclave:    opts.Enclave,
 		SyncRefs:   pre.Refs,
 	}
-	delta, _, err := FoldWindow(cfg, NewFoldCarry(), FoldInput{
+	delta, err := fold(cfg, FoldInput{
 		Ecalls: src.Ecalls,
 		Ocalls: src.Ocalls,
 		Paging: src.Paging,
-	}, 0, true)
+	})
 	if err != nil {
 		return nil, err
 	}

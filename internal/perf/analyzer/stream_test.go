@@ -21,7 +21,6 @@ import (
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/sgx"
-	"sgxperf/internal/vtime"
 )
 
 const streamTestEDL = `
@@ -110,11 +109,30 @@ func TestAnalyzeStreamingMatchesResident(t *testing.T) {
 	}
 }
 
+// Fold allocation budget: one AnalyzeStream of the saved
+// SynthAnalysisTrace(100000), open and close included, as
+// BenchmarkAnalyzeStream runs it. The counts they were set from (Go
+// 1.24, linux/amd64) were 14,515–14,522 allocations and 2.31 MB. The
+// margin covers the runtime and the read-ahead goroutines, not a
+// per-call allocation: one more allocation per folded call made it
+// 214,024 allocations and 3.90 MB.
+const (
+	streamMaxAllocs = 16_000
+	streamMaxBytes  = 2_600_000
+)
+
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
 // TestAnalyzeStreamHeapBounded holds the out-of-core memory bound on a
 // saved, stream-sorted 100k-call trace: the streaming report is
 // byte-identical to the resident one, its peak heap stays under 64 MiB,
 // and the resident path, which holds every table, peaks at least 3×
-// higher. Not parallel: another test's allocations would count.
+// higher. Outside the heap-sampling phases it counts one more streaming
+// report's allocations against the budget above; under -race only the
+// allocation count is held, because the race runtime allocates bytes
+// the budget does not price. Not parallel: another test's allocations
+// would count.
 func TestAnalyzeStreamHeapBounded(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.evc")
 	if err := streamTrace(t, 100_000).SaveFile(path); err != nil {
@@ -137,7 +155,7 @@ func TestAnalyzeStreamHeapBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream, streamPeak, err := heapPeak(func() (*analyzer.Report, error) {
+	streamReport := func() (*analyzer.Report, error) {
 		st, err := events.OpenStreamTrace(path)
 		if err != nil {
 			return nil, err
@@ -148,7 +166,8 @@ func TestAnalyzeStreamHeapBounded(t *testing.T) {
 			return nil, err
 		}
 		return analyzer.AnalyzeStream(src, analyzer.Options{})
-	})
+	}
+	stream, streamPeak, err := heapPeak(streamReport)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +190,30 @@ func TestAnalyzeStreamHeapBounded(t *testing.T) {
 	if residentPeak < 3*streamPeak {
 		t.Errorf("resident peak %d B is less than 3x the streaming peak %d B", residentPeak, streamPeak)
 	}
+
+	allocs, allocBytes, err := allocsOf(streamReport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one streaming report: %d allocations, %.2f MB", allocs, float64(allocBytes)/1e6)
+	if allocs > streamMaxAllocs {
+		t.Errorf("one streaming report made %d allocations, budget %d", allocs, streamMaxAllocs)
+	}
+	if !raceEnabled && allocBytes > streamMaxBytes {
+		t.Errorf("one streaming report allocated %d bytes, budget %d", allocBytes, streamMaxBytes)
+	}
+}
+
+// allocsOf runs phase once and returns the heap allocations and bytes
+// it made. Like testing.AllocsPerRun it pins GOMAXPROCS to 1 while
+// counting.
+func allocsOf(phase func() (*analyzer.Report, error)) (allocs, bytes uint64, err error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = phase()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, err
 }
 
 // heapPeak runs phase while sampling HeapAlloc every millisecond and
@@ -306,73 +349,5 @@ func TestStreamContentKeyMatchesResident(t *testing.T) {
 	}
 	if st.Workload() != "analyze-bench" {
 		t.Fatalf("workload = %q", st.Workload())
-	}
-}
-
-// TestFoldWindowedMatchesSinglePass drives FoldWindow window-by-window
-// with carry chaining — the serve daemon's access pattern — and checks
-// the merged deltas assemble to the same report as one final pass.
-func TestFoldWindowedMatchesSinglePass(t *testing.T) {
-	tr := streamTrace(t, 3000)
-	a, err := analyzer.New(tr, analyzer.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := a.Analyze()
-
-	src := analyzer.NewTraceSource(tr)
-	pre, err := analyzer.PrescanSyncs(src.Syncs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swAgg, err := analyzer.FoldSwitchless(src.Switchless)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &analyzer.FoldConfig{
-		Weights:    analyzer.DefaultWeights(),
-		Freq:       tr.Frequency(),
-		Transition: tr.TransitionCycles(),
-		SyncRefs:   pre.Refs,
-	}
-	in := analyzer.FoldInput{Ecalls: src.Ecalls, Ocalls: src.Ocalls, Paging: src.Paging}
-
-	nE, nO := src.Ecalls.NumChunks(), src.Ocalls.NumChunks()
-	n := nE
-	if nO > n {
-		n = nO
-	}
-	if n < 2 {
-		t.Fatalf("want a multi-chunk trace, got %d ecall / %d ocall chunks", nE, nO)
-	}
-	carry := analyzer.NewFoldCarry()
-	total := analyzer.NewFoldDelta()
-	for k := 0; k < n; k++ {
-		final := k == n-1
-		var bound vtime.Cycles
-		if !final {
-			b, ok, err := analyzer.WindowBound(in, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				final = true
-			}
-			bound = b
-		}
-		delta, carryOut, err := analyzer.FoldWindow(cfg, carry, in, bound, final)
-		if err != nil {
-			t.Fatalf("window %d: %v", k, err)
-		}
-		total.MergeFrom(delta)
-		carry = carryOut
-		if final {
-			break
-		}
-	}
-	got := analyzer.AssembleReport("analyze-bench", cfg, total, pre,
-		analyzer.SwitchlessStatsFrom(swAgg, tr.Frequency()), nil)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("windowed fold differs from the single pass:\ngot  %+v\nwant %+v", got, want)
 	}
 }

@@ -6,25 +6,6 @@ import (
 	"hash/fnv"
 )
 
-// ChunkHashes returns the per-table chunk content hashes, keyed by table
-// name. The evstore tables are append-only and every chunk but the last
-// is immutable, so after an append only each table's trailing hash can
-// differ — the property the serve daemon's artifact cache keys windows
-// on.
-func (t *Trace) ChunkHashes() map[string][]uint64 {
-	return map[string][]uint64{
-		"meta":       t.Meta.ChunkHashes(),
-		"ecalls":     t.Ecalls.ChunkHashes(),
-		"ocalls":     t.Ocalls.ChunkHashes(),
-		"aexs":       t.AEXs.ChunkHashes(),
-		"paging":     t.Paging.ChunkHashes(),
-		"syncs":      t.Syncs.ChunkHashes(),
-		"threads":    t.Threads.ChunkHashes(),
-		"enclaves":   t.Enclaves.ChunkHashes(),
-		"switchless": t.Switchless.ChunkHashes(),
-	}
-}
-
 // traceTableOrder fixes the fold order of ContentKey: schema
 // registration order, so the key is stable across processes.
 var traceTableOrder = []string{
@@ -38,19 +19,24 @@ var traceTableOrder = []string{
 // event changes the key. The serve daemon uses it to cache full-report
 // artifacts.
 func (t *Trace) ContentKey() string {
-	hashes := t.ChunkHashes()
-	return contentKeyFrom(func(name string) []uint64 { return hashes[name] })
+	// The tables in traceTableOrder.
+	tables := [...]interface{ ChunkHashes() []uint64 }{
+		t.Meta, t.Ecalls, t.Ocalls, t.AEXs, t.Paging, t.Syncs, t.Threads,
+		t.Enclaves, t.Switchless,
+	}
+	return contentKeyFrom(func(i int) []uint64 { return tables[i].ChunkHashes() })
 }
 
 // contentKeyFrom is the shared fold behind Trace.ContentKey and
 // StreamTrace.ContentKey: both identities must agree so the serve
 // daemon and the out-of-core CLI address the same cache entries.
-func contentKeyFrom(hashes func(name string) []uint64) string {
+// hashes(i) returns the chunk hashes of table traceTableOrder[i].
+func contentKeyFrom(hashes func(i int) []uint64) string {
 	h := fnv.New64a()
 	var buf [8]byte
-	for _, name := range traceTableOrder {
+	for i, name := range traceTableOrder {
 		h.Write([]byte(name))
-		chunks := hashes(name)
+		chunks := hashes(i)
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(chunks)))
 		h.Write(buf[:])
 		for _, c := range chunks {

@@ -9,9 +9,9 @@ import (
 )
 
 // defaultCacheCapacity bounds the artifact cache when Options leaves
-// CacheCapacity zero. Entries are whole analysis artifacts (reports,
-// lint reports, report fold windows), so a few hundred is plenty for many
-// concurrently served traces.
+// CacheCapacity zero. Entries are whole analysis artifacts (reports and
+// lint reports), so a few hundred is plenty for many concurrently served
+// traces.
 const defaultCacheCapacity = 512
 
 // ArtifactCache is the server's content-addressed artifact store: an

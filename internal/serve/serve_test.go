@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -254,20 +253,20 @@ func TestReportCacheHitAndAppendInvalidation(t *testing.T) {
 	}
 }
 
-// TestStatsWindowsIncremental proves /stats reads the windowed report
-// artifact: its statistics equal the analyser's, and after appending a
-// chunk's worth of events only the previously final window (no longer
-// final, so refolded) and the new tail window are computed.
-func TestStatsWindowsIncremental(t *testing.T) {
+// TestStatsAfterAppendEqualAnalyzer proves /stats reads the report
+// artifact: its statistics equal the analyser's, a warm request answers
+// the same document, and after an append that opens a new chunk the
+// statistics equal the analyser's on the appended trace.
+func TestStatsAfterAppendEqualAnalyzer(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	// Ecall-only trace with exactly two full chunks, so every window is
-	// frozen and the append lands in a fresh chunk.
+	// Ecall-only trace with exactly two full chunks, so the append lands
+	// in a fresh chunk.
 	tr, err := events.NewTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Meta.Insert(events.TraceMeta{Workload: "windows", FrequencyHz: 3.5e9, TransitionCycles: 13500})
+	tr.Meta.Insert(events.TraceMeta{Workload: "stats", FrequencyHz: 3.5e9, TransitionCycles: 13500})
 	rows := make([]events.CallEvent, 2048)
 	for i := range rows {
 		rows[i] = events.CallEvent{
@@ -294,27 +293,20 @@ func TestStatsWindowsIncremental(t *testing.T) {
 	}
 
 	cold := getStats()
-	if cold.WindowsTotal != 2 || cold.WindowsComputed != 2 || cold.WindowsReused != 0 {
-		t.Fatalf("cold stats windows = %+v, want 2 computed", cold)
-	}
-
-	// The windowed result must equal the full analyser's stats.
 	a, err := analyzer.New(tr, analyzer.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := apiv1.FromStats(a.Analyze().Stats)
 	if !reflect.DeepEqual(cold.Stats, want) {
-		t.Fatal("windowed stats differ from the analyser's")
+		t.Fatal("served stats differ from the analyser's")
 	}
 
-	warm := getStats()
-	if warm.WindowsComputed != 0 || warm.WindowsReused != 2 {
-		t.Fatalf("warm stats windows = computed %d / reused %d, want 0/2", warm.WindowsComputed, warm.WindowsReused)
+	if warm := getStats(); !reflect.DeepEqual(warm, cold) {
+		t.Fatal("warm stats differ from the cold answer")
 	}
 
-	// Append a third chunk's worth: the first window replays from the
-	// cache; the old final window and the new tail are folded.
+	// Append events that open a third chunk.
 	delta, err := events.NewTrace()
 	if err != nil {
 		t.Fatal(err)
@@ -334,10 +326,6 @@ func TestStatsWindowsIncremental(t *testing.T) {
 	}
 
 	tail := getStats()
-	if tail.WindowsTotal != 3 || tail.WindowsComputed != 2 || tail.WindowsReused != 1 {
-		t.Fatalf("post-append windows = total %d / computed %d / reused %d, want 3/2/1",
-			tail.WindowsTotal, tail.WindowsComputed, tail.WindowsReused)
-	}
 	// Mirror the append locally so the offline analyser sees the same rows.
 	tr.Ecalls.BatchInsert(more)
 	a2, err := analyzer.New(tr, analyzer.Options{})
@@ -345,43 +333,27 @@ func TestStatsWindowsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tail.Stats, apiv1.FromStats(a2.Analyze().Stats)) {
-		t.Fatal("post-append windowed stats differ from the analyser's")
+		t.Fatal("post-append stats differ from the analyser's")
 	}
 }
 
-// TestReportWindowsIncremental proves the windowed full-report engine:
-// the complete report — statistics, detector findings, call graph,
-// security hints — served after an append replays every frozen fold
-// window from the cache and recomputes only the tail, while staying
-// byte-identical to the offline analyser on the appended trace.
-func TestReportWindowsIncremental(t *testing.T) {
+// TestReportAfterAppendEqualsOffline proves the complete report —
+// statistics, detector findings, call graph, security hints — of a
+// multi-chunk trace is byte-identical to the offline analyser's cold,
+// warm and after an append that grows the tail chunk and opens a new
+// one.
+func TestReportAfterAppendEqualsOffline(t *testing.T) {
 	_, ts := newTestServer(t)
-	tr := synthTrace(t, 1500) // two ecall chunks: multi-window from the start
+	tr := synthTrace(t, 1500) // two ecall chunks
 	upload(t, ts, "rw", tr)
 
-	getReport := func() ([]byte, [3]int) {
+	getReport := func() []byte {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/traces/rw/report")
-		if err != nil {
-			t.Fatal(err)
+		status, raw := doReq(t, "GET", ts.URL+"/v1/traces/rw/report", nil)
+		if status != http.StatusOK {
+			t.Fatalf("report: status %d: %s", status, raw)
 		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("report: status %d: %s", resp.StatusCode, raw)
-		}
-		var wc [3]int
-		for i, h := range []string{"Sgxperf-Windows-Total", "Sgxperf-Windows-Computed", "Sgxperf-Windows-Reused"} {
-			v, err := strconv.Atoi(resp.Header.Get(h))
-			if err != nil {
-				t.Fatalf("header %s = %q: %v", h, resp.Header.Get(h), err)
-			}
-			wc[i] = v
-		}
-		return raw, wc
+		return raw
 	}
 	offline := func() []byte {
 		t.Helper()
@@ -396,46 +368,36 @@ func TestReportWindowsIncremental(t *testing.T) {
 		return raw
 	}
 
-	nWin := tr.Ecalls.NumChunks()
-	if nWin < 2 {
-		t.Fatalf("want a multi-chunk trace, got %d ecall chunks", nWin)
+	nChunks := tr.Ecalls.NumChunks()
+	if nChunks < 2 {
+		t.Fatalf("want a multi-chunk trace, got %d ecall chunks", nChunks)
 	}
-	cold, wc := getReport()
-	if wc != [3]int{nWin, nWin, 0} {
-		t.Fatalf("cold report windows = %v, want all %d computed", wc, nWin)
-	}
+	cold := getReport()
 	if !bytes.Equal(cold, offline()) {
-		t.Fatal("cold windowed report differs from the offline analyser's")
+		t.Fatal("cold report differs from the offline analyser's")
 	}
-
-	if _, wc = getReport(); wc != [3]int{nWin, 0, nWin} {
-		t.Fatalf("warm report windows = %v, want all %d reused", wc, nWin)
+	if !bytes.Equal(getReport(), cold) {
+		t.Fatal("warm report differs from the cold one")
 	}
 
 	// Append enough sorted events to fill the tail ecall chunk and spill
-	// into a new one: the frozen windows replay from the cache; only the
-	// grown tail chunk's window and the new final window are refolded.
+	// into a new one.
 	delta := deltaTrace(t, 700, 3_000)
 	if status, raw := doReq(t, "POST", ts.URL+"/v1/traces/rw/append", traceBytes(t, delta)); status != http.StatusOK {
 		t.Fatalf("append: status %d: %s", status, raw)
 	}
 	appendTrace(tr, delta) // mirror locally for the offline reference
 
-	grown := tr.Ecalls.NumChunks()
-	if grown != nWin+1 {
-		t.Fatalf("append grew the ecall table to %d chunks, want %d", grown, nWin+1)
+	if grown := tr.Ecalls.NumChunks(); grown != nChunks+1 {
+		t.Fatalf("append grew the ecall table to %d chunks, want %d", grown, nChunks+1)
 	}
-	tail, wc := getReport()
-	if wc != [3]int{grown, 2, grown - 2} {
-		t.Fatalf("post-append report windows = %v, want 2 computed / %d reused", wc, grown-2)
-	}
-	if !bytes.Equal(tail, offline()) {
-		t.Fatal("post-append windowed report differs from the offline analyser's")
+	if !bytes.Equal(getReport(), offline()) {
+		t.Fatal("post-append report differs from the offline analyser's")
 	}
 }
 
 // TestSortedAndUnsortedUploadsServeSameReport uploads the same events
-// twice — stream-sorted, which the daemon folds window by window, and in
+// twice — stream-sorted, which the daemon folds in place, and in
 // reverse storage order, which it folds from sorted copies — and
 // requires byte-identical reports. Some ocalls name as Parent an ecall
 // that had already returned: resolving such links by event ID on one
@@ -463,30 +425,18 @@ func TestSortedAndUnsortedUploadsServeSameReport(t *testing.T) {
 		}
 		return tr
 	}
-	report := func(id string) ([]byte, string) {
+	report := func(id string) []byte {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/traces/" + id + "/report")
-		if err != nil {
-			t.Fatal(err)
+		status, raw := doReq(t, "GET", ts.URL+"/v1/traces/"+id+"/report", nil)
+		if status != http.StatusOK {
+			t.Fatalf("report %s: status %d: %s", id, status, raw)
 		}
-		defer resp.Body.Close()
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("report %s: status %d: %s", id, resp.StatusCode, raw)
-		}
-		return raw, resp.Header.Get("Sgxperf-Windows-Total")
+		return raw
 	}
 	upload(t, ts, "sorted", build(true))
 	upload(t, ts, "unsorted", build(false))
-	sorted, sortedWindows := report("sorted")
-	unsorted, unsortedWindows := report("unsorted")
-	if sortedWindows == "0" || unsortedWindows != "0" {
-		t.Fatalf("windows total: sorted %s, unsorted %s — want the windowed fold only for the sorted upload",
-			sortedWindows, unsortedWindows)
-	}
+	sorted := report("sorted")
+	unsorted := report("unsorted")
 	if !bytes.Equal(sorted, unsorted) {
 		t.Fatal("the same events uploaded sorted and unsorted served different reports")
 	}
@@ -971,14 +921,18 @@ func TestSSEStream(t *testing.T) {
 // clients requesting the same cold report must coalesce onto one
 // analysis and all receive identical bytes.
 func TestConcurrentReportRequests(t *testing.T) {
-	// Baseline: how many artifact computations one cold report request
-	// costs (the report entry plus its fold-window intermediates).
+	// Baseline: one cold report request is one computation, and the
+	// report is the only artifact it leaves in the cache.
 	sOne, tsOne := newTestServer(t)
 	upload(t, tsOne, "cc", synthTrace(t, 400))
 	if status, _ := doReq(t, "GET", tsOne.URL+"/v1/traces/cc/report", nil); status != http.StatusOK {
 		t.Fatalf("baseline report: status %d", status)
 	}
-	coldMisses := sOne.cache.Metrics().Misses
+	m := sOne.cache.Metrics()
+	if m.Misses != 1 || m.Entries != 1 {
+		t.Fatalf("a cold report cost %d cache misses and left %d entries, want 1 and 1 (metrics %+v)", m.Misses, m.Entries, m)
+	}
+	coldMisses := m.Misses
 
 	s, ts := newTestServer(t)
 	upload(t, ts, "cc", synthTrace(t, 400))

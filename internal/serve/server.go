@@ -3,8 +3,9 @@
 // streams, analyses run concurrently on the shared worker pool with
 // per-request cancellation, live snapshots stream to any number of
 // subscribers over SSE or long-poll, and every computed artifact is
-// cached content-addressed by the trace's chunk hashes so re-analysing
-// an appended trace recomputes only what changed.
+// cached content-addressed by the trace's chunk hashes, so a repeat
+// request for unchanged content computes nothing. Each report is one
+// fold of the whole trace.
 //
 // Every response body is an api/v1 wire document in the canonical
 // apiv1.Marshal serialisation — byte-for-byte what the offline CLIs
@@ -205,86 +206,59 @@ func retryable(ctx context.Context, err error, attempt int) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// reportEntry is the cached full-report artifact: the wire report, its
-// canonical apiv1.Marshal bytes (what a report request writes, so a
-// cache hit marshals nothing), and how many fold windows its
-// computation replayed versus folded fresh (zero-valued when the
-// monolithic fold produced it).
+// reportEntry is the cached full-report artifact: the wire report and
+// its canonical apiv1.Marshal bytes, which is what a report request
+// writes, so a cache hit marshals nothing.
 type reportEntry struct {
-	rep     *apiv1.Report
-	raw     []byte
-	windows windowCounts
+	rep *apiv1.Report
+	raw []byte
 }
 
 // reportArtifact returns the trace's full wire report, cached by
-// content key, together with that content key and the request's
-// fold-window accounting. Stream-sorted traces are computed through the
-// windowed fold (foldedReport), so even a cold content key after an
-// append refolds only the tail windows; unsorted uploads run the same
-// fold over sorted copies in one window (monolithicReport). Concurrency
-// is optimistic: the key is computed before the analysis and
-// revalidated after; since the store is append-only, an unchanged key
-// proves the analysis saw exactly the keyed content, and a changed one
-// discards the run (nothing is cached) and retries under the new key.
-// A returned entry therefore always belongs to the returned content
-// key, cache hit or not.
-func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*reportEntry, string, windowCounts, error) {
+// content key, together with that content key. Each report is one fold
+// of the trace (Analyzer.AnalyzeContext), sorted or not: the fold runs
+// over the tables in place when they are stream-sorted and over sorted
+// copies otherwise. Concurrency is optimistic: the key is computed
+// before the analysis and revalidated after; since the store is
+// append-only, an unchanged key proves the analysis saw exactly the
+// keyed content, and a changed one discards the run (nothing is cached)
+// and retries under the new key. A returned entry therefore always
+// belongs to the returned content key, cache hit or not.
+func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*reportEntry, string, error) {
 	suffix := "|" + strconv.FormatUint(uint64(enclave), 10)
 	for attempt := 0; ; attempt++ {
 		contentKey := e.trace.ContentKey()
 		key := "report|" + contentKey + suffix
 		v, hit, err := s.cache.GetOrCompute(key, func() (any, error) {
-			rep, wc, err := s.foldedReport(ctx, e, enclave)
-			if errors.Is(err, analyzer.ErrUnsorted) {
-				rep, err = s.monolithicReport(ctx, e, enclave)
-				wc = windowCounts{}
+			a, err := analyzer.New(e.trace, analyzer.Options{Enclave: enclave})
+			if err != nil {
+				return nil, err
 			}
+			rep, err := a.AnalyzeContext(ctx)
 			if err != nil {
 				return nil, err
 			}
 			if e.trace.ContentKey() != contentKey {
 				return nil, errConcurrentAppend
 			}
-			raw, err := apiv1.Marshal(rep)
+			wire := apiv1.FromReport(rep)
+			raw, err := apiv1.Marshal(wire)
 			if err != nil {
 				return nil, err
 			}
-			return &reportEntry{rep: rep, raw: raw, windows: wc}, nil
+			return &reportEntry{rep: wire, raw: raw}, nil
 		})
 		if err == nil {
-			ent := v.(*reportEntry)
-			wc := ent.windows
-			if hit {
-				// A resident artifact answered without touching the
-				// window layer at all.
-				wc.computed = 0
-				wc.reused = wc.total
-			} else {
+			if !hit {
 				s.noteHeap() // a fresh analysis is where the heap crests
 			}
-			return ent, contentKey, wc, nil
+			return v.(*reportEntry), contentKey, nil
 		}
 		if retryable(ctx, err, attempt) {
 			continue
 		}
-		return nil, "", windowCounts{}, err
+		return nil, "", err
 	}
-}
-
-// monolithicReport is the analyser's fold over sorted copies of the
-// trace's tables (Analyzer.AnalyzeContext), for traces the windowed
-// fold cannot walk in storage order (not stream-sorted): the same
-// engine and the same bytes, in one window without window caching.
-func (s *Server) monolithicReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.Report, error) {
-	a, err := analyzer.New(e.trace, analyzer.Options{Enclave: enclave})
-	if err != nil {
-		return nil, err
-	}
-	rep, err := a.AnalyzeContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return apiv1.FromReport(rep), nil
 }
 
 // lintArtifact returns the trace's hybrid lint report (static findings
@@ -325,35 +299,19 @@ func (s *Server) lintArtifact(ctx context.Context, e *traceEntry, src bool) ([]b
 }
 
 // statsReport answers /stats from the cached report artifact: its
-// per-call statistics, the content key the artifact is cached under
-// (which pins the content the statistics describe), and the fold-window
-// accounting of the request.
+// per-call statistics and the content key the artifact is cached under,
+// which pins the content the statistics describe.
 func (s *Server) statsReport(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*apiv1.StatsReport, error) {
-	ent, contentKey, wc, err := s.reportArtifact(ctx, e, enclave)
+	ent, contentKey, err := s.reportArtifact(ctx, e, enclave)
 	if err != nil {
 		return nil, err
 	}
 	return &apiv1.StatsReport{
-		SchemaVersion:   apiv1.Version,
-		Workload:        ent.rep.Workload,
-		ContentKey:      contentKey,
-		Stats:           ent.rep.Stats,
-		WindowsTotal:    wc.total,
-		WindowsComputed: wc.computed,
-		WindowsReused:   wc.reused,
+		SchemaVersion: apiv1.Version,
+		Workload:      ent.rep.Workload,
+		ContentKey:    contentKey,
+		Stats:         ent.rep.Stats,
 	}, nil
-}
-
-func hashesEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // snapshotDoc builds the trace's live snapshot: the cached full report
@@ -363,7 +321,7 @@ func hashesEqual(a, b []uint64) bool {
 // sliding clock window, which an uploaded trace does not have.
 func (s *Server) snapshotDoc(ctx context.Context, e *traceEntry) (*apiv1.LiveSnapshot, error) {
 	seq := e.hub.current()
-	ent, _, _, err := s.reportArtifact(ctx, e, 0)
+	ent, _, err := s.reportArtifact(ctx, e, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -532,17 +490,11 @@ func (s *Server) serveReport(w http.ResponseWriter, r *http.Request, e *traceEnt
 		writeError(w, err)
 		return
 	}
-	ent, _, wc, err := s.reportArtifact(r.Context(), e, enclave)
+	ent, _, err := s.reportArtifact(r.Context(), e, enclave)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	// The wire document is byte-identical either way; the fold-window
-	// replay accounting rides in headers (all zero on the monolithic
-	// fold for unsorted traces).
-	w.Header().Set("Sgxperf-Windows-Total", strconv.Itoa(wc.total))
-	w.Header().Set("Sgxperf-Windows-Computed", strconv.Itoa(wc.computed))
-	w.Header().Set("Sgxperf-Windows-Reused", strconv.Itoa(wc.reused))
 	writeRaw(w, http.StatusOK, ent.raw)
 }
 
