@@ -2,15 +2,22 @@ package evstore
 
 import (
 	"hash/fnv"
+	"slices"
 
 	"sgxperf/internal/pool"
 )
 
 // ChunkHashes returns one 64-bit content hash per storage chunk, in
-// chunk order. The hash covers the chunk's encoded payload (the same
-// bytes writeBinary emits), so two tables whose
-// chunks hold equal rows hash equally regardless of how the rows were
-// inserted, and any row change changes its chunk's hash.
+// chunk order: AppendChunkHashes into a new slice.
+func (t *Table[T]) ChunkHashes() []uint64 { return t.AppendChunkHashes(nil) }
+
+// AppendChunkHashes appends one 64-bit content hash per storage chunk,
+// in chunk order, to dst and returns the extended slice, so a caller
+// that hashes many tables reads them all into one buffer. The hash
+// covers the chunk's encoded payload (the same bytes writeBinary
+// emits), so two tables whose chunks hold equal rows hash equally
+// regardless of how the rows were inserted, and any row change changes
+// its chunk's hash.
 //
 // This is the content-addressing primitive behind incremental
 // re-analysis: the store is append-only and every chunk but the last is
@@ -21,11 +28,13 @@ import (
 // chunk's hash is memoised under (hashGen, row count): a repeat call on
 // an unchanged table encodes nothing, and an append re-encodes only the
 // tail it grew, once.
-func (t *Table[T]) ChunkHashes() []uint64 {
+func (t *Table[T]) AppendChunkHashes(dst []uint64) []uint64 {
 	t.notifyRead()
 	t.mu.RLock()
 	gen, length := t.hashGen, t.length
-	out := make([]uint64, len(t.chunks))
+	base := len(dst)
+	dst = slices.Grow(dst, len(t.chunks))[:base+len(t.chunks)]
+	out := dst[base:]
 	n := copy(out, t.hashed)
 	if last := len(t.chunks) - 1; n == last && t.tail.gen == gen && t.tail.rows == length {
 		out[n] = t.tail.hash
@@ -37,7 +46,7 @@ func (t *Table[T]) ChunkHashes() []uint64 {
 	}
 	t.mu.RUnlock()
 	if len(missing) == 0 {
-		return out
+		return dst
 	}
 	pool.ForEach(len(missing), func(i int) {
 		out[n+i] = t.hashChunk(missing[i])
@@ -63,7 +72,7 @@ func (t *Table[T]) ChunkHashes() []uint64 {
 		}
 	}
 	t.mu.Unlock()
-	return out
+	return dst
 }
 
 // tailHash memoises the hash of a table's partial last chunk: it holds

@@ -238,19 +238,19 @@ func (sr *StreamReader) Rows(name string) (int, bool) {
 	return t.rows, true
 }
 
-// ChunkHashes returns the named table's per-chunk content hashes —
-// identical to Table.ChunkHashes over the loaded rows — or nil when the
-// file has no such table.
-func (sr *StreamReader) ChunkHashes(name string) []uint64 {
+// AppendChunkHashes appends the named table's per-chunk content hashes
+// — identical to Table.ChunkHashes over the loaded rows — to dst and
+// returns the extended slice; dst is returned unchanged when the file
+// has no such table.
+func (sr *StreamReader) AppendChunkHashes(dst []uint64, name string) []uint64 {
 	t, ok := sr.byName[name]
 	if !ok {
-		return nil
+		return dst
 	}
-	out := make([]uint64, len(t.chunks))
-	for i, c := range t.chunks {
-		out[i] = c.Hash
+	for _, c := range t.chunks {
+		dst = append(dst, c.Hash)
 	}
-	return out
+	return dst
 }
 
 // Chunks returns the named table's chunk descriptors.

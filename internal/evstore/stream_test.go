@@ -79,7 +79,7 @@ func TestStreamMatchesLoad(t *testing.T) {
 			if got, _ := sr.Rows("recs"); got != recs.Len() {
 				t.Errorf("Rows(recs) = %d, want %d", got, recs.Len())
 			}
-			if got := sr.ChunkHashes("recs"); !rowsEqual(got, recs.ChunkHashes()) {
+			if got := sr.AppendChunkHashes(nil, "recs"); !rowsEqual(got, recs.ChunkHashes()) {
 				t.Errorf("stream chunk hashes %x != table %x", got, recs.ChunkHashes())
 			}
 		})

@@ -46,7 +46,9 @@ import (
 	"go/token"
 	"go/types"
 	"path"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // CrossKind classifies one boundary-crossing site.
@@ -146,9 +148,9 @@ type interproc struct {
 	fset  *token.FileSet
 	funcs map[string]*ipFunc
 	order []string // FullNames in source order, for determinism
-	// entries maps ecall names to handler FullNames, recovered from
-	// map[string]sdk.TrustedFn composite literals.
-	entries map[string]string
+	// entries lists every ecall registration recovered from
+	// map[string]sdk.TrustedFn composite literals (see sortedEntries).
+	entries []entry
 	// crosses is the fixpoint: does calling the function execute at
 	// least one unconditional-kind ocall dispatch, transitively?
 	crosses map[string]bool
@@ -160,7 +162,6 @@ func newInterproc(fset *token.FileSet, pkgs []*Package) *interproc {
 	ip := &interproc{
 		fset:    fset,
 		funcs:   make(map[string]*ipFunc),
-		entries: make(map[string]string),
 		crosses: make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
@@ -192,8 +193,9 @@ func newInterproc(fset *token.FileSet, pkgs []*Package) *interproc {
 				ip.order = append(ip.order, fn.full)
 			}
 		}
-		collectEntries(pkg, ip.entries)
+		ip.entries = collectEntries(pkg, ip.entries)
 	}
+	ip.entries = sortedEntries(ip.entries)
 	ip.fixpoint()
 	return ip
 }
@@ -870,10 +872,30 @@ func intConst(info *types.Info, e ast.Expr) (int, bool) {
 	return int(v), true
 }
 
-// collectEntries recovers the ecall→handler map from
+// An entry is one ecall registration: the ecall name and the FullName
+// of the handler registered for it.
+type entry struct {
+	ecall, handler string
+}
+
+// sortedEntries orders registrations by ecall name, then handler, and
+// drops repeats. Packages built apart can register one ecall name each
+// with a handler of its own, so an ecall can have several entries and
+// every handler is checked.
+func sortedEntries(es []entry) []entry {
+	slices.SortFunc(es, func(a, b entry) int {
+		if c := strings.Compare(a.ecall, b.ecall); c != 0 {
+			return c
+		}
+		return strings.Compare(a.handler, b.handler)
+	})
+	return slices.Compact(es)
+}
+
+// collectEntries appends to out the ecall registrations of
 // map[string]sdk.TrustedFn composite literals with constant keys and
 // statically-resolvable function values.
-func collectEntries(pkg *Package, out map[string]string) {
+func collectEntries(pkg *Package, out []entry) []entry {
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
@@ -913,12 +935,13 @@ func collectEntries(pkg *Package, out map[string]string) {
 					fn, _ = pkg.Info.Uses[v].(*types.Func)
 				}
 				if fn != nil {
-					out[constant.StringVal(ktv.Value)] = fn.FullName()
+					out = append(out, entry{ecall: constant.StringVal(ktv.Value), handler: fn.FullName()})
 				}
 			}
 			return true
 		})
 	}
+	return out
 }
 
 // --- the exported interprocedural analysis (reused by staticlint) ---------
@@ -1041,29 +1064,23 @@ func AnalyzeInterprocTree(tree *Tree, dirs []string) *InterReport {
 		}
 	}
 
-	// Entry predictions, for the TrustedFn maps registered in scope.
-	scopedEntries := make(map[string]string)
+	// Entry predictions, one per registration in scope.
+	var scopedEntries []entry
 	for _, pkg := range tree.Pkgs {
 		if pkg.Info == nil || !scope.applies(pkg.Dir) {
 			continue
 		}
-		collectEntries(pkg, scopedEntries)
+		scopedEntries = collectEntries(pkg, scopedEntries)
 	}
-	names := make([]string, 0, len(scopedEntries))
-	for n := range scopedEntries {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	memo := make(map[string]predInfo)
-	for _, name := range names {
-		full := scopedEntries[name]
-		fn := ip.funcs[full]
+	for _, e := range sortedEntries(scopedEntries) {
+		fn := ip.funcs[e.handler]
 		if fn == nil {
 			continue
 		}
-		p := ip.pred(full, memo, make(map[string]bool))
+		p := ip.pred(e.handler, memo, make(map[string]bool))
 		report.Entries = append(report.Entries, EntryPrediction{
-			Ecall: name, Handler: fn.name, Predicted: p.n,
+			Ecall: e.ecall, Handler: fn.name, Predicted: p.n,
 			LoopUnknown: p.loopUnknown, Conditional: p.cond,
 		})
 	}

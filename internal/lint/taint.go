@@ -352,8 +352,12 @@ func newTaintGraph(tree *Tree) *taintGraph {
 			}
 		}
 	}
-	for ecall, handler := range tree.interprocFor(nil).entries {
-		g.handlerEcall[handler] = ecall
+	// Every registered handler is checked; one registered under several
+	// ecall names is checked against the first.
+	for _, e := range tree.interprocFor(nil).entries {
+		if _, ok := g.handlerEcall[e.handler]; !ok {
+			g.handlerEcall[e.handler] = e.ecall
+		}
 	}
 
 	// Summary fixpoint: walk every function against the current callee

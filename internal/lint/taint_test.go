@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -208,6 +211,60 @@ func (v *vault) clean(env *sdk.Env) error {
 	}
 	if !strings.Contains(diags[0].Message, "stale") {
 		t.Errorf("diagnostic %q, want the stale //sgxperf:allow report", diags[0].Message)
+	}
+}
+
+// TestEDLFlowEveryRegisteredHandler registers one ecall name in two
+// packages, each with a handler of its own that writes the [in] param:
+// edlflow must check both handlers and report both writes, and the
+// entry predictions must list both registrations.
+func TestEDLFlowEveryRegisteredHandler(t *testing.T) {
+	pkg := func(name string) string {
+		return `package ` + name + `
+
+import (
+	"lintfixture/internal/edl"
+	"lintfixture/internal/sdk"
+)
+
+type dupArgs struct{ Tag int }
+
+func handleDup(env *sdk.Env, args any) (any, error) {
+	a := args.(*dupArgs)
+	a.Tag = 7
+	return nil, nil
+}
+
+func wire() (map[string]sdk.TrustedFn, *edl.Interface) {
+	impl := map[string]sdk.TrustedFn{"ecall_dup": handleDup}
+	iface := edl.New()
+	iface.AddEcall("ecall_dup", true, edl.Param{Name: "tag", Dir: edl.DirIn})
+	return impl, iface
+}
+`
+	}
+	root := writeTree(t, taintFixture(map[string]string{
+		"internal/gen01/enclave.go": pkg("gen01"),
+		"internal/gen02/enclave.go": pkg("gen02"),
+	}))
+	diags, err := Run(root, []*Analyzer{EDLFlowCheck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, d := range diags {
+		files = append(files, filepath.Base(filepath.Dir(d.Pos.Filename)))
+	}
+	sort.Strings(files)
+	if want := []string{"gen01", "gen02"}; !slices.Equal(files, want) {
+		t.Fatalf("edlflow reported in %v, want one [in] write in each of %v: %v", files, want, messages(diags))
+	}
+	rep, err := AnalyzeInterproc(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Entries) != 2 || rep.Entries[0].Ecall != "ecall_dup" || rep.Entries[1].Ecall != "ecall_dup" {
+		t.Errorf("entries = %+v, want one ecall_dup prediction per registration", rep.Entries)
 	}
 }
 

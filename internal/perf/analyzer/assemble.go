@@ -1,30 +1,31 @@
 package analyzer
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"sgxperf/internal/edl"
 	"sgxperf/internal/perf/events"
 )
 
-// SyncPrescan is the order-free digest of the sync table the fold needs
+// syncPrescan is the order-free digest of the sync table the fold needs
 // before sweeping calls: a wake sync's carrying ocall can end after the
 // sync's own timestamp, so short-wake classification must wait for the
-// call sweep. Refs records how many wake syncs each ocall carries; the
+// call sweep. refs records how many wake syncs each ocall carries; the
 // sweep resolves ShortWakes from it the moment it prices the call.
-type SyncPrescan struct {
-	Total, Sleeps, Wakes int
-	Refs                 map[events.EventID]int
-	WakeAgg              map[[2]int64]int
+type syncPrescan struct {
+	total, sleeps, wakes int
+	refs                 map[events.EventID]int
+	wakeAgg              map[[2]int64]int
 }
 
-// PrescanSyncs digests the sync table chunk-by-chunk. Sync events are
+// prescanSyncs digests the sync table chunk-by-chunk. Sync events are
 // order-free for every kernel that consumes them, so no sortedness is
 // required.
-func PrescanSyncs(seq ChunkSeq[events.SyncEvent]) (*SyncPrescan, error) {
-	pre := &SyncPrescan{
-		Refs:    make(map[events.EventID]int),
-		WakeAgg: make(map[[2]int64]int),
+func prescanSyncs(seq ChunkSeq[events.SyncEvent]) (*syncPrescan, error) {
+	pre := &syncPrescan{
+		refs:    make(map[events.EventID]int),
+		wakeAgg: make(map[[2]int64]int),
 	}
 	for i := 0; i < seq.NumChunks(); i++ {
 		rows, err := seq.Chunk(i)
@@ -33,25 +34,25 @@ func PrescanSyncs(seq ChunkSeq[events.SyncEvent]) (*SyncPrescan, error) {
 		}
 		for j := range rows {
 			s := &rows[j]
-			pre.Total++
+			pre.total++
 			switch s.Kind {
 			case events.SyncWake:
-				pre.Wakes++
-				pre.Refs[s.Call]++
+				pre.wakes++
+				pre.refs[s.Call]++
 				for _, t := range s.Targets {
-					pre.WakeAgg[[2]int64{int64(s.Thread), int64(t)}]++
+					pre.wakeAgg[[2]int64{int64(s.Thread), int64(t)}]++
 				}
 			case events.SyncSleep:
-				pre.Sleeps++
+				pre.sleeps++
 			}
 		}
 	}
 	return pre, nil
 }
 
-// FoldSwitchless digests the switchless table chunk-by-chunk into the
+// foldSwitchless digests the switchless table chunk-by-chunk into the
 // shared per-name aggregates (order-free integer sums).
-func FoldSwitchless(seq ChunkSeq[events.SwitchlessEvent]) (map[string]*SwitchlessAgg, error) {
+func foldSwitchless(seq ChunkSeq[events.SwitchlessEvent]) (map[string]*SwitchlessAgg, error) {
 	agg := make(map[string]*SwitchlessAgg)
 	for i := 0; i < seq.NumChunks(); i++ {
 		rows, err := seq.Chunk(i)
@@ -65,107 +66,126 @@ func FoldSwitchless(seq ChunkSeq[events.SwitchlessEvent]) (map[string]*Switchles
 	return agg, nil
 }
 
-// AssembleReport renders the merged fold delta, the sync prescan and
-// the switchless summary into the full Report through the stats and
+// assembleReport renders the fold delta, the sync prescan and the
+// switchless summary into the full Report through the stats and
 // detector kernels (kernels.go).
-func AssembleReport(workload string, cfg *FoldConfig, delta *FoldDelta, pre *SyncPrescan, sw SwitchlessStats, iface *edl.Interface) *Report {
-	w := cfg.Weights
+func assembleReport(workload string, cfg *foldConfig, delta *foldDelta, pre *syncPrescan, sw SwitchlessStats, iface *edl.Interface) *Report {
+	w := cfg.weights
 	r := &Report{Workload: workload, Switchless: sw}
 
-	names := make([]string, 0, len(delta.Names))
-	for n := range delta.Names {
-		names = append(names, n)
+	// order lists the name IDs by name.
+	order := make([]int32, len(delta.names))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Strings(names)
+	slices.SortFunc(order, func(a, b int32) int { return strings.Compare(delta.names[a].name, delta.names[b].name) })
 	kindOf := func(name string) events.CallKind {
-		if na := delta.Names[name]; na != nil {
-			return na.Kind
+		if id, ok := delta.ids[name]; ok {
+			return delta.names[id].kind
 		}
 		return 0
 	}
 	totalOf := func(name string) int {
-		if na := delta.Names[name]; na != nil {
-			return na.Count
+		if id, ok := delta.ids[name]; ok {
+			return delta.names[id].count
 		}
 		return 0
 	}
 
-	statByName := make(map[string]CallStats, len(names))
-	r.Stats = make([]CallStats, 0, len(names))
-	for _, n := range names {
-		na := delta.Names[n]
-		if s, ok := statsFromHistogram(n, na.Kind, na.Hist, na.TotalAEX); ok {
-			statByName[n] = s
+	stats := make([]CallStats, len(delta.names))
+	r.Stats = make([]CallStats, 0, len(order))
+	for _, id := range order {
+		na := &delta.names[id]
+		if s, ok := statsFromHistogram(na.name, na.kind, na.hist, na.totalAEX); ok {
+			stats[id] = s
 			r.Stats = append(r.Stats, s)
 		}
 	}
 	sortStats(r.Stats)
 
 	g := &CallGraph{}
-	for _, n := range names {
-		na := delta.Names[n]
-		g.Nodes = append(g.Nodes, GraphNode{Name: n, Kind: na.Kind, CallID: na.CallID, Count: na.Count})
+	for _, id := range order {
+		na := &delta.names[id]
+		g.Nodes = append(g.Nodes, GraphNode{Name: na.name, Kind: na.kind, CallID: na.callID, Count: na.count})
 	}
+	// One pass over the pair table renders the graph edges, the merge
+	// pairs, each ecall's direct-parent names and the observed allow
+	// sets.
 	pairs := make(map[mergePair]*MergeAgg)
-	for _, n := range names {
-		na := delta.Names[n]
-		for p, count := range na.Parents {
-			g.Edges = append(g.Edges, GraphEdge{From: p, To: n, Count: count})
+	parents := make([][]string, len(delta.names))
+	observed := make(map[string]map[string]bool)
+	for i := range delta.pairs {
+		pa := &delta.pairs[i]
+		child, parent := delta.names[pa.child].name, delta.names[pa.parent].name
+		if pa.direct > 0 {
+			g.Edges = append(g.Edges, GraphEdge{From: parent, To: child, Count: pa.direct})
+			parents[pa.child] = append(parents[pa.child], parent)
 		}
-		for p, agg := range na.Indirect {
-			g.Edges = append(g.Edges, GraphEdge{From: p, To: n, Count: agg.Count, Indirect: true})
-			pairs[mergePair{Parent: p, Child: n}] = agg
+		if pa.indirect.Count > 0 {
+			g.Edges = append(g.Edges, GraphEdge{From: parent, To: child, Count: pa.indirect.Count, Indirect: true})
+			pairs[mergePair{Parent: parent, Child: child}] = &pa.indirect
+		}
+		if pa.observed {
+			if observed[parent] == nil {
+				observed[parent] = make(map[string]bool)
+			}
+			observed[parent][child] = true
 		}
 	}
 	sortGraphEdges(g.Edges)
 	r.Graph = g
 
 	r.Paging = PagingStats{
-		PageIns:     delta.Paging.PageIns,
-		PageOuts:    delta.Paging.PageOuts,
-		DuringCalls: delta.Paging.DuringCalls,
-		ByRegion:    make(map[string]int, len(delta.Paging.ByRegion)),
+		PageIns:     delta.paging.pageIns,
+		PageOuts:    delta.paging.pageOuts,
+		DuringCalls: delta.paging.duringCalls,
+		ByRegion:    make(map[string]int, len(delta.paging.byRegion)),
 	}
-	for region, n := range delta.Paging.ByRegion {
+	for region, n := range delta.paging.byRegion {
 		r.Paging.ByRegion[region] = n
 	}
 
-	r.WakeGraph = wakeEdges(pre.WakeAgg)
+	r.WakeGraph = wakeEdges(pre.wakeAgg)
 
-	for _, n := range names {
-		if f, ok := movingFinding(statByName[n], w); ok {
+	for _, id := range order {
+		if f, ok := movingFinding(stats[id], w); ok {
 			r.Findings = append(r.Findings, f)
 		}
 	}
-	for _, n := range names {
-		na := delta.Names[n]
-		r.Findings = append(r.Findings, reorderFindings(n, na.Kind, na.Reorder, w)...)
+	for _, id := range order {
+		na := &delta.names[id]
+		r.Findings = append(r.Findings, reorderFindings(na.name, na.kind, na.reorder, w)...)
 	}
 	r.Findings = append(r.Findings, mergeFindings(pairs, totalOf, kindOf, w)...)
 	sa := syncAgg{
-		Total:      pre.Total,
-		Sleeps:     pre.Sleeps,
-		Wakes:      pre.Wakes,
-		ShortWakes: delta.ShortWakes,
+		Total:      pre.total,
+		Sleeps:     pre.sleeps,
+		Wakes:      pre.wakes,
+		ShortWakes: delta.shortWakes,
 	}
 	r.Findings = append(r.Findings, sscFindings(sa, w)...)
 	r.Findings = append(r.Findings, pagingFindings(r.Paging, w)...)
 	SortFindings(r.Findings)
 
 	// Security hints: make-private, allow-list, user_check.
-	for _, n := range names {
-		na := delta.Names[n]
-		if na.Kind != events.KindEcall || na.TopLevel {
+	for _, id := range order {
+		na := &delta.names[id]
+		if na.kind != events.KindEcall || na.topLevel {
 			continue
 		}
 		if iface != nil {
-			if f, ok := iface.Lookup(n); ok && !f.Public {
+			if f, ok := iface.Lookup(na.name); ok && !f.Public {
 				continue
 			}
 		}
-		r.Security = append(r.Security, makePrivateHint(n, sortedKeys(na.Parents)))
+		ps := parents[id]
+		if ps == nil {
+			ps = []string{}
+		}
+		slices.Sort(ps)
+		r.Security = append(r.Security, makePrivateHint(na.name, ps))
 	}
-	r.Security = append(r.Security, allowHintsFrom(iface, delta.Observed, totalOf)...)
+	r.Security = append(r.Security, allowHintsFrom(iface, observed, totalOf)...)
 	r.Security = append(r.Security, userCheckHintsFor(iface)...)
 
 	return r

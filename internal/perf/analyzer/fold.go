@@ -5,7 +5,7 @@ package analyzer
 // carry state bounded by O(open calls + threads), independent of trace
 // length. The sweep feeds per-name aggregates — duration histograms,
 // the Equation 2 and 3 accumulators (ReorderAgg, MergeAgg), parent
-// counts — and the security-hint evidence; AssembleReport renders them
+// counts — and the security-hint evidence; assembleReport renders them
 // into a Report.
 // Every report comes from here, in one pass from an empty carry to the
 // end of the feeds: Analyzer.Analyze folds sorted copies of a resident
@@ -24,6 +24,17 @@ package analyzer
 // their own indirect-parent group because the parent's group slots are
 // dropped when it closes. SDK-recorded traces nest properly, so every
 // Parent link in them resolves.
+//
+// Aggregate layout. The delta interns each call name the first time it
+// sees it: the name's dense int32 ID indexes its aggregate in a slice,
+// so the name lookup is the one string-keyed map read a call costs.
+// Everything the sweep keys by name afterwards — open calls, frames,
+// group slots — carries the ID. Name pairs share one table keyed by
+// (child ID, parent ID) packed into a uint64: a pair's direct-parent
+// count, its Equation 3 accumulator and its allow-list evidence live in
+// one entry, so a resolved parent or an indirect-parent step costs one
+// integer-keyed lookup. The table holds only pairs that occur, never a
+// names × names array: an uploaded trace can carry any number of names.
 //
 // Carry layout. Open calls live on per-thread stacks: before a call is
 // folded its thread pops every frame that ended before the call starts,
@@ -49,6 +60,7 @@ import (
 	"cmp"
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -78,23 +90,78 @@ type ChunkSeq[T any] interface {
 	Chunk(i int) ([]T, error)
 }
 
-// FoldConfig carries the trace-wide constants of one fold.
-type FoldConfig struct {
-	Weights    Weights
-	Freq       vtime.Frequency
-	Transition vtime.Cycles
-	Enclave    sgx.EnclaveID
-	// SyncRefs maps a call event ID to the number of wake sync events
-	// carried by that ocall (from PrescanSyncs). The sweep resolves
-	// syncAgg.ShortWakes from it without keeping call durations around.
-	SyncRefs map[events.EventID]int
+// foldConfig carries the trace-wide constants of one fold.
+type foldConfig struct {
+	weights    Weights
+	freq       vtime.Frequency
+	transition vtime.Cycles
+	enclave    sgx.EnclaveID
+	// syncs counts the wake sync events each call carries (from
+	// prescanSyncs). The sweep resolves syncAgg.ShortWakes from it
+	// without keeping call durations around.
+	syncs syncRefs
 }
 
-// FoldInput bundles the three time-ordered feeds of one fold.
-type FoldInput struct {
-	Ecalls ChunkSeq[events.CallEvent]
-	Ocalls ChunkSeq[events.CallEvent]
-	Paging ChunkSeq[events.PagingEvent]
+// foldInput bundles the three time-ordered feeds of one fold.
+type foldInput struct {
+	ecalls ChunkSeq[events.CallEvent]
+	ocalls ChunkSeq[events.CallEvent]
+	paging ChunkSeq[events.PagingEvent]
+}
+
+// syncRefs maps a call event ID to the number of wake sync events it
+// carries, behind a one-hash bit filter with at least 8 bits per
+// referenced ID. About 6% of a recording's calls carry a wake, so most
+// short calls miss the filter and add 0 without probing the map; a hit
+// still reads the map, so a filter collision costs a lookup and never a
+// wrong count.
+type syncRefs struct {
+	counts map[events.EventID]int
+	bits   []uint64
+	// shift keeps the top log2(len(bits)*64) bits of the product hash.
+	shift uint
+}
+
+// newSyncRefs builds the filter over the referenced IDs: the smallest
+// power of two of at least 64 bits and 8 bits per ID.
+func newSyncRefs(counts map[events.EventID]int) syncRefs {
+	n := 64
+	for n < 8*len(counts) {
+		n <<= 1
+	}
+	r := syncRefs{counts: counts, bits: make([]uint64, n/64), shift: uint(64 - bits.TrailingZeros(uint(n)))}
+	for id := range counts {
+		h := r.slot(id)
+		r.bits[h/64] |= 1 << (h % 64)
+	}
+	return r
+}
+
+// slot is an ID's filter bit: multiplicative (Fibonacci) hashing.
+//
+//sgxperf:hotpath
+func (r *syncRefs) slot(id events.EventID) uint64 {
+	return uint64(id) * 0x9e3779b97f4a7c15 >> r.shift
+}
+
+// admits reports whether the ID's filter bit is set: true for every
+// referenced ID, and for the few others that share a bit with one.
+//
+//sgxperf:hotpath
+func (r *syncRefs) admits(id events.EventID) bool {
+	h := r.slot(id)
+	return r.bits[h/64]&(1<<(h%64)) != 0
+}
+
+// wakes returns the number of wake syncs the call with the given ID
+// carries.
+//
+//sgxperf:hotpath
+func (r *syncRefs) wakes(id events.EventID) int {
+	if !r.admits(id) {
+		return 0
+	}
+	return r.counts[id]
 }
 
 type callKey struct {
@@ -111,9 +178,10 @@ func (k callKey) compare(o callKey) int {
 
 func (k callKey) less(o callKey) bool { return k.compare(o) < 0 }
 
+// openCall is an open call: its span and its name's ID.
 type openCall struct {
-	name       string
 	start, end vtime.Cycles
+	name       int32
 }
 
 // foldGroup is the indirect-parent group key: successive calls of one
@@ -125,12 +193,12 @@ type foldGroup struct {
 	parent events.EventID
 }
 
-// groupPrev is a group slot: the group's previous call. set marks an
-// inline slot (a frame's or a thread's) in use; the maps hold only set
-// slots.
+// groupPrev is a group slot: the group's previous call, its end and
+// name ID. set marks an inline slot (a frame's or a thread's) in use;
+// the maps hold only set slots.
 type groupPrev struct {
-	name string
 	end  vtime.Cycles
+	name int32
 	set  bool
 }
 
@@ -182,12 +250,12 @@ func (ts *threadState) find(id events.EventID) *frame {
 	return nil
 }
 
-// FoldCarry is the cross-chunk state of a fold: monotonicity
+// foldCarry is the cross-chunk state of a fold: monotonicity
 // watermarks, the open calls, the indirect-parent group slots and the
 // per-thread latest call end (see "Carry layout" above). Its size is
 // bounded by the number of concurrently open calls and threads, never
 // by trace length.
-type FoldCarry struct {
+type foldCarry struct {
 	lastCall, lastPage callKey
 	seenCall, seenPage bool
 
@@ -215,9 +283,9 @@ type FoldCarry struct {
 	index map[events.EventID]*threadState
 }
 
-// NewFoldCarry returns the empty carry a fold starts from.
-func NewFoldCarry() *FoldCarry {
-	return &FoldCarry{
+// newFoldCarry returns the empty carry a fold starts from.
+func newFoldCarry() *foldCarry {
+	return &foldCarry{
 		threads:  make(map[sgx.ThreadID]*threadState),
 		open:     make(map[events.EventID]openCall),
 		groups:   make(map[foldGroup]*groupPrev),
@@ -229,7 +297,7 @@ func NewFoldCarry() *FoldCarry {
 // call.
 //
 //sgxperf:hotpath
-func (c *FoldCarry) thread(id sgx.ThreadID) *threadState {
+func (c *foldCarry) thread(id sgx.ThreadID) *threadState {
 	if ts := c.last; ts != nil && ts.id == id {
 		return ts
 	}
@@ -247,7 +315,7 @@ func (c *FoldCarry) thread(id sgx.ThreadID) *threadState {
 // and their inline slots go with them.
 //
 //sgxperf:hotpath
-func (c *FoldCarry) popEnded(ts *threadState, pos vtime.Cycles) {
+func (c *foldCarry) popEnded(ts *threadState, pos vtime.Cycles) {
 	n := len(ts.stack)
 	for n > 0 && ts.stack[n-1].end < pos {
 		n--
@@ -266,8 +334,8 @@ func (c *FoldCarry) popEnded(ts *threadState, pos vtime.Cycles) {
 // the innermost open frame there, in the open map otherwise.
 //
 //sgxperf:hotpath
-func (c *FoldCarry) push(ts *threadState, call *events.CallEvent) {
-	oc := openCall{name: call.Name, start: call.Start, end: call.End}
+func (c *foldCarry) push(ts *threadState, call *events.CallEvent, name int32) {
+	oc := openCall{start: call.Start, end: call.End, name: name}
 	n := len(ts.stack)
 	if n > 0 && call.End > ts.stack[n-1].end {
 		c.open[call.ID] = oc
@@ -285,7 +353,7 @@ func (c *FoldCarry) push(ts *threadState, call *events.CallEvent) {
 // adoptSlots moves the slots opened under a call's ID before the call
 // was swept — its forward children on the same thread — into its new
 // frame. Other threads' slots stay in the maps, and the frame notes it.
-func (c *FoldCarry) adoptSlots(ts *threadState, f *frame) {
+func (c *foldCarry) adoptSlots(ts *threadState, f *frame) {
 	gks, ok := c.groupsOf[f.id]
 	if !ok {
 		return
@@ -309,7 +377,7 @@ func (c *FoldCarry) adoptSlots(ts *threadState, f *frame) {
 
 // indexed looks a frame up by ID across every thread, building the
 // index on first use.
-func (c *FoldCarry) indexed(id events.EventID) (*threadState, *frame) {
+func (c *foldCarry) indexed(id events.EventID) (*threadState, *frame) {
 	if c.index == nil {
 		c.index = make(map[events.EventID]*threadState)
 		// Thread order makes the index deterministic should two frames
@@ -333,7 +401,7 @@ func (c *FoldCarry) indexed(id events.EventID) (*threadState, *frame) {
 }
 
 // close drops one open-map call and the group slots keyed under it.
-func (c *FoldCarry) close(id events.EventID) {
+func (c *foldCarry) close(id events.EventID) {
 	delete(c.open, id)
 	c.dropSlots(id)
 }
@@ -343,7 +411,7 @@ func (c *FoldCarry) close(id events.EventID) {
 // own.
 //
 //sgxperf:hotpath
-func (c *FoldCarry) dropSlots(parent events.EventID) {
+func (c *foldCarry) dropSlots(parent events.EventID) {
 	if gks, ok := c.groupsOf[parent]; ok {
 		for _, gk := range gks {
 			delete(c.groups, gk)
@@ -355,7 +423,7 @@ func (c *FoldCarry) dropSlots(parent events.EventID) {
 // evict closes every open-map call that ended before pos. Closed calls
 // outnumber the survivors, so the map is cleared and the few survivors
 // reinserted rather than the many deleted.
-func (c *FoldCarry) evict(pos vtime.Cycles) {
+func (c *foldCarry) evict(pos vtime.Cycles) {
 	type entry struct {
 		id events.EventID
 		openCall
@@ -375,97 +443,95 @@ func (c *FoldCarry) evict(pos vtime.Cycles) {
 	c.purgeAt = 2*len(live) + 64
 }
 
-// NameAgg accumulates one call name's streaming aggregates: the
+// nameAgg accumulates one call name's streaming aggregates: the
 // duration multiset as a histogram (bounded by distinct durations, not
 // executions), the AEX total, the first-occurrence kind and call ID the
 // call graph reports, the Equation 2 offsets of executions with a
-// resolved direct parent, the Equation 3 accumulators per indirect
-// parent, and the make-private evidence.
-type NameAgg struct {
-	Kind     events.CallKind
-	CallID   int
-	Count    int
-	TotalAEX int
-	Hist     map[time.Duration]int
-	Reorder  ReorderAgg
-	// Parents counts executions per resolved direct-parent name: the
-	// solid call-graph edges into this call (nil until one resolves).
-	Parents map[string]int
-	// Indirect holds the Equation 3 accumulator per indirect-parent
-	// name; each Count is also a dashed call-graph edge (Fig. 4).
-	Indirect map[string]*MergeAgg
-	// TopLevel records that at least one execution had no Parent link.
-	TopLevel bool
+// resolved direct parent, and the make-private evidence. What the name
+// shares with a parent name lives in the delta's pair table.
+type nameAgg struct {
+	name     string
+	kind     events.CallKind
+	callID   int
+	count    int
+	totalAEX int
+	hist     map[time.Duration]int
+	reorder  ReorderAgg
+	// topLevel records that at least one execution had no Parent link.
+	topLevel bool
 }
 
-// PagingAgg accumulates the paging summary counters.
-type PagingAgg struct {
-	PageIns, PageOuts, DuringCalls int
-	ByRegion                       map[string]int
+// pairAgg accumulates one (child, parent) name pair of the pair table.
+type pairAgg struct {
+	child, parent int32
+	// direct counts the child's executions under a resolved direct
+	// parent of this name: a solid call-graph edge (0 for none).
+	direct int
+	// indirect is the Equation 3 accumulator for this name as the
+	// child's indirect parent; its Count is a dashed call-graph edge
+	// (Fig. 4).
+	indirect MergeAgg
+	// observed records that an ecall execution of the child was issued
+	// during a call of this name: the allow-list evidence.
+	observed bool
 }
 
-// FoldDelta is one sweep's aggregate output, which AssembleReport
-// renders.
-type FoldDelta struct {
-	Names      map[string]*NameAgg
-	Paging     PagingAgg
-	ShortWakes int
-	// Observed maps each parent name to the ecalls issued during it.
-	Observed map[string]map[string]bool
+// pagingAgg accumulates the paging summary counters.
+type pagingAgg struct {
+	pageIns, pageOuts, duringCalls int
+	byRegion                       map[string]int
 }
 
-// NewFoldDelta returns an empty delta.
-func NewFoldDelta() *FoldDelta {
-	return &FoldDelta{
-		Names:    make(map[string]*NameAgg),
-		Paging:   PagingAgg{ByRegion: make(map[string]int)},
-		Observed: make(map[string]map[string]bool),
+// foldDelta is one sweep's aggregate output, which assembleReport
+// renders (see "Aggregate layout" above).
+type foldDelta struct {
+	// ids interns each call name to its index in names.
+	ids   map[string]int32
+	names []nameAgg
+	// pairIdx indexes pairs by (child ID, parent ID) packed into a
+	// uint64.
+	pairIdx    map[uint64]int32
+	pairs      []pairAgg
+	paging     pagingAgg
+	shortWakes int
+}
+
+// newFoldDelta returns an empty delta.
+func newFoldDelta() *foldDelta {
+	return &foldDelta{
+		ids:     make(map[string]int32),
+		pairIdx: make(map[uint64]int32),
+		paging:  pagingAgg{byRegion: make(map[string]int)},
 	}
 }
 
-// name returns the call's per-name aggregate, creating it on the name's
-// first occurrence.
+// name returns the ID of the call's name, interning the name and
+// creating its aggregate on its first occurrence.
 //
 //sgxperf:hotpath
-func (d *FoldDelta) name(ev *events.CallEvent) *NameAgg {
-	na := d.Names[ev.Name]
-	if na == nil {
-		na = &NameAgg{Kind: ev.Kind, CallID: ev.CallID, Hist: make(map[time.Duration]int)}
-		d.Names[ev.Name] = na
+func (d *foldDelta) name(ev *events.CallEvent) int32 {
+	id, ok := d.ids[ev.Name]
+	if !ok {
+		id = int32(len(d.names))
+		d.ids[ev.Name] = id
+		d.names = append(d.names, nameAgg{name: ev.Name, kind: ev.Kind, callID: ev.CallID, hist: make(map[time.Duration]int)})
 	}
-	return na
+	return id
 }
 
-// indirect returns the Equation 3 accumulator for one indirect parent.
+// pair returns the (child, parent) pair's aggregate, creating it on the
+// pair's first occurrence.
 //
 //sgxperf:hotpath
-func (na *NameAgg) indirect(parent string) *MergeAgg {
-	g := na.Indirect[parent]
-	if g == nil {
-		if na.Indirect == nil {
-			na.Indirect = make(map[string]*MergeAgg)
-		}
-		g = &MergeAgg{}
-		na.Indirect[parent] = g
+func (d *foldDelta) pair(child, parent int32) *pairAgg {
+	k := uint64(uint32(child))<<32 | uint64(uint32(parent))
+	i, ok := d.pairIdx[k]
+	if !ok {
+		i = int32(len(d.pairs))
+		d.pairIdx[k] = i
+		d.pairs = append(d.pairs, pairAgg{child: child, parent: parent})
 	}
-	return g
-}
-
-// addParent counts one execution under a resolved direct parent.
-func (na *NameAgg) addParent(parent string) {
-	if na.Parents == nil {
-		na.Parents = make(map[string]int)
-	}
-	na.Parents[parent]++
-}
-
-func (d *FoldDelta) observed(parent string) map[string]bool {
-	s := d.Observed[parent]
-	if s == nil {
-		s = make(map[string]bool)
-		d.Observed[parent] = s
-	}
-	return s
+	return &d.pairs[i]
 }
 
 // seqCursor walks one ChunkSeq from its first row, holding at most one
@@ -594,15 +660,15 @@ func (c *seqCursor[T]) stop() {
 // carry, and returns the aggregates. A feed that decodes from a file is
 // read one chunk ahead of the sweep; fold waits for that read before it
 // returns.
-func fold(cfg *FoldConfig, in FoldInput) (*FoldDelta, error) {
-	carry := NewFoldCarry()
-	delta := NewFoldDelta()
+func fold(cfg *foldConfig, in foldInput) (*foldDelta, error) {
+	carry := newFoldCarry()
+	delta := newFoldDelta()
 
-	ec := newSeqCursor[events.CallEvent](in.Ecalls)
+	ec := newSeqCursor[events.CallEvent](in.ecalls)
 	defer ec.stop()
-	oc := newSeqCursor[events.CallEvent](in.Ocalls)
+	oc := newSeqCursor[events.CallEvent](in.ocalls)
 	defer oc.stop()
-	pc := newSeqCursor[events.PagingEvent](in.Paging)
+	pc := newSeqCursor[events.PagingEvent](in.paging)
 	defer pc.stop()
 
 	for {
@@ -645,13 +711,13 @@ func fold(cfg *FoldConfig, in FoldInput) (*FoldDelta, error) {
 			}
 			carry.lastPage, carry.seenPage = k, true
 			if p.Kind == events.PageIn {
-				delta.Paging.PageIns++
+				delta.paging.pageIns++
 			} else {
-				delta.Paging.PageOuts++
+				delta.paging.pageOuts++
 			}
-			delta.Paging.ByRegion[p.PageKind]++
+			delta.paging.byRegion[p.PageKind]++
 			if ts := carry.threads[p.Thread]; ts != nil && ts.maxEnd >= p.Time {
-				delta.Paging.DuringCalls++
+				delta.paging.duringCalls++
 			}
 			pc.pop()
 			continue
@@ -665,7 +731,7 @@ func fold(cfg *FoldConfig, in FoldInput) (*FoldDelta, error) {
 			return nil, ErrUnsorted
 		}
 		carry.lastCall, carry.seenCall = k, true
-		if cfg.Enclave != 0 && call.Enclave != cfg.Enclave {
+		if cfg.enclave != 0 && call.Enclave != cfg.enclave {
 			if fromE {
 				ec.pop()
 			} else {
@@ -699,16 +765,17 @@ func adjustedDuration(call *events.CallEvent, freq vtime.Frequency, transition v
 }
 
 // foldCall folds one in-filter call into the delta and carry.
-func foldCall(cfg *FoldConfig, carry *FoldCarry, delta *FoldDelta, call *events.CallEvent) {
-	adjusted := adjustedDuration(call, cfg.Freq, cfg.Transition)
+func foldCall(cfg *foldConfig, carry *foldCarry, delta *foldDelta, call *events.CallEvent) {
+	adjusted := adjustedDuration(call, cfg.freq, cfg.transition)
 
-	na := delta.name(call)
-	na.Count++
-	na.TotalAEX += call.AEXCount
-	na.Hist[adjusted]++
+	id := delta.name(call)
+	na := &delta.names[id]
+	na.count++
+	na.totalAEX += call.AEXCount
+	na.hist[adjusted]++
 
-	if adjusted < cfg.Weights.SyncShortLimit {
-		delta.ShortWakes += cfg.SyncRefs[call.ID]
+	if adjusted < cfg.weights.SyncShortLimit {
+		delta.shortWakes += cfg.syncs.wakes(call.ID)
 	}
 
 	ts := carry.thread(call.Thread)
@@ -719,42 +786,42 @@ func foldCall(cfg *FoldConfig, carry *FoldCarry, delta *FoldDelta, call *events.
 	k := slotIndex(call.Kind)
 	var slot *groupPrev
 	if call.Parent == events.NoEvent {
-		na.TopLevel = true
+		na.topLevel = true
 		if k >= 0 {
 			slot = &ts.top[k]
 		}
 	} else if f := ts.find(call.Parent); f != nil {
-		delta.parented(cfg, na, call, &f.openCall)
+		delta.parented(cfg, id, call, &f.openCall)
 		if k >= 0 {
 			slot = &f.slots[k]
 		} else {
 			f.mapped = true
 		}
 	} else {
-		carry.resolveElsewhere(cfg, delta, na, call)
+		carry.resolveElsewhere(cfg, delta, id, call)
 	}
 	if slot == nil {
-		carry.chainMapped(cfg, na, call)
+		carry.chainMapped(cfg, delta, id, call)
 	} else {
 		if slot.set {
-			na.indirect(slot.name).Add(max(cfg.Freq.Duration(call.Start-slot.end), 0))
+			delta.pair(id, slot.name).indirect.Add(max(cfg.freq.Duration(call.Start-slot.end), 0))
 		}
-		*slot = groupPrev{name: call.Name, end: call.End, set: true}
+		*slot = groupPrev{end: call.End, name: id, set: true}
 	}
 
-	carry.push(ts, call)
+	carry.push(ts, call, id)
 	ts.maxEnd = max(ts.maxEnd, call.End)
 }
 
 // resolveElsewhere resolves a Parent link that missed the child's own
 // stack: through the open map, else through the frame index. A parent
 // found closed is closed on the spot, so its late children chain apart.
-func (c *FoldCarry) resolveElsewhere(cfg *FoldConfig, delta *FoldDelta, na *NameAgg, call *events.CallEvent) {
+func (c *foldCarry) resolveElsewhere(cfg *foldConfig, delta *foldDelta, id int32, call *events.CallEvent) {
 	if p, ok := c.open[call.Parent]; ok {
 		if p.end < call.Start {
 			c.close(call.Parent)
 		} else {
-			delta.parented(cfg, na, call, &p)
+			delta.parented(cfg, id, call, &p)
 		}
 		return
 	}
@@ -766,34 +833,35 @@ func (c *FoldCarry) resolveElsewhere(cfg *FoldConfig, delta *FoldDelta, na *Name
 		c.popEnded(owner, call.Start)
 		return
 	}
-	delta.parented(cfg, na, call, &f.openCall)
+	delta.parented(cfg, id, call, &f.openCall)
 	f.mapped = true // the child's slot lives in the maps under f
 }
 
-// parented records a call's resolved direct parent: the Equation 2
-// offsets, the solid call-graph edge and, for ecalls, the allow-list
-// evidence.
+// parented records the resolved direct parent of a call whose name has
+// the given ID: the Equation 2 offsets, the solid call-graph edge and,
+// for ecalls, the allow-list evidence.
 //
 //sgxperf:hotpath
-func (d *FoldDelta) parented(cfg *FoldConfig, na *NameAgg, call *events.CallEvent, p *openCall) {
-	na.Reorder.Add(cfg.Freq.Duration(call.Start-p.start), cfg.Freq.Duration(p.end-call.End))
-	na.addParent(p.name)
+func (d *foldDelta) parented(cfg *foldConfig, id int32, call *events.CallEvent, p *openCall) {
+	d.names[id].reorder.Add(cfg.freq.Duration(call.Start-p.start), cfg.freq.Duration(p.end-call.End))
+	pa := d.pair(id, p.name)
+	pa.direct++
 	if call.Kind == events.KindEcall {
-		d.observed(p.name)[call.Name] = true
+		pa.observed = true
 	}
 }
 
 // chainMapped chains a call through the group maps, which hold the
 // slots that live in no frame.
-func (c *FoldCarry) chainMapped(cfg *FoldConfig, na *NameAgg, call *events.CallEvent) {
+func (c *foldCarry) chainMapped(cfg *foldConfig, delta *foldDelta, id int32, call *events.CallEvent) {
 	gk := foldGroup{thread: int64(call.Thread), kind: call.Kind, parent: call.Parent}
 	if prev := c.groups[gk]; prev != nil {
-		na.indirect(prev.name).Add(max(cfg.Freq.Duration(call.Start-prev.end), 0))
-		prev.name, prev.end = call.Name, call.End
+		delta.pair(id, prev.name).indirect.Add(max(cfg.freq.Duration(call.Start-prev.end), 0))
+		prev.name, prev.end = id, call.End
 		return
 	}
 	if call.Parent != events.NoEvent {
 		c.groupsOf[call.Parent] = append(c.groupsOf[call.Parent], gk)
 	}
-	c.groups[gk] = &groupPrev{name: call.Name, end: call.End, set: true}
+	c.groups[gk] = &groupPrev{end: call.End, name: id, set: true}
 }

@@ -7,9 +7,11 @@ package analyzer
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sgxperf/internal/evstore"
@@ -57,11 +59,12 @@ func TestPagingDuringCallsAtOrBeforeZero(t *testing.T) {
 const fuzzUnit = vtime.Cycles(vtime.DefaultFrequencyHz / 4e6)
 
 // fuzzTrace decodes fuzz bytes into a small trace: unique event IDs,
-// four threads, two enclaves, calls that overlap without nesting, and
-// Parent links that are absent, nested, cross-thread, forward, self,
-// dangling or late; plus sync sleeps and wakes and paging events. Times
-// are signed, so cycle 0 and earlier occur. The same bytes always decode
-// to the same trace, in recording (not stream) order.
+// four threads, two enclaves, up to 64 call names, calls that overlap
+// without nesting, and Parent links that are absent, nested,
+// cross-thread, forward, self, dangling or late; plus sync sleeps and
+// wakes and paging events. Times are signed, so cycle 0 and earlier
+// occur. The same bytes always decode to the same trace, in recording
+// (not stream) order.
 func fuzzTrace(t *testing.T, data []byte) *events.Trace {
 	t.Helper()
 	next := func() int {
@@ -77,10 +80,24 @@ func fuzzTrace(t *testing.T, data []byte) *events.Trace {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first byte's low three bits pick the transition cost and its
+	// high five the call names: the five call_a…call_e when they are 0,
+	// otherwise up to 64, so the pair table reaches many IDs.
+	head := next()
 	tr.Meta.Insert(events.TraceMeta{Workload: "fuzz", FrequencyHz: vtime.DefaultFrequencyHz,
-		TransitionCycles: int64(next()%8) * int64(fuzzUnit)})
+		TransitionCycles: int64(head%8) * int64(fuzzUnit)})
 	nCalls, nPaging, nSyncs := next()%48, next()%16, next()%16
-	names := []string{"call_a", "call_b", "call_c", "call_d", "call_e"}
+	names := make([]string, 5)
+	if head>>3 != 0 {
+		names = make([]string, 2*(head>>3)+2)
+	}
+	for i := range names {
+		if i < 26 {
+			names[i] = fmt.Sprintf("call_%c", 'a'+i)
+		} else {
+			names[i] = fmt.Sprintf("call_%d", i)
+		}
+	}
 	calls := make([]events.CallEvent, 0, nCalls)
 	for i := 0; i < nCalls; i++ {
 		flags, thread := next(), next()%4
@@ -205,6 +222,13 @@ func FuzzFoldMatchesReference(f *testing.F) {
 		1, 0, 70, 9, 9, 4,
 		0, 1, 2, 1, 1, 0, 20, 5, 2, 3, 40, 0,
 		4, 3, 9, 1, 1, 4, 5, 2, 6, 7, 2, 9})
+	// 64 names: sixteen calls with names of their own, each but the
+	// first inside an earlier call.
+	f.Add([]byte{0xf8, 47, 2, 4,
+		0, 0, 1, 2, 2, 7, 0, 1, 3, 4, 6, 9, 1, 1, 8, 6, 10, 11, 0, 2, 9, 5, 14, 13,
+		0, 3, 12, 8, 18, 17, 1, 1, 15, 3, 22, 19, 0, 0, 20, 9, 26, 23, 16, 2, 22, 5, 30, 29,
+		0, 1, 25, 4, 34, 31, 1, 3, 28, 7, 38, 37, 0, 2, 30, 2, 42, 41, 0, 0, 33, 6, 46, 43,
+		1, 1, 36, 4, 50, 47, 0, 2, 38, 8, 54, 53, 0, 3, 41, 3, 58, 59, 16, 1, 44, 9, 62, 61})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, opts := range []Options{{}, {Enclave: 1}} {
 			want := referenceReport(fuzzTrace(t, data), opts)
@@ -290,4 +314,158 @@ func TestReadAheadEndsWithFold(t *testing.T) {
 		t.Fatalf("AnalyzeStream over a corrupt chunk: err = %v, want ErrCorrupt", err)
 	}
 	settled("a failed fold")
+}
+
+// manyNamesTrace builds a trace of n calls in which every call has a
+// name of its own: n/2 top-level ecalls on one thread, each the
+// indirect neighbour of the next, and inside each one ocall whose
+// resolved direct parent it is. Its pair table holds about n pairs over
+// n names.
+func manyNamesTrace(t *testing.T, n int) *events.Trace {
+	t.Helper()
+	b := newBuilder(t)
+	for i := 0; i < n/2; i++ {
+		start := float64(i) * 10
+		e := b.ecall(fmt.Sprintf("ecall_%05d", i), 1, start, 5, events.NoEvent)
+		b.ocall(fmt.Sprintf("ocall_%05d", i), 1, start+1, 1, e)
+	}
+	return b.trace
+}
+
+// foldBytes returns the bytes one fold of a stream-sorted trace
+// allocates, with GOMAXPROCS pinned to 1 while counting, as
+// testing.AllocsPerRun does.
+func foldBytes(t *testing.T, tr *events.Trace) uint64 {
+	t.Helper()
+	cfg := &foldConfig{weights: DefaultWeights(), freq: tr.Frequency(), syncs: newSyncRefs(nil)}
+	in := foldInput{ecalls: TableSeq(tr.Ecalls), ocalls: TableSeq(tr.Ocalls), paging: TableSeq(tr.Paging)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	delta, err := fold(cfg, in)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(delta.names), tr.Ecalls.Len()+tr.Ocalls.Len(); got != want {
+		t.Fatalf("fold interned %d names, want %d", got, want)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFoldManyNames holds the integer-keyed fold to the reference on a
+// trace where every call has its own name and a resolved parent or an
+// indirect neighbour, and checks that the fold's memory grows linearly
+// with the number of names: a names × names structure grows 16× from
+// 2k to 8k calls, the pair table and the per-name aggregates about 4×
+// (the bound leaves room for the step in which a map or slice doubles).
+func TestFoldManyNames(t *testing.T) {
+	for _, n := range []int{200, 2000} {
+		tr := manyNamesTrace(t, n)
+		if got, want := analyzeTrace(t, tr, Options{}), referenceReport(tr, Options{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d calls: report diverges from the reference:\ngot:  %+v\nwant: %+v", n, got, want)
+		}
+	}
+	small, large := manyNamesTrace(t, 2000), manyNamesTrace(t, 8000)
+	events.StreamSort(small)
+	events.StreamSort(large)
+	bs, bl := foldBytes(t, small), foldBytes(t, large)
+	t.Logf("fold allocations: %d B for 2k calls, %d B for 8k calls (%.1f×)", bs, bl, float64(bl)/float64(bs))
+	if bl > 8*bs {
+		t.Errorf("fold allocated %d B for 8k calls, more than 8× the %d B for 2k calls", bl, bs)
+	}
+}
+
+// TestFoldShortWakes holds the sync filter to the reference: wake syncs
+// that reference ecalls, ocalls and IDs no call has, and short calls
+// whose IDs were chosen to hit the filter without being referenced.
+// The fold's ShortWakes must equal a direct count, and the report the
+// reference's.
+func TestFoldShortWakes(t *testing.T) {
+	tr, err := events.NewTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Meta.Insert(events.TraceMeta{Workload: "wakes", FrequencyHz: vtime.DefaultFrequencyHz})
+	us := vtime.Cycles(vtime.DefaultFrequencyHz / 1e6)
+	refs := make(map[events.EventID]int)
+	var calls []events.CallEvent
+	var syncs []events.SyncEvent
+	syncID := events.EventID(1 << 40)
+	wake := func(call events.EventID) {
+		syncID++
+		syncs = append(syncs, events.SyncEvent{ID: syncID, Kind: events.SyncWake, Thread: 1,
+			Targets: []sgx.ThreadID{2}, Call: call})
+		refs[call]++
+	}
+	// 300 calls, odd IDs ecalls and even IDs ocalls; every third is
+	// long (20µs) and every fifth carries one or two wakes.
+	for i := 1; i <= 300; i++ {
+		c := events.CallEvent{ID: events.EventID(i), Kind: events.KindEcall, Enclave: 1, Thread: 1,
+			Name: "ecall_w", Start: vtime.Cycles(i) * 30 * us, Parent: events.NoEvent}
+		if i%2 == 0 {
+			c.Kind, c.Name = events.KindOcall, "ocall_w"
+		}
+		dur := us
+		if i%3 == 0 {
+			dur = 20 * us
+		}
+		c.End = c.Start + dur
+		calls = append(calls, c)
+		if i%5 == 0 {
+			wake(c.ID)
+			if i%10 == 0 {
+				wake(c.ID)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		wake(events.EventID(1<<20 + i)) // no call has these IDs
+	}
+	// Unreferenced short calls whose IDs land on a set filter bit.
+	filter := newSyncRefs(refs)
+	collide := 0
+	for id := events.EventID(1 << 30); collide < 40; id++ {
+		if _, ok := refs[id]; ok || !filter.admits(id) {
+			continue
+		}
+		collide++
+		calls = append(calls, events.CallEvent{ID: id, Kind: events.KindOcall, Enclave: 1, Thread: 2,
+			Name: "ocall_c", Start: vtime.Cycles(collide) * 30 * us, End: vtime.Cycles(collide)*30*us + us,
+			Parent: events.NoEvent})
+	}
+	for id, n := range refs {
+		if got := filter.wakes(id); got != n {
+			t.Fatalf("filter.wakes(%d) = %d, want %d", id, got, n)
+		}
+	}
+	want := 0
+	for _, c := range calls {
+		if c.End-c.Start < 10*us {
+			want += refs[c.ID]
+		}
+		if c.Kind == events.KindEcall {
+			tr.Ecalls.Insert(c)
+		} else {
+			tr.Ocalls.Insert(c)
+		}
+	}
+	tr.Syncs.BatchInsert(syncs)
+
+	events.StreamSort(tr)
+	pre, err := prescanSyncs(TableSeq(tr.Syncs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &foldConfig{weights: DefaultWeights(), freq: tr.Frequency(), syncs: newSyncRefs(pre.refs)}
+	delta, err := fold(cfg, foldInput{ecalls: TableSeq(tr.Ecalls), ocalls: TableSeq(tr.Ocalls), paging: TableSeq(tr.Paging)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.shortWakes != want {
+		t.Errorf("fold ShortWakes = %d, want %d", delta.shortWakes, want)
+	}
+	if got, ref := analyzeTrace(t, tr, Options{}), referenceReport(tr, Options{}); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("report diverges from the reference:\ngot:  %+v\nwant: %+v", got, ref)
+	}
 }

@@ -2,12 +2,14 @@ package analyzer
 
 // The stats and detector kernels: pure functions from accumulated
 // aggregates to CallStats and Findings. The fold builds the aggregates
-// in one time-ordered sweep (fold.go) and AssembleReport runs these
+// in one time-ordered sweep (fold.go) and assembleReport runs these
 // kernels over them.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,36 +24,39 @@ import (
 // sequence over the sorted multiset (one add per execution, ascending),
 // so the result depends only on the multiset, never on recording order,
 // and is bit-identical to summing a sorted slice of the same durations.
-// Returns ok=false for an empty histogram.
+// The histogram is read once, into (duration, count) pairs. Returns
+// ok=false for an empty histogram.
 func statsFromHistogram(name string, kind events.CallKind, hist map[time.Duration]int, totalAEX int) (CallStats, bool) {
+	type bucket struct {
+		d time.Duration
+		k int
+	}
+	buckets := make([]bucket, 0, len(hist))
 	n := 0
-	for _, k := range hist {
+	for d, k := range hist {
+		buckets = append(buckets, bucket{d, k})
 		n += k
 	}
 	if n == 0 {
 		return CallStats{}, false
 	}
-	durs := make([]time.Duration, 0, len(hist))
-	for d := range hist {
-		durs = append(durs, d)
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	slices.SortFunc(buckets, func(a, b bucket) int { return cmp.Compare(a.d, b.d) })
 
 	s := CallStats{Name: name, Kind: kind, Count: n, TotalAEX: totalAEX}
 	var sum float64
-	for _, d := range durs {
-		for i := 0; i < hist[d]; i++ {
-			sum += float64(d)
+	for _, b := range buckets {
+		for i := 0; i < b.k; i++ {
+			sum += float64(b.d)
 		}
-		k := float64(hist[d])
+		k := float64(b.k)
 		switch {
-		case d < time.Microsecond:
+		case b.d < time.Microsecond:
 			s.FracBelow1us += k
 			fallthrough
-		case d < 5*time.Microsecond:
+		case b.d < 5*time.Microsecond:
 			s.FracBelow5us += k
 			fallthrough
-		case d < 10*time.Microsecond:
+		case b.d < 10*time.Microsecond:
 			s.FracBelow10us += k
 		}
 	}
@@ -60,7 +65,7 @@ func statsFromHistogram(name string, kind events.CallKind, hist map[time.Duratio
 	s.FracBelow5us /= fn
 	s.FracBelow10us /= fn
 
-	s.Min, s.Max = durs[0], durs[len(durs)-1]
+	s.Min, s.Max = buckets[0].d, buckets[len(buckets)-1].d
 	s.Mean = time.Duration(sum / fn)
 
 	rank := func(p float64) time.Duration {
@@ -72,13 +77,13 @@ func statsFromHistogram(name string, kind events.CallKind, hist map[time.Duratio
 			r = n - 1
 		}
 		cum := 0
-		for _, d := range durs {
-			cum += hist[d]
+		for _, b := range buckets {
+			cum += b.k
 			if r < cum {
-				return d
+				return b.d
 			}
 		}
-		return durs[len(durs)-1]
+		return s.Max
 	}
 	s.Median = rank(0.50)
 	s.P90 = rank(0.90)
@@ -86,9 +91,9 @@ func statsFromHistogram(name string, kind events.CallKind, hist map[time.Duratio
 	s.P99 = rank(0.99)
 
 	var varSum float64
-	for _, d := range durs {
-		diff := float64(d) - float64(s.Mean)
-		for i := 0; i < hist[d]; i++ {
+	for _, b := range buckets {
+		diff := float64(b.d) - float64(s.Mean)
+		for i := 0; i < b.k; i++ {
 			varSum += diff * diff
 		}
 	}

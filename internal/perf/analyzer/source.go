@@ -172,11 +172,11 @@ func analyzeStream(ctx context.Context, src *StreamSource, opts Options) (*Repor
 		iface = interfaceFromMetas(src.Enclaves)
 	}
 
-	pre, err := PrescanSyncs(src.Syncs)
+	pre, err := prescanSyncs(src.Syncs)
 	if err != nil {
 		return nil, err
 	}
-	swAgg, err := FoldSwitchless(src.Switchless)
+	swAgg, err := foldSwitchless(src.Switchless)
 	if err != nil {
 		return nil, err
 	}
@@ -184,17 +184,17 @@ func analyzeStream(ctx context.Context, src *StreamSource, opts Options) (*Repor
 		return nil, err
 	}
 
-	cfg := &FoldConfig{
-		Weights:    opts.Weights,
-		Freq:       src.Freq,
-		Transition: src.Transition,
-		Enclave:    opts.Enclave,
-		SyncRefs:   pre.Refs,
+	cfg := &foldConfig{
+		weights:    opts.Weights,
+		freq:       src.Freq,
+		transition: src.Transition,
+		enclave:    opts.Enclave,
+		syncs:      newSyncRefs(pre.refs),
 	}
-	delta, err := fold(cfg, FoldInput{
-		Ecalls: src.Ecalls,
-		Ocalls: src.Ocalls,
-		Paging: src.Paging,
+	delta, err := fold(cfg, foldInput{
+		ecalls: src.Ecalls,
+		ocalls: src.Ocalls,
+		paging: src.Paging,
 	})
 	if err != nil {
 		return nil, err
@@ -203,5 +203,5 @@ func analyzeStream(ctx context.Context, src *StreamSource, opts Options) (*Repor
 		return nil, err
 	}
 	sw := SwitchlessStatsFrom(swAgg, src.Freq)
-	return AssembleReport(src.Workload, cfg, delta, pre, sw, iface), nil
+	return assembleReport(src.Workload, cfg, delta, pre, sw, iface), nil
 }

@@ -2,7 +2,7 @@ package events
 
 import (
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"hash/fnv"
 )
 
@@ -20,23 +20,27 @@ var traceTableOrder = []string{
 // artifacts.
 func (t *Trace) ContentKey() string {
 	// The tables in traceTableOrder.
-	tables := [...]interface{ ChunkHashes() []uint64 }{
+	tables := [...]interface {
+		AppendChunkHashes(dst []uint64) []uint64
+	}{
 		t.Meta, t.Ecalls, t.Ocalls, t.AEXs, t.Paging, t.Syncs, t.Threads,
 		t.Enclaves, t.Switchless,
 	}
-	return contentKeyFrom(func(i int) []uint64 { return tables[i].ChunkHashes() })
+	return contentKeyFrom(func(dst []uint64, i int) []uint64 { return tables[i].AppendChunkHashes(dst) })
 }
 
 // contentKeyFrom is the shared fold behind Trace.ContentKey and
 // StreamTrace.ContentKey: both identities must agree so the serve
 // daemon and the out-of-core CLI address the same cache entries.
-// hashes(i) returns the chunk hashes of table traceTableOrder[i].
-func contentKeyFrom(hashes func(i int) []uint64) string {
+// appendHashes(dst, i) appends the chunk hashes of table
+// traceTableOrder[i] to dst; every table is read into one buffer.
+func contentKeyFrom(appendHashes func(dst []uint64, i int) []uint64) string {
 	h := fnv.New64a()
 	var buf [8]byte
+	var chunks []uint64
 	for i, name := range traceTableOrder {
 		h.Write([]byte(name))
-		chunks := hashes(i)
+		chunks = appendHashes(chunks[:0], i)
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(chunks)))
 		h.Write(buf[:])
 		for _, c := range chunks {
@@ -44,5 +48,8 @@ func contentKeyFrom(hashes func(i int) []uint64) string {
 			h.Write(buf[:])
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	var key [16]byte
+	binary.BigEndian.PutUint64(buf[:], h.Sum64())
+	hex.Encode(key[:], buf[:])
+	return string(key[:])
 }

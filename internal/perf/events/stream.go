@@ -116,7 +116,7 @@ func (st *StreamTrace) Rows(name string) int {
 // file's chunk index alone — the same key Trace.ContentKey computes
 // after a full load, without decoding a single event row.
 func (st *StreamTrace) ContentKey() string {
-	return contentKeyFrom(func(i int) []uint64 { return st.sr.ChunkHashes(traceTableOrder[i]) })
+	return contentKeyFrom(func(dst []uint64, i int) []uint64 { return st.sr.AppendChunkHashes(dst, traceTableOrder[i]) })
 }
 
 // Ecalls opens a fresh cursor over the ecall table.

@@ -50,13 +50,16 @@ var raceEnabled bool
 // Warm-read budgets: a cached report or lint answer writes the bytes
 // the cold request marshalled, so beyond a fixed per-request overhead
 // (request, recorder, content key, headers) the only sizeable
-// allocation is the recorder's copy of the body. The counts they were
-// set from (Go 1.24, linux/amd64) were 36 allocations and 31.8 KB for
-// the 22.5 KB report, and 33 allocations and 9.2 KB for the 1.8 KB lint
-// report; before the cache kept wire bytes and the tail hash was
-// memoised, 119 allocations and 150.3 KB, and 107 and 89.1 KB.
+// allocation is the recorder's copy of the body. The counts (Go 1.24,
+// linux/amd64) are 24 allocations and 30.8 KB for the 22.5 KB report,
+// and 24 allocations and 8.3 KB for the 1.8 KB lint report, since the
+// content key reads every table's chunk hashes into one buffer (29 and
+// 29 before); the allocation budget keeps the 19 allocations of
+// headroom it had over those. Before the cache kept wire bytes and the
+// tail hash was memoised, a warm read cost 119 allocations and
+// 150.3 KB, and 107 and 89.1 KB.
 const (
-	warmReadMaxAllocs = 48
+	warmReadMaxAllocs = 43
 	// The bytes allocated per request are bounded by
 	// warmReadBodyFactor × body length + warmReadFixedBytes; the factor
 	// covers the size-class rounding of the recorder's body buffer.
