@@ -114,11 +114,11 @@ type boundaryHit struct {
 	condWait bool
 }
 
-// dfFunc is one analysis root: a declared function or a function literal.
+// dfFunc names one analysis root: a declared function or a function
+// literal.
 type dfFunc struct {
 	pkg  *Package
 	name string
-	body *ast.BlockStmt
 }
 
 // funcSummary records whether calling a function may block, and why.
@@ -158,23 +158,56 @@ var condWaitSeeds = map[string]bool{
 	"(*" + sdkPkgPath + ".Cond).Wait": true,
 }
 
-// engine drives the walk over one set of packages.
+// engine is a tree's one held-set walk: the blocking summaries the walk
+// consults, and what it records, in walk order, for lockorder,
+// heldacross and AnalyzeSyncTree to read.
 type engine struct {
-	fset      *token.FileSet
 	summaries map[string]*funcSummary
-
-	// onAcquire fires when a lock is acquired with held non-empty; held
-	// is the set before the acquisition.
-	onAcquire func(fn *dfFunc, held []heldLock, op lockOp, pos token.Pos)
-	// onBoundary fires at every blocking boundary; held may be empty.
-	onBoundary func(fn *dfFunc, held []heldLock, b boundaryHit)
+	// acquires are the acquisitions made while another lock was held;
+	// held is the set before the acquisition.
+	acquires []acquireSite
+	// holds are the blocking boundaries reached with a lock held, less a
+	// condition-variable Wait holding only its own lock (by contract it
+	// releases that lock while parked).
+	holds []holdSite
 }
 
-// newEngine builds summaries over every given package (the summary scope
-// should be the whole tree even when only some packages are walked).
-func newEngine(fset *token.FileSet, pkgs []*Package) *engine {
-	e := &engine{fset: fset}
-	e.summaries = buildSummaries(pkgs)
+// An acquireSite is one recorded acquisition.
+type acquireSite struct {
+	fn   *dfFunc
+	held []heldLock
+	op   lockOp
+	pos  token.Pos
+}
+
+// A holdSite is one recorded boundary reached with locks held.
+type holdSite struct {
+	fn   *dfFunc
+	held []heldLock
+	b    boundaryHit
+}
+
+// walkHeld builds the blocking summaries over the function table, then
+// walks every analysis root once, in source order, recording
+// acquisitions and held boundaries. The roots are every declared
+// function, each followed by the function literals inside it (literals
+// start with an empty held set; a literal invoked where it is written is
+// additionally walked inline by the caller's walk).
+func walkHeld(funcs []*declFunc) *engine {
+	e := &engine{summaries: buildSummaries(funcs)}
+	walk := func(fn *declFunc, name string, body *ast.BlockStmt) {
+		w := &walker{e: e, pkg: fn.pkg, fn: &dfFunc{pkg: fn.pkg, name: name}}
+		w.block(body.List, nil)
+	}
+	for _, fn := range funcs {
+		walk(fn, fn.name, fn.decl.Body)
+		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.FuncLit); ok {
+				walk(fn, fn.name+" (func literal)", lit.Body)
+			}
+			return true
+		})
+	}
 	return e
 }
 
@@ -182,45 +215,6 @@ func newEngine(fset *token.FileSet, pkgs []*Package) *engine {
 func shortName(full string) string {
 	full = strings.ReplaceAll(full, "sgxperf/internal/", "")
 	return strings.ReplaceAll(full, "sgxperf/", "")
-}
-
-// walkPackage analyses every function body of one package.
-func (e *engine) walkPackage(pkg *Package) {
-	for _, fn := range collectFuncs(pkg) {
-		w := &walker{e: e, pkg: pkg, fn: fn}
-		w.block(fn.body.List, nil)
-	}
-}
-
-// collectFuncs returns the package's analysis roots in source order:
-// every declared function plus every function literal (literals start
-// with an empty held set; a literal invoked where it is written is
-// additionally walked inline by the caller's walk).
-func collectFuncs(pkg *Package) []*dfFunc {
-	var out []*dfFunc
-	for _, file := range pkg.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			name := fd.Name.Name
-			if fd.Recv != nil {
-				if _, typ := receiver(fd); typ != "" {
-					name = typ + "." + name
-				}
-			}
-			out = append(out, &dfFunc{pkg: pkg, name: name, body: fd.Body})
-			outer := name
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					out = append(out, &dfFunc{pkg: pkg, name: outer + " (func literal)", body: lit.Body})
-				}
-				return true
-			})
-		}
-	}
-	return out
 }
 
 // --- the held-set walker --------------------------------------------------
@@ -234,15 +228,17 @@ type walker struct {
 	muteChan bool
 }
 
-func (w *walker) boundary(held []heldLock, pos token.Pos, desc, ocall string) {
-	if w.e.onBoundary != nil {
-		w.e.onBoundary(w.fn, held, boundaryHit{pos: pos, desc: desc, ocall: ocall})
+// boundary records a blocking boundary reached with locks held.
+func (w *walker) boundary(held []heldLock, b boundaryHit) {
+	if len(held) == 0 || (b.condWait && len(held) == 1) {
+		return
 	}
+	w.e.holds = append(w.e.holds, holdSite{fn: w.fn, held: held, b: b})
 }
 
 func (w *walker) chanBoundary(held []heldLock, pos token.Pos, desc string) {
 	if !w.muteChan {
-		w.boundary(held, pos, desc, "")
+		w.boundary(held, boundaryHit{pos: pos, desc: desc})
 	}
 }
 
@@ -252,8 +248,8 @@ func (w *walker) acquire(held []heldLock, op lockOp, pos token.Pos) []heldLock {
 			return held // recursive RLock etc.: no new fact
 		}
 	}
-	if w.e.onAcquire != nil {
-		w.e.onAcquire(w.fn, held, op, pos)
+	if len(held) > 0 {
+		w.e.acquires = append(w.e.acquires, acquireSite{fn: w.fn, held: held, op: op, pos: pos})
 	}
 	return append(held[:len(held):len(held)], heldLock{id: op.id, pos: pos})
 }
@@ -409,7 +405,7 @@ func (w *walker) stmt(s ast.Stmt, held []heldLock) ([]heldLock, bool) {
 			}
 		}
 		if !hasDefault {
-			w.boundary(held, s.Pos(), "select", "")
+			w.boundary(held, boundaryHit{pos: s.Pos(), desc: "select"})
 		}
 		prevMute := w.muteChan
 		w.muteChan = true
@@ -575,13 +571,13 @@ func (w *walker) call(call *ast.CallExpr, held []heldLock) []heldLock {
 	if op, ok := w.resolveLockOp(call); ok {
 		if op.acquire {
 			if op.id.Class == LockSDK {
-				w.boundary(held, call.Pos(), blockingSeeds["(*"+sdkPkgPath+".Mutex).Lock"], "")
+				w.boundary(held, boundaryHit{pos: call.Pos(), desc: blockingSeeds["(*"+sdkPkgPath+".Mutex).Lock"]})
 			}
 			return w.acquire(held, op, call.Pos())
 		}
 		held = release(held, op.id)
 		if op.id.Class == LockSDK {
-			w.boundary(held, call.Pos(), blockingSeeds["(*"+sdkPkgPath+".Mutex).Unlock"], "")
+			w.boundary(held, boundaryHit{pos: call.Pos(), desc: blockingSeeds["(*"+sdkPkgPath+".Mutex).Unlock"]})
 		}
 		return held
 	}
@@ -598,9 +594,7 @@ func (w *walker) call(call *ast.CallExpr, held []heldLock) []heldLock {
 
 	if b, ok := w.callBoundary(call); ok {
 		b.pos = call.Pos()
-		if w.e.onBoundary != nil {
-			w.e.onBoundary(w.fn, held, b)
-		}
+		w.boundary(held, b)
 	}
 	return held
 }
@@ -824,62 +818,29 @@ func isPanic(call *ast.CallExpr, info *types.Info) bool {
 
 // --- blocking summaries ---------------------------------------------------
 
-// buildSummaries computes, for every declared function in the given
-// packages, whether calling it may block, propagating through the call
-// graph to a fixpoint.
-func buildSummaries(pkgs []*Package) map[string]*funcSummary {
-	type pending struct {
-		sum  *funcSummary
-		pkg  *Package
-		body *ast.BlockStmt
+// buildSummaries computes, for every function of the table, whether
+// calling it may block, propagating through the call graph to a
+// fixpoint.
+func buildSummaries(funcs []*declFunc) map[string]*funcSummary {
+	summaries := make(map[string]*funcSummary, len(funcs))
+	for _, fn := range funcs {
+		sum := &funcSummary{display: shortName(fn.full)}
+		summaries[fn.full] = sum
+		scanDirectBlocking(fn.pkg, fn.decl.Body, sum)
 	}
-	summaries := make(map[string]*funcSummary)
-	var order []string
-	var all []pending
-	for _, pkg := range pkgs {
-		if pkg.Info == nil {
-			continue
+	converge(funcs, func(fn *declFunc) bool {
+		sum := summaries[fn.full]
+		if sum.blocks {
+			return false
 		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				full := obj.FullName()
-				sum := &funcSummary{display: shortName(full)}
-				summaries[full] = sum
-				order = append(order, full)
-				all = append(all, pending{sum: sum, pkg: pkg, body: fd.Body})
+		for _, callee := range sum.callees {
+			if cs := summaries[callee]; cs != nil && cs.blocks {
+				sum.blocks, sum.reason = true, "calls "+cs.display
+				return true
 			}
 		}
-	}
-
-	for _, p := range all {
-		scanDirectBlocking(p.pkg, p.body, p.sum)
-	}
-
-	for changed := true; changed; {
-		changed = false
-		for _, full := range order {
-			sum := summaries[full]
-			if sum.blocks {
-				continue
-			}
-			for _, callee := range sum.callees {
-				if cs := summaries[callee]; cs != nil && cs.blocks {
-					sum.blocks = true
-					sum.reason = "calls " + cs.display
-					changed = true
-					break
-				}
-			}
-		}
-	}
+		return false
+	})
 	return summaries
 }
 
@@ -997,37 +958,33 @@ func AnalyzeSync(root string, dirs []string) (*SyncReport, error) {
 	return AnalyzeSyncTree(tree, dirs), nil
 }
 
-// AnalyzeSyncTree is AnalyzeSync over an already-loaded tree, sharing
-// its cached types and engine summaries with other analyses.
+// AnalyzeSyncTree is AnalyzeSync over an already-loaded tree, reading
+// its one held-set walk.
 func AnalyzeSyncTree(tree *Tree, dirs []string) *SyncReport {
 	fset := tree.Fset
 	scope := &Analyzer{Name: "sync", Packages: dirs}
-
+	e := tree.heldWalk()
 	report := &SyncReport{}
-	e := tree.engineFor(nil)
-	edges := newEdgeSet()
-	e.onBoundary = func(fn *dfFunc, held []heldLock, b boundaryHit) {
-		if len(held) == 0 || (b.condWait && len(held) == 1) {
-			return
+	for _, h := range e.holds {
+		if !scope.applies(h.fn.pkg.Dir) {
+			continue
 		}
-		for _, h := range held {
+		for _, l := range h.held {
 			report.Held = append(report.Held, HeldSite{
-				Lock:     h.id,
-				Class:    h.id.Class,
-				LockPos:  fset.Position(h.pos),
-				Pos:      fset.Position(b.pos),
-				Func:     fn.name,
-				Boundary: b.desc,
-				Ocall:    b.ocall,
+				Lock:     l.id,
+				Class:    l.id.Class,
+				LockPos:  fset.Position(l.pos),
+				Pos:      fset.Position(h.b.pos),
+				Func:     h.fn.name,
+				Boundary: h.b.desc,
+				Ocall:    h.b.ocall,
 			})
 		}
 	}
-	e.onAcquire = func(fn *dfFunc, held []heldLock, op lockOp, pos token.Pos) {
-		edges.add(fset, fn, held, op, pos)
-	}
-	for _, pkg := range tree.Pkgs {
-		if scope.applies(pkg.Dir) {
-			e.walkPackage(pkg)
+	edges := newEdgeSet(nil)
+	for _, a := range e.acquires {
+		if scope.applies(a.fn.pkg.Dir) {
+			edges.add(fset, a)
 		}
 	}
 	report.Cycles = edges.cycles(fset)

@@ -4,9 +4,9 @@
 // directly above) the statement it concerns, followed by a mandatory
 // one-line justification, with unused markers reported as stale so a
 // suppression can never outlive the diagnostic it was written for.
-// Each directive's collector parses its own syntax and delegates the
-// bookkeeping (position matching, used tracking, justification and
-// staleness problems) here.
+// Each family's collector gives collectDirectives its syntax, its name
+// and its problem wording; the bookkeeping (position matching, used
+// tracking, justification and staleness problems) is shared here.
 package lint
 
 import (
@@ -17,28 +17,37 @@ import (
 
 // a directiveKey locates one directive occurrence: the file and line it
 // sits on, and the analyzer it addresses.
-type directiveKey = allowKey
+type directiveKey struct {
+	file     string
+	line     int
+	analyzer string
+}
 
-// A directiveSet is the parsed occurrences of one directive family,
-// keyed by (file, line, analyzer) with the justification as the value.
-// It underlies allowSet (suppressions) and markSet (lock-order
-// exemptions), which differ only in parse syntax and problem wording.
+// A directiveSet is the parsed occurrences of one directive family —
+// suppressions, lock-order exemptions or secret markers — keyed by
+// (file, line, analyzer) with the justification as the value.
 type directiveSet struct {
 	fset    *token.FileSet
 	entries map[directiveKey]string // key → justification
 	used    map[directiveKey]bool
+	// missing and stale word the two problems for the addressed analyzer.
+	missing, stale func(analyzer string) string
 }
 
 // collectDirectives scans every comment of the given packages for the
 // directive matched by re. When fixedName is non-empty the directive
 // names no analyzer itself (//sgxperf:lockorder) and re's first capture
-// group is the justification; otherwise (//sgxperf:allow) the first
-// group is the analyzer name and the second the justification.
-func collectDirectives(fset *token.FileSet, pkgs []*Package, re *regexp.Regexp, fixedName string) *directiveSet {
+// group is the justification; every occurrence addresses fixedName,
+// the analyzer its problems are reported under. Otherwise
+// (//sgxperf:allow) the first group is the analyzer name and the second
+// the justification.
+func collectDirectives(fset *token.FileSet, pkgs []*Package, re *regexp.Regexp, fixedName string, missing, stale func(string) string) *directiveSet {
 	ds := &directiveSet{
 		fset:    fset,
 		entries: make(map[directiveKey]string),
 		used:    make(map[directiveKey]bool),
+		missing: missing,
+		stale:   stale,
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
@@ -83,9 +92,8 @@ func (ds *directiveSet) covers(analyzer string, pos token.Pos) bool {
 // occurrences with no justification, and occurrences that matched
 // nothing (stale markers hide future regressions). active limits the
 // check to directives addressing an analyzer in the map (nil means all
-// occurrences are in scope). The message text comes from the callbacks
-// so each directive family keeps its established wording.
-func (ds *directiveSet) problems(active map[string]bool, missing, stale func(analyzer string) string) []Diagnostic {
+// occurrences are in scope).
+func (ds *directiveSet) problems(active map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for k, why := range ds.entries {
 		if active != nil && !active[k.analyzer] {
@@ -96,13 +104,13 @@ func (ds *directiveSet) problems(active map[string]bool, missing, stale func(ana
 			out = append(out, Diagnostic{
 				Pos:      token.Position{Filename: k.file, Line: k.line, Column: 1},
 				Analyzer: k.analyzer,
-				Message:  missing(k.analyzer),
+				Message:  ds.missing(k.analyzer),
 			})
 		case !ds.used[k]:
 			out = append(out, Diagnostic{
 				Pos:      token.Position{Filename: k.file, Line: k.line, Column: 1},
 				Analyzer: k.analyzer,
-				Message:  stale(k.analyzer),
+				Message:  ds.stale(k.analyzer),
 			})
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // parseDirectiveFixture parses one source string into the []*Package
-// shape collectDirectives wants.
+// shape the directive collectors want.
 func parseDirectiveFixture(t *testing.T, src string) (*token.FileSet, []*Package) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -37,7 +37,7 @@ func g() {}
 func TestCollectDirectivesParsesBothSyntaxes(t *testing.T) {
 	fset, pkgs := parseDirectiveFixture(t, directiveFixture)
 
-	allows := collectDirectives(fset, pkgs, allowRE, "")
+	allows := collectAllows(fset, pkgs)
 	if len(allows.entries) != 2 {
 		t.Fatalf("allow entries = %d, want 2", len(allows.entries))
 	}
@@ -56,7 +56,7 @@ func TestCollectDirectivesParsesBothSyntaxes(t *testing.T) {
 		}
 	}
 
-	marks := collectDirectives(fset, pkgs, lockOrderRE, "lockorder")
+	marks := collectLockOrderMarks(fset, pkgs)
 	if len(marks.entries) != 1 {
 		t.Fatalf("lockorder entries = %d, want 1", len(marks.entries))
 	}
@@ -72,7 +72,7 @@ func TestCollectDirectivesParsesBothSyntaxes(t *testing.T) {
 
 func TestDirectiveSetCovers(t *testing.T) {
 	fset, pkgs := parseDirectiveFixture(t, directiveFixture)
-	ds := collectDirectives(fset, pkgs, allowRE, "")
+	ds := collectAllows(fset, pkgs)
 
 	// The vclock directive sits on line 4; it covers line 4 and line 5
 	// (the statement below), for the named analyzer only.
@@ -100,16 +100,15 @@ func TestDirectiveSetCovers(t *testing.T) {
 
 func TestDirectiveSetProblems(t *testing.T) {
 	fset, pkgs := parseDirectiveFixture(t, directiveFixture)
-	ds := collectDirectives(fset, pkgs, allowRE, "")
+	missing := func(a string) string { return "missing:" + a }
+	stale := func(a string) string { return "stale:" + a }
+	ds := collectDirectives(fset, pkgs, allowRE, "", missing, stale)
 
 	// Use the vclock directive; leave hotpath (no justification) untouched.
 	pos := fset.File(pkgs[0].Files[0].Pos()).LineStart(5)
 	ds.covers("vclock", pos)
 
-	missing := func(a string) string { return "missing:" + a }
-	stale := func(a string) string { return "stale:" + a }
-
-	diags := ds.problems(map[string]bool{"vclock": true, "hotpath": true}, missing, stale)
+	diags := ds.problems(map[string]bool{"vclock": true, "hotpath": true})
 	if len(diags) != 1 {
 		t.Fatalf("problems = %d, want 1 (hotpath missing justification): %v", len(diags), diags)
 	}
@@ -118,22 +117,24 @@ func TestDirectiveSetProblems(t *testing.T) {
 	}
 
 	// An unused directive with a justification is stale.
-	ds2 := collectDirectives(fset, pkgs, allowRE, "")
-	diags = ds2.problems(map[string]bool{"vclock": true}, missing, stale)
+	ds2 := collectDirectives(fset, pkgs, allowRE, "", missing, stale)
+	diags = ds2.problems(map[string]bool{"vclock": true})
 	if len(diags) != 1 || diags[0].Message != "stale:vclock" {
 		t.Fatalf("want one stale vclock problem, got %v", diags)
 	}
 
 	// Inactive analyzers are out of scope when an active map is given…
-	if diags := ds2.problems(map[string]bool{}, missing, stale); len(diags) != 0 {
+	if diags := ds2.problems(map[string]bool{}); len(diags) != 0 {
 		t.Errorf("empty active map should report nothing, got %v", diags)
 	}
 	// …while a nil map puts every occurrence in scope.
-	if diags := ds2.problems(nil, missing, stale); len(diags) != 2 {
+	if diags := ds2.problems(nil); len(diags) != 2 {
 		t.Errorf("nil active map should report both occurrences, got %v", diags)
 	}
 }
 
+// TestAllowAndMarkWrappersKeepWording pins the problem wording each
+// family's collector gives the one directiveSet type.
 func TestAllowAndMarkWrappersKeepWording(t *testing.T) {
 	fset, pkgs := parseDirectiveFixture(t, directiveFixture)
 
@@ -150,7 +151,7 @@ func TestAllowAndMarkWrappersKeepWording(t *testing.T) {
 	}
 
 	ms := collectLockOrderMarks(fset, pkgs)
-	got := ms.problems("lockorder")
+	got := ms.problems(nil)
 	if len(got) != 1 {
 		t.Fatalf("lockorder problems = %d, want 1", len(got))
 	}

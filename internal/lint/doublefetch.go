@@ -25,11 +25,7 @@ var DoubleFetchCheck = &Analyzer{
 }
 
 func runDoubleFetch(p *Pass) error {
-	// The shared whole-tree graph is safe here: fetches are per-function
-	// facts independent of the graph's scope.
-	ip := p.Interproc()
-	for _, full := range ip.order {
-		fn := ip.funcs[full]
+	for _, fn := range p.tree.callGraph().order {
 		if fn.pkg != p.Pkg {
 			continue
 		}

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"fmt"
-	"go/token"
-)
+import "fmt"
 
 // HeldAcross flags any mutex — sync.Mutex, sync.RWMutex or the simulated
 // in-enclave sdk.Mutex — held across a blocking boundary: a channel send
@@ -25,37 +22,20 @@ var HeldAcross = &Analyzer{
 	RunRepo:   runHeldAcross,
 }
 
+// runHeldAcross reports every lock of every recorded held boundary.
 func runHeldAcross(p *RepoPass) error {
-	e := p.Engine()
-	type finding struct {
-		pos token.Pos
-		msg string
-	}
-	var findings []finding
-	e.onBoundary = func(fn *dfFunc, held []heldLock, b boundaryHit) {
-		if b.condWait && len(held) == 1 {
-			// cond.Wait with exactly the cond's own lock held: correct by
-			// contract (Wait releases it while parked).
-			return
+	for _, h := range p.tree.heldWalk().holds {
+		if !p.Analyzer.applies(h.fn.pkg.Dir) {
+			continue
 		}
-		for _, h := range held {
-			acq := p.Fset.Position(h.pos)
-			what := b.desc
-			if b.ocall != "" {
-				what = fmt.Sprintf("%s (%q)", b.desc, b.ocall)
-			}
-			findings = append(findings, finding{
-				pos: b.pos,
-				msg: fmt.Sprintf("%s is held across %s in %s (acquired at line %d); release it before blocking, or justify with //sgxperf:allow(heldacross)",
-					h.id, what, fn.name, acq.Line),
-			})
+		what := h.b.desc
+		if h.b.ocall != "" {
+			what = fmt.Sprintf("%s (%q)", h.b.desc, h.b.ocall)
 		}
-	}
-	for _, pkg := range p.Pkgs {
-		e.walkPackage(pkg)
-	}
-	for _, f := range findings {
-		p.Reportf(f.pos, "%s", f.msg)
+		for _, l := range h.held {
+			p.Reportf(h.b.pos, "%s is held across %s in %s (acquired at line %d); release it before blocking, or justify with //sgxperf:allow(heldacross)",
+				l.id, what, h.fn.name, p.Fset.Position(l.pos).Line)
+		}
 	}
 	return nil
 }

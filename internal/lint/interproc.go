@@ -134,20 +134,17 @@ type ipEscape struct {
 
 // An ipFunc is one declared function's interprocedural summary.
 type ipFunc struct {
-	pkg       *Package
-	name      string // display name (Recv.Method)
-	full      string // go/types FullName
+	*declFunc
 	crossings []ipCrossing
 	calls     []ipCall
 	fetches   []ipFetch
 	escapes   []ipEscape
 }
 
-// interproc is the whole-graph view over one set of packages.
+// interproc is a tree's one call graph.
 type interproc struct {
-	fset  *token.FileSet
 	funcs map[string]*ipFunc
-	order []string // FullNames in source order, for determinism
+	order []*ipFunc // one per function-table row, in source order
 	// entries lists every ecall registration recovered from
 	// map[string]sdk.TrustedFn composite literals (see sortedEntries).
 	entries []entry
@@ -156,76 +153,47 @@ type interproc struct {
 	crosses map[string]bool
 }
 
-// newInterproc scans every declared function of the given packages and
-// computes the ocall-reachability fixpoint.
-func newInterproc(fset *token.FileSet, pkgs []*Package) *interproc {
+// newInterproc scans every function of the table and computes the
+// ocall-reachability fixpoint.
+func newInterproc(funcs []*declFunc, pkgs []*Package) *interproc {
 	ip := &interproc{
-		fset:    fset,
-		funcs:   make(map[string]*ipFunc),
+		funcs:   make(map[string]*ipFunc, len(funcs)),
 		crosses: make(map[string]bool),
 	}
-	for _, pkg := range pkgs {
-		if pkg.Info == nil {
-			continue
-		}
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil {
-					if _, typ := receiver(fd); typ != "" {
-						name = typ + "." + name
-					}
-				}
-				fn := &ipFunc{pkg: pkg, name: name, full: obj.FullName()}
-				s := &ipScanner{pkg: pkg, fn: fn, reads: make(map[string][]token.Pos)}
-				s.argObjs = boundaryParams(fd, pkg.Info)
-				s.block(fd.Body, ipCtx{trip: 1})
-				s.resolveFetches()
-				ip.funcs[fn.full] = fn
-				ip.order = append(ip.order, fn.full)
-			}
-		}
-		ip.entries = collectEntries(pkg, ip.entries)
-	}
-	ip.entries = sortedEntries(ip.entries)
-	ip.fixpoint()
-	return ip
-}
-
-// fixpoint propagates "transitively dispatches an ocall" through the
-// resolved call graph, mirroring dataflow.go's blocking summaries.
-func (ip *interproc) fixpoint() {
-	for _, full := range ip.order {
-		for _, c := range ip.funcs[full].crossings {
+	for _, df := range funcs {
+		fn := &ipFunc{declFunc: df}
+		s := &ipScanner{pkg: df.pkg, fn: fn, reads: make(map[string][]token.Pos)}
+		s.argObjs = boundaryParams(df.decl, df.pkg.Info)
+		s.block(df.decl.Body, ipCtx{trip: 1})
+		s.resolveFetches()
+		ip.funcs[fn.full] = fn
+		ip.order = append(ip.order, fn)
+		for _, c := range fn.crossings {
 			if c.kind == CrossOcall {
-				ip.crosses[full] = true
+				ip.crosses[fn.full] = true
 				break
 			}
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, full := range ip.order {
-			if ip.crosses[full] {
-				continue
-			}
-			for _, call := range ip.funcs[full].calls {
-				if ip.crosses[call.callee] {
-					ip.crosses[full] = true
-					changed = true
-					break
-				}
+	for _, pkg := range pkgs {
+		ip.entries = collectEntries(pkg, ip.entries)
+	}
+	ip.entries = sortedEntries(ip.entries)
+	// Propagate "transitively dispatches an ocall" through the resolved
+	// call graph, like dataflow.go's blocking summaries.
+	converge(ip.order, func(fn *ipFunc) bool {
+		if ip.crosses[fn.full] {
+			return false
+		}
+		for _, call := range fn.calls {
+			if ip.crosses[call.callee] {
+				ip.crosses[fn.full] = true
+				return true
 			}
 		}
-	}
+		return false
+	})
+	return ip
 }
 
 // predInfo is one function's transition prediction: expected ocall
@@ -340,7 +308,7 @@ func (s *ipScanner) stmt(st ast.Stmt, c ipCtx) {
 	case *ast.ExprStmt:
 		s.expr(st.X, c, true)
 	case *ast.AssignStmt:
-		s.noteDerived(st)
+		noteAsserted(s.argObjs, st, s.pkg.Info)
 		for _, r := range st.Rhs {
 			s.expr(r, c, true)
 		}
@@ -428,31 +396,6 @@ func (s *ipScanner) caseBodies(body *ast.BlockStmt, c ipCtx) {
 		for _, bs := range cl.Body {
 			s.stmt(bs, c.branch())
 		}
-	}
-}
-
-// noteDerived extends the boundary-root set with locals type-asserted
-// from it: `a, ok := args.(*T)` makes a a boundary-derived pointer.
-func (s *ipScanner) noteDerived(st *ast.AssignStmt) {
-	if s.argObjs == nil || len(st.Rhs) != 1 || len(st.Lhs) == 0 {
-		return
-	}
-	ta, ok := st.Rhs[0].(*ast.TypeAssertExpr)
-	if !ok || ta.Type == nil {
-		return
-	}
-	root, ok := ta.X.(*ast.Ident)
-	if !ok || !s.argObjs[s.pkg.Info.Uses[root]] {
-		return
-	}
-	lhs, ok := st.Lhs[0].(*ast.Ident)
-	if !ok {
-		return
-	}
-	if obj := s.pkg.Info.Defs[lhs]; obj != nil {
-		s.argObjs[obj] = true
-	} else if obj := s.pkg.Info.Uses[lhs]; obj != nil {
-		s.argObjs[obj] = true
 	}
 }
 
@@ -778,6 +721,32 @@ func boundaryParams(fd *ast.FuncDecl, info *types.Info) map[types.Object]bool {
 	return map[types.Object]bool{objs[1]: true}
 }
 
+// noteAsserted extends a handler's boundary-root set through a type
+// assertion: `a, ok := args.(*T)` makes a a boundary-derived root. A nil
+// set (no TrustedFn-shaped handler) stays nil.
+func noteAsserted(roots map[types.Object]bool, st *ast.AssignStmt, info *types.Info) {
+	if roots == nil || len(st.Rhs) != 1 || len(st.Lhs) == 0 {
+		return
+	}
+	ta, ok := st.Rhs[0].(*ast.TypeAssertExpr)
+	if !ok || ta.Type == nil {
+		return
+	}
+	root, ok := ta.X.(*ast.Ident)
+	if !ok || !roots[info.Uses[root]] {
+		return
+	}
+	lhs, ok := st.Lhs[0].(*ast.Ident)
+	if !ok {
+		return
+	}
+	if obj := info.Defs[lhs]; obj != nil {
+		roots[obj] = true
+	} else if obj := info.Uses[lhs]; obj != nil {
+		roots[obj] = true
+	}
+}
+
 // forTrip derives the constant trip count of a counted for loop
 // (`for i := c0; i < n; i += k` with constant bounds), 0 when unknown.
 func forTrip(st *ast.ForStmt, info *types.Info) int {
@@ -1033,15 +1002,14 @@ func AnalyzeInterproc(root string, dirs []string) (*InterReport, error) {
 }
 
 // AnalyzeInterprocTree is AnalyzeInterproc over an already-loaded tree,
-// sharing its cached types and call graph with other analyses.
+// reading its one call graph.
 func AnalyzeInterprocTree(tree *Tree, dirs []string) *InterReport {
 	fset := tree.Fset
-	ip := tree.interprocFor(nil)
+	ip := tree.callGraph()
 	scope := &Analyzer{Name: "interproc", Packages: dirs}
 
 	report := &InterReport{}
-	for _, full := range ip.order {
-		fn := ip.funcs[full]
+	for _, fn := range ip.order {
 		if !scope.applies(fn.pkg.Dir) {
 			continue
 		}
@@ -1066,10 +1034,7 @@ func AnalyzeInterprocTree(tree *Tree, dirs []string) *InterReport {
 
 	// Entry predictions, one per registration in scope.
 	var scopedEntries []entry
-	for _, pkg := range tree.Pkgs {
-		if pkg.Info == nil || !scope.applies(pkg.Dir) {
-			continue
-		}
+	for _, pkg := range tree.scoped(dirs) {
 		scopedEntries = collectEntries(pkg, scopedEntries)
 	}
 	memo := make(map[string]predInfo)

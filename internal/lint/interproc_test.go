@@ -114,6 +114,52 @@ func pump(env *sdk.Env) {
 	}
 }
 
+// TestTransAmpSeesCalleesInEveryPackage loops, in a workload, over a
+// helper declared outside the reporting scope that dispatches an ocall:
+// the looped call is reported, because the call graph the crossings are
+// lifted through covers the whole tree, like AnalyzeInterproc's.
+func TestTransAmpSeesCalleesInEveryPackage(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/sdk/sdk.go": sdkStub,
+		"internal/host/host.go": `package host
+
+import "lintfixture/internal/sdk"
+
+func PutOne(env *sdk.Env) error {
+	_, err := env.Ocall("ocall_put_one", nil)
+	return err
+}
+`,
+		"internal/workloads/w/w.go": `package w
+
+import (
+	"lintfixture/internal/host"
+	"lintfixture/internal/sdk"
+)
+
+func drain(env *sdk.Env, items []int) {
+	for range items {
+		host.PutOne(env)
+	}
+}
+`,
+	})
+	diags, err := Run(root, []*Analyzer{TransAmp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "calls lintfixture/internal/host.PutOne inside a loop") {
+		t.Fatalf("diagnostics = %v, want the looped call into host.PutOne", messages(diags))
+	}
+	rep, err := AnalyzeInterproc(root, TransAmp.Packages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Loops) != 1 || rep.Loops[0].Via != "lintfixture/internal/host.PutOne" {
+		t.Errorf("loops = %+v, want the same looped call", rep.Loops)
+	}
+}
+
 func TestDoubleFetchFlagsReReadAcrossCrossing(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/sdk/sdk.go": sdkStub,

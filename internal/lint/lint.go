@@ -36,18 +36,22 @@
 //     are written before read, user_check pointers are bounds-guarded
 //     before dereference (see EDLFlowCheck).
 //
-// The lockorder/heldacross/atomicmix trio runs on a typed
-// intraprocedural dataflow engine (dataflow.go) that tracks lock-held
-// sets through control flow and summarises which functions transitively
-// block; the last three run on the interprocedural call-graph layer
-// above it (interproc.go), whose per-function summaries also power the
-// staticlint transition predictor; the secretflow/edlflow pair runs on
-// the field-sensitive taint engine (taint.go) that composes
-// taint-in/taint-out summaries over the same call graph. Findings are
-// suppressible
-// site-by-site with a justified //sgxperf:allow(name) annotation (see
-// typecheck.go); lock-order edges with an intentional hierarchy carry
-// //sgxperf:lockorder instead.
+// The analyzers and the exported analyses read one fact base per Tree
+// (tree.go), each fact computed once over the whole tree and filtered
+// to a scope only when reported: one function table of every declared
+// function; one held-set walk (dataflow.go), a typed intraprocedural
+// dataflow pass that tracks lock-held sets through control flow and
+// records every acquisition and boundary reached with a lock held, for
+// lockorder and heldacross; one call graph (interproc.go), whose
+// per-function crossing summaries serve transamp, doublefetch, ptrescape
+// and the staticlint transition predictor; and one set of
+// field-sensitive taint summaries (taint.go) composed over that graph,
+// for secretflow and edlflow. The three summary fixpoints run through
+// one helper, converge. Findings are suppressible site-by-site with a
+// justified //sgxperf:allow(name) annotation (see typecheck.go);
+// lock-order edges with an intentional hierarchy carry
+// //sgxperf:lockorder instead. All three directive families share one
+// type, directiveSet.
 //
 // The cmd/sgx-perf-vet driver runs every analyzer over the tree; `make
 // verify` runs the driver.
@@ -122,20 +126,14 @@ type Pass struct {
 	Dir   string
 
 	tree   *Tree
-	allows *allowSet
+	allows *directiveSet
 	diags  *[]Diagnostic
-}
-
-// Interproc returns the tree-shared whole-repo call graph (see
-// Tree.interprocFor); per-function facts must be filtered to Pkg.
-func (p *Pass) Interproc() *interproc {
-	return p.tree.interprocFor(nil)
 }
 
 // Reportf records a diagnostic at the given position unless an
 // //sgxperf:allow(analyzer) annotation covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.allows.allowed(p.Analyzer.Name, pos) {
+	if p.allows.covers(p.Analyzer.Name, pos) {
 		return
 	}
 	position := p.Fset.Position(pos)
@@ -154,26 +152,14 @@ type RepoPass struct {
 	Pkgs []*Package
 
 	tree   *Tree
-	allows *allowSet
+	allows *directiveSet
 	diags  *[]Diagnostic
-}
-
-// Engine returns the tree-shared dataflow engine summarising this
-// pass's scope, with callbacks cleared (see Tree.engineFor).
-func (p *RepoPass) Engine() *engine {
-	return p.tree.engineFor(p.Analyzer.Packages)
-}
-
-// Interproc returns the tree-shared call graph over this pass's scope
-// (see Tree.interprocFor).
-func (p *RepoPass) Interproc() *interproc {
-	return p.tree.interprocFor(p.Analyzer.Packages)
 }
 
 // Reportf records a diagnostic at the given position unless an
 // //sgxperf:allow(analyzer) annotation covers it.
 func (p *RepoPass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.allows.allowed(p.Analyzer.Name, pos) {
+	if p.allows.covers(p.Analyzer.Name, pos) {
 		return
 	}
 	position := p.Fset.Position(pos)
@@ -211,7 +197,7 @@ func Run(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // RunTree applies the analyzers to an already-loaded tree, sharing its
-// cached type information, directive sets and engine summaries. Callers
+// fact base: type information, directive sets and summaries. Callers
 // that run several analyses over the same root (the vet driver, the
 // staticlint source pass) load one Tree and reuse it.
 func RunTree(tree *Tree, analyzers []*Analyzer) ([]Diagnostic, error) {

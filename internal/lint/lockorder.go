@@ -49,43 +49,43 @@ type edgeInfo struct {
 
 type edgeSet struct {
 	edges map[lockEdge]edgeInfo
-	// exempt reports acquisition sites carrying //sgxperf:lockorder; nil
-	// means no exemptions (the raw AnalyzeSync path).
-	exempt *markSet
+	// exempt locates the //sgxperf:lockorder directives; nil means no
+	// exemptions (the raw AnalyzeSync path).
+	exempt *directiveSet
 }
 
-func newEdgeSet() *edgeSet {
-	return &edgeSet{edges: make(map[lockEdge]edgeInfo)}
+func newEdgeSet(exempt *directiveSet) *edgeSet {
+	return &edgeSet{edges: make(map[lockEdge]edgeInfo), exempt: exempt}
 }
 
-// add records held→op edges for one acquisition.
-func (es *edgeSet) add(fset *token.FileSet, fn *dfFunc, held []heldLock, op lockOp, pos token.Pos) {
-	if op.id.local {
+// add records held→op edges for one recorded acquisition.
+func (es *edgeSet) add(fset *token.FileSet, a acquireSite) {
+	if a.op.id.local {
 		return
 	}
 	edgeWorthy := false
-	for _, h := range held {
-		if !h.id.local && h.id != op.id {
+	for _, h := range a.held {
+		if !h.id.local && h.id != a.op.id {
 			edgeWorthy = true
 		}
 	}
 	// The exempt check runs only when this site actually creates an edge,
 	// so a directive on an outermost acquisition is correctly stale.
-	if !edgeWorthy || (es.exempt != nil && es.exempt.covers(pos)) {
+	if !edgeWorthy || es.exempt.covers("lockorder", a.pos) {
 		return
 	}
-	for _, h := range held {
-		if h.id.local || h.id == op.id {
+	for _, h := range a.held {
+		if h.id.local || h.id == a.op.id {
 			continue
 		}
-		e := lockEdge{from: h.id, to: op.id}
+		e := lockEdge{from: h.id, to: a.op.id}
 		if old, ok := es.edges[e]; ok {
 			// Keep the earliest witness, by position, for determinism.
-			if posLess(fset.Position(old.pos), fset.Position(pos)) {
+			if posLess(fset.Position(old.pos), fset.Position(a.pos)) {
 				continue
 			}
 		}
-		es.edges[e] = edgeInfo{pos: pos, fromPos: h.pos, fn: fn.name}
+		es.edges[e] = edgeInfo{pos: a.pos, fromPos: h.pos, fn: a.fn.name}
 	}
 }
 
@@ -196,15 +196,14 @@ func (es *edgeSet) renderCycle(fset *token.FileSet, scc []LockID) Cycle {
 	return c
 }
 
+// runLockOrder reads the tree's recorded acquisitions in walk order,
+// applying the //sgxperf:lockorder exemptions as it goes.
 func runLockOrder(p *RepoPass) error {
-	e := p.Engine()
-	es := newEdgeSet()
-	es.exempt = collectLockOrderMarks(p.Fset, p.Pkgs)
-	e.onAcquire = func(fn *dfFunc, held []heldLock, op lockOp, pos token.Pos) {
-		es.add(p.Fset, fn, held, op, pos)
-	}
-	for _, pkg := range p.Pkgs {
-		e.walkPackage(pkg)
+	es := newEdgeSet(collectLockOrderMarks(p.Fset, p.Pkgs))
+	for _, a := range p.tree.heldWalk().acquires {
+		if p.Analyzer.applies(a.fn.pkg.Dir) {
+			es.add(p.Fset, a)
+		}
 	}
 	for _, c := range es.cycles(p.Fset) {
 		names := make([]string, len(c.Locks))
@@ -216,9 +215,7 @@ func runLockOrder(p *RepoPass) error {
 				"acquire them in one global order, or annotate an intentional hierarchy with %s",
 			strings.Join(names, " and "), strings.Join(c.Edges, "; "), lockOrderDirective)
 	}
-	for _, d := range es.exempt.problems("lockorder") {
-		*p.diags = append(*p.diags, d)
-	}
+	*p.diags = append(*p.diags, es.exempt.problems(nil)...)
 	return nil
 }
 
@@ -267,36 +264,12 @@ func (t *tarjan) strongConnect(v LockID) {
 
 // --- directive bookkeeping ------------------------------------------------
 
-// a markSet locates //sgxperf:lockorder directives by (file, line). It is
-// the shared directiveSet with the directive name fixed to "lockorder".
-type markSet struct {
-	*directiveSet
-}
-
-// collectLockOrderMarks scans every comment for lockorder directives.
-func collectLockOrderMarks(fset *token.FileSet, pkgs []*Package) *markSet {
-	return &markSet{collectDirectives(fset, pkgs, lockOrderRE, "lockorder")}
-}
-
-// covers reports whether an acquisition at pos is marked, on its own line
-// or the line above.
-func (ms *markSet) covers(pos token.Pos) bool {
-	if ms == nil {
-		return false
-	}
-	return ms.directiveSet.covers("lockorder", pos)
-}
-
-// problems mirrors allowSet.problems for the lockorder directive: a mark
-// needs a justification, and a mark exempting nothing is stale.
-func (ms *markSet) problems(analyzer string) []Diagnostic {
-	diags := ms.directiveSet.problems(nil,
+// collectLockOrderMarks scans every comment for lockorder directives: a
+// mark needs a justification, and a mark exempting no edge is stale.
+func collectLockOrderMarks(fset *token.FileSet, pkgs []*Package) *directiveSet {
+	return collectDirectives(fset, pkgs, lockOrderRE, "lockorder",
 		func(string) string { return lockOrderDirective + " needs a one-line justification" },
 		func(string) string {
 			return "stale " + lockOrderDirective + ": no acquisition edge here to exempt; remove the annotation"
 		})
-	for i := range diags {
-		diags[i].Analyzer = analyzer
-	}
-	return diags
 }

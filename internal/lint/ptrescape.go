@@ -25,11 +25,7 @@ var PtrEscapeCheck = &Analyzer{
 }
 
 func runPtrEscape(p *Pass) error {
-	// The shared whole-tree graph is safe here: escapes are per-function
-	// facts independent of the graph's scope.
-	ip := p.Interproc()
-	for _, full := range ip.order {
-		fn := ip.funcs[full]
+	for _, fn := range p.tree.callGraph().order {
 		if fn.pkg != p.Pkg {
 			continue
 		}

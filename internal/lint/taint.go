@@ -67,37 +67,15 @@ const secretDirective = "//sgxperf:secret"
 
 var secretRE = regexp.MustCompile(`^//sgxperf:secret\s*(.*)$`)
 
-// a secretSet locates //sgxperf:secret directives; it is the shared
-// directiveSet with the directive name fixed to "secret".
-type secretSet struct {
-	*directiveSet
-}
-
-func collectSecretMarks(fset *token.FileSet, pkgs []*Package) *secretSet {
-	return &secretSet{collectDirectives(fset, pkgs, secretRE, "secret")}
-}
-
-// marks reports whether a declaration at pos carries the directive, on
-// its own line or the line above.
-func (ss *secretSet) marks(pos token.Pos) bool {
-	if ss == nil {
-		return false
-	}
-	return ss.directiveSet.covers("secret", pos)
-}
-
-// problems mirrors allowSet.problems: a secret marker needs a
-// justification, and a marker on no declaration is stale.
-func (ss *secretSet) problems(analyzer string) []Diagnostic {
-	diags := ss.directiveSet.problems(nil,
+// collectSecretMarks scans every comment for secret markers, reported
+// under secretflow: a marker needs a justification, and a marker on no
+// declaration is stale.
+func collectSecretMarks(fset *token.FileSet, pkgs []*Package) *directiveSet {
+	return collectDirectives(fset, pkgs, secretRE, "secretflow",
 		func(string) string { return secretDirective + " needs a one-line justification" },
 		func(string) string {
 			return "stale " + secretDirective + ": no declaration here to mark; remove the annotation"
 		})
-	for i := range diags {
-		diags[i].Analyzer = analyzer
-	}
-	return diags
 }
 
 // SecretFlowCheck flags enclave-confidential data reaching a boundary
@@ -128,9 +106,7 @@ func runSecretFlow(p *RepoPass) error {
 			"%s leaks %s to %s without sealing: %s; seal or encrypt it before the crossing, or justify with //sgxperf:allow(secretflow)",
 			fl.fn.name, fl.src.desc, fl.sink.desc, chainString(p.Fset, fl.chain))
 	}
-	for _, d := range g.secrets.problems(p.Analyzer.Name) {
-		*p.diags = append(*p.diags, d)
-	}
+	*p.diags = append(*p.diags, g.secrets.problems(nil)...)
 	return nil
 }
 
@@ -238,13 +214,10 @@ type paramSink struct {
 
 // a taintFunc is one declared function plus its composable summary.
 type taintFunc struct {
-	pkg   *Package
-	name  string
-	full  string
-	decl  *ast.FuncDecl
-	sig   *types.Signature
-	sanit bool
-	// Summary bits, grown monotonically by the fixpoint rounds.
+	*declFunc
+	sig *types.Signature
+	// Summary bits, grown monotonically by the fixpoint rounds; each is
+	// set at most once, which bounds the rounds.
 	sinkVia      map[int]*paramSink // param index → sink it reaches
 	resultSecret map[int]*taintVal  // result index → secret taint born inside
 	passes       map[[2]int]bool    // param i flows to result j
@@ -287,74 +260,47 @@ type edlDecl struct {
 // the analyzers and the exported report.
 type taintGraph struct {
 	fset    *token.FileSet
-	secrets *secretSet
+	secrets *directiveSet
 	sources map[types.Object]*secretSrc
 	edl     map[string]*edlDecl
 	// handlerEcall maps handler FullNames back to their registered ecall
 	// names (from the TrustedFn maps interproc.go recovers).
 	handlerEcall map[string]string
 	funcs        map[string]*taintFunc
-	order        []string
+	order        []*taintFunc // one per function-table row, in source order
 	flows        []taintFlow
 	issues       []taintIssue
 }
 
-// fixpointCap bounds the summary rounds; the lattice (sink bits, pass
-// bits per function) is finite, so rounds converge long before it.
-const fixpointCap = 10
-
 // newTaintGraph builds the whole-tree taint analysis.
 func newTaintGraph(tree *Tree) *taintGraph {
-	tree.ensureTypes()
+	funcs := tree.funcTable()
 	g := &taintGraph{
 		fset:         tree.Fset,
 		secrets:      collectSecretMarks(tree.Fset, tree.Pkgs),
 		sources:      make(map[types.Object]*secretSrc),
 		edl:          make(map[string]*edlDecl),
 		handlerEcall: make(map[string]string),
-		funcs:        make(map[string]*taintFunc),
+		funcs:        make(map[string]*taintFunc, len(funcs)),
 	}
 	for _, pkg := range tree.Pkgs {
-		if pkg.Info == nil {
-			continue
-		}
 		g.collectSources(pkg)
 		g.collectEDL(pkg)
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				sig, ok := obj.Type().(*types.Signature)
-				if !ok {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil {
-					if _, typ := receiver(fd); typ != "" {
-						name = typ + "." + name
-					}
-				}
-				fn := &taintFunc{
-					pkg: pkg, name: name, full: obj.FullName(), decl: fd, sig: sig,
-					sanit:        sanitizerName(fd.Name.Name),
-					sinkVia:      make(map[int]*paramSink),
-					resultSecret: make(map[int]*taintVal),
-					passes:       make(map[[2]int]bool),
-				}
-				g.funcs[fn.full] = fn
-				g.order = append(g.order, fn.full)
-			}
+	}
+	for _, df := range funcs {
+		fn := &taintFunc{
+			declFunc:     df,
+			sig:          df.obj.Type().(*types.Signature),
+			sinkVia:      make(map[int]*paramSink),
+			resultSecret: make(map[int]*taintVal),
+			passes:       make(map[[2]int]bool),
 		}
+		g.funcs[fn.full] = fn
+		g.order = append(g.order, fn)
 	}
 	// Every registered handler is checked; one registered under several
 	// ecall names is checked against the first.
-	for _, e := range tree.interprocFor(nil).entries {
+	for _, e := range tree.callGraph().entries {
 		if _, ok := g.handlerEcall[e.handler]; !ok {
 			g.handlerEcall[e.handler] = e.ecall
 		}
@@ -362,22 +308,12 @@ func newTaintGraph(tree *Tree) *taintGraph {
 
 	// Summary fixpoint: walk every function against the current callee
 	// summaries until no summary grows.
-	for round := 0; round < fixpointCap; round++ {
-		changed := false
-		for _, full := range g.order {
-			w := g.walker(g.funcs[full], false)
-			w.changed = &changed
-			w.run()
-		}
-		if !changed {
-			break
-		}
-	}
+	converge(g.order, func(fn *taintFunc) bool { return g.walker(fn, false).run() })
 	// Collection pass: with summaries stable, one more walk gathers the
 	// complete source→sink flows, then the EDL cross-validation runs
 	// over the registered handlers.
-	for _, full := range g.order {
-		g.walker(g.funcs[full], true).run()
+	for _, fn := range g.order {
+		g.walker(fn, true).run()
 	}
 	g.validateDirections()
 	sort.Slice(g.flows, func(i, j int) bool {
@@ -408,7 +344,7 @@ func sanitizerName(name string) bool {
 func (g *taintGraph) collectSources(pkg *Package) {
 	note := func(names []*ast.Ident) {
 		for _, name := range names {
-			if !g.secrets.marks(name.Pos()) {
+			if !g.secrets.covers("secretflow", name.Pos()) {
 				continue
 			}
 			obj := pkg.Info.Defs[name]
@@ -563,7 +499,8 @@ type taintWalker struct {
 	taint   map[taintKey]*taintVal
 	argObjs map[types.Object]bool
 	collect bool
-	changed *bool
+	// changed records whether the walk grew the function's summary.
+	changed bool
 }
 
 func (g *taintGraph) walker(fn *taintFunc, collect bool) *taintWalker {
@@ -589,10 +526,12 @@ func (g *taintGraph) walker(fn *taintFunc, collect bool) *taintWalker {
 	return w
 }
 
-func (w *taintWalker) run() {
+// run walks the body and reports whether the function's summary grew.
+func (w *taintWalker) run() bool {
 	for _, st := range w.fn.decl.Body.List {
 		w.stmt(st)
 	}
+	return w.changed
 }
 
 func (w *taintWalker) stmt(st ast.Stmt) {
@@ -709,16 +648,12 @@ func (w *taintWalker) caseBodies(body *ast.BlockStmt) {
 }
 
 // note flags a summary change for the fixpoint driver.
-func (w *taintWalker) note() {
-	if w.changed != nil {
-		*w.changed = true
-	}
-}
+func (w *taintWalker) note() { w.changed = true }
 
 // assign pairs RHS taint onto LHS roots, extends the boundary-derived
 // set through type assertions, and checks boundary-write sinks.
 func (w *taintWalker) assign(st *ast.AssignStmt) {
-	w.noteAsserted(st)
+	noteAsserted(w.argObjs, st, w.pkg.Info)
 	vals := make([]*taintVal, len(st.Lhs))
 	if len(st.Lhs) == len(st.Rhs) {
 		for i, r := range st.Rhs {
@@ -759,31 +694,6 @@ func (w *taintWalker) assign(st *ast.AssignStmt) {
 				delete(w.taint, k)
 			}
 		}
-	}
-}
-
-// noteAsserted mirrors ipScanner.noteDerived: `a, ok := args.(*T)`
-// makes a a boundary-derived root of a TrustedFn handler.
-func (w *taintWalker) noteAsserted(st *ast.AssignStmt) {
-	if w.argObjs == nil || len(st.Rhs) != 1 || len(st.Lhs) == 0 {
-		return
-	}
-	ta, ok := st.Rhs[0].(*ast.TypeAssertExpr)
-	if !ok || ta.Type == nil {
-		return
-	}
-	root, ok := ta.X.(*ast.Ident)
-	if !ok || !w.argObjs[w.pkg.Info.Uses[root]] {
-		return
-	}
-	lhs, ok := st.Lhs[0].(*ast.Ident)
-	if !ok {
-		return
-	}
-	if obj := w.pkg.Info.Defs[lhs]; obj != nil {
-		w.argObjs[obj] = true
-	} else if obj := w.pkg.Info.Uses[lhs]; obj != nil {
-		w.argObjs[obj] = true
 	}
 }
 
@@ -1161,20 +1071,11 @@ func rootKey(e ast.Expr, info *types.Info) (types.Object, string) {
 
 // --- EDL direction cross-validation ----------------------------------------
 
-// validateDirections checks every registered handler against the
-// recovered EDL declaration of its ecall.
+// validateDirections checks every registered handler, in source order,
+// against the recovered EDL declaration of its ecall.
 func (g *taintGraph) validateDirections() {
-	names := make([]string, 0, len(g.handlerEcall))
-	for full := range g.handlerEcall {
-		names = append(names, full)
-	}
-	sort.Strings(names)
-	for _, full := range names {
-		fn := g.funcs[full]
-		if fn == nil {
-			continue
-		}
-		ecall := g.handlerEcall[full]
+	for _, fn := range g.order {
+		ecall := g.handlerEcall[fn.full]
 		decl := g.edl[ecall]
 		if decl == nil {
 			continue
@@ -1292,7 +1193,7 @@ func (s *edlScanner) stmt(st ast.Stmt) {
 		for _, r := range st.Rhs {
 			s.reads(r)
 		}
-		s.noteAsserted(st)
+		noteAsserted(s.argObjs, st, s.pkg.Info)
 		for _, l := range st.Lhs {
 			s.writeTarget(l)
 		}
@@ -1351,31 +1252,6 @@ func (s *edlScanner) stmt(st ast.Stmt) {
 func (s *edlScanner) block(b *ast.BlockStmt) {
 	for _, st := range b.List {
 		s.stmt(st)
-	}
-}
-
-// noteAsserted extends the boundary-root set through type assertions,
-// like taintWalker.noteAsserted.
-func (s *edlScanner) noteAsserted(st *ast.AssignStmt) {
-	if len(st.Rhs) != 1 || len(st.Lhs) == 0 {
-		return
-	}
-	ta, ok := st.Rhs[0].(*ast.TypeAssertExpr)
-	if !ok || ta.Type == nil {
-		return
-	}
-	root, ok := ta.X.(*ast.Ident)
-	if !ok || !s.argObjs[s.pkg.Info.Uses[root]] {
-		return
-	}
-	lhs, ok := st.Lhs[0].(*ast.Ident)
-	if !ok {
-		return
-	}
-	if obj := s.pkg.Info.Defs[lhs]; obj != nil {
-		s.argObjs[obj] = true
-	} else if obj := s.pkg.Info.Uses[lhs]; obj != nil {
-		s.argObjs[obj] = true
 	}
 }
 

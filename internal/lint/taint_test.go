@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -211,6 +212,43 @@ func (v *vault) clean(env *sdk.Env) error {
 	}
 	if !strings.Contains(diags[0].Message, "stale") {
 		t.Errorf("diagnostic %q, want the stale //sgxperf:allow report", diags[0].Message)
+	}
+}
+
+// TestSecretFlowThroughLongHelperChain passes a secret through fourteen
+// helpers declared caller-first, the usual Go layout, to an ocall. Each
+// summary round lifts the sink one helper up the chain, so the flow is
+// found only when the rounds run until no summary grows.
+func TestSecretFlowThroughLongHelperChain(t *testing.T) {
+	const n = 14
+	var b strings.Builder
+	b.WriteString(`package enclave
+
+import "lintfixture/internal/sdk"
+
+type vault struct {
+	//sgxperf:secret master key
+	key [8]byte
+}
+
+func (v *vault) export(env *sdk.Env) error { return hop0(env, v.key) }
+`)
+	for i := 0; i < n-1; i++ {
+		fmt.Fprintf(&b, "\nfunc hop%d(env *sdk.Env, k [8]byte) error { return hop%d(env, k) }\n", i, i+1)
+	}
+	fmt.Fprintf(&b, `
+func hop%d(env *sdk.Env, k [8]byte) error {
+	_, err := env.Ocall("ocall_ship", k)
+	return err
+}
+`, n-1)
+	root := writeTree(t, taintFixture(map[string]string{"internal/enclave/vault.go": b.String()}))
+	rep, err := AnalyzeTaint(root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Flows) != 1 || rep.Flows[0].Call != "ocall_ship" || rep.Flows[0].Func != "vault.export" {
+		t.Fatalf("flows = %+v, want the key reaching ocall_ship from vault.export", rep.Flows)
 	}
 }
 

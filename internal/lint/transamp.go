@@ -25,10 +25,15 @@ var TransAmp = &Analyzer{
 	RunRepo:   runTransAmp,
 }
 
+// runTransAmp reports the loop crossings of the functions in scope; the
+// call graph they are lifted through covers the whole tree, so a looped
+// call into a dispatching helper in any package counts.
 func runTransAmp(p *RepoPass) error {
-	ip := p.Interproc()
-	for _, full := range ip.order {
-		fn := ip.funcs[full]
+	ip := p.tree.callGraph()
+	for _, fn := range ip.order {
+		if !p.Analyzer.applies(fn.pkg.Dir) {
+			continue
+		}
 		for _, lc := range ip.loopCrossings(fn) {
 			mult := "an unknown number of iterations"
 			if lc.trip > 0 {

@@ -1,20 +1,24 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// A Tree is one parsed source tree with every expensive derived artifact
-// — the go/types view, the suppression directives, the dataflow-engine
-// summaries and the interprocedural call graphs — computed at most once
-// per Tree and shared by every analyzer and exported analysis that runs
-// over it. Parsed files and checked packages outlive the Tree: a later
-// LoadTree of the same root re-parses only files whose bytes changed and
-// re-checks only the packages they change, plus their reverse
-// dependencies (see lastRoot). Standard-library imports are checked once
-// per process (see importGOROOT).
+// A Tree is one parsed source tree with one fact base: every derived
+// artifact is computed at most once per Tree and read by every analyzer
+// and exported analysis that runs over it. The facts are the go/types
+// view, the suppression directives, the function table (funcTable), the
+// held-set walk with its blocking summaries (heldWalk), the
+// interprocedural call graph (callGraph) and the taint summaries
+// (taintGraph). Each fact covers the whole tree; an analyzer or an
+// exported analysis with a package scope filters what it reports, never
+// what it computes. Parsed files and checked packages outlive the Tree:
+// a later LoadTree of the same root re-parses only files whose bytes
+// changed and re-checks only the packages they change, plus their
+// reverse dependencies (see lastRoot). Standard-library imports are
+// checked once per process (see importGOROOT).
 //
 // Fset positions the tree's own files and any import resolved outside
 // GOROOT; it is shared with other loads of the same root, so it may also
@@ -24,20 +28,21 @@ import (
 // Package).
 //
 // A Tree is not safe for concurrent use: the driver runs analyzers
-// sequentially, and the memo maps are plain. Distinct Trees, of one root
-// or of several, may be loaded and checked concurrently.
+// sequentially, and the memoised facts are plain fields. Distinct Trees,
+// of one root or of several, may be loaded and checked concurrently.
 type Tree struct {
 	Root string
 	Fset *token.FileSet
 	// Pkgs are every parsed package, sorted by Dir.
 	Pkgs []*Package
 
-	entry   *rootEntry
-	typed   bool
-	allows  *allowSet
-	engines map[string]*engine
-	graphs  map[string]*interproc
-	taint   *taintGraph
+	entry  *rootEntry
+	typed  bool
+	allows *directiveSet
+	funcs  []*declFunc
+	held   *engine
+	graph  *interproc
+	taint  *taintGraph
 }
 
 // LoadTree parses every Go package under root. Type checking is lazy:
@@ -48,14 +53,7 @@ func LoadTree(root string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{
-		Root:    root,
-		Fset:    e.fset,
-		Pkgs:    pkgs,
-		entry:   e,
-		engines: make(map[string]*engine),
-		graphs:  make(map[string]*interproc),
-	}, nil
+	return &Tree{Root: root, Fset: e.fset, Pkgs: pkgs, entry: e}, nil
 }
 
 // ensureTypes resolves types for the whole tree, once.
@@ -79,7 +77,7 @@ func (t *Tree) declares(pkg *types.Package) bool {
 }
 
 // allowSet returns the memoised suppression directives.
-func (t *Tree) allowSet() *allowSet {
+func (t *Tree) allowSet() *directiveSet {
 	if t.allows == nil {
 		t.allows = collectAllows(t.Fset, t.Pkgs)
 	}
@@ -102,45 +100,87 @@ func (t *Tree) scoped(dirs []string) []*Package {
 	return out
 }
 
-func scopeKey(dirs []string) string { return strings.Join(dirs, ",") }
-
-// engineFor returns the dataflow engine summarising the packages in
-// scope, building it on first use. Callbacks are cleared on every fetch
-// so one analyzer's hooks never fire during another's walk.
-func (t *Tree) engineFor(dirs []string) *engine {
-	key := scopeKey(dirs)
-	e, ok := t.engines[key]
-	if !ok {
-		t.ensureTypes()
-		e = newEngine(t.Fset, t.scoped(dirs))
-		t.engines[key] = e
-	}
-	e.onAcquire, e.onBoundary = nil, nil
-	return e
+// A declFunc is one row of the function table: a declared function with
+// a body and its resolved object.
+type declFunc struct {
+	pkg  *Package
+	decl *ast.FuncDecl
+	obj  *types.Func
+	full string // obj.FullName(), the key callees resolve to
+	name string // display name: Recv.Method, or the bare name
 }
 
-// taintGraph returns the whole-tree secret-flow taint analysis, built
-// on first use. Unlike the call graphs it has no per-scope variants:
-// summaries must compose across the whole tree for cross-package flows,
-// and the analyzers scope-filter at reporting time.
+// funcTable returns every declared function of the tree in source order
+// (package, file, declaration), type-checking first. It is the one
+// enumeration of declarations the summary engines iterate; each keys its
+// summaries by FullName, so when two declarations share one (several
+// init functions of a package) the later one's summary is the one
+// callers resolve to.
+func (t *Tree) funcTable() []*declFunc {
+	if t.funcs != nil {
+		return t.funcs
+	}
+	t.ensureTypes()
+	for _, pkg := range t.Pkgs {
+		for _, file := range pkg.Files {
+			for _, d := range file.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				fn := &declFunc{pkg: pkg, decl: fd, obj: obj, full: obj.FullName(), name: fd.Name.Name}
+				if _, typ := receiver(fd); typ != "" {
+					fn.name = typ + "." + fn.name
+				}
+				t.funcs = append(t.funcs, fn)
+			}
+		}
+	}
+	return t.funcs
+}
+
+// converge repeats rounds of step over fns, one summary per function in
+// source order, until a round changes nothing; step reports whether it
+// grew a fact. Rounds keep source order, so a first-found fact (the
+// callee a "calls X" reason names, a witness chain) does not depend on
+// map order. Each client's facts only ever grow and are bounded, so the
+// rounds terminate.
+func converge[F any](fns []F, step func(F) bool) {
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range fns {
+			if step(fn) {
+				changed = true
+			}
+		}
+	}
+}
+
+// heldWalk returns the tree's one held-set walk, built on first use.
+func (t *Tree) heldWalk() *engine {
+	if t.held == nil {
+		t.held = walkHeld(t.funcTable())
+	}
+	return t.held
+}
+
+// callGraph returns the tree's interprocedural call graph, built on
+// first use.
+func (t *Tree) callGraph() *interproc {
+	if t.graph == nil {
+		t.graph = newInterproc(t.funcTable(), t.Pkgs)
+	}
+	return t.graph
+}
+
+// taintGraph returns the secret-flow taint analysis, built on first use.
 func (t *Tree) taintGraph() *taintGraph {
 	if t.taint == nil {
 		t.taint = newTaintGraph(t)
 	}
 	return t.taint
-}
-
-// interprocFor returns the interprocedural call graph over the packages
-// in scope, building it on first use. The graph's fixpoint (which
-// functions transitively cross the boundary) depends on the scope, so
-// each distinct prefix set gets its own graph.
-func (t *Tree) interprocFor(dirs []string) *interproc {
-	key := scopeKey(dirs)
-	ip, ok := t.graphs[key]
-	if !ok {
-		t.ensureTypes()
-		ip = newInterproc(t.Fset, t.scoped(dirs))
-		t.graphs[key] = ip
-	}
-	return ip
 }

@@ -392,42 +392,15 @@ const allowDirective = "//sgxperf:allow"
 
 var allowRE = regexp.MustCompile(`^//sgxperf:allow\(([a-z]+)\)\s*(.*)$`)
 
-// an allowKey locates one suppression.
-type allowKey struct {
-	file     string
-	line     int
-	analyzer string
-}
-
-// allowSet wraps the shared directiveSet with the allow directive's
-// parse syntax and problem wording.
-type allowSet struct {
-	*directiveSet
-}
-
 // collectAllows scans every comment in the tree for allow directives.
-func collectAllows(fset *token.FileSet, pkgs []*Package) *allowSet {
-	return &allowSet{collectDirectives(fset, pkgs, allowRE, "")}
-}
-
-// allowed reports whether a diagnostic of the named analyzer at pos is
-// suppressed by an allow directive on the same line or the line above.
-func (as *allowSet) allowed(analyzer string, pos token.Pos) bool {
-	if as == nil {
-		return false
-	}
-	return as.covers(analyzer, pos)
-}
-
-// problems returns diagnostics about the annotations themselves: allows
-// with no justification, and allows for an active analyzer that matched
-// nothing (stale suppressions hide future regressions).
-func (as *allowSet) problems(active map[string]bool) []Diagnostic {
-	return as.directiveSet.problems(active,
+// An allow needs a justification, and an allow for an active analyzer
+// that matched nothing is stale.
+func collectAllows(fset *token.FileSet, pkgs []*Package) *directiveSet {
+	return collectDirectives(fset, pkgs, allowRE, "",
 		func(a string) string {
-			return "//sgxperf:allow(" + a + ") needs a one-line justification after the parenthesis"
+			return allowDirective + "(" + a + ") needs a one-line justification after the parenthesis"
 		},
 		func(a string) string {
-			return "stale //sgxperf:allow(" + a + "): no diagnostic here to suppress; remove the annotation"
+			return "stale " + allowDirective + "(" + a + "): no diagnostic here to suppress; remove the annotation"
 		})
 }
