@@ -15,9 +15,9 @@ vet:
 # lint runs go vet, fails when gofmt -l lists any file, and runs the
 # repository's own analyzer suite (cmd/sgx-perf-vet): the virtual-clock
 # and lock-free hot-path invariants, the concurrency dataflow checks
-# (lock order, held-across, atomic mixing) and the interprocedural
+# (lock order, held-across, atomic mixing), the interprocedural
 # boundary checks (transition amplification, double fetch, pointer
-# escape).
+# escape) and the taint checks (secret flow, EDL directions).
 lint: vet
 	@unformatted="$$($(GOFMT) -l .)"; \
 	if [ -n "$$unformatted" ]; then \
@@ -28,7 +28,7 @@ lint: vet
 # The recording pipeline, the live collector (internal/perf/live), the
 # event store with its subscription tap and parallel codec
 # (internal/evstore), the shared worker pool (internal/pool) behind the
-# codec and the hybrid lint re-ranking, and the serve daemon's
+# codec's chunk encode, decode and hashing, and the serve daemon's
 # concurrent reports, appends and cache fills are the
 # concurrency-sensitive packages; run
 # their suites under the race detector, together with the simulator

@@ -280,26 +280,6 @@ func (t *Table[T]) Scan(yield func(i int, row T) bool) {
 	}
 }
 
-// ScanFrom iterates rows in insertion order starting at index start,
-// until yield returns false. It is the cursor read path: a reader that
-// remembers how far it got resumes from there without touching earlier
-// chunks. Like Scan, it holds the table lock for the duration, so yield
-// must not call back into the same table's write path.
-func (t *Table[T]) ScanFrom(start int, yield func(i int, row T) bool) {
-	t.notifyRead()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if start < 0 {
-		start = 0
-	}
-	for i := start; i < t.length; i++ {
-		c := t.chunks[i/chunkSize]
-		if !yield(i, c[i%chunkSize]) {
-			return
-		}
-	}
-}
-
 // ScanChunks yields each storage chunk in order until yield returns false.
 // Chunks must be treated as read-only; this is the bulk zero-copy path for
 // exporters.

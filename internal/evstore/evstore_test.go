@@ -198,36 +198,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestScanFrom(t *testing.T) {
-	tb := NewTable[rec]("recs", recCodec{})
-	// Span several chunks so the offset maths is exercised.
-	for i := 0; i < 3*chunkSize+7; i++ {
-		tb.Insert(rec{ID: i})
-	}
-	start := chunkSize + 3
-	next := start
-	tb.ScanFrom(start, func(i int, r rec) bool {
-		if i != next || r.ID != next {
-			t.Fatalf("ScanFrom yielded (%d, %d), want %d", i, r.ID, next)
-		}
-		next++
-		return true
-	})
-	if next != tb.Len() {
-		t.Fatalf("ScanFrom stopped at %d, want %d", next, tb.Len())
-	}
-	// Negative start behaves as zero; out-of-range start yields nothing.
-	n := 0
-	tb.ScanFrom(-5, func(i int, r rec) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Fatalf("negative start visited %d rows", n)
-	}
-	tb.ScanFrom(tb.Len(), func(i int, r rec) bool {
-		t.Fatal("yield called past the end")
-		return false
-	})
-}
-
 func TestSubscribeObservesInserts(t *testing.T) {
 	tb := NewTable[rec]("recs", recCodec{})
 	tb.Insert(rec{ID: 0}, rec{ID: 1})

@@ -16,8 +16,7 @@ import (
 
 // LiveTick is one periodic observation of a running workload: the
 // snapshot, plus the number of call events recorded since the previous
-// tick (read through an events.Cursor, the pull-side counterpart of the
-// collector's push subscription).
+// tick (the growth of the snapshot's ecall and ocall counts).
 type LiveTick struct {
 	Tick     int           `json:"tick"`
 	Elapsed  time.Duration `json:"elapsed"`
@@ -77,7 +76,6 @@ func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunRes
 	}()
 
 	out := &LiveRunResult{Duration: duration}
-	cur := l.Trace().NewCursor()
 	start := time.Now()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -91,15 +89,17 @@ func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunRes
 			running = false
 		case <-ticker.C:
 			out.Ticks++
-			// Reading the cursor flushes the logger, so the snapshot
-			// covers the calls it counts.
-			newCalls := len(cur.Ecalls()) + len(cur.Ocalls())
+			// Flush the logger so the snapshot covers every call recorded
+			// so far.
+			l.Flush()
 			snap := col.Snapshot()
-			if c := snap.Counts; c.Ecalls < prev.Ecalls || c.Ocalls < prev.Ocalls || c.Syncs < prev.Syncs ||
+			c := snap.Counts
+			if c.Ecalls < prev.Ecalls || c.Ocalls < prev.Ocalls || c.Syncs < prev.Syncs ||
 				c.AEXs < prev.AEXs || c.Paging < prev.Paging || c.Switchless < prev.Switchless {
 				return nil, fmt.Errorf("live: tick %d counts %+v fell below the previous tick's %+v", out.Ticks, c, prev)
 			}
-			prev = snap.Counts
+			newCalls := c.Ecalls - prev.Ecalls + c.Ocalls - prev.Ocalls
+			prev = c
 			if emit != nil {
 				emit(LiveTick{Tick: out.Ticks, Elapsed: time.Since(start), NewCalls: newCalls, Snapshot: snap})
 			}

@@ -305,65 +305,6 @@ func TestFSReadEOF(t *testing.T) {
 	}
 }
 
-func TestConnClockCausality(t *testing.T) {
-	m, _ := sgx.NewMachine()
-	a, b := NewConnPair(NetCost{Latency: 100 * time.Microsecond, Syscall: time.Microsecond, PerKiB: time.Microsecond})
-	sender := m.NewContext("sender")
-	receiver := m.NewContext("receiver")
-
-	sender.Compute(10 * time.Millisecond) // sender is far ahead
-	if err := a.Send(sender, []byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := b.Recv(receiver)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(msg) != "ping" {
-		t.Fatalf("recv %q", msg)
-	}
-	// Receiver's clock must be at least send time + latency.
-	minTime := sender.Now() // sender stopped after send
-	if receiver.Now() < minTime {
-		t.Fatalf("receiver clock %d behind sender %d: causality violated", receiver.Now(), minTime)
-	}
-}
-
-func TestConnCloseUnblocks(t *testing.T) {
-	m, _ := sgx.NewMachine()
-	a, b := NewConnPair(NetCost{})
-	receiver := m.NewContext("r")
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.Recv(receiver)
-		done <- err
-	}()
-	a.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrConnClosed) {
-			t.Fatalf("recv after close: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("recv did not unblock on close")
-	}
-}
-
-func TestConnTryRecv(t *testing.T) {
-	m, _ := sgx.NewMachine()
-	a, b := NewConnPair(NetCost{})
-	ctx := m.NewContext("t")
-	if _, ok := b.TryRecv(ctx); ok {
-		t.Fatal("TryRecv on empty queue returned a message")
-	}
-	if err := a.Send(ctx, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if msg, ok := b.TryRecv(ctx); !ok || string(msg) != "x" {
-		t.Fatalf("TryRecv = %q, %v", msg, ok)
-	}
-}
-
 func TestSpawnAndWait(t *testing.T) {
 	k := newTestKernel(t)
 	results := make(chan sgx.ThreadID, 3)

@@ -16,20 +16,29 @@ import (
 // (atomic.Int64, atomic.Pointer) cannot be mixed and are never flagged.
 //
 // The check is per-package: the fields in question are invariably
-// unexported, so every access site is visible to one pass.
+// unexported, so every access site lies in one package.
 var AtomicMix = &Analyzer{
 	Name: "atomicmix",
 	Doc: "forbid mixing sync/atomic access with plain loads/stores of the " +
 		"same variable; pick one discipline or guard with a mutex",
-	NeedTypes: true,
-	Run:       runAtomicMix,
+	Run: runAtomicMix,
 }
 
+// runAtomicMix is the one analyzer that reads Package.Info directly
+// rather than through a fact, so it type-checks the tree itself.
 func runAtomicMix(pass *Pass) error {
-	info := pass.Pkg.Info
-	if info == nil {
-		return nil
+	pass.tree.ensureTypes()
+	for _, pkg := range pass.Pkgs {
+		if pkg.Info != nil {
+			atomicMixIn(pass, pkg)
+		}
 	}
+	return nil
+}
+
+// atomicMixIn reports the mixed-discipline variables of one package.
+func atomicMixIn(pass *Pass, pkg *Package) {
+	info := pkg.Info
 
 	type access struct {
 		pos token.Pos
@@ -40,7 +49,7 @@ func runAtomicMix(pass *Pass) error {
 	// plain-access scan below can skip them (and their sub-expressions).
 	atomicArgs := make(map[ast.Expr]bool)
 
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || !isAtomicCall(call, info) {
@@ -60,10 +69,10 @@ func runAtomicMix(pass *Pass) error {
 		})
 	}
 	if len(atomicUse) == 0 {
-		return nil
+		return
 	}
 
-	for _, file := range pass.Files {
+	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
@@ -114,7 +123,6 @@ func runAtomicMix(pass *Pass) error {
 			"%s is accessed via sync/atomic (line %d) and by plain load/store (line %d); use one discipline for every access",
 			varLabel(v), pass.Fset.Position(a[0].pos).Line, pass.Fset.Position(p[0].pos).Line)
 	}
-	return nil
 }
 
 // isAtomicCall reports whether the call is a package-level function of

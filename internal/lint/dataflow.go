@@ -944,29 +944,18 @@ type SyncReport struct {
 	Cycles []Cycle
 }
 
-// AnalyzeSync parses and type-checks the tree under root and runs the
-// held-across and lock-order analyses over the packages whose
+// AnalyzeSyncTree reads the tree's one held-set walk and reports the
+// held-across sites and lock-order cycles of the packages whose
 // root-relative directory starts with one of the given prefixes (all
 // packages when none are given). Suppression annotations are ignored:
 // this is the raw analysis for callers that price findings rather than
 // gate commits on them.
-func AnalyzeSync(root string, dirs []string) (*SyncReport, error) {
-	tree, err := LoadTree(root)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeSyncTree(tree, dirs), nil
-}
-
-// AnalyzeSyncTree is AnalyzeSync over an already-loaded tree, reading
-// its one held-set walk.
 func AnalyzeSyncTree(tree *Tree, dirs []string) *SyncReport {
 	fset := tree.Fset
-	scope := &Analyzer{Name: "sync", Packages: dirs}
 	e := tree.heldWalk()
 	report := &SyncReport{}
 	for _, h := range e.holds {
-		if !scope.applies(h.fn.pkg.Dir) {
+		if !inDirs(dirs, h.fn.pkg.Dir) {
 			continue
 		}
 		for _, l := range h.held {
@@ -983,7 +972,7 @@ func AnalyzeSyncTree(tree *Tree, dirs []string) *SyncReport {
 	}
 	edges := newEdgeSet(nil)
 	for _, a := range e.acquires {
-		if scope.applies(a.fn.pkg.Dir) {
+		if inDirs(dirs, a.fn.pkg.Dir) {
 			edges.add(fset, a)
 		}
 	}

@@ -687,17 +687,18 @@ func reset() {
 	}
 }
 
-// --- AnalyzeSync (the raw API staticlint consumes) ------------------------
+// --- AnalyzeSyncTree (the raw API staticlint consumes) --------------------
 
 func TestAnalyzeSyncReportsHoldsAndCycles(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"pkg/locks/locks.go": inversionSrc,
 		"pkg/held/held.go":   heldSendSrc,
 	})
-	rep, err := AnalyzeSync(root, nil)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeSyncTree(tree, nil)
 	if len(rep.Cycles) != 1 {
 		t.Fatalf("cycles = %+v, want 1", rep.Cycles)
 	}
@@ -709,10 +710,7 @@ func TestAnalyzeSyncReportsHoldsAndCycles(t *testing.T) {
 		t.Fatalf("held site = %+v", h)
 	}
 	// Scoping: restrict to a directory with no findings.
-	rep, err = AnalyzeSync(root, []string{"pkg/none"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep = AnalyzeSyncTree(tree, []string{"pkg/none"})
 	if len(rep.Cycles)+len(rep.Held) != 0 {
 		t.Fatalf("scoped run found %+v", rep)
 	}

@@ -20,13 +20,12 @@ var DoubleFetchCheck = &Analyzer{
 	Name: "doublefetch",
 	Doc: "forbid re-reading a boundary-buffer expression after an ocall " +
 		"crossing in an ecall handler (TOCTOU): copy once, use the copy",
-	NeedTypes: true,
-	Run:       runDoubleFetch,
+	Run: runDoubleFetch,
 }
 
 func runDoubleFetch(p *Pass) error {
 	for _, fn := range p.tree.callGraph().order {
-		if fn.pkg != p.Pkg {
+		if !p.covers(fn.pkg) {
 			continue
 		}
 		for _, f := range fn.fetches {

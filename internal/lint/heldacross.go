@@ -18,14 +18,13 @@ var HeldAcross = &Analyzer{
 	Name: "heldacross",
 	Doc: "forbid holding a mutex across a blocking boundary (channel ops, " +
 		"pool fan-out, ocall dispatch, transitively-blocking calls)",
-	NeedTypes: true,
-	RunRepo:   runHeldAcross,
+	Run: runHeldAcross,
 }
 
 // runHeldAcross reports every lock of every recorded held boundary.
-func runHeldAcross(p *RepoPass) error {
+func runHeldAcross(p *Pass) error {
 	for _, h := range p.tree.heldWalk().holds {
-		if !p.Analyzer.applies(h.fn.pkg.Dir) {
+		if !p.covers(h.fn.pkg) {
 			continue
 		}
 		what := h.b.desc

@@ -36,8 +36,7 @@ var HotPathLocks = &Analyzer{
 		// codecs run once per row or per chunk on the worker pool, where
 		// a receiver lock would serialise the whole fan-out. The analysis
 		// fold's per-event carry and delta methods run once per call
-		// event of every report, where a receiver lock would tax each
-		// row and serialise the serve daemon's concurrent window folds.
+		// event of every report, where a receiver lock taxes each row.
 		"internal/evstore",
 		"internal/perf/events",
 		"internal/perf/analyzer",
@@ -82,56 +81,52 @@ var lockMethods = map[string]bool{
 }
 
 func runHotPathLocks(pass *Pass) error {
-	mutexFields := collectMutexFields(pass.Files)
-	annotated := 0
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !isHotPath(fn) {
-				continue
+	for _, pkg := range pass.Pkgs {
+		mutexFields := collectMutexFields(pkg.Files)
+		annotated := 0
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || !isHotPath(fn) {
+					continue
+				}
+				annotated++
+				recvName, recvType := receiver(fn)
+				if recvName == "" {
+					pass.Reportf(fn.Pos(), "%s on a function without a named receiver has no effect", hotPathDirective)
+					continue
+				}
+				fields := mutexFields[recvType]
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					method, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || !lockMethods[method.Sel.Name] {
+						return true
+					}
+					field, ok := method.X.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					base, ok := field.X.(*ast.Ident)
+					if !ok || base.Name != recvName || !fields[field.Sel.Name] {
+						return true
+					}
+					pass.Reportf(call.Pos(),
+						"hot-path method %s.%s acquires receiver mutex %s.%s.%s; move the slow path into an unannotated method",
+						recvType, fn.Name.Name, recvName, field.Sel.Name, method.Sel.Name)
+					return true
+				})
 			}
-			annotated++
-			recvName, recvType := receiver(fn)
-			if recvName == "" {
-				pass.Reportf(fn.Pos(), "%s on a function without a named receiver has no effect", hotPathDirective)
-				continue
-			}
-			fields := mutexFields[recvType]
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				method, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !lockMethods[method.Sel.Name] {
-					return true
-				}
-				field, ok := method.X.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				base, ok := field.X.(*ast.Ident)
-				if !ok || base.Name != recvName || !fields[field.Sel.Name] {
-					return true
-				}
-				pass.Reportf(call.Pos(),
-					"hot-path method %s.%s acquires receiver mutex %s.%s.%s; move the slow path into an unannotated method",
-					recvType, fn.Name.Name, recvName, field.Sel.Name, method.Sel.Name)
-				return true
-			})
+		}
+		if annotated == 0 && inDirs(requireAnnotations, pkg.Dir) {
+			pass.Reportf(pkg.Files[0].Package, "package %s declares no %s methods; the hot-path check is checking nothing (annotations lost?)",
+				pkg.Dir, hotPathDirective)
 		}
 	}
-	if annotated == 0 && annotationRequired(pass.Dir) {
-		pos := pass.Files[0].Package
-		pass.Reportf(pos, "package %s declares no %s methods; the hot-path check is checking nothing (annotations lost?)",
-			pass.Dir, hotPathDirective)
-	}
 	return nil
-}
-
-func annotationRequired(dir string) bool {
-	probe := &Analyzer{Packages: requireAnnotations}
-	return probe.applies(dir)
 }
 
 // isHotPath reports whether the function carries the hot-path directive.

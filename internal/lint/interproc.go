@@ -978,7 +978,7 @@ type EntryPrediction struct {
 
 // An InterReport aggregates the interprocedural engine's raw findings
 // for callers outside the lint driver (staticlint), suppression-blind
-// like AnalyzeSync.
+// like AnalyzeSyncTree.
 type InterReport struct {
 	Loops   []LoopCrossing
 	Fetches []DoubleFetch
@@ -986,31 +986,19 @@ type InterReport struct {
 	Entries []EntryPrediction
 }
 
-// AnalyzeInterproc parses and type-checks the tree under root and runs
-// the interprocedural boundary analysis. The whole tree builds the call
-// graph (so cross-package callees resolve); loop crossings, double
+// AnalyzeInterprocTree reads the tree's one call graph, built over the
+// whole tree so cross-package callees resolve. Loop crossings, double
 // fetches and pointer escapes are reported only for functions in
 // packages whose root-relative directory starts with one of the given
 // prefixes (all packages when none are given), and entry predictions
 // only for TrustedFn maps found there.
-func AnalyzeInterproc(root string, dirs []string) (*InterReport, error) {
-	tree, err := LoadTree(root)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeInterprocTree(tree, dirs), nil
-}
-
-// AnalyzeInterprocTree is AnalyzeInterproc over an already-loaded tree,
-// reading its one call graph.
 func AnalyzeInterprocTree(tree *Tree, dirs []string) *InterReport {
 	fset := tree.Fset
 	ip := tree.callGraph()
-	scope := &Analyzer{Name: "interproc", Packages: dirs}
 
 	report := &InterReport{}
 	for _, fn := range ip.order {
-		if !scope.applies(fn.pkg.Dir) {
+		if !inDirs(dirs, fn.pkg.Dir) {
 			continue
 		}
 		for _, lc := range ip.loopCrossings(fn) {

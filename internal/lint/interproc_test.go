@@ -117,7 +117,7 @@ func pump(env *sdk.Env) {
 // TestTransAmpSeesCalleesInEveryPackage loops, in a workload, over a
 // helper declared outside the reporting scope that dispatches an ocall:
 // the looped call is reported, because the call graph the crossings are
-// lifted through covers the whole tree, like AnalyzeInterproc's.
+// lifted through covers the whole tree, like AnalyzeInterprocTree's.
 func TestTransAmpSeesCalleesInEveryPackage(t *testing.T) {
 	root := writeTree(t, map[string]string{
 		"internal/sdk/sdk.go": sdkStub,
@@ -151,10 +151,11 @@ func drain(env *sdk.Env, items []int) {
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "calls lintfixture/internal/host.PutOne inside a loop") {
 		t.Fatalf("diagnostics = %v, want the looped call into host.PutOne", messages(diags))
 	}
-	rep, err := AnalyzeInterproc(root, TransAmp.Packages)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeInterprocTree(tree, TransAmp.Packages)
 	if len(rep.Loops) != 1 || rep.Loops[0].Via != "lintfixture/internal/host.PutOne" {
 		t.Errorf("loops = %+v, want the same looped call", rep.Loops)
 	}
@@ -391,10 +392,11 @@ func pair(env *sdk.Env) error {
 }
 `,
 	})
-	rep, err := AnalyzeInterproc(root, []string{"internal/enclave"})
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeInterprocTree(tree, []string{"internal/enclave"})
 	want := []EntryPrediction{
 		{Ecall: "ecall_deep", Handler: "handleDeep", Predicted: 6},
 		{Ecall: "ecall_drain", Handler: "handleDrain", Predicted: 1, LoopUnknown: true},

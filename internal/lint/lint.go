@@ -36,9 +36,11 @@
 //     are written before read, user_check pointers are bounds-guarded
 //     before dereference (see EDLFlowCheck).
 //
-// The analyzers and the exported analyses read one fact base per Tree
-// (tree.go), each fact computed once over the whole tree and filtered
-// to a scope only when reported: one function table of every declared
+// Every analyzer has one shape: Run over a Pass whose Pkgs are the
+// packages in its scope, chosen by one rule (inDirs). The analyzers and
+// the exported analyses read one fact base per Tree (tree.go), each
+// fact computed once over the whole tree and filtered to a scope only
+// when reported: one function table of every declared
 // function; one held-set walk (dataflow.go), a typed intraprocedural
 // dataflow pass that tracks lock-held sets through control flow and
 // records every acquisition and boundary reached with a lock held, for
@@ -88,25 +90,23 @@ type Analyzer struct {
 	// Packages restricts the analyzer to packages whose root-relative
 	// directory has one of these prefixes. Empty means every package.
 	Packages []string
-	// NeedTypes requests go/types resolution for the whole tree before
-	// the analyzer runs (the dataflow analyzers set it).
-	NeedTypes bool
-	// Run inspects one package and reports diagnostics through the pass.
-	// Nil for repo-level analyzers.
+	// Run inspects the packages in scope and reports diagnostics through
+	// the pass. Facts that need types (the function table, the held-set
+	// walk, the call graph, the taint summaries) type-check the tree on
+	// first use.
 	Run func(*Pass) error
-	// RunRepo inspects every in-scope package at once — for analyses
-	// whose facts span packages, like the lock-acquisition-order graph.
-	// Nil for per-package analyzers.
-	RunRepo func(*RepoPass) error
 }
 
-// applies reports whether the analyzer covers the given package dir.
-func (a *Analyzer) applies(relDir string) bool {
-	if len(a.Packages) == 0 {
+// inDirs reports whether the root-relative directory dir lies under one
+// of the dir prefixes (every directory when none are given). It is the
+// one scope rule: analyzers, the exported analyses and the hot-path
+// annotation requirement all select packages through it.
+func inDirs(dirs []string, dir string) bool {
+	if len(dirs) == 0 {
 		return true
 	}
-	rel := filepath.ToSlash(relDir)
-	for _, p := range a.Packages {
+	rel := filepath.ToSlash(dir)
+	for _, p := range dirs {
 		if rel == p || strings.HasPrefix(rel, p+"/") {
 			return true
 		}
@@ -114,38 +114,9 @@ func (a *Analyzer) applies(relDir string) bool {
 	return false
 }
 
-// A Pass hands one parsed (and possibly type-checked) package to an
-// analyzer.
+// A Pass hands an analyzer the packages in its scope and the tree's
+// shared fact base.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	// Pkg is the package under analysis; Files and Dir mirror its fields
-	// for the pre-types analyzers.
-	Pkg   *Package
-	Files []*ast.File
-	Dir   string
-
-	tree   *Tree
-	allows *directiveSet
-	diags  *[]Diagnostic
-}
-
-// Reportf records a diagnostic at the given position unless an
-// //sgxperf:allow(analyzer) annotation covers it.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	if p.allows.covers(p.Analyzer.Name, pos) {
-		return
-	}
-	position := p.Fset.Position(pos)
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      position,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// A RepoPass hands every in-scope package to a repo-level analyzer.
-type RepoPass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	// Pkgs are the in-scope packages, sorted by Dir.
@@ -156,9 +127,13 @@ type RepoPass struct {
 	diags  *[]Diagnostic
 }
 
+// covers reports whether pkg is in the analyzer's scope, for facts
+// computed over the whole tree.
+func (p *Pass) covers(pkg *Package) bool { return inDirs(p.Analyzer.Packages, pkg.Dir) }
+
 // Reportf records a diagnostic at the given position unless an
 // //sgxperf:allow(analyzer) annotation covers it.
-func (p *RepoPass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	if p.allows.covers(p.Analyzer.Name, pos) {
 		return
 	}
@@ -201,40 +176,10 @@ func Run(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
 // that run several analyses over the same root (the vet driver, the
 // staticlint source pass) load one Tree and reuse it.
 func RunTree(tree *Tree, analyzers []*Analyzer) ([]Diagnostic, error) {
-	for _, a := range analyzers {
-		if a.NeedTypes {
-			tree.ensureTypes()
-			break
-		}
-	}
 	allows := tree.allowSet()
-
 	var diags []Diagnostic
-	for _, pkg := range tree.Pkgs {
-		for _, a := range analyzers {
-			if a.Run == nil || !a.applies(pkg.Dir) {
-				continue
-			}
-			pass := &Pass{
-				Analyzer: a,
-				Fset:     tree.Fset,
-				Pkg:      pkg,
-				Files:    pkg.Files,
-				Dir:      pkg.Dir,
-				tree:     tree,
-				allows:   allows,
-				diags:    &diags,
-			}
-			if err := a.Run(pass); err != nil {
-				return diags, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.Dir, err)
-			}
-		}
-	}
 	for _, a := range analyzers {
-		if a.RunRepo == nil {
-			continue
-		}
-		pass := &RepoPass{
+		pass := &Pass{
 			Analyzer: a,
 			Fset:     tree.Fset,
 			Pkgs:     tree.scoped(a.Packages),
@@ -242,7 +187,7 @@ func RunTree(tree *Tree, analyzers []*Analyzer) ([]Diagnostic, error) {
 			allows:   allows,
 			diags:    &diags,
 		}
-		if err := a.RunRepo(pass); err != nil {
+		if err := a.Run(pass); err != nil {
 			return diags, fmt.Errorf("lint: %s: %w", a.Name, err)
 		}
 	}

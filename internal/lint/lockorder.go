@@ -31,8 +31,7 @@ var LockOrder = &Analyzer{
 	Doc: "keep the whole-repo lock-acquisition-order graph acyclic; a cycle " +
 		"is a potential deadlock the race detector only finds when the " +
 		"schedule cooperates",
-	NeedTypes: true,
-	RunRepo:   runLockOrder,
+	Run: runLockOrder,
 }
 
 // A lockEdge is one ordered pair in the acquisition graph.
@@ -50,7 +49,7 @@ type edgeInfo struct {
 type edgeSet struct {
 	edges map[lockEdge]edgeInfo
 	// exempt locates the //sgxperf:lockorder directives; nil means no
-	// exemptions (the raw AnalyzeSync path).
+	// exemptions (the raw AnalyzeSyncTree path).
 	exempt *directiveSet
 }
 
@@ -198,10 +197,10 @@ func (es *edgeSet) renderCycle(fset *token.FileSet, scc []LockID) Cycle {
 
 // runLockOrder reads the tree's recorded acquisitions in walk order,
 // applying the //sgxperf:lockorder exemptions as it goes.
-func runLockOrder(p *RepoPass) error {
+func runLockOrder(p *Pass) error {
 	es := newEdgeSet(collectLockOrderMarks(p.Fset, p.Pkgs))
 	for _, a := range p.tree.heldWalk().acquires {
-		if p.Analyzer.applies(a.fn.pkg.Dir) {
+		if p.covers(a.fn.pkg) {
 			es.add(p.Fset, a)
 		}
 	}

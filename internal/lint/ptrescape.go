@@ -20,13 +20,12 @@ var PtrEscapeCheck = &Analyzer{
 	Name: "ptrescape",
 	Doc: "forbid passing the address of enclave state as an ocall " +
 		"argument: the untrusted side keeps the pointer",
-	NeedTypes: true,
-	Run:       runPtrEscape,
+	Run: runPtrEscape,
 }
 
 func runPtrEscape(p *Pass) error {
 	for _, fn := range p.tree.callGraph().order {
-		if fn.pkg != p.Pkg {
+		if !p.covers(fn.pkg) {
 			continue
 		}
 		for _, e := range fn.escapes {

@@ -88,18 +88,13 @@ var SecretFlowCheck = &Analyzer{
 	Name: "secretflow",
 	Doc: "track //sgxperf:secret data to boundary sinks: a secret crossing " +
 		"to the untrusted side without sealing is a leak",
-	NeedTypes: true,
-	RunRepo:   runSecretFlow,
+	Run: runSecretFlow,
 }
 
-func runSecretFlow(p *RepoPass) error {
+func runSecretFlow(p *Pass) error {
 	g := p.tree.taintGraph()
-	scope := make(map[*Package]bool, len(p.Pkgs))
-	for _, pkg := range p.Pkgs {
-		scope[pkg] = true
-	}
 	for _, fl := range g.flows {
-		if !scope[fl.fn.pkg] {
+		if !p.covers(fl.fn.pkg) {
 			continue
 		}
 		p.Reportf(fl.sink.pos,
@@ -121,18 +116,13 @@ var EDLFlowCheck = &Analyzer{
 	Name: "edlflow",
 	Doc: "cross-validate ecall handlers against declared EDL directions: " +
 		"written in params, stale out reads, unguarded user_check derefs",
-	NeedTypes: true,
-	RunRepo:   runEDLFlow,
+	Run: runEDLFlow,
 }
 
-func runEDLFlow(p *RepoPass) error {
+func runEDLFlow(p *Pass) error {
 	g := p.tree.taintGraph()
-	scope := make(map[*Package]bool, len(p.Pkgs))
-	for _, pkg := range p.Pkgs {
-		scope[pkg] = true
-	}
 	for _, is := range g.issues {
-		if !scope[is.fn.pkg] {
+		if !p.covers(is.fn.pkg) {
 			continue
 		}
 		p.Reportf(is.pos, "%s; fix the handler or the EDL, or justify with //sgxperf:allow(edlflow)", is.detail)
@@ -221,6 +211,9 @@ type taintFunc struct {
 	sinkVia      map[int]*paramSink // param index → sink it reaches
 	resultSecret map[int]*taintVal  // result index → secret taint born inside
 	passes       map[[2]int]bool    // param i flows to result j
+	// flows are the complete source→sink paths of the function's latest
+	// walk.
+	flows []taintFlow
 }
 
 // a taintFlow is one complete source→sink path (suppression decisions
@@ -307,13 +300,14 @@ func newTaintGraph(tree *Tree) *taintGraph {
 	}
 
 	// Summary fixpoint: walk every function against the current callee
-	// summaries until no summary grows.
-	converge(g.order, func(fn *taintFunc) bool { return g.walker(fn, false).run() })
-	// Collection pass: with summaries stable, one more walk gathers the
-	// complete source→sink flows, then the EDL cross-validation runs
-	// over the registered handlers.
+	// summaries until no summary grows. The last round walks every
+	// function against the final summaries and changes none, so each
+	// function's flows from that round are its complete source→sink
+	// paths; gather them, then cross-validate the registered handlers
+	// against the EDL.
+	converge(g.order, func(fn *taintFunc) bool { return g.walker(fn).run() })
 	for _, fn := range g.order {
-		g.walker(fn, true).run()
+		g.flows = append(g.flows, fn.flows...)
 	}
 	g.validateDirections()
 	sort.Slice(g.flows, func(i, j int) bool {
@@ -490,25 +484,24 @@ func (g *taintGraph) paramDir(ecall, field string) (string, string) {
 // --- the per-function walk -------------------------------------------------
 
 // taintWalker propagates taint through one function body in source
-// order, updating the function's summary and (in the collection pass)
-// recording complete flows.
+// order, updating the function's summary and recording its complete
+// flows in place of the previous walk's.
 type taintWalker struct {
 	g       *taintGraph
 	fn      *taintFunc
 	pkg     *Package
 	taint   map[taintKey]*taintVal
 	argObjs map[types.Object]bool
-	collect bool
 	// changed records whether the walk grew the function's summary.
 	changed bool
 }
 
-func (g *taintGraph) walker(fn *taintFunc, collect bool) *taintWalker {
+func (g *taintGraph) walker(fn *taintFunc) *taintWalker {
+	fn.flows = fn.flows[:0]
 	w := &taintWalker{
 		g: g, fn: fn, pkg: fn.pkg,
 		taint:   make(map[taintKey]*taintVal),
 		argObjs: boundaryParams(fn.decl, fn.pkg.Info),
-		collect: collect,
 	}
 	params := fn.sig.Params()
 	for i := 0; i < params.Len(); i++ {
@@ -793,10 +786,8 @@ func outerFieldName(e ast.Expr) string {
 // taint is source-rooted, a summary bit when parameter-derived.
 func (w *taintWalker) sinkHit(v *taintVal, sink sinkInfo) {
 	if v.src != nil {
-		if w.collect {
-			chain := append(append([]tstep{}, v.chain...), tstep{sink.pos, sink.desc})
-			w.g.flows = append(w.g.flows, taintFlow{fn: w.fn, src: v.src, sink: sink, chain: chain})
-		}
+		chain := append(append([]tstep{}, v.chain...), tstep{sink.pos, sink.desc})
+		w.fn.flows = append(w.fn.flows, taintFlow{fn: w.fn, src: v.src, sink: sink, chain: chain})
 		return
 	}
 	if v.param >= 0 && w.fn.sinkVia[v.param] == nil {
@@ -1388,33 +1379,22 @@ type DirectionIssue struct {
 
 // A TaintReport aggregates the taint engine's raw findings for callers
 // outside the lint driver (staticlint), suppression-blind like
-// AnalyzeSync and AnalyzeInterproc.
+// AnalyzeSyncTree and AnalyzeInterprocTree.
 type TaintReport struct {
 	Flows  []SecretFlow
 	Issues []DirectionIssue
 }
 
-// AnalyzeTaint parses and type-checks the tree under root and runs the
-// secret-flow taint analysis. The whole tree builds the summaries (so
-// cross-package flows compose); flows and direction issues are reported
-// only for functions in packages whose root-relative directory starts
-// with one of the given prefixes (all packages when none are given).
-func AnalyzeTaint(root string, dirs []string) (*TaintReport, error) {
-	tree, err := LoadTree(root)
-	if err != nil {
-		return nil, err
-	}
-	return AnalyzeTaintTree(tree, dirs), nil
-}
-
-// AnalyzeTaintTree is AnalyzeTaint over an already-loaded tree, sharing
-// its cached types, call graph and taint summaries with other analyses.
+// AnalyzeTaintTree reads the tree's secret-flow taint summaries, built
+// over the whole tree so cross-package flows compose. Flows and
+// direction issues are reported only for functions in packages whose
+// root-relative directory starts with one of the given prefixes (all
+// packages when none are given).
 func AnalyzeTaintTree(tree *Tree, dirs []string) *TaintReport {
 	g := tree.taintGraph()
-	scope := &Analyzer{Name: "taint", Packages: dirs}
 	report := &TaintReport{}
 	for _, fl := range g.flows {
-		if !scope.applies(fl.fn.pkg.Dir) {
+		if !inDirs(dirs, fl.fn.pkg.Dir) {
 			continue
 		}
 		chain := make([]FlowStep, 0, len(fl.chain))
@@ -1428,7 +1408,7 @@ func AnalyzeTaintTree(tree *Tree, dirs []string) *TaintReport {
 		})
 	}
 	for _, is := range g.issues {
-		if !scope.applies(is.fn.pkg.Dir) {
+		if !inDirs(dirs, is.fn.pkg.Dir) {
 			continue
 		}
 		report.Issues = append(report.Issues, DirectionIssue{

@@ -82,10 +82,11 @@ func (v *vault) export(env *sdk.Env) error {
 }
 `,
 	}))
-	rep, err := AnalyzeTaint(root, nil)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeTaintTree(tree, nil)
 	if len(rep.Flows) != 1 {
 		t.Fatalf("flows = %+v, want exactly 1", rep.Flows)
 	}
@@ -137,10 +138,11 @@ func (v *vault) backup(env *sdk.Env) error {
 }
 `,
 	}))
-	rep, err := AnalyzeTaint(root, nil)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeTaintTree(tree, nil)
 	if len(rep.Flows) != 0 {
 		t.Errorf("flows = %+v, want none: sealKey sanitizes the crossing", rep.Flows)
 	}
@@ -167,10 +169,11 @@ func (v *vault) stamp(env *sdk.Env) error {
 }
 `,
 	}))
-	rep, err := AnalyzeTaint(root, nil)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeTaintTree(tree, nil)
 	if len(rep.Flows) != 0 {
 		t.Errorf("flows = %+v, want none: only the key field is secret", rep.Flows)
 	}
@@ -243,10 +246,11 @@ func hop%d(env *sdk.Env, k [8]byte) error {
 }
 `, n-1)
 	root := writeTree(t, taintFixture(map[string]string{"internal/enclave/vault.go": b.String()}))
-	rep, err := AnalyzeTaint(root, nil)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeTaintTree(tree, nil)
 	if len(rep.Flows) != 1 || rep.Flows[0].Call != "ocall_ship" || rep.Flows[0].Func != "vault.export" {
 		t.Fatalf("flows = %+v, want the key reaching ocall_ship from vault.export", rep.Flows)
 	}
@@ -297,10 +301,11 @@ func wire() (map[string]sdk.TrustedFn, *edl.Interface) {
 	if want := []string{"gen01", "gen02"}; !slices.Equal(files, want) {
 		t.Fatalf("edlflow reported in %v, want one [in] write in each of %v: %v", files, want, messages(diags))
 	}
-	rep, err := AnalyzeInterproc(root, nil)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeInterprocTree(tree, nil)
 	if len(rep.Entries) != 2 || rep.Entries[0].Ecall != "ecall_dup" || rep.Entries[1].Ecall != "ecall_dup" {
 		t.Errorf("entries = %+v, want one ecall_dup prediction per registration", rep.Entries)
 	}
@@ -377,10 +382,11 @@ func wire() (map[string]sdk.TrustedFn, *edl.Interface) {
 }
 `,
 	}))
-	rep, err := AnalyzeTaint(root, nil)
+	tree, err := LoadTree(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := AnalyzeTaintTree(tree, nil)
 	kinds := make(map[string]string, len(rep.Issues))
 	for _, is := range rep.Issues {
 		kinds[is.Ecall] = is.Kind

@@ -20,18 +20,17 @@ var TransAmp = &Analyzer{
 	Name: "transamp",
 	Doc: "forbid ocall dispatch inside a loop (directly or through a " +
 		"transitively-dispatching callee): transitions multiply by the trip count",
-	Packages:  []string{"internal/workloads", "internal/sdk"},
-	NeedTypes: true,
-	RunRepo:   runTransAmp,
+	Packages: []string{"internal/workloads", "internal/sdk"},
+	Run:      runTransAmp,
 }
 
 // runTransAmp reports the loop crossings of the functions in scope; the
 // call graph they are lifted through covers the whole tree, so a looped
 // call into a dispatching helper in any package counts.
-func runTransAmp(p *RepoPass) error {
+func runTransAmp(p *Pass) error {
 	ip := p.tree.callGraph()
 	for _, fn := range ip.order {
-		if !p.Analyzer.applies(fn.pkg.Dir) {
+		if !p.covers(fn.pkg) {
 			continue
 		}
 		for _, lc := range ip.loopCrossings(fn) {

@@ -90,10 +90,9 @@ func (t *Tree) scoped(dirs []string) []*Package {
 	if len(dirs) == 0 {
 		return t.Pkgs
 	}
-	scope := &Analyzer{Packages: dirs}
 	var out []*Package
 	for _, pkg := range t.Pkgs {
-		if scope.applies(pkg.Dir) {
+		if inDirs(dirs, pkg.Dir) {
 			out = append(out, pkg)
 		}
 	}

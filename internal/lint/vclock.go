@@ -58,40 +58,42 @@ var VirtualClock = &Analyzer{
 }
 
 func runVirtualClock(pass *Pass) error {
-	for _, file := range pass.Files {
-		alias := importName(file, "time")
-		if alias == "" {
-			continue
-		}
-		if alias == "." {
-			// A dot import hides every call site from the check below.
+	for _, pkg := range pass.Pkgs {
+		for _, file := range pkg.Files {
+			alias := importName(file, "time")
+			if alias == "" {
+				continue
+			}
+			if alias == "." {
+				// A dot import hides every call site from the check below.
+				ast.Inspect(file, func(n ast.Node) bool {
+					if imp, ok := n.(*ast.ImportSpec); ok && imp.Path.Value == `"time"` {
+						pass.Reportf(imp.Pos(), "dot import of time defeats the wall-clock check; import it named")
+						return false
+					}
+					return true
+				})
+				continue
+			}
 			ast.Inspect(file, func(n ast.Node) bool {
-				if imp, ok := n.(*ast.ImportSpec); ok && imp.Path.Value == `"time"` {
-					pass.Reportf(imp.Pos(), "dot import of time defeats the wall-clock check; import it named")
-					return false
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok || id.Name != alias || id.Obj != nil {
+					// id.Obj != nil means the identifier resolves to a local
+					// object shadowing the import, not the package itself.
+					return true
+				}
+				if wallClockFuncs[sel.Sel.Name] {
+					pass.Reportf(sel.Pos(),
+						"%s.%s reads the wall clock; simulator packages run on virtual time (use the Context/vtime clock)",
+						alias, sel.Sel.Name)
 				}
 				return true
 			})
-			continue
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok || pkg.Name != alias || pkg.Obj != nil {
-				// pkg.Obj != nil means the identifier resolves to a local
-				// object shadowing the import, not the package itself.
-				return true
-			}
-			if wallClockFuncs[sel.Sel.Name] {
-				pass.Reportf(sel.Pos(),
-					"%s.%s reads the wall clock; simulator packages run on virtual time (use the Context/vtime clock)",
-					alias, sel.Sel.Name)
-			}
-			return true
-		})
 	}
 	return nil
 }

@@ -120,3 +120,25 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+func TestCursorTriggersReadFlush(t *testing.T) {
+	trace, err := NewTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Simulate a recorder with one buffered event: the flush hook inserts
+	// it on first read, exactly like the logger's read-hook drain.
+	buffered := []CallEvent{{ID: 1, Kind: KindOcall, Name: "buffered"}}
+	trace.SetReadFlush(func() {
+		if len(buffered) > 0 {
+			rows := buffered
+			buffered = nil
+			trace.SetReadFlush(nil) // avoid re-entrant flush on the insert's readers
+			trace.Ocalls.BatchInsert(rows)
+		}
+	})
+
+	if n := trace.Ocalls.Len(); n != 1 || trace.Ocalls.At(0).Name != "buffered" {
+		t.Fatalf("a table read did not drain the recorder's buffer: %d ocalls", n)
+	}
+}

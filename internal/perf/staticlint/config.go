@@ -15,13 +15,12 @@ import (
 
 // switchlessOcallCandidates is the shared candidate filter behind both
 // the Transition-Bound Calls finding and the config emitter: ocalls that
-// marshal at most SwitchlessMaxParams parameters, pass no user_check
+// marshal at most switchlessMaxParams parameters, pass no user_check
 // pointers, allow no reentrant ecalls and are not SDK sync ocalls.
-// opts must already have defaults applied.
-func switchlessOcallCandidates(iface *edl.Interface, opts Options) []string {
+func switchlessOcallCandidates(iface *edl.Interface) []string {
 	var names []string
 	for _, o := range iface.Ocalls() {
-		if len(o.Params) > opts.SwitchlessMaxParams || len(o.Allow) > 0 {
+		if len(o.Params) > switchlessMaxParams || len(o.Allow) > 0 {
 			continue
 		}
 		if o.HasUserCheck() || sdk.IsSyncOcall(o.Name) {
@@ -35,10 +34,10 @@ func switchlessOcallCandidates(iface *edl.Interface, opts Options) []string {
 // switchlessEcallCandidates filters ecalls the same way: public (a
 // worker enters through the public dispatch path), small marshalling
 // footprint, no user_check pointers.
-func switchlessEcallCandidates(iface *edl.Interface, opts Options) []string {
+func switchlessEcallCandidates(iface *edl.Interface) []string {
 	var names []string
 	for _, e := range iface.Ecalls() {
-		if !e.Public || len(e.Params) > opts.SwitchlessMaxParams || e.HasUserCheck() {
+		if !e.Public || len(e.Params) > switchlessMaxParams || e.HasUserCheck() {
 			continue
 		}
 		names = append(names, e.Name)
@@ -52,16 +51,16 @@ func switchlessEcallCandidates(iface *edl.Interface, opts Options) []string {
 // unchanged). It returns nil when no function qualifies. The scheduler
 // bounds are left zero and filled with the runtime defaults when the
 // configuration is applied; Source is "staticlint" so downstream
-// measurements can prove their provenance.
-func SwitchlessConfigFrom(iface *edl.Interface, opts Options) *sdk.SwitchlessConfig {
+// measurements can prove their provenance. No option changes the
+// candidate set, whose parameter bound is fixed (switchlessMaxParams).
+func SwitchlessConfigFrom(iface *edl.Interface, _ Options) *sdk.SwitchlessConfig {
 	if iface == nil {
 		return nil
 	}
-	opts = opts.withDefaults()
 	cfg := &sdk.SwitchlessConfig{
 		Source: "staticlint",
-		Ecalls: switchlessEcallCandidates(iface, opts),
-		Ocalls: switchlessOcallCandidates(iface, opts),
+		Ecalls: switchlessEcallCandidates(iface),
+		Ocalls: switchlessOcallCandidates(iface),
 	}
 	if len(cfg.Ecalls)+len(cfg.Ocalls) == 0 {
 		return nil

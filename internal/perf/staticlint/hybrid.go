@@ -10,7 +10,6 @@ import (
 	"sgxperf/internal/lint"
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
-	"sgxperf/internal/pool"
 	"sgxperf/internal/sdk"
 )
 
@@ -85,9 +84,8 @@ func Hybrid(iface *edl.Interface, trace *events.Trace, opts Options) (*Report, e
 }
 
 // HybridContext is Hybrid with cooperative cancellation: the trace scan
-// and the pool-parallel re-rank stop once ctx is done and the call
-// returns ctx.Err() with a nil report. An uncancelled HybridContext
-// produces exactly Hybrid's report.
+// stops once ctx is done and the call returns ctx.Err() with a nil
+// report. An uncancelled HybridContext produces exactly Hybrid's report.
 func HybridContext(ctx context.Context, iface *edl.Interface, trace *events.Trace, opts Options) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -96,7 +94,7 @@ func HybridContext(ctx context.Context, iface *edl.Interface, trace *events.Trac
 		return nil, fmt.Errorf("staticlint: %w", analyzer.ErrNoTrace)
 	}
 	if iface == nil {
-		iface = interfaceFromTrace(trace)
+		iface = analyzer.NewTraceSource(trace).Interface()
 		if iface == nil {
 			return nil, fmt.Errorf("staticlint: no interface given and no EDL embedded in the trace")
 		}
@@ -136,10 +134,7 @@ func HybridContext(ctx context.Context, iface *edl.Interface, trace *events.Trac
 	for _, n := range counts {
 		total += n
 	}
-	// Each finding's re-rank is independent (reads of the shared counts
-	// map, a write to its own slot), so the join runs on the worker pool;
-	// the StaticOnly collection stays serial to preserve its order.
-	pool.ForEachCtx(ctx, len(r.Findings), func(i int) {
+	for i := range r.Findings {
 		f := &r.Findings[i]
 		if f.Call == interfaceWide {
 			f.Observed = total
@@ -147,10 +142,8 @@ func HybridContext(ctx context.Context, iface *edl.Interface, trace *events.Trac
 			f.Observed = counts[f.Call]
 		}
 		f.HybridScore = f.Score * math.Log2(1+float64(f.Observed))
-	})
-	for i := range r.Findings {
-		if r.Findings[i].Observed == 0 {
-			r.StaticOnly = append(r.StaticOnly, r.Findings[i].Call)
+		if f.Observed == 0 {
+			r.StaticOnly = append(r.StaticOnly, f.Call)
 		}
 	}
 	sort.SliceStable(r.Findings, func(i, j int) bool {
@@ -209,22 +202,6 @@ func HybridContext(ctx context.Context, iface *edl.Interface, trace *events.Trac
 
 // interfaceWide is the Call name of findings about the whole interface.
 const interfaceWide = "(interface)"
-
-// interfaceFromTrace recovers the EDL the logger embedded, if any.
-func interfaceFromTrace(trace *events.Trace) *edl.Interface {
-	var out *edl.Interface
-	trace.Enclaves.Scan(func(_ int, meta events.EnclaveMeta) bool {
-		if meta.EDL == "" {
-			return true
-		}
-		if iface, _, err := edl.Parse(meta.EDL); err == nil {
-			out = iface
-			return false
-		}
-		return true
-	})
-	return out
-}
 
 func dedupe(in []string) []string {
 	sort.Strings(in)

@@ -39,16 +39,6 @@ type Options struct {
 	// SecureKeeper gets by with 2, §5.2.1/§5.2.4).
 	WideSurfaceMin int
 
-	// MergeGroupMin is the minimum number of same-kind functions with an
-	// identical parameter shape before a merge candidate is reported
-	// (default 3).
-	MergeGroupMin int
-
-	// SwitchlessMaxParams bounds the parameter count of switchless ocall
-	// candidates (default 1): calls that marshal almost nothing profit most
-	// from a worker thread instead of a transition.
-	SwitchlessMaxParams int
-
 	// SourceRoot, when non-empty, adds the concurrency dataflow pass over
 	// the Go sources rooted there (AnalyzeSource): locks held across
 	// blocking boundaries and lock-order cycles join the interface
@@ -68,14 +58,18 @@ func (o Options) withDefaults() Options {
 	if o.WideSurfaceMin <= 0 {
 		o.WideSurfaceMin = 8
 	}
-	if o.MergeGroupMin <= 0 {
-		o.MergeGroupMin = 3
-	}
-	if o.SwitchlessMaxParams <= 0 {
-		o.SwitchlessMaxParams = 1
-	}
 	return o
 }
+
+const (
+	// mergeGroupMin is the minimum number of same-kind functions with an
+	// identical parameter shape before a merge candidate is reported.
+	mergeGroupMin = 3
+	// switchlessMaxParams bounds the parameter count of switchless
+	// candidates: calls that marshal almost nothing profit most from a
+	// worker thread instead of a transition.
+	switchlessMaxParams = 1
+)
 
 // Analyze runs every static detector over the interface and returns the
 // findings, sorted like the dynamic analyser's (analyzer.SortFindings).
@@ -359,7 +353,7 @@ func detectMergeShape(iface *edl.Interface, opts Options) []analyzer.Finding {
 		}
 		shapes := make([]string, 0, len(groups))
 		for s, names := range groups {
-			if len(names) >= opts.MergeGroupMin {
+			if len(names) >= mergeGroupMin {
 				shapes = append(shapes, s)
 			}
 		}
@@ -392,14 +386,14 @@ func detectMergeShape(iface *edl.Interface, opts Options) []analyzer.Finding {
 }
 
 // detectSwitchless nominates ocalls for switchless (worker-thread)
-// execution: calls that marshal at most SwitchlessMaxParams parameters,
+// execution: calls that marshal at most switchlessMaxParams parameters,
 // pass no user_check pointers and allow no reentrant ecalls can be
 // serviced without leaving the enclave at all ("SGX Switchless Calls Made
 // Configless" decides the worker budget before any run — this detector
 // supplies its candidate set).
 func detectSwitchless(iface *edl.Interface, opts Options) []analyzer.Finding {
 	transition := opts.Cost.Frequency.Duration(opts.Cost.RoundTrip())
-	names := switchlessOcallCandidates(iface, opts)
+	names := switchlessOcallCandidates(iface)
 	if len(names) == 0 {
 		return nil
 	}
@@ -413,7 +407,7 @@ func detectSwitchless(iface *edl.Interface, opts Options) []analyzer.Finding {
 		Kind:    events.KindOcall,
 		Evidence: fmt.Sprintf(
 			"%d ocall%s marshal ≤%d parameter%s and allow no ecalls (%s): a switchless worker saves the %v transition on every invocation",
-			len(names), plural(len(names)), opts.SwitchlessMaxParams, plural(opts.SwitchlessMaxParams),
+			len(names), plural(len(names)), switchlessMaxParams, plural(switchlessMaxParams),
 			strings.Join(preview, ", "), transition.Round(10*time.Nanosecond)),
 		Solutions:    []analyzer.Solution{analyzer.SolutionSwitchless, analyzer.SolutionBatch},
 		SecurityNote: "switchless workers poll untrusted memory; size the worker pool before deployment",

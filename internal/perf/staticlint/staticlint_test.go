@@ -51,7 +51,7 @@ func problems(fs []analyzer.Finding) map[analyzer.Problem]int {
 }
 
 func TestAnalyzeFiresEveryDetector(t *testing.T) {
-	fs := Analyze(parse(t, lintEDL), Options{MergeGroupMin: 3})
+	fs := Analyze(parse(t, lintEDL), Options{})
 	got := problems(fs)
 	// user_check on ecall_peek and ocall_raw.
 	if got[analyzer.ProblemPermissiveInterface] < 3 { // 2 user_check + 1 unreachable

@@ -1,9 +1,9 @@
 // Package pool is the repository's shared bounded worker pool: one
 // GOMAXPROCS-sized concurrency budget for every CPU-bound fan-out — the
-// evstore codec's chunk encode/decode and hashing and the static-lint
-// hybrid re-ranking draw from it. Sharing one budget keeps the process
-// from oversubscribing the machine when several subsystems fan out at
-// once (a hybrid lint re-ranking while a trace is being saved, say).
+// evstore codec's chunk encode/decode and its chunk hashing draw from
+// it. Sharing one budget keeps the process from oversubscribing the
+// machine when several fan-outs run at once (the daemon decoding one
+// upload while hashing another trace, say).
 //
 // The pool is deliberately tiny: no long-lived workers, no queues to
 // drain on shutdown, no wall-clock timeouts (the simulator packages run
@@ -16,7 +16,6 @@
 package pool
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -97,42 +96,4 @@ func ForEach(n int, fn func(i int)) {
 		tasks[w] = drain
 	}
 	Do(tasks...)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: workers stop
-// claiming new indexes once ctx is done and the call returns ctx.Err().
-// An index that has started always runs to completion — cancellation is
-// observed between indexes, never mid-task — so on a nil return every
-// index was processed exactly once, and on a non-nil return no index is
-// left half-done. The scheduling (atomic-counter work stealing over at
-// most Size workers, inline fallback) is identical to ForEach, and an
-// uncancelled ForEachCtx produces exactly ForEach's effects.
-func ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	workers := Size()
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	drain := func() {
-		for ctx.Err() == nil {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			fn(i)
-		}
-	}
-	if workers <= 1 {
-		drain()
-		return ctx.Err()
-	}
-	tasks := make([]func(), workers)
-	for w := range tasks {
-		tasks[w] = drain
-	}
-	Do(tasks...)
-	return ctx.Err()
 }
