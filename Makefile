@@ -25,9 +25,10 @@ lint: vet
 	fi
 	$(GO) run ./cmd/sgx-perf-vet
 
-# The recording pipeline, the live collector (internal/perf/live), the
-# event store with its subscription tap and parallel codec
-# (internal/evstore), the shared worker pool (internal/pool) behind the
+# The recording pipeline, the live collector (internal/perf/live), whose
+# reads flush the recorder's shards while it records, the event store
+# with its chunk snapshots and parallel codec (internal/evstore), the
+# shared worker pool (internal/pool) behind the
 # codec's chunk encode, decode and hashing, and the serve daemon's
 # concurrent reports, appends and cache fills are the
 # concurrency-sensitive packages; run

@@ -215,28 +215,6 @@ func BenchmarkLoggerContention(b *testing.B) {
 	}
 }
 
-// BenchmarkLoggerContentionLive repeats the contention sweep with a live
-// streaming collector subscribed to the trace: the subscribers run on the
-// recording hot path (under the table write lock) but only enqueue
-// batches. Its events/s next to BenchmarkLoggerContention's is the tap's
-// cost; nothing gates it.
-func BenchmarkLoggerContentionLive(b *testing.B) {
-	for _, threads := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			var row experiments.ContentionRow
-			var err error
-			for i := 0; i < b.N; i++ {
-				row, err = experiments.RunLoggerContentionLive(threads, 2000)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(row.EventsPerSec, "events/s")
-			b.ReportMetric(row.NsPerEvent, "ns/event")
-		})
-	}
-}
-
 // BenchmarkAblation_Switchless compares the paper's interface redesign
 // against switchless calls (the SCONE/HotCalls/Eleos technique, §2.3/§6)
 // on the Glamdring signing workload.

@@ -125,7 +125,7 @@ func run() error {
 		if iface == nil {
 			return fmt.Errorf("-switchless-config needs -workload or -edl")
 		}
-		cfg := sgxperf.SwitchlessConfigFrom(iface, opts)
+		cfg := sgxperf.SwitchlessConfigFrom(iface)
 		if cfg == nil {
 			return fmt.Errorf("no transition-bound calls in the interface; nothing to route switchless")
 		}

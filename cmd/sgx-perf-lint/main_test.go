@@ -55,7 +55,7 @@ func TestGoldenSwitchlessConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sgxperf.SwitchlessConfigFrom(iface, sgxperf.LintOptions{})
+	cfg := sgxperf.SwitchlessConfigFrom(iface)
 	if cfg == nil {
 		t.Fatal("SecureKeeper is transition-bound; expected a switchless configuration")
 	}

@@ -276,22 +276,6 @@ func (d *Decoder) String() string {
 // ---------------------------------------------------------------------
 // Table-level encode: snapshot chunks, encode them on the pool, write.
 
-// chunkSnapshot captures the committed chunk slices under the read lock;
-// committed prefixes are never rewritten, so the slices stay valid after
-// the lock is released and chunks can be encoded concurrently.
-func (t *Table[T]) chunkSnapshot() (chunks [][]T, total int) {
-	t.notifyRead()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	chunks = make([][]T, 0, len(t.chunks))
-	for _, c := range t.chunks {
-		if len(c) > 0 {
-			chunks = append(chunks, c[:len(c):len(c)])
-		}
-	}
-	return chunks, t.length
-}
-
 // encodeChunkPayload produces one chunk's payload bytes.
 func (t *Table[T]) encodeChunkPayload(rows []T) []byte {
 	// Pre-size for the common shape — a dozen-odd mostly-single-byte
@@ -315,7 +299,13 @@ type tableIndex struct {
 // returned index records each chunk's file offset, row count and
 // content hash.
 func (t *Table[T]) writeBinary(w *countingWriter) (tableIndex, error) {
-	chunks, total := t.chunkSnapshot()
+	// The snapshot stays valid after Chunks releases the table lock, so
+	// the chunks encode concurrently while recording goes on.
+	chunks := t.Chunks()
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
 	idx := tableIndex{name: t.name, rows: total}
 
 	head := binary.AppendUvarint(nil, uint64(len(t.name)))
@@ -432,7 +422,7 @@ func (t *Table[T]) readBinary(cr *countingReader) (tableIndex, error) {
 				return idx, corruptf("table %q: more rows than declared (%d > %d)", t.name, decoded, total)
 			}
 			idx.chunks = append(idx.chunks, ChunkInfo{Offset: raws[i].off, Rows: len(rows[i])})
-			t.appendQuiet(rows[i])
+			t.appendDecoded(rows[i])
 		}
 		done += n
 	}
@@ -470,14 +460,13 @@ func decodeChunkPayload[T any](codec RowCodec[T], d *Decoder, payload []byte, nr
 	return rows, nil
 }
 
-// appendQuiet appends decoded rows without notifying subscribers — a
-// load is a restore, not an insert stream. Decoded chunks arrive at
-// exactly the storage chunk size except the last (writeBinary emits
+// appendDecoded appends one decoded chunk's rows. Decoded chunks arrive
+// at exactly the storage chunk size except the last (writeBinary emits
 // storage chunks), so a full chunk slice is adopted directly instead of
 // copied; the indexing invariant — every chunk but the last holds
 // exactly chunkSize rows — is preserved because adoption only happens
 // when the previous chunk is full.
-func (t *Table[T]) appendQuiet(rows []T) {
+func (t *Table[T]) appendDecoded(rows []T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(rows) == chunkSize {

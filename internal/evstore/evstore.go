@@ -1,7 +1,7 @@
 // Package evstore is a small embedded, typed, append-oriented event
 // database — the stand-in for the SQLite database sgx-perf serialises its
-// events to (§4). It offers named tables of record types, predicate
-// queries, ordering, simple aggregation, and a chunked columnar file
+// events to (§4). It offers named, append-only tables of record types,
+// read by scans, counts and chunk snapshots, and a chunked columnar file
 // format (codec.go) so traces can be written by the logger and analysed
 // later by a different process, just as the paper's toolchain does.
 //
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -46,10 +45,6 @@ type Table[T any] struct {
 	mu     sync.RWMutex
 	chunks [][]T
 	length int
-	// subs are the insert subscribers, guarded by mu. Inserts already hold
-	// the write lock, so notification needs no extra synchronisation and a
-	// table with no subscribers pays only a nil-slice check.
-	subs []*subscriber[T]
 
 	// hashed caches ChunkHashes results for full (immutable) chunks and
 	// tail memoises the partial last chunk's; hashGen invalidates both on
@@ -57,12 +52,6 @@ type Table[T any] struct {
 	hashed  []uint64
 	tail    tailHash
 	hashGen uint64
-}
-
-// subscriber is one registered insert tap. The indirection lets cancel
-// find its own entry after other subscribers come and go.
-type subscriber[T any] struct {
-	fn func(rows []T)
 }
 
 // NewTable creates an empty table whose chunks serialise through codec.
@@ -109,30 +98,6 @@ func (t *Table[T]) appendLocked(rows []T) {
 	}
 }
 
-// notifySubsLocked delivers the committed rows in [start, start+n) to
-// every subscriber as chunk-backed subslices. Committed chunk prefixes
-// are never rewritten (the store is append-only), so the slices stay
-// valid after the lock is released without any copy. Caller holds t.mu.
-func (t *Table[T]) notifySubsLocked(start, n int) {
-	if len(t.subs) == 0 || n == 0 {
-		return
-	}
-	for n > 0 {
-		c := t.chunks[start/chunkSize]
-		off := start % chunkSize
-		take := len(c) - off
-		if take > n {
-			take = n
-		}
-		rows := c[off : off+take : off+take]
-		for _, s := range t.subs {
-			s.fn(rows)
-		}
-		start += take
-		n -= take
-	}
-}
-
 // Insert appends rows.
 func (t *Table[T]) Insert(rows ...T) {
 	if len(rows) == 0 {
@@ -140,9 +105,7 @@ func (t *Table[T]) Insert(rows ...T) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	start := t.length
 	t.appendLocked(rows)
-	t.notifySubsLocked(start, len(rows))
 }
 
 // BatchInsert appends a whole buffer of rows under one lock acquisition —
@@ -153,41 +116,7 @@ func (t *Table[T]) BatchInsert(rows []T) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	start := t.length
 	t.appendLocked(rows)
-	t.notifySubsLocked(start, len(rows))
-}
-
-// Subscribe registers fn to observe every row inserted from now on, in
-// commit order. With replay set, fn first receives every row already in
-// the table; registration and replay happen atomically with respect to
-// inserts, so the subscriber sees each row exactly once. fn runs with the
-// table's write lock held: it must be fast, must treat the slice as
-// read-only, and must not call back into the table (hand rows to another
-// goroutine for real work). The returned cancel removes the subscription
-// and is idempotent.
-func (t *Table[T]) Subscribe(fn func(rows []T), replay bool) (cancel func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if replay {
-		for _, c := range t.chunks {
-			if len(c) > 0 {
-				fn(c[:len(c):len(c)])
-			}
-		}
-	}
-	s := &subscriber[T]{fn: fn}
-	t.subs = append(t.subs, s)
-	return func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		for i, cur := range t.subs {
-			if cur == s {
-				t.subs = append(t.subs[:i], t.subs[i+1:]...)
-				return
-			}
-		}
-	}
 }
 
 // Len returns the number of rows.
@@ -222,22 +151,6 @@ func (t *Table[T]) rowsLocked() []T {
 	out := make([]T, 0, t.length)
 	for _, c := range t.chunks {
 		out = append(out, c...)
-	}
-	return out
-}
-
-// Select returns all rows matching pred, in insertion order.
-func (t *Table[T]) Select(pred func(T) bool) []T {
-	t.notifyRead()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []T
-	for _, c := range t.chunks {
-		for _, r := range c {
-			if pred(r) {
-				out = append(out, r)
-			}
-		}
 	}
 	return out
 }
@@ -295,8 +208,7 @@ func (t *Table[T]) ScanChunks(yield func(rows []T) bool) {
 }
 
 // NumChunks returns the number of storage chunks currently backing the
-// table. Chunks only ever grow in place (the store is append-only), so a
-// chunk index obtained here stays valid for ChunkAt.
+// table.
 func (t *Table[T]) NumChunks() int {
 	t.notifyRead()
 	t.mu.RLock()
@@ -304,33 +216,28 @@ func (t *Table[T]) NumChunks() int {
 	return len(t.chunks)
 }
 
-// ChunkAt returns storage chunk i as a read-only slice in O(1) — the
-// random-access companion to ScanChunks for chunk-windowed readers. The
-// returned slice is capped at its current length; rows appended after
-// the call extend the chunk but never rewrite the returned prefix.
-func (t *Table[T]) ChunkAt(i int) []T {
+// Chunks returns every storage chunk in order, each capped at its
+// current length, read under one lock. Committed chunk prefixes are
+// never rewritten (rows are only appended; Replace, Reset and Load swap
+// in fresh chunks), so the slices stay valid after the lock is released
+// and rows appended later never show through them. Callers must treat
+// them as read-only.
+func (t *Table[T]) Chunks() [][]T {
 	t.notifyRead()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if i < 0 || i >= len(t.chunks) {
-		panic(fmt.Sprintf("evstore: chunk %d out of range [0,%d)", i, len(t.chunks)))
+	out := make([][]T, len(t.chunks))
+	for i, c := range t.chunks {
+		out[i] = c[:len(c):len(c)]
 	}
-	c := t.chunks[i]
-	return c[:len(c):len(c)]
-}
-
-// OrderedBy returns a copy of all rows sorted by less.
-func (t *Table[T]) OrderedBy(less func(a, b T) bool) []T {
-	out := t.Rows()
-	sort.SliceStable(out, func(i, j int) bool { return less(out[i], out[j]) })
 	return out
 }
 
 // Replace substitutes the table's entire contents. It exists for
 // canonicalisation (sorting a trace into a deterministic order after
-// concurrent recording); it is not a hot-path operation. Subscribers are
-// not notified: a subscription observes the append-only insert stream,
-// not rewrites, so canonicalise only after live consumers detach.
+// concurrent recording); it is not a hot-path operation. A reader that
+// keeps a position in the append-only rows, such as a live collector,
+// does not expect a rewrite, so canonicalise only after it closes.
 func (t *Table[T]) Replace(rows []T) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -338,21 +245,6 @@ func (t *Table[T]) Replace(rows []T) {
 	t.length = 0
 	t.invalidateHashesLocked()
 	t.appendLocked(rows)
-}
-
-// GroupBy partitions rows by key.
-func GroupBy[T any, K comparable](t *Table[T], key func(T) K) map[K][]T {
-	t.notifyRead()
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[K][]T)
-	for _, c := range t.chunks {
-		for _, r := range c {
-			k := key(r)
-			out[k] = append(out[k], r)
-		}
-	}
-	return out
 }
 
 // Reset drops all rows.

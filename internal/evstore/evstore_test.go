@@ -21,10 +21,6 @@ func TestInsertSelectCount(t *testing.T) {
 	if tb.Len() != 3 {
 		t.Fatalf("len = %d", tb.Len())
 	}
-	as := tb.Select(func(r rec) bool { return r.Name == "a" })
-	if len(as) != 2 || as[0].ID != 1 || as[1].ID != 3 {
-		t.Fatalf("select a = %v", as)
-	}
 	if n := tb.Count(func(r rec) bool { return r.Dur > 15 }); n != 2 {
 		t.Fatalf("count = %d", n)
 	}
@@ -46,27 +42,6 @@ func TestScanEarlyStop(t *testing.T) {
 	})
 	if len(seen) != 2 {
 		t.Fatalf("scan visited %v", seen)
-	}
-}
-
-func TestOrderedByDoesNotMutate(t *testing.T) {
-	tb := NewTable[rec]("recs", recCodec{})
-	tb.Insert(rec{3, "c", 3}, rec{1, "a", 1}, rec{2, "b", 2})
-	sorted := tb.OrderedBy(func(a, b rec) bool { return a.ID < b.ID })
-	if sorted[0].ID != 1 || sorted[2].ID != 3 {
-		t.Fatalf("sorted = %v", sorted)
-	}
-	if tb.At(0).ID != 3 {
-		t.Fatal("OrderedBy mutated insertion order")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	tb := NewTable[rec]("recs", recCodec{})
-	tb.Insert(rec{1, "a", 1}, rec{2, "b", 2}, rec{3, "a", 3})
-	groups := GroupBy(tb, func(r rec) string { return r.Name })
-	if len(groups) != 2 || len(groups["a"]) != 2 || len(groups["b"]) != 1 {
-		t.Fatalf("groups = %v", groups)
 	}
 }
 
@@ -198,103 +173,27 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestSubscribeObservesInserts(t *testing.T) {
+// TestChunksSnapshotIsCapped checks that a chunk snapshot spans chunk
+// boundaries in row order and that rows appended after it, into the
+// same storage chunk or a new one, never show through its slices.
+func TestChunksSnapshotIsCapped(t *testing.T) {
 	tb := NewTable[rec]("recs", recCodec{})
-	tb.Insert(rec{ID: 0}, rec{ID: 1})
-
-	var got []int
-	cancel := tb.Subscribe(func(rows []rec) {
-		for _, r := range rows {
-			got = append(got, r.ID)
-		}
-	}, true)
-
-	tb.Insert(rec{ID: 2})
-	tb.BatchInsert([]rec{{ID: 3}, {ID: 4}})
-	for i, id := range got {
-		if id != i {
-			t.Fatalf("subscriber saw %v", got)
-		}
+	tb.BatchInsert(make([]rec, chunkSize-2))
+	tb.BatchInsert([]rec{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 4}})
+	chunks := tb.Chunks()
+	if len(chunks) != 2 || len(chunks[0]) != chunkSize || len(chunks[1]) != 2 {
+		t.Fatalf("chunk lengths %d, want [%d 2]", len(chunks), chunkSize)
 	}
-	if len(got) != 5 {
-		t.Fatalf("subscriber saw %d rows, want 5 (replay + live)", len(got))
+	if chunks[0][chunkSize-1].ID != 2 || chunks[1][1].ID != 4 {
+		t.Fatalf("chunks out of row order: %v, %v", chunks[0][chunkSize-2:], chunks[1])
 	}
-
-	cancel()
-	cancel() // idempotent
-	tb.Insert(rec{ID: 99})
-	if len(got) != 5 {
-		t.Fatal("subscriber notified after cancel")
-	}
-}
-
-func TestSubscribeBatchSpansChunks(t *testing.T) {
-	tb := NewTable[rec]("recs", recCodec{})
-	pad := make([]rec, chunkSize-2)
-	tb.BatchInsert(pad)
-
-	var got []rec
-	tb.Subscribe(func(rows []rec) { got = append(got, rows...) }, false)
-
-	batch := []rec{{ID: 1}, {ID: 2}, {ID: 3}, {ID: 4}}
-	tb.BatchInsert(batch)
-	if len(got) != len(batch) {
-		t.Fatalf("subscriber saw %d rows, want %d", len(got), len(batch))
-	}
-	for i, r := range got {
-		if r.ID != batch[i].ID {
-			t.Fatalf("subscriber saw %v", got)
-		}
-	}
-	// The delivered slices alias committed chunk storage: later appends
-	// must not change what the subscriber retained.
-	retained := got[0]
 	tb.BatchInsert([]rec{{ID: 5}, {ID: 6}})
-	if got[0] != retained {
-		t.Fatal("retained subscription rows mutated by later inserts")
+	if len(chunks[1]) != 2 || cap(chunks[1]) != 2 {
+		t.Fatalf("snapshot chunk has len %d cap %d after a later append, want 2 and 2", len(chunks[1]), cap(chunks[1]))
 	}
-}
-
-func TestSubscribeConcurrentExactlyOnce(t *testing.T) {
-	tb := NewTable[rec]("recs", recCodec{})
-	var mu sync.Mutex
-	seen := make(map[int]int)
-	record := func(rows []rec) {
-		mu.Lock()
-		for _, r := range rows {
-			seen[r.ID]++
-		}
-		mu.Unlock()
-	}
-
-	const writers, per = 8, 300
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < per; i++ {
-				tb.Insert(rec{ID: w*per + i})
-			}
-		}(w)
-	}
-	close(start)
-	// Subscribe mid-stream with replay: every row must be seen exactly
-	// once, whether it was replayed or delivered live.
-	tb.Subscribe(record, true)
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != writers*per {
-		t.Fatalf("saw %d distinct rows, want %d", len(seen), writers*per)
-	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("row %d delivered %d times", id, n)
-		}
+	_ = append(chunks[1], rec{ID: 99})
+	if got := tb.At(chunkSize + 2).ID; got != 5 {
+		t.Fatalf("appending to the snapshot overwrote a table row: got ID %d, want 5", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"sgxperf/internal/edl"
 	"sgxperf/internal/host"
-	"sgxperf/internal/perf/live"
 	"sgxperf/internal/perf/logger"
 	"sgxperf/internal/sdk"
 	"sgxperf/internal/sgx"
@@ -31,19 +30,6 @@ type ContentionRow struct {
 // enclave with the logger attached and reports recording throughput.
 // opsPerThread ≤ 0 selects a default.
 func RunLoggerContention(threads, opsPerThread int) (ContentionRow, error) {
-	return runLoggerContention(threads, opsPerThread, false)
-}
-
-// RunLoggerContentionLive is the same experiment with a live streaming
-// collector subscribed to the trace: it measures what the analysis tap
-// costs the recording hot path. The collector's subscribers only enqueue
-// batches; BenchmarkLoggerContentionLive reports the throughput next to
-// BenchmarkLoggerContention's, and nothing gates the difference.
-func RunLoggerContentionLive(threads, opsPerThread int) (ContentionRow, error) {
-	return runLoggerContention(threads, opsPerThread, true)
-}
-
-func runLoggerContention(threads, opsPerThread int, withLive bool) (ContentionRow, error) {
 	if threads <= 0 {
 		threads = 1
 	}
@@ -59,13 +45,6 @@ func runLoggerContention(threads, opsPerThread int, withLive bool) (ContentionRo
 		return ContentionRow{}, err
 	}
 	defer l.Detach()
-	var col *live.Collector
-	if withLive {
-		if col, err = live.Attach(l, live.Options{}); err != nil {
-			return ContentionRow{}, err
-		}
-		defer col.Close()
-	}
 
 	iface := edl.NewInterface()
 	if _, err := iface.AddEcall("ecall_short", true); err != nil {
@@ -118,15 +97,6 @@ func runLoggerContention(threads, opsPerThread int, withLive bool) (ContentionRo
 	events := l.Trace().Ecalls.Len()
 	if want := threads * opsPerThread; events != want {
 		return ContentionRow{}, fmt.Errorf("contention: recorded %d ecall events, want %d", events, want)
-	}
-	if withLive {
-		// The collector must have observed the complete run: the drained
-		// snapshot's per-call counts equal the recorded events.
-		col.Drain()
-		snap := col.Snapshot()
-		if snap.Counts.Ecalls != events {
-			return ContentionRow{}, fmt.Errorf("contention: live collector saw %d ecalls, trace has %d", snap.Counts.Ecalls, events)
-		}
 	}
 	row := ContentionRow{Threads: threads, Events: events, Wall: wall}
 	if wall > 0 {

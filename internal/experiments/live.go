@@ -89,9 +89,6 @@ func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunRes
 			running = false
 		case <-ticker.C:
 			out.Ticks++
-			// Flush the logger so the snapshot covers every call recorded
-			// so far.
-			l.Flush()
 			snap := col.Snapshot()
 			c := snap.Counts
 			if c.Ecalls < prev.Ecalls || c.Ocalls < prev.Ocalls || c.Syncs < prev.Syncs ||

@@ -102,7 +102,7 @@ func RunSwitchlessLoop(callers, ops int) (*SwitchlessLoopResult, error) {
 			break
 		}
 	}
-	cfg := sgxperf.SwitchlessConfigFrom(base.session.Interface, sgxperf.LintOptions{})
+	cfg := sgxperf.SwitchlessConfigFrom(base.session.Interface)
 	base.session.Close()
 	if cfg == nil {
 		return nil, fmt.Errorf("lint emitted no switchless configuration for a transition-bound interface")

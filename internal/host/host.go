@@ -57,11 +57,6 @@ func WithEnclaveComputeFactor(factor float64) Option {
 	return func(c *config) { c.computeFactor = factor }
 }
 
-// WithMachineOptions passes raw machine options through.
-func WithMachineOptions(opts ...sgx.Option) Option {
-	return func(c *config) { c.machineOpts = append(c.machineOpts, opts...) }
-}
-
 // New builds a host: machine, kernel, URTS, and a process image loading
 // libsgx_urts and libc in default order.
 func New(opts ...Option) (*Host, error) {

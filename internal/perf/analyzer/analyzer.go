@@ -230,14 +230,12 @@ func foldOrder[T any](seq ChunkSeq[T], key func(*T) callKey) (ChunkSeq[T], error
 }
 
 // stableRows reports whether a feed's chunks stay valid across Chunk
-// calls: resident tables and Chunks hand out rows that never change,
-// while any other feed, a stream cursor's among them, may recycle them.
+// calls: Chunks, the resident tables' feed, hands out rows that never
+// change, while any other feed, a stream cursor's among them, may
+// recycle them.
 func stableRows[T any](seq ChunkSeq[T]) bool {
-	switch seq.(type) {
-	case tableSeq[T], Chunks[T]:
-		return true
-	}
-	return false
+	_, ok := seq.(Chunks[T])
+	return ok
 }
 
 // inFoldOrder reports whether the chunks' rows are already sorted by key.

@@ -77,14 +77,14 @@ var ErrUnsorted = errors.New("analyzer: trace tables are not stream-sorted")
 
 // ChunkSeq supplies one table's rows chunk-by-chunk with random access:
 // the read-ahead alternates two feeds over one table, each reading every
-// other chunk. A resident evstore table, a stream cursor (see source.go)
-// and in-memory Chunks satisfy it.
+// other chunk. A stream cursor (see source.go) and in-memory Chunks, the
+// feed of a resident evstore table, satisfy it.
 //
 // The rows Chunk returns are read-only and stay valid only until the
 // next Chunk call on the same ChunkSeq: a stream cursor decodes every
 // chunk into one recycled buffer. A consumer that keeps rows across
-// calls copies them (foldOrder does), unless the feed is a resident
-// table or Chunks, whose rows never change (stableRows).
+// calls copies them (foldOrder does), unless the feed is Chunks, whose
+// rows never change (stableRows).
 type ChunkSeq[T any] interface {
 	NumChunks() int
 	Chunk(i int) ([]T, error)

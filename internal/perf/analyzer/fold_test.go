@@ -257,7 +257,7 @@ func TestReadAheadEndsWithFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := analyzeTrace(t, tr, Options{})
-	if newSeqCursor(TableSeq(tr.Ecalls)).ahead != nil {
+	if newSeqCursor(Chunks[events.CallEvent](tr.Ecalls.Chunks())).ahead != nil {
 		t.Fatal("a resident feed reads ahead")
 	}
 
@@ -338,7 +338,11 @@ func manyNamesTrace(t *testing.T, n int) *events.Trace {
 func foldBytes(t *testing.T, tr *events.Trace) uint64 {
 	t.Helper()
 	cfg := &foldConfig{weights: DefaultWeights(), freq: tr.Frequency(), syncs: newSyncRefs(nil)}
-	in := foldInput{ecalls: TableSeq(tr.Ecalls), ocalls: TableSeq(tr.Ocalls), paging: TableSeq(tr.Paging)}
+	in := foldInput{
+		ecalls: Chunks[events.CallEvent](tr.Ecalls.Chunks()),
+		ocalls: Chunks[events.CallEvent](tr.Ocalls.Chunks()),
+		paging: Chunks[events.PagingEvent](tr.Paging.Chunks()),
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -453,12 +457,16 @@ func TestFoldShortWakes(t *testing.T) {
 	tr.Syncs.BatchInsert(syncs)
 
 	events.StreamSort(tr)
-	pre, err := prescanSyncs(TableSeq(tr.Syncs))
+	pre, err := prescanSyncs(Chunks[events.SyncEvent](tr.Syncs.Chunks()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := &foldConfig{weights: DefaultWeights(), freq: tr.Frequency(), syncs: newSyncRefs(pre.refs)}
-	delta, err := fold(cfg, foldInput{ecalls: TableSeq(tr.Ecalls), ocalls: TableSeq(tr.Ocalls), paging: TableSeq(tr.Paging)})
+	delta, err := fold(cfg, foldInput{
+		ecalls: Chunks[events.CallEvent](tr.Ecalls.Chunks()),
+		ocalls: Chunks[events.CallEvent](tr.Ocalls.Chunks()),
+		paging: Chunks[events.PagingEvent](tr.Paging.Chunks()),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

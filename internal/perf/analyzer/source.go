@@ -28,15 +28,6 @@ type StreamSource struct {
 	Switchless ChunkSeq[events.SwitchlessEvent]
 }
 
-// tableSeq adapts a resident evstore table to ChunkSeq.
-type tableSeq[T any] struct{ t *evstore.Table[T] }
-
-func (s tableSeq[T]) NumChunks() int           { return s.t.NumChunks() }
-func (s tableSeq[T]) Chunk(i int) ([]T, error) { return s.t.ChunkAt(i), nil }
-
-// TableSeq exposes a resident table as a fold feed.
-func TableSeq[T any](t *evstore.Table[T]) ChunkSeq[T] { return tableSeq[T]{t} }
-
 // cursorSeq adapts an evstore stream cursor to ChunkSeq. Chunk seeks,
 // so each of the read-ahead's two feeds can read every other chunk. The
 // cursor decodes every chunk into one recycled buffer, so the rows
@@ -66,9 +57,10 @@ func (s cursorSeq[T]) Chunk(i int) ([]T, error) {
 // CursorSeq exposes a stream cursor as a fold feed.
 func CursorSeq[T any](c *evstore.StreamCursor[T]) ChunkSeq[T] { return cursorSeq[T]{c} }
 
-// NewTraceSource feeds the fold from a resident trace's tables. The
-// order-sensitive tables must be stream-sorted (events.StreamSort);
-// otherwise AnalyzeStream returns ErrUnsorted.
+// NewTraceSource feeds the fold from a resident trace's tables, as
+// their chunks stand at the call. The order-sensitive tables must be
+// stream-sorted (events.StreamSort); otherwise AnalyzeStream returns
+// ErrUnsorted.
 func NewTraceSource(t *events.Trace) *StreamSource {
 	var enclaves []events.EnclaveMeta
 	t.Enclaves.Scan(func(_ int, m events.EnclaveMeta) bool {
@@ -84,11 +76,11 @@ func NewTraceSource(t *events.Trace) *StreamSource {
 		Enclaves:   enclaves,
 		Freq:       t.Frequency(),
 		Transition: t.TransitionCycles(),
-		Ecalls:     TableSeq(t.Ecalls),
-		Ocalls:     TableSeq(t.Ocalls),
-		Paging:     TableSeq(t.Paging),
-		Syncs:      TableSeq(t.Syncs),
-		Switchless: TableSeq(t.Switchless),
+		Ecalls:     Chunks[events.CallEvent](t.Ecalls.Chunks()),
+		Ocalls:     Chunks[events.CallEvent](t.Ocalls.Chunks()),
+		Paging:     Chunks[events.PagingEvent](t.Paging.Chunks()),
+		Syncs:      Chunks[events.SyncEvent](t.Syncs.Chunks()),
+		Switchless: Chunks[events.SwitchlessEvent](t.Switchless.Chunks()),
 	}
 }
 

@@ -1,6 +1,11 @@
 package events
 
-import "sgxperf/internal/evstore"
+import (
+	"cmp"
+	"slices"
+
+	"sgxperf/internal/evstore"
+)
 
 // StreamSort rewrites the trace's order-sensitive tables into the
 // stream-sorted layout the streaming analyzer fold requires: ecalls and
@@ -9,20 +14,17 @@ import "sgxperf/internal/evstore"
 // Call it before Save when the trace is destined for out-of-core
 // analysis; resident analysis is order-insensitive either way.
 func StreamSort(t *Trace) {
-	sortCalls := func(tbl *evstore.Table[CallEvent]) {
-		tbl.Replace(tbl.OrderedBy(func(a, b CallEvent) bool {
-			if a.Start != b.Start {
-				return a.Start < b.Start
-			}
-			return a.ID < b.ID
-		}))
+	byStart := func(a, b CallEvent) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	}
-	sortCalls(t.Ecalls)
-	sortCalls(t.Ocalls)
-	t.Paging.Replace(t.Paging.OrderedBy(func(a, b PagingEvent) bool {
-		if a.Time != b.Time {
-			return a.Time < b.Time
-		}
-		return a.ID < b.ID
-	}))
+	for _, tbl := range []*evstore.Table[CallEvent]{t.Ecalls, t.Ocalls} {
+		rows := tbl.Rows()
+		slices.SortStableFunc(rows, byStart)
+		tbl.Replace(rows)
+	}
+	paging := t.Paging.Rows()
+	slices.SortStableFunc(paging, func(a, b PagingEvent) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.ID, b.ID))
+	})
+	t.Paging.Replace(paging)
 }

@@ -1,34 +1,35 @@
 // Package live makes the analysis available while a workload runs: a
-// Collector subscribes to a recording logger's event tables, and a
-// Snapshot of per-call statistics, anti-pattern findings
-// (SISC/SDSC/SNC/SSC, paging) and sliding-window event rates can be
-// taken at any point of the run, without stopping the workload.
+// Collector reads a recording logger's event tables, and a Snapshot of
+// per-call statistics, anti-pattern findings (SISC/SDSC/SNC/SSC,
+// paging) and sliding-window event rates can be taken at any point of
+// the run, without stopping the workload.
 //
 // # One engine
 //
-// The collector keeps no analysis state of its own. It stores the
-// batches the tables deliver — chunk-backed subslices that alias the
-// rows the append-only event store retains anyway, so nothing is
-// copied — next to per-table counts and rate rings. Every Snapshot
-// folds all delivered rows through analyzer.AnalyzeUnordered, the entry
-// point Analyzer.Analyze folds a resident trace through, and each table
-// delivers its rows in the store's own order. After a workload quiesces
-// and Drain returns, Snapshot therefore equals the analyser's report
-// over the same trace (same stats, findings, paging summary, wake graph
-// and switchless summary) by construction, on every trace. The price is
-// that each Snapshot costs a fold of everything delivered so far,
-// O(delivered events).
+// The collector keeps no analysis state of its own. It keeps a row
+// count and sliding-window rate ring per table, and the tables' chunks
+// as of its last read: chunk-backed slices that alias the rows the
+// append-only event store retains anyway, so nothing is copied. Every
+// Snapshot folds those chunks through analyzer.AnalyzeUnordered, the
+// entry point Analyzer.Analyze folds a resident trace through, and
+// each table yields its rows in the store's own order. After a workload
+// quiesces, Snapshot therefore equals the analyser's report over the
+// same trace (same stats, findings, paging summary, wake graph and
+// switchless summary) by construction, on every trace. The price is
+// that each Snapshot costs a fold of every row so far, O(recorded
+// events).
 //
 // # Concurrency
 //
-// Table subscribers run under the table's write lock, on the recording
-// hot path, so they only enqueue the delivered batches. Snapshot,
-// Drain, Close and EventsSeen take that backlog in on the calling
-// goroutine; no background goroutine competes with the recording
-// threads for CPU. Any goroutine may call Snapshot at any time: it
-// covers every batch the tables delivered before it started. Rows still
-// buffered in the logger's per-thread shards are not delivered yet;
-// Drain flushes them first.
+// The collector does nothing until it is read: no callback runs on the
+// recording path. Snapshot, Drain, Close and EventsSeen each catch up
+// on the calling goroutine. A catch-up reads every table's chunks
+// (evstore.Table.Chunks), which first flushes the rows still buffered
+// in the logger's per-thread shards, feeds the rate rings the rows past
+// each table's count, and moves the count to the table's length. Any
+// goroutine may call Snapshot at any time: it covers every event
+// recorded before it started, and it folds exactly the rows its counts
+// describe.
 package live
 
 import (
@@ -36,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"sgxperf/internal/evstore"
 	"sgxperf/internal/perf/analyzer"
 	"sgxperf/internal/perf/events"
 	"sgxperf/internal/perf/logger"
@@ -56,59 +58,23 @@ type Options struct {
 	Window time.Duration
 }
 
-// batch is one table delivery, exactly one field set.
-type batch struct {
-	ecalls, ocalls []events.CallEvent
-	syncs          []events.SyncEvent
-	aexs           []events.AEXEvent
-	paging         []events.PagingEvent
-	switchless     []events.SwitchlessEvent
-}
-
-// intake is the queue between the table subscribers (producers, on the
-// recording hot path) and the demand-driven catch-up (consumer).
-type intake struct {
-	mu     sync.Mutex
-	q      []batch
-	closed bool
-}
-
-func (i *intake) push(b batch) {
-	i.mu.Lock()
-	if !i.closed {
-		i.q = append(i.q, b)
-	}
-	i.mu.Unlock()
-}
-
-// take removes and returns the queued batches.
-func (i *intake) take() []batch {
-	i.mu.Lock()
-	q := i.q
-	i.q = nil
-	i.mu.Unlock()
-	return q
-}
-
 // Collector is a live view of the analysis over a recording logger.
 type Collector struct {
-	l    *logger.Logger
+	tr   *events.Trace
 	opts Options
 
 	freq       vtime.Frequency
 	transition vtime.Cycles
 	workload   string
 
-	in      *intake
-	cancels []func()
-	closeMu sync.Mutex
-	closed  bool
-
 	// mu guards everything below and serialises catch-up.
-	mu     sync.Mutex
+	mu sync.Mutex
+	// closed freezes the collector at its last catch-up.
+	closed bool
+	// counts holds each table's row count as of the last catch-up.
 	counts Counts
-	// The delivered rows of the tables the analysis reads, one chunk per
-	// delivered batch, in delivery order.
+	// The chunks of the tables the analysis reads, as of the last
+	// catch-up: exactly the rows counts describes.
 	ecalls, ocalls analyzer.Chunks[events.CallEvent]
 	syncs          analyzer.Chunks[events.SyncEvent]
 	paging         analyzer.Chunks[events.PagingEvent]
@@ -117,11 +83,10 @@ type Collector struct {
 	ecallRing, ocallRing, aexRing, pageRing ring
 }
 
-// Attach starts a collector on the logger's trace. Events already
-// recorded are replayed into the collector atomically with the
-// subscription, so a collector attached mid-run still observes the full
-// trace exactly once. Attaching to a detached logger fails with an error
-// wrapping logger.ErrDetached.
+// Attach starts a collector on the logger's trace. It reads nothing yet:
+// its first catch-up reads each table from the first row, so a collector
+// attached mid-run still observes the full trace exactly once. Attaching
+// to a detached logger fails with an error wrapping logger.ErrDetached.
 func Attach(l *logger.Logger, opts Options) (*Collector, error) {
 	if l.Detached() {
 		return nil, fmt.Errorf("live: attach: %w", logger.ErrDetached)
@@ -132,15 +97,12 @@ func Attach(l *logger.Logger, opts Options) (*Collector, error) {
 	if opts.Window <= 0 {
 		opts.Window = time.Second
 	}
-	// Reading the trace flushes all shard buffers; anything recorded up to
-	// here is in the tables and covered by the subscription replays below.
 	tr := l.Trace()
 	c := &Collector{
-		l:          l,
+		tr:         tr,
 		opts:       opts,
 		freq:       tr.Frequency(),
 		transition: tr.TransitionCycles(),
-		in:         &intake{},
 	}
 	if tr.Meta.Len() > 0 {
 		c.workload = tr.Meta.At(0).Workload
@@ -149,101 +111,63 @@ func Attach(l *logger.Logger, opts Options) (*Collector, error) {
 	for _, r := range []*ring{&c.ecallRing, &c.ocallRing, &c.aexRing, &c.pageRing} {
 		r.width = width
 	}
-	c.cancels = append(c.cancels,
-		tr.Ecalls.Subscribe(func(rows []events.CallEvent) { c.in.push(batch{ecalls: rows}) }, true),
-		tr.Ocalls.Subscribe(func(rows []events.CallEvent) { c.in.push(batch{ocalls: rows}) }, true),
-		tr.Syncs.Subscribe(func(rows []events.SyncEvent) { c.in.push(batch{syncs: rows}) }, true),
-		tr.AEXs.Subscribe(func(rows []events.AEXEvent) { c.in.push(batch{aexs: rows}) }, true),
-		tr.Paging.Subscribe(func(rows []events.PagingEvent) { c.in.push(batch{paging: rows}) }, true),
-		tr.Switchless.Subscribe(func(rows []events.SwitchlessEvent) { c.in.push(batch{switchless: rows}) }, true),
-	)
 	return c, nil
 }
 
-// catchUpLocked takes in every queued batch. Pushes racing with the
-// catch-up land in the queue and are taken on the next loop iteration;
-// the queue is empty when it returns only for batches delivered before
-// it started, which is all Drain's contract needs. Callers hold c.mu.
+// catchUpLocked reads every table the collector follows, unless it is
+// closed. Each read flushes the logger's shards first, so the catch-up
+// covers every event recorded before it started. Callers hold c.mu.
 func (c *Collector) catchUpLocked() {
-	for {
-		q := c.in.take()
-		if len(q) == 0 {
-			return
-		}
-		for _, b := range q {
-			c.addLocked(b)
-		}
-	}
-}
-
-// addLocked keeps one delivered batch and counts it.
-func (c *Collector) addLocked(b batch) {
-	switch {
-	case b.ecalls != nil:
-		c.counts.Ecalls += len(b.ecalls)
-		c.ecalls = append(c.ecalls, b.ecalls)
-		for i := range b.ecalls {
-			c.ecallRing.add(b.ecalls[i].End)
-		}
-	case b.ocalls != nil:
-		c.counts.Ocalls += len(b.ocalls)
-		c.ocalls = append(c.ocalls, b.ocalls)
-		for i := range b.ocalls {
-			c.ocallRing.add(b.ocalls[i].End)
-		}
-	case b.syncs != nil:
-		c.counts.Syncs += len(b.syncs)
-		c.syncs = append(c.syncs, b.syncs)
-	case b.aexs != nil:
-		c.counts.AEXs += len(b.aexs)
-		for i := range b.aexs {
-			c.aexRing.add(b.aexs[i].Time)
-		}
-	case b.paging != nil:
-		c.counts.Paging += len(b.paging)
-		c.paging = append(c.paging, b.paging)
-		for i := range b.paging {
-			c.pageRing.add(b.paging[i].Time)
-		}
-	case b.switchless != nil:
-		c.counts.Switchless += len(b.switchless)
-		c.switchless = append(c.switchless, b.switchless)
-	}
-}
-
-// Drain flushes the logger's per-thread buffers and takes in everything
-// delivered so far. After a workload has quiesced, Snapshot following
-// Drain reflects the complete trace.
-func (c *Collector) Drain() {
-	c.l.Flush()
-	c.mu.Lock()
-	c.catchUpLocked()
-	c.mu.Unlock()
-}
-
-// Close detaches the collector from the trace: subscriptions are
-// cancelled and the remaining backlog is taken in. The last Snapshot
-// stays readable. Close is idempotent.
-func (c *Collector) Close() {
-	c.closeMu.Lock()
-	defer c.closeMu.Unlock()
 	if c.closed {
 		return
 	}
-	c.closed = true
-	for _, cancel := range c.cancels {
-		cancel()
+	c.ecalls = pull(c.tr.Ecalls, &c.counts.Ecalls, func(ev *events.CallEvent) { c.ecallRing.add(ev.End) })
+	c.ocalls = pull(c.tr.Ocalls, &c.counts.Ocalls, func(ev *events.CallEvent) { c.ocallRing.add(ev.End) })
+	c.syncs = pull(c.tr.Syncs, &c.counts.Syncs, nil)
+	pull(c.tr.AEXs, &c.counts.AEXs, func(ev *events.AEXEvent) { c.aexRing.add(ev.Time) })
+	c.paging = pull(c.tr.Paging, &c.counts.Paging, func(ev *events.PagingEvent) { c.pageRing.add(ev.Time) })
+	c.switchless = pull(c.tr.Switchless, &c.counts.Switchless, nil)
+}
+
+// pull reads one table's chunks, hands each row past the first *seen to
+// add (if not nil) in the table's order, and moves *seen to the table's
+// row count.
+func pull[T any](t *evstore.Table[T], seen *int, add func(*T)) [][]T {
+	chunks := t.Chunks()
+	n := 0
+	for _, rows := range chunks {
+		if add != nil {
+			for i := max(*seen-n, 0); i < len(rows); i++ {
+				add(&rows[i])
+			}
+		}
+		n += len(rows)
 	}
+	*seen = n
+	return chunks
+}
+
+// Drain catches up with everything recorded so far, the logger's
+// per-thread buffers included. After a workload has quiesced, Snapshot
+// following Drain reflects the complete trace.
+func (c *Collector) Drain() {
 	c.mu.Lock()
 	c.catchUpLocked()
 	c.mu.Unlock()
-	c.in.mu.Lock()
-	c.in.closed = true
-	c.in.mu.Unlock()
 }
 
-// EventsSeen reports how many events (over all tables) the collector has
-// observed so far.
+// Close catches up one last time and detaches the collector from the
+// trace: later Snapshots report that frozen prefix. Close is
+// idempotent.
+func (c *Collector) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.catchUpLocked()
+	c.closed = true
+}
+
+// EventsSeen catches up and reports how many events (over all tables)
+// the collector has observed so far.
 func (c *Collector) EventsSeen() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

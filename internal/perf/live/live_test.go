@@ -212,8 +212,8 @@ func TestLiveEqualsPostMortemPerEnclave(t *testing.T) {
 }
 
 // TestLiveAttachMidRunReplays attaches the collector halfway through the
-// workload: the subscription replay must hand it the first half, so the
-// drained snapshot still equals the post-mortem report.
+// workload: its first read must cover the first half, so the drained
+// snapshot still equals the post-mortem report.
 func TestLiveAttachMidRunReplays(t *testing.T) {
 	a := newApp(t)
 	l, err := logger.New(a.h, logger.WithWorkload("midrun"), logger.WithPagingTrace(false))
@@ -248,8 +248,10 @@ func TestLiveAttachMidRunReplays(t *testing.T) {
 }
 
 // TestLiveSnapshotWithoutDrain samples the collector the way a
-// dashboard does, with no Drain: once the logger has flushed, Snapshot
-// itself takes in the delivered batches.
+// dashboard does, with no Drain. In the first phase the calls are still
+// buffered in the logger's shard (the default batch is 256 events), so
+// Snapshot covers them only because its own read flushes the shards; in
+// the second the logger has flushed before Snapshot reads.
 func TestLiveSnapshotWithoutDrain(t *testing.T) {
 	a := newApp(t)
 	l, err := logger.New(a.h, logger.WithPagingTrace(false))
@@ -262,16 +264,21 @@ func TestLiveSnapshotWithoutDrain(t *testing.T) {
 	}
 	defer c.Close()
 
-	for i := 0; i < 40; i++ {
-		a.call(t, a.ctx, "ecall_noop", nil)
-	}
-	l.Flush()
-	snap := c.Snapshot()
-	if snap.Counts.Ecalls != 40 || snap.Counts.Ocalls != 0 {
-		t.Fatalf("snapshot without Drain counts %+v, want 40 ecalls", snap.Counts)
-	}
-	if len(snap.Stats) != 1 || snap.Stats[0].Name != "ecall_noop" || snap.Stats[0].Count != 40 {
-		t.Fatalf("snapshot without Drain stats %+v, want one ecall_noop row of 40", snap.Stats)
+	for phase, flush := range []bool{false, true} {
+		for i := 0; i < 40; i++ {
+			a.call(t, a.ctx, "ecall_noop", nil)
+		}
+		if flush {
+			l.Flush()
+		}
+		want := 40 * (phase + 1)
+		snap := c.Snapshot()
+		if snap.Counts.Ecalls != want || snap.Counts.Ocalls != 0 {
+			t.Fatalf("phase %d: snapshot without Drain counts %+v, want %d ecalls", phase, snap.Counts, want)
+		}
+		if len(snap.Stats) != 1 || snap.Stats[0].Name != "ecall_noop" || snap.Stats[0].Count != want {
+			t.Fatalf("phase %d: snapshot without Drain stats %+v, want one ecall_noop row of %d", phase, snap.Stats, want)
+		}
 	}
 }
 
@@ -350,8 +357,8 @@ func TestLiveSnapshotsDuringRun(t *testing.T) {
 // TestLiveSnapshotsConcurrentWithRecording samples from two goroutines
 // while three threads record: every sampler sees its counts grow, and
 // the drained snapshot still equals the post-mortem report. Run it
-// under the race detector; the snapshot folds the delivered rows
-// outside the collector's lock while new batches arrive.
+// under the race detector; the snapshot folds the rows it read outside
+// the collector's lock while the logger appends more.
 func TestLiveSnapshotsConcurrentWithRecording(t *testing.T) {
 	a := newApp(t)
 	l, err := logger.New(a.h, logger.WithPagingTrace(false), logger.WithFlushEvery(8))
@@ -436,7 +443,7 @@ func TestLiveCloseIsIdempotent(t *testing.T) {
 	if snap := c.Snapshot(); snap.Counts.Ecalls != 1 {
 		t.Fatalf("snapshot after close: %+v", snap.Counts)
 	}
-	// New events after close are not delivered.
+	// New events after close are not read.
 	a.call(t, a.ctx, "ecall_noop", nil)
 	l.Flush()
 	if snap := c.Snapshot(); snap.Counts.Ecalls != 1 {

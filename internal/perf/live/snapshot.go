@@ -30,9 +30,9 @@ type Rates struct {
 
 // Snapshot is one consistent view of the live analysis: totals and rates
 // for dashboards, plus the analyser's statistics and findings over the
-// rows delivered so far. After the workload quiesces and Drain returns,
-// Stats, Findings, Paging, WakeGraph and Switchless equal the
-// post-mortem analyser's report over the same trace.
+// rows its counts describe. Once the workload quiesces, Stats, Findings,
+// Paging, WakeGraph and Switchless equal the post-mortem analyser's
+// report over the same trace.
 type Snapshot struct {
 	Workload string `json:"workload"`
 	Counts   Counts `json:"counts"`
@@ -45,9 +45,9 @@ type Snapshot struct {
 	Switchless analyzer.SwitchlessStats `json:"switchless"`
 }
 
-// Snapshot takes in the backlog and folds every delivered row through
-// the analyser. It is safe to call at any time, concurrently with
-// recording; the counts, rates and rows it reports are read together
+// Snapshot catches up and folds every row read so far through the
+// analyser. It is safe to call at any time, concurrently with
+// recording; the counts, rates and chunks it reports are read together
 // under the collector's lock, and the fold runs outside it.
 func (c *Collector) Snapshot() Snapshot {
 	c.mu.Lock()
@@ -63,8 +63,9 @@ func (c *Collector) Snapshot() Snapshot {
 			Paging: c.pageRing.rate(c.freq),
 		},
 	}
-	// The chunk lists are only appended to, so the slices taken here stay
-	// valid after the lock is released.
+	// A catch-up replaces the chunk lists rather than rewriting them, and
+	// the chunks themselves are never rewritten, so the lists taken here
+	// stay valid after the lock is released.
 	src := &analyzer.StreamSource{
 		Workload:   c.workload,
 		Freq:       c.freq,

@@ -371,8 +371,7 @@ func (l *Logger) flushShardLocked(sh *shard) {
 }
 
 // Flush drains every thread's buffered events into the event database.
-// Readers normally need not call it — table reads flush lazily — but a
-// live consumer can use it to bound staleness explicitly.
+// Readers need not call it: table reads flush lazily.
 func (l *Logger) Flush() { l.flushAll() }
 
 // Detached reports whether recording has been stopped by Detach.

@@ -51,9 +51,9 @@ func switchlessEcallCandidates(iface *edl.Interface) []string {
 // unchanged). It returns nil when no function qualifies. The scheduler
 // bounds are left zero and filled with the runtime defaults when the
 // configuration is applied; Source is "staticlint" so downstream
-// measurements can prove their provenance. No option changes the
-// candidate set, whose parameter bound is fixed (switchlessMaxParams).
-func SwitchlessConfigFrom(iface *edl.Interface, _ Options) *sdk.SwitchlessConfig {
+// measurements can prove their provenance. The candidates' parameter
+// bound is fixed (switchlessMaxParams).
+func SwitchlessConfigFrom(iface *edl.Interface) *sdk.SwitchlessConfig {
 	if iface == nil {
 		return nil
 	}

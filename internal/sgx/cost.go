@@ -143,12 +143,6 @@ func DefaultCostModel(m MitigationLevel) CostModel {
 // RoundTrip returns the EENTER+EEXIT cost in cycles.
 func (c CostModel) RoundTrip() vtime.Cycles { return c.EEnter + c.EExit }
 
-// AEXRoundTrip returns the full cost of one asynchronous exit and resume:
-// context save, interrupt handler, and ERESUME.
-func (c CostModel) AEXRoundTrip() vtime.Cycles {
-	return c.AEXSave + c.IRQHandler + c.EResume
-}
-
 // enclaveScale applies the in-enclave compute penalty to a cycle count.
 func (c CostModel) enclaveScale(n vtime.Cycles) vtime.Cycles {
 	if c.EnclaveComputeFactor <= 0 || c.EnclaveComputeFactor == 1.0 {

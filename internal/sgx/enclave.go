@@ -77,13 +77,8 @@ type Enclave struct {
 
 	// tcsFree is a bitmap of free TCS slots (bit i set ⇔ slot i free),
 	// managed with CAS so concurrent EENTERs never serialise on a mutex.
-	tcsFree  []atomic.Uint64
-	tcsPages []*Page
-	// tcsBound/tcsPeak account for dynamically bound TCSs: the current
-	// gauge and its high-water mark, so runtimes that grow and retire
-	// worker threads (switchless pools) can report peak TCS pressure.
-	tcsBound  atomic.Int64
-	tcsPeak   atomic.Int64
+	tcsFree   []atomic.Uint64
+	tcsPages  []*Page
 	destroyed atomic.Bool
 
 	mu       sync.Mutex
@@ -207,9 +202,6 @@ func (e *Enclave) Pages() []*Page { return e.pages }
 // NumPages returns the total page count including padding.
 func (e *Enclave) NumPages() int { return len(e.pages) }
 
-// SizeBytes returns the enclave's virtual size.
-func (e *Enclave) SizeBytes() int { return len(e.pages) * PageSize }
-
 // PageAt returns the page containing vaddr, or nil if out of range.
 func (e *Enclave) PageAt(v Vaddr) *Page {
 	if v < e.Base {
@@ -238,13 +230,6 @@ func (e *Enclave) acquireTCS() (int, bool) {
 			}
 			bit := bits.Len64(v) - 1
 			if e.tcsFree[w].CompareAndSwap(v, v&^(1<<bit)) {
-				n := e.tcsBound.Add(1)
-				for {
-					p := e.tcsPeak.Load()
-					if n <= p || e.tcsPeak.CompareAndSwap(p, n) {
-						break
-					}
-				}
 				return w*64 + bit, true
 			}
 			retry = true
@@ -263,18 +248,10 @@ func (e *Enclave) releaseTCS(slot int) {
 	for {
 		v := w.Load()
 		if w.CompareAndSwap(v, v|mask) {
-			e.tcsBound.Add(-1)
 			return
 		}
 	}
 }
-
-// BoundTCS returns the number of currently bound TCS slots.
-func (e *Enclave) BoundTCS() int { return int(e.tcsBound.Load()) }
-
-// PeakTCS returns the high-water mark of simultaneously bound TCS slots
-// over the enclave's lifetime.
-func (e *Enclave) PeakTCS() int { return int(e.tcsPeak.Load()) }
 
 // FreeTCS returns the number of currently unbound TCS slots.
 func (e *Enclave) FreeTCS() int {
@@ -329,13 +306,6 @@ func (e *Enclave) commitReserve(n int) ([]*Page, error) {
 	added := e.reserve[:n]
 	e.reserve = e.reserve[n:]
 	return added, nil
-}
-
-// HeapInUse returns the number of heap bytes currently allocated.
-func (e *Enclave) HeapInUse() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.heapNext
 }
 
 // heapReset releases all heap allocations (bump-allocator reset). The SDK

@@ -123,18 +123,6 @@ type Workload struct {
 	p *proxy
 }
 
-// Option tweaks the workload.
-type Option func(*config)
-
-type config struct {
-	payloadBase int
-}
-
-// WithPayloadBase sets the nominal payload size (default 1 KiB).
-func WithPayloadBase(n int) Option {
-	return func(c *config) { c.payloadBase = n }
-}
-
 // Interface builds the SecureKeeper EDL interface (§5.2.4): the two
 // public handler ecalls, a private key-renewal ecall reachable only
 // during the ZooKeeper notification ocall (an allow-list reentrancy
@@ -174,13 +162,7 @@ func Interface() (*edl.Interface, error) {
 }
 
 // New builds the SecureKeeper proxy enclave and the backing store.
-func New(h *host.Host, ctx *sgx.Context, opts ...Option) (*Workload, error) {
-	cfg := config{payloadBase: 1024}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	_ = cfg
-
+func New(h *host.Host, ctx *sgx.Context) (*Workload, error) {
 	w := &Workload{h: h, store: NewZKStore(), p: &proxy{sessions: make(map[int]*session)}}
 
 	iface, err := Interface()

@@ -146,11 +146,12 @@ type (
 	CallStats = analyzer.CallStats
 	// CallGraph is the Fig. 5-style call graph.
 	CallGraph = analyzer.CallGraph
-	// LiveCollector streams analysis from a running workload: it
-	// subscribes to the recorder's flush path, keeps the delivered rows
-	// and sliding-window rates, and folds the rows through the analyser
-	// on every Snapshot. After the workload quiesces, Drain + Snapshot
-	// reproduce exactly what the post-mortem analyser reports over the
+	// LiveCollector streams analysis from a running workload: each
+	// Snapshot reads the recorder's tables (flushing its per-thread
+	// buffers first), updates per-table counts and sliding-window rates
+	// from the rows past the last read, and folds every row read so far
+	// through the analyser. After the workload quiesces, a Snapshot
+	// reproduces exactly what the post-mortem analyser reports over the
 	// same trace.
 	LiveCollector = live.Collector
 	// LiveSnapshot is one consistent view of a LiveCollector: event
@@ -243,8 +244,8 @@ func HybridLint(iface *Interface, t *Trace, opts LintOptions) (*LintReport, erro
 // an interface, using the same candidate logic as the lint's
 // Transition-Bound Calls detector; nil when nothing qualifies. Feed the
 // result to WithSwitchless to close the lint→config→re-measure loop.
-func SwitchlessConfigFrom(iface *Interface, opts LintOptions) *SwitchlessConfig {
-	return staticlint.SwitchlessConfigFrom(iface, opts)
+func SwitchlessConfigFrom(iface *Interface) *SwitchlessConfig {
+	return staticlint.SwitchlessConfigFrom(iface)
 }
 
 // ParseSwitchlessConfig parses a JSON switchless configuration (as
@@ -281,8 +282,9 @@ func WithAEX(mode AEXMode) LoggerOption { return logger.WithAEX(mode) }
 // WithPagingTrace enables or disables EPC paging tracing via kprobes.
 func WithPagingTrace(on bool) LoggerOption { return logger.WithPagingTrace(on) }
 
-// AttachLive subscribes a streaming collector to the logger's trace.
-// Fails with ErrLoggerDetached once the logger has been detached.
+// AttachLive attaches a streaming collector to the logger's trace; it
+// reads the trace only when sampled. Fails with ErrLoggerDetached once
+// the logger has been detached.
 func AttachLive(l *Logger, opts LiveOptions) (*LiveCollector, error) { return live.Attach(l, opts) }
 
 // NewWorkingSetEstimator creates the §4.2 estimator for an enclave.
