@@ -368,7 +368,11 @@ func BenchmarkServeWarmReport(b *testing.B) {
 // sgx-perf-vet badrepo fixture: a cold vet pass (LoadTree and the ten
 // analyzers), the staticlint source pass over the same root, an edit
 // that plants one more held-across send, and a re-lint. Its B/op and
-// allocs/op show what the later loads of one root reuse from the first.
+// allocs/op show what the later loads of one root reuse from the first:
+// the parsed files and checked packages, and each kept package's fact
+// rows, so the source pass builds no summary and the re-lint builds
+// them for the edited package alone. Each iteration lints a fresh root,
+// so its first pass stays cold.
 func BenchmarkLintRelint(b *testing.B) {
 	const edited = "internal/app/queue.go"
 	plant := []byte(`

@@ -122,12 +122,16 @@ type dfFunc struct {
 }
 
 // funcSummary records whether calling a function may block, and why.
+// Its node's deps list the resolved callees in source order, for the
+// fixpoint.
 type funcSummary struct {
+	fixNode
 	display string
 	blocks  bool
 	reason  string
-	// callees lists resolved callees in source order, for the fixpoint.
-	callees []string
+	// round is the converge round that found blocks, -1 when the body
+	// blocks directly.
+	round int
 }
 
 // blockingSeeds are the known blocking functions, by go/types FullName.
@@ -160,7 +164,8 @@ var condWaitSeeds = map[string]bool{
 
 // engine is a tree's one held-set walk: the blocking summaries the walk
 // consults, and what it records, in walk order, for lockorder,
-// heldacross and AnalyzeSyncTree to read.
+// heldacross and AnalyzeSyncTree to read. It joins its packages'
+// heldRows.
 type engine struct {
 	summaries map[string]*funcSummary
 	// acquires are the acquisitions made while another lock was held;
@@ -170,6 +175,15 @@ type engine struct {
 	// condition-variable Wait holding only its own lock (by contract it
 	// releases that lock while parked).
 	holds []holdSite
+}
+
+// heldRows are one checked package's rows of the held-set walk: its
+// functions' blocking summaries, one per function-table row, and the
+// sites the walk of their bodies records, in walk order.
+type heldRows struct {
+	sums     []*funcSummary
+	acquires []acquireSite
+	holds    []holdSite
 }
 
 // An acquireSite is one recorded acquisition.
@@ -187,26 +201,69 @@ type holdSite struct {
 	b    boundaryHit
 }
 
-// walkHeld builds the blocking summaries over the function table, then
-// walks every analysis root once, in source order, recording
-// acquisitions and held boundaries. The roots are every declared
-// function, each followed by the function literals inside it (literals
-// start with an empty held set; a literal invoked where it is written is
-// additionally walked inline by the caller's walk).
-func walkHeld(funcs []*declFunc) *engine {
-	e := &engine{summaries: buildSummaries(funcs)}
-	walk := func(fn *declFunc, name string, body *ast.BlockStmt) {
-		w := &walker{e: e, pkg: fn.pkg, fn: &dfFunc{pkg: fn.pkg, name: name}}
-		w.block(body.List, nil)
-	}
-	for _, fn := range funcs {
-		walk(fn, fn.name, fn.decl.Body)
-		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.FuncLit); ok {
-				walk(fn, fn.name+" (func literal)", lit.Body)
+// walkHeld builds the held-set walk of the checked packages: it adopts
+// the rows of every package that has them, builds the blocking
+// summaries of the others over their function tables, then walks every
+// analysis root of those once, in source order, recording acquisitions
+// and held boundaries. The roots are every declared function, each
+// followed by the function literals inside it (literals start with an
+// empty held set; a literal invoked where it is written is additionally
+// walked inline by the caller's walk).
+func walkHeld(pkgs []*Package) *engine {
+	e := &engine{summaries: make(map[string]*funcSummary, funcRows(pkgs))}
+	rows := make([]*heldRows, len(pkgs))
+	built := make([]bool, len(pkgs))
+	var live []*funcSummary
+	for i, pkg := range pkgs {
+		if rows[i] = loadRows(&pkg.checked.held); rows[i] != nil {
+			for _, sum := range rows[i].sums {
+				e.summaries[sum.full] = sum
 			}
-			return true
-		})
+			continue
+		}
+		r := &heldRows{}
+		for _, fn := range pkg.checked.funcs {
+			sum := &funcSummary{fixNode: fixNode{declFunc: fn}, display: shortName(fn.full), round: -1}
+			scanDirectBlocking(fn.pkg, fn.decl.Body, sum)
+			e.summaries[fn.full] = sum
+			r.sums = append(r.sums, sum)
+			live = append(live, sum)
+		}
+		rows[i], built[i] = r, true
+	}
+	// Propagate "may block" through the resolved call graph.
+	converge(live, e.summaries, func(sum *funcSummary, r int) bool {
+		if sum.blocks {
+			return false
+		}
+		for _, callee := range sum.deps {
+			if cs := e.summaries[callee]; cs != nil && cs.blocks && sees(sum.declFunc, cs.declFunc, cs.round, r) {
+				sum.blocks, sum.reason, sum.round = true, "calls "+cs.display, r
+				return true
+			}
+		}
+		return false
+	})
+	for i, r := range rows {
+		if built[i] {
+			walk := func(fn *declFunc, name string, body *ast.BlockStmt) {
+				w := &walker{e: e, rows: r, pkg: fn.pkg, fn: &dfFunc{pkg: fn.pkg, name: name}}
+				w.block(body.List, nil)
+			}
+			for _, sum := range r.sums {
+				fn := sum.declFunc
+				walk(fn, fn.name, fn.decl.Body)
+				ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.FuncLit); ok {
+						walk(fn, fn.name+" (func literal)", lit.Body)
+					}
+					return true
+				})
+			}
+			storeRows(&pkgs[i].checked.held, r)
+		}
+		e.acquires = append(e.acquires, r.acquires...)
+		e.holds = append(e.holds, r.holds...)
 	}
 	return e
 }
@@ -220,9 +277,11 @@ func shortName(full string) string {
 // --- the held-set walker --------------------------------------------------
 
 type walker struct {
-	e   *engine
-	pkg *Package
-	fn  *dfFunc
+	e *engine
+	// rows receive the sites the walk records.
+	rows *heldRows
+	pkg  *Package
+	fn   *dfFunc
 	// muteChan suppresses channel-op boundaries while walking the comm
 	// clauses of a select (the select itself is the boundary).
 	muteChan bool
@@ -233,7 +292,7 @@ func (w *walker) boundary(held []heldLock, b boundaryHit) {
 	if len(held) == 0 || (b.condWait && len(held) == 1) {
 		return
 	}
-	w.e.holds = append(w.e.holds, holdSite{fn: w.fn, held: held, b: b})
+	w.rows.holds = append(w.rows.holds, holdSite{fn: w.fn, held: held, b: b})
 }
 
 func (w *walker) chanBoundary(held []heldLock, pos token.Pos, desc string) {
@@ -249,7 +308,7 @@ func (w *walker) acquire(held []heldLock, op lockOp, pos token.Pos) []heldLock {
 		}
 	}
 	if len(held) > 0 {
-		w.e.acquires = append(w.e.acquires, acquireSite{fn: w.fn, held: held, op: op, pos: pos})
+		w.rows.acquires = append(w.rows.acquires, acquireSite{fn: w.fn, held: held, op: op, pos: pos})
 	}
 	return append(held[:len(held):len(held)], heldLock{id: op.id, pos: pos})
 }
@@ -753,25 +812,34 @@ func (w *walker) fallbackLockID(x ast.Expr) LockID {
 }
 
 // resolveCallee returns the statically-known callee of a call, nil for
-// indirect calls, conversions and unresolved names.
+// indirect calls, conversions and unresolved names. A generic callee
+// resolves to its declaration, whatever its type arguments: an explicit
+// instantiation (Send[int](c, v)) is unwrapped, and a method of an
+// instantiated type ((*Queue[int]).Push) is its origin ((*Queue[T]).Push),
+// the FullName its summary is keyed by.
 func resolveCallee(call *ast.CallExpr, info *types.Info) *types.Func {
-	switch fun := call.Fun.(type) {
+	fun := call.Fun
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	var f *types.Func
+	switch fun := fun.(type) {
 	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
+		f, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
 		if sel := info.Selections[fun]; sel != nil {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				return f
-			}
-			return nil
-		}
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
+			f, _ = sel.Obj().(*types.Func)
+		} else {
+			f, _ = info.Uses[fun.Sel].(*types.Func)
 		}
 	}
-	return nil
+	if f == nil {
+		return nil
+	}
+	return f.Origin()
 }
 
 // callBoundary classifies a call as a blocking boundary: a known seed or
@@ -817,32 +885,6 @@ func isPanic(call *ast.CallExpr, info *types.Info) bool {
 }
 
 // --- blocking summaries ---------------------------------------------------
-
-// buildSummaries computes, for every function of the table, whether
-// calling it may block, propagating through the call graph to a
-// fixpoint.
-func buildSummaries(funcs []*declFunc) map[string]*funcSummary {
-	summaries := make(map[string]*funcSummary, len(funcs))
-	for _, fn := range funcs {
-		sum := &funcSummary{display: shortName(fn.full)}
-		summaries[fn.full] = sum
-		scanDirectBlocking(fn.pkg, fn.decl.Body, sum)
-	}
-	converge(funcs, func(fn *declFunc) bool {
-		sum := summaries[fn.full]
-		if sum.blocks {
-			return false
-		}
-		for _, callee := range sum.callees {
-			if cs := summaries[callee]; cs != nil && cs.blocks {
-				sum.blocks, sum.reason = true, "calls "+cs.display
-				return true
-			}
-		}
-		return false
-	})
-	return summaries
-}
 
 // scanDirectBlocking fills a summary's direct boundary facts and callee
 // list, skipping goroutine bodies (their blocking belongs to them).
@@ -906,7 +948,7 @@ func noteCall(pkg *Package, call *ast.CallExpr, sum *funcSummary) {
 		noteBlock(sum, "calls "+desc)
 		return
 	}
-	sum.callees = append(sum.callees, full)
+	sum.deps = append(sum.deps, full)
 }
 
 // --- the exported sync analysis (reused by staticlint) --------------------

@@ -347,6 +347,97 @@ func (s *q) push(v int) {
 	}
 }
 
+// TestGenericCalleesResolveToDeclaredSummaries calls blocking and
+// dispatching generic functions and methods every way Go spells them. A
+// method of an instantiated type and an explicit instantiation resolve
+// to the summary of the generic declaration, as the non-generic and the
+// implicitly instantiated calls do, so heldacross reports all four held
+// sends and transamp the looped call into a dispatching generic method.
+func TestGenericCalleesResolveToDeclaredSummaries(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"internal/sdk/sdk.go": sdkStub,
+		"internal/workloads/gen/gen.go": `package gen
+
+import (
+	"sync"
+
+	"lintfixture/internal/sdk"
+)
+
+type Queue[T any] struct{ ch chan T }
+
+func (q *Queue[T]) Push(v T) { q.ch <- v }
+
+func Send[T any](c chan T, v T) { c <- v }
+
+type plain struct{ ch chan int }
+
+func (p *plain) Push(v int) { p.ch <- v }
+
+type server struct {
+	mu sync.Mutex
+	q  *Queue[int]
+	p  *plain
+	c  chan int
+}
+
+func (s *server) instantiatedMethod() {
+	s.mu.Lock()
+	s.q.Push(1)
+	s.mu.Unlock()
+}
+
+func (s *server) explicitInstantiation() {
+	s.mu.Lock()
+	Send[int](s.c, 1)
+	s.mu.Unlock()
+}
+
+func (s *server) implicitInstantiation() {
+	s.mu.Lock()
+	Send(s.c, 1)
+	s.mu.Unlock()
+}
+
+func (s *server) nonGeneric() {
+	s.mu.Lock()
+	s.p.Push(1)
+	s.mu.Unlock()
+}
+
+type Batch[T any] struct{ env *sdk.Env }
+
+func (b *Batch[T]) Put(v T) { b.env.Ocall("ocall_put", v) }
+
+func drain(b *Batch[int], items []int) {
+	for _, v := range items {
+		b.Put(v)
+	}
+}
+`,
+	})
+	diags, err := Run(root, []*Analyzer{HeldAcross, TransAmp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"heldacross:" + "(*lintfixture/internal/workloads/gen.Queue[T]).Push" + ":instantiatedMethod",
+		"heldacross:lintfixture/internal/workloads/gen.Send:explicitInstantiation",
+		"heldacross:lintfixture/internal/workloads/gen.Send:implicitInstantiation",
+		"heldacross:(*lintfixture/internal/workloads/gen.plain).Push:nonGeneric",
+		"transamp:(*lintfixture/internal/workloads/gen.Batch[T]).Put:drain",
+	}
+	if len(diags) != len(want) {
+		t.Fatalf("diagnostics = %v, want %d", messages(diags), len(want))
+	}
+	for i, d := range diags {
+		parts := strings.SplitN(want[i], ":", 3)
+		if d.Analyzer != parts[0] || !strings.Contains(d.Message, parts[1]) || !strings.Contains(d.Message, parts[2]) {
+			t.Errorf("diagnostic %d = %s: %s, want %s naming %s in %s", i, d.Analyzer, d.Message, parts[0], parts[1], parts[2])
+		}
+	}
+}
+
 // cond.Wait holding exactly the cond's lock is the contract, not a bug;
 // a second lock held across the wait is one.
 func TestHeldAcrossCondWaitContract(t *testing.T) {

@@ -132,67 +132,93 @@ type ipEscape struct {
 	pos   token.Pos
 }
 
-// An ipFunc is one declared function's interprocedural summary.
+// An ipFunc is one declared function's interprocedural summary. Its
+// node's deps list the callees of its calls, for the fixpoint.
 type ipFunc struct {
-	*declFunc
+	fixNode
 	crossings []ipCrossing
 	calls     []ipCall
 	fetches   []ipFetch
 	escapes   []ipEscape
+	// crosses is the fixpoint's fact: does calling the function execute
+	// at least one unconditional-kind ocall dispatch, transitively? round
+	// is the converge round that found it, -1 when the body dispatches.
+	crosses bool
+	round   int
 }
 
-// interproc is a tree's one call graph.
+// interproc is a tree's one call graph, joined from its packages'
+// graphRows.
 type interproc struct {
 	funcs map[string]*ipFunc
 	order []*ipFunc // one per function-table row, in source order
 	// entries lists every ecall registration recovered from
 	// map[string]sdk.TrustedFn composite literals (see sortedEntries).
 	entries []entry
-	// crosses is the fixpoint: does calling the function execute at
-	// least one unconditional-kind ocall dispatch, transitively?
-	crosses map[string]bool
 }
 
-// newInterproc scans every function of the table and computes the
-// ocall-reachability fixpoint.
-func newInterproc(funcs []*declFunc, pkgs []*Package) *interproc {
-	ip := &interproc{
-		funcs:   make(map[string]*ipFunc, len(funcs)),
-		crosses: make(map[string]bool),
-	}
-	for _, df := range funcs {
-		fn := &ipFunc{declFunc: df}
-		s := &ipScanner{pkg: df.pkg, fn: fn, reads: make(map[string][]token.Pos)}
-		s.argObjs = boundaryParams(df.decl, df.pkg.Info)
-		s.block(df.decl.Body, ipCtx{trip: 1})
-		s.resolveFetches()
-		ip.funcs[fn.full] = fn
-		ip.order = append(ip.order, fn)
-		for _, c := range fn.crossings {
-			if c.kind == CrossOcall {
-				ip.crosses[fn.full] = true
-				break
+// graphRows are one checked package's rows of the call graph: its
+// functions' summaries, one per function-table row, and its ecall
+// registrations.
+type graphRows struct {
+	funcs   []*ipFunc
+	entries []entry
+}
+
+// newInterproc builds the call graph of the checked packages: it adopts
+// the rows of every package that has them, scans every function of the
+// others and computes their ocall-reachability fixpoint.
+func newInterproc(pkgs []*Package) *interproc {
+	ip := &interproc{funcs: make(map[string]*ipFunc, funcRows(pkgs))}
+	rows := make([]*graphRows, len(pkgs))
+	var live []*ipFunc
+	for i, pkg := range pkgs {
+		r := loadRows(&pkg.checked.graph)
+		if r == nil {
+			r = &graphRows{entries: collectEntries(pkg, nil)}
+			for _, df := range pkg.checked.funcs {
+				fn := &ipFunc{fixNode: fixNode{declFunc: df}, round: -1}
+				s := &ipScanner{pkg: df.pkg, fn: fn, reads: make(map[string][]token.Pos)}
+				s.argObjs = boundaryParams(df.decl, df.pkg.Info)
+				s.block(df.decl.Body, ipCtx{trip: 1})
+				s.resolveFetches()
+				for _, c := range fn.crossings {
+					if c.kind == CrossOcall {
+						fn.crosses = true
+						break
+					}
+				}
+				r.funcs = append(r.funcs, fn)
 			}
+			live = append(live, r.funcs...)
+			rows[i] = r
 		}
-	}
-	for _, pkg := range pkgs {
-		ip.entries = collectEntries(pkg, ip.entries)
+		for _, fn := range r.funcs {
+			ip.funcs[fn.full] = fn
+		}
+		ip.order = append(ip.order, r.funcs...)
+		ip.entries = append(ip.entries, r.entries...)
 	}
 	ip.entries = sortedEntries(ip.entries)
 	// Propagate "transitively dispatches an ocall" through the resolved
 	// call graph, like dataflow.go's blocking summaries.
-	converge(ip.order, func(fn *ipFunc) bool {
-		if ip.crosses[fn.full] {
+	converge(live, ip.funcs, func(fn *ipFunc, r int) bool {
+		if fn.crosses {
 			return false
 		}
 		for _, call := range fn.calls {
-			if ip.crosses[call.callee] {
-				ip.crosses[fn.full] = true
+			if c := ip.funcs[call.callee]; c != nil && c.crosses && sees(fn.declFunc, c.declFunc, c.round, r) {
+				fn.crosses, fn.round = true, r
 				return true
 			}
 		}
 		return false
 	})
+	for i, r := range rows {
+		if r != nil {
+			storeRows(&pkgs[i].checked.graph, r)
+		}
+	}
 	return ip
 }
 
@@ -540,10 +566,12 @@ func (s *ipScanner) call(call *ast.CallExpr, c ipCtx) {
 		return
 	}
 	if fn := resolveCallee(call, info); fn != nil {
+		callee := fn.FullName()
 		s.fn.calls = append(s.fn.calls, ipCall{
-			callee: fn.FullName(), pos: call.Pos(),
+			callee: callee, pos: call.Pos(),
 			depth: c.depth, trip: c.trip, cond: c.cond,
 		})
+		s.fn.deps = append(s.fn.deps, callee)
 	}
 }
 
@@ -1066,7 +1094,7 @@ func (ip *interproc) loopCrossings(fn *ipFunc) []ipLoop {
 		})
 	}
 	for _, call := range fn.calls {
-		if call.depth == 0 || !ip.crosses[call.callee] {
+		if c := ip.funcs[call.callee]; call.depth == 0 || c == nil || !c.crosses {
 			continue
 		}
 		out = append(out, ipLoop{

@@ -48,8 +48,13 @@
 // per-function crossing summaries serve transamp, doublefetch, ptrescape
 // and the staticlint transition predictor; and one set of
 // field-sensitive taint summaries (taint.go) composed over that graph,
-// for secretflow and edlflow. The three summary fixpoints run through
-// one helper, converge. Findings are suppressible site-by-site with a
+// for secretflow and edlflow. Each checked package keeps its rows of
+// these facts across loads of one root, so a Tree builds rows only for
+// the packages it re-checks. The three summary fixpoints run through one
+// helper, converge, over those packages' functions, with the kept
+// packages' summaries as fixed inputs; its source-order rounds re-walk
+// a function only when a callee's summary grew since its last walk.
+// Findings are suppressible site-by-site with a
 // justified //sgxperf:allow(name) annotation (see typecheck.go);
 // lock-order edges with an intentional hierarchy carry
 // //sgxperf:lockorder instead. All three directive families share one

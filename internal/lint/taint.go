@@ -50,8 +50,10 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -101,7 +103,9 @@ func runSecretFlow(p *Pass) error {
 			"%s leaks %s to %s without sealing: %s; seal or encrypt it before the crossing, or justify with //sgxperf:allow(secretflow)",
 			fl.fn.name, fl.src.desc, fl.sink.desc, chainString(p.Fset, fl.chain))
 	}
-	*p.diags = append(*p.diags, g.secrets.problems(nil)...)
+	for _, r := range g.rows {
+		*p.diags = append(*p.diags, r.secrets.problems(nil)...)
+	}
 	return nil
 }
 
@@ -200,17 +204,25 @@ type sinkInfo struct {
 type paramSink struct {
 	steps []tstep
 	sink  sinkInfo
+	round int // the converge round that set the fact
 }
 
-// a taintFunc is one declared function plus its composable summary.
+// a secretResult is a function-summary fact: a result born secret.
+type secretResult struct {
+	v     *taintVal
+	round int // the converge round that set the fact
+}
+
+// a taintFunc is one declared function plus its composable summary. Its
+// node's deps list the in-tree callees its latest walk composed.
 type taintFunc struct {
-	*declFunc
+	fixNode
 	sig *types.Signature
-	// Summary bits, grown monotonically by the fixpoint rounds; each is
+	// Summary facts, grown monotonically by the fixpoint rounds; each is
 	// set at most once, which bounds the rounds.
-	sinkVia      map[int]*paramSink // param index → sink it reaches
-	resultSecret map[int]*taintVal  // result index → secret taint born inside
-	passes       map[[2]int]bool    // param i flows to result j
+	sinkVia      map[int]*paramSink   // param index → sink it reaches
+	resultSecret map[int]secretResult // result index → secret taint born inside
+	passes       map[[2]int]int       // param i flows to result j: the round that found it
 	// flows are the complete source→sink paths of the function's latest
 	// walk.
 	flows []taintFlow
@@ -244,72 +256,138 @@ type edlParam struct {
 
 // an edlDecl is one statically-recovered AddEcall/AddOcall declaration.
 type edlDecl struct {
+	name   string // the call's name
 	kind   string // "ecall" or "ocall"
 	params []edlParam
 }
 
-// taintGraph is the whole-tree taint view: sources, summaries, flows
-// and EDL direction issues, built once per Tree and scope-filtered by
-// the analyzers and the exported report.
-type taintGraph struct {
-	fset    *token.FileSet
-	secrets *directiveSet
-	sources map[types.Object]*secretSrc
-	edl     map[string]*edlDecl
+// taintTables are the two tree-wide tables the taint walk and the
+// direction check read besides a function's own package and imports.
+// A package registering a handler imports the handler's package, not
+// the other way round, and an EDL declaration can sit anywhere, so a
+// change to either table reaches packages whose checks it keeps.
+type taintTables struct {
 	// handlerEcall maps handler FullNames back to their registered ecall
 	// names (from the TrustedFn maps interproc.go recovers).
 	handlerEcall map[string]string
-	funcs        map[string]*taintFunc
-	order        []*taintFunc // one per function-table row, in source order
-	flows        []taintFlow
-	issues       []taintIssue
+	// edl maps call names to their declarations; a later package's
+	// declaration replaces an earlier one's.
+	edl map[string]*edlDecl
 }
 
-// newTaintGraph builds the whole-tree taint analysis.
+func (t *taintTables) equal(u *taintTables) bool {
+	return maps.Equal(t.handlerEcall, u.handlerEcall) &&
+		maps.EqualFunc(t.edl, u.edl, func(a, b *edlDecl) bool {
+			return a.kind == b.kind && slices.Equal(a.params, b.params)
+		})
+}
+
+// taintRows are one checked package's rows of the taint graph. Its
+// secret markers, sources and EDL declarations depend on the package
+// alone. Its functions' summaries, flows and direction issues depend on
+// its package, its imports and the taint tables too, so they are
+// adopted only by a Tree whose tables equal the ones they were built
+// under.
+type taintRows struct {
+	secrets *directiveSet
+	sources []*secretSrc
+	edl     []*edlDecl // in source order
+	tables  *taintTables
+	funcs   []*taintFunc // one per function-table row
+	issues  []taintIssue
+}
+
+// taintGraph is the whole-tree taint view: sources, summaries, flows
+// and EDL direction issues, built once per Tree from its packages'
+// taintRows and scope-filtered by the analyzers and the exported report.
+type taintGraph struct {
+	fset    *token.FileSet
+	rows    []*taintRows // one per package, in Pkgs order
+	sources map[types.Object]*secretSrc
+	tables  *taintTables
+	funcs   map[string]*taintFunc
+	flows   []taintFlow
+	issues  []taintIssue
+}
+
+// newTaintGraph builds the whole-tree taint analysis. It adopts every
+// package's secret markers, sources and EDL declarations when the package
+// has them, and its summaries too when they were built under taint
+// tables equal to this tree's; it builds the rest.
 func newTaintGraph(tree *Tree) *taintGraph {
-	funcs := tree.funcTable()
+	ip := tree.callGraph()
 	g := &taintGraph{
-		fset:         tree.Fset,
-		secrets:      collectSecretMarks(tree.Fset, tree.Pkgs),
-		sources:      make(map[types.Object]*secretSrc),
-		edl:          make(map[string]*edlDecl),
-		handlerEcall: make(map[string]string),
-		funcs:        make(map[string]*taintFunc, len(funcs)),
+		fset:    tree.Fset,
+		rows:    make([]*taintRows, len(tree.Pkgs)),
+		sources: make(map[types.Object]*secretSrc),
+		funcs:   make(map[string]*taintFunc, len(ip.order)),
 	}
-	for _, pkg := range tree.Pkgs {
-		g.collectSources(pkg)
-		g.collectEDL(pkg)
-	}
-	for _, df := range funcs {
-		fn := &taintFunc{
-			declFunc:     df,
-			sig:          df.obj.Type().(*types.Signature),
-			sinkVia:      make(map[int]*paramSink),
-			resultSecret: make(map[int]*taintVal),
-			passes:       make(map[[2]int]bool),
+	tables := &taintTables{handlerEcall: make(map[string]string), edl: make(map[string]*edlDecl)}
+	for i, pkg := range tree.Pkgs {
+		r := loadRows(&pkg.checked.taint)
+		if r == nil {
+			secrets := collectSecretMarks(tree.Fset, []*Package{pkg})
+			r = &taintRows{secrets: secrets, sources: collectSources(pkg, secrets), edl: collectEDL(pkg)}
 		}
-		g.funcs[fn.full] = fn
-		g.order = append(g.order, fn)
+		g.rows[i] = r
+		for _, src := range r.sources {
+			g.sources[src.obj] = src
+		}
+		for _, d := range r.edl {
+			tables.edl[d.name] = d
+		}
 	}
 	// Every registered handler is checked; one registered under several
 	// ecall names is checked against the first.
-	for _, e := range tree.callGraph().entries {
-		if _, ok := g.handlerEcall[e.handler]; !ok {
-			g.handlerEcall[e.handler] = e.ecall
+	for _, e := range ip.entries {
+		if _, ok := tables.handlerEcall[e.handler]; !ok {
+			tables.handlerEcall[e.handler] = e.ecall
 		}
 	}
-
-	// Summary fixpoint: walk every function against the current callee
-	// summaries until no summary grows. The last round walks every
-	// function against the final summaries and changes none, so each
-	// function's flows from that round are its complete source→sink
-	// paths; gather them, then cross-validate the registered handlers
-	// against the EDL.
-	converge(g.order, func(fn *taintFunc) bool { return g.walker(fn).run() })
-	for _, fn := range g.order {
-		g.flows = append(g.flows, fn.flows...)
+	var live []*taintFunc
+	built := make([]bool, len(tree.Pkgs))
+	for i, r := range g.rows {
+		if r.tables == tables || r.tables != nil && r.tables.equal(tables) {
+			tables = r.tables // later rows built under these tables match by pointer
+		} else {
+			if r.tables != nil { // published under other tables: keep what is theirs alone
+				r = &taintRows{secrets: r.secrets, sources: r.sources, edl: r.edl}
+			}
+			for _, df := range tree.Pkgs[i].checked.funcs {
+				r.funcs = append(r.funcs, &taintFunc{
+					fixNode:      fixNode{declFunc: df},
+					sig:          df.obj.Type().(*types.Signature),
+					sinkVia:      make(map[int]*paramSink),
+					resultSecret: make(map[int]secretResult),
+					passes:       make(map[[2]int]int),
+				})
+			}
+			live = append(live, r.funcs...)
+			g.rows[i], built[i] = r, true
+		}
+		for _, fn := range r.funcs {
+			g.funcs[fn.full] = fn
+		}
 	}
-	g.validateDirections()
+	g.tables = tables
+
+	// Summary fixpoint: walk every function against the callee summaries
+	// it sees until no summary grows. A function's last walk sees its
+	// callees' final summaries, so its flows from that walk are its
+	// complete source→sink paths; gather them, then cross-validate the
+	// registered handlers against the EDL.
+	converge(live, g.funcs, func(fn *taintFunc, r int) bool { return g.walker(fn, r).run() })
+	for i, r := range g.rows {
+		if built[i] {
+			r.tables = tables
+			r.issues = g.validateDirections(r.funcs)
+			storeRows(&tree.Pkgs[i].checked.taint, r)
+		}
+		for _, fn := range r.funcs {
+			g.flows = append(g.flows, fn.flows...)
+		}
+		g.issues = append(g.issues, r.issues...)
+	}
 	sort.Slice(g.flows, func(i, j int) bool {
 		a, b := g.fset.Position(g.flows[i].sink.pos), g.fset.Position(g.flows[j].sink.pos)
 		if a.Filename != b.Filename {
@@ -334,11 +412,13 @@ func sanitizerName(name string) bool {
 	return strings.Contains(l, "seal") || strings.Contains(l, "encrypt")
 }
 
-// collectSources records every //sgxperf:secret-marked declaration.
-func (g *taintGraph) collectSources(pkg *Package) {
+// collectSources returns every //sgxperf:secret-marked declaration of
+// the package, marking the markers it finds as used.
+func collectSources(pkg *Package, secrets *directiveSet) []*secretSrc {
+	var out []*secretSrc
 	note := func(names []*ast.Ident) {
 		for _, name := range names {
-			if !g.secrets.covers("secretflow", name.Pos()) {
+			if !secrets.covers("secretflow", name.Pos()) {
 				continue
 			}
 			obj := pkg.Info.Defs[name]
@@ -353,11 +433,11 @@ func (g *taintGraph) collectSources(pkg *Package) {
 					kind = "variable"
 				}
 			}
-			g.sources[obj] = &secretSrc{
+			out = append(out, &secretSrc{
 				obj:  obj,
 				desc: fmt.Sprintf("secret %s %s", kind, obj.Name()),
 				pos:  name.Pos(),
-			}
+			})
 		}
 	}
 	for _, file := range pkg.Files {
@@ -371,6 +451,7 @@ func (g *taintGraph) collectSources(pkg *Package) {
 			return true
 		})
 	}
+	return out
 }
 
 // edlBase mirrors sdkBase: the EDL package is recognised by path
@@ -380,10 +461,12 @@ func edlBase(pkg *types.Package) bool {
 }
 
 // collectEDL recovers declared call directions from AddEcall/AddOcall
-// builder calls with constant names and edl.Param composite literals;
-// directions resolve by constant identifier name (DirIn, DirOut, …) so
-// fixture EDL packages need not share the real package's values.
-func (g *taintGraph) collectEDL(pkg *Package) {
+// builder calls with constant names and edl.Param composite literals, in
+// source order; directions resolve by constant identifier name (DirIn,
+// DirOut, …) so fixture EDL packages need not share the real package's
+// values.
+func collectEDL(pkg *Package) []*edlDecl {
+	var out []*edlDecl
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -402,7 +485,7 @@ func (g *taintGraph) collectEDL(pkg *Package) {
 			if name == "" || len(call.Args) < 2 {
 				return true
 			}
-			decl := &edlDecl{kind: "ecall"}
+			decl := &edlDecl{name: name, kind: "ecall"}
 			if fn.Name() == "AddOcall" {
 				decl.kind = "ocall"
 			}
@@ -438,10 +521,11 @@ func (g *taintGraph) collectEDL(pkg *Package) {
 					decl.params = append(decl.params, p)
 				}
 			}
-			g.edl[name] = decl
+			out = append(out, decl)
 			return true
 		})
 	}
+	return out
 }
 
 // dirName resolves a direction expression by its constant's identifier.
@@ -469,7 +553,7 @@ func dirName(e ast.Expr) string {
 // paramDir looks up the declared direction of the EDL parameter mapping
 // (case-insensitively) to a Go field name.
 func (g *taintGraph) paramDir(ecall, field string) (string, string) {
-	decl := g.edl[ecall]
+	decl := g.tables.edl[ecall]
 	if decl == nil {
 		return "", ""
 	}
@@ -492,14 +576,17 @@ type taintWalker struct {
 	pkg     *Package
 	taint   map[taintKey]*taintVal
 	argObjs map[types.Object]bool
+	// round is the converge round the walk runs in.
+	round int
 	// changed records whether the walk grew the function's summary.
 	changed bool
 }
 
-func (g *taintGraph) walker(fn *taintFunc) *taintWalker {
+func (g *taintGraph) walker(fn *taintFunc, round int) *taintWalker {
 	fn.flows = fn.flows[:0]
+	fn.deps = fn.deps[:0]
 	w := &taintWalker{
-		g: g, fn: fn, pkg: fn.pkg,
+		g: g, fn: fn, pkg: fn.pkg, round: round,
 		taint:   make(map[taintKey]*taintVal),
 		argObjs: boundaryParams(fn.decl, fn.pkg.Info),
 	}
@@ -582,12 +669,12 @@ func (w *taintWalker) stmt(st ast.Stmt) {
 			if v == nil {
 				continue
 			}
-			if v.src != nil && w.fn.resultSecret[j] == nil {
-				w.fn.resultSecret[j] = v.extend(r.Pos(), "returned by "+w.fn.name)
+			if _, ok := w.fn.resultSecret[j]; v.src != nil && !ok {
+				w.fn.resultSecret[j] = secretResult{v: v.extend(r.Pos(), "returned by "+w.fn.name), round: w.round}
 				w.note()
 			}
-			if v.param >= 0 && !w.fn.passes[[2]int{v.param, j}] {
-				w.fn.passes[[2]int{v.param, j}] = true
+			if _, ok := w.fn.passes[[2]int{v.param, j}]; v.param >= 0 && !ok {
+				w.fn.passes[[2]int{v.param, j}] = w.round
 				w.note()
 			}
 		}
@@ -642,6 +729,12 @@ func (w *taintWalker) caseBodies(body *ast.BlockStmt) {
 
 // note flags a summary change for the fixpoint driver.
 func (w *taintWalker) note() { w.changed = true }
+
+// sees reports whether the walk sees a fact callee's summary gained in
+// round s (see converge).
+func (w *taintWalker) sees(callee *taintFunc, s int) bool {
+	return sees(w.fn.declFunc, callee.declFunc, s, w.round)
+}
 
 // assign pairs RHS taint onto LHS roots, extends the boundary-derived
 // set through type assertions, and checks boundary-write sinks.
@@ -701,7 +794,7 @@ func (w *taintWalker) boundaryWrite(lhs ast.Expr, v *taintVal, rhs ast.Expr) {
 	if sel == nil {
 		return
 	}
-	ecall := w.g.handlerEcall[w.fn.full]
+	ecall := w.g.tables.handlerEcall[w.fn.full]
 	kind, dirNote := "boundary-write", ""
 	if ecall != "" {
 		if pname, dir := w.g.paramDir(ecall, field); pname != "" {
@@ -791,7 +884,7 @@ func (w *taintWalker) sinkHit(v *taintVal, sink sinkInfo) {
 		return
 	}
 	if v.param >= 0 && w.fn.sinkVia[v.param] == nil {
-		w.fn.sinkVia[v.param] = &paramSink{steps: append([]tstep{}, v.chain...), sink: sink}
+		w.fn.sinkVia[v.param] = &paramSink{steps: append([]tstep{}, v.chain...), sink: sink, round: w.round}
 		w.note()
 	}
 }
@@ -938,27 +1031,28 @@ func (w *taintWalker) callTaint(call *ast.CallExpr) *taintVal {
 	}
 	if fn != nil {
 		if g, ok := w.g.funcs[fn.FullName()]; ok {
+			w.fn.deps = append(w.fn.deps, g.full)
 			var out *taintVal
 			for i, v := range vals {
 				if v == nil {
 					continue
 				}
-				if ps := g.sinkVia[i]; ps != nil {
+				if ps := g.sinkVia[i]; ps != nil && w.sees(g, ps.round) {
 					sunk := v.extend(call.Pos(), "passed to "+g.name)
 					sunk = &taintVal{src: sunk.src, param: sunk.param,
 						chain: append(append([]tstep{}, sunk.chain...), ps.steps...)}
 					w.sinkHit(sunk, ps.sink)
 				}
 				for j := 0; j < g.sig.Results().Len(); j++ {
-					if g.passes[[2]int{i, j}] && out == nil {
+					if s, ok := g.passes[[2]int{i, j}]; ok && w.sees(g, s) && out == nil {
 						out = v.extend(call.Pos(), "through call to "+g.name)
 					}
 				}
 			}
 			if out == nil {
 				for j := 0; j < g.sig.Results().Len(); j++ {
-					if rv := g.resultSecret[j]; rv != nil {
-						out = rv.extend(call.Pos(), "returned by "+g.name)
+					if rv, ok := g.resultSecret[j]; ok && w.sees(g, rv.round) {
+						out = rv.v.extend(call.Pos(), "returned by "+g.name)
 						break
 					}
 				}
@@ -1062,12 +1156,13 @@ func rootKey(e ast.Expr, info *types.Info) (types.Object, string) {
 
 // --- EDL direction cross-validation ----------------------------------------
 
-// validateDirections checks every registered handler, in source order,
-// against the recovered EDL declaration of its ecall.
-func (g *taintGraph) validateDirections() {
-	for _, fn := range g.order {
-		ecall := g.handlerEcall[fn.full]
-		decl := g.edl[ecall]
+// validateDirections checks every registered handler among funcs, in
+// source order, against the recovered EDL declaration of its ecall.
+func (g *taintGraph) validateDirections(funcs []*taintFunc) []taintIssue {
+	var issues []taintIssue
+	for _, fn := range funcs {
+		ecall := g.tables.handlerEcall[fn.full]
+		decl := g.tables.edl[ecall]
 		if decl == nil {
 			continue
 		}
@@ -1090,7 +1185,7 @@ func (g *taintGraph) validateDirections() {
 			switch p.dir {
 			case "in":
 				if u.write != token.NoPos {
-					g.issues = append(g.issues, taintIssue{
+					issues = append(issues, taintIssue{
 						fn: fn, pos: u.write, ecall: ecall, param: p.name, dir: p.dir,
 						kind: "in-written",
 						detail: fmt.Sprintf(
@@ -1100,7 +1195,7 @@ func (g *taintGraph) validateDirections() {
 				}
 			case "out":
 				if u.read != token.NoPos && (u.write == token.NoPos || u.read < u.write) {
-					g.issues = append(g.issues, taintIssue{
+					issues = append(issues, taintIssue{
 						fn: fn, pos: u.read, ecall: ecall, param: p.name, dir: p.dir,
 						kind: "out-stale-read",
 						detail: fmt.Sprintf(
@@ -1110,7 +1205,7 @@ func (g *taintGraph) validateDirections() {
 				}
 			case "user_check":
 				if u.deref != token.NoPos && (u.guard == token.NoPos || u.deref < u.guard) {
-					g.issues = append(g.issues, taintIssue{
+					issues = append(issues, taintIssue{
 						fn: fn, pos: u.deref, ecall: ecall, param: p.name, dir: p.dir,
 						kind: "user-check-unguarded",
 						detail: fmt.Sprintf(
@@ -1121,6 +1216,7 @@ func (g *taintGraph) validateDirections() {
 			}
 		}
 	}
+	return issues
 }
 
 // a fieldUse records the first read, write, dereference and branch

@@ -46,6 +46,10 @@ type Package struct {
 	Types *types.Package
 	// Info holds the resolved uses, definitions, selections and types.
 	Info *types.Info
+
+	// checked is the root table's check of the package, which holds its
+	// rows of the fact base.
+	checked *checkedPkg
 }
 
 // tolerantImporter resolves imports from source via the standard
@@ -141,19 +145,22 @@ func inGOROOT(p string) bool {
 // lastRoot is the process-wide table of the most recently loaded root:
 // its FileSet, each file's AST keyed by path and the SHA-256 of its bytes,
 // and each checked package keyed by import path, files and in-tree
-// imports. LoadTree re-parses only files whose bytes changed, and
-// ensureTypes re-checks only packages whose key changed plus their
-// reverse dependencies; every other file and package is the object the
-// previous load produced. A cold load is the same path over an empty
-// entry.
+// imports, with the package's rows of the fact base. LoadTree re-parses
+// only files whose bytes changed, and ensureTypes re-checks only packages
+// whose key changed plus their reverse dependencies; every other file and
+// package is the object the previous load produced, and a Tree's facts
+// adopt every kept package's rows. A cold load is the same path over an
+// empty entry.
 //
 // The table holds one root because trees kept for earlier roots would
 // sit in every later heap; loading another root replaces the entry. It
 // stays bounded for one root too: a file a load does not see leaves the
 // entry, and once stale file versions in the FileSet outnumber live
-// files the entry is dropped, so the next load is cold. ASTs and checked
-// packages are shared read-only; each entry's maps are replaced whole,
-// never written in place, and one mutex guards the table.
+// files the entry is dropped, so the next load is cold. Fact rows leave
+// with their checked package. ASTs, checked packages and published rows
+// are shared read-only; each entry's maps are replaced whole, never
+// written in place, and one mutex guards the table and every checked
+// package's row fields.
 var lastRoot struct {
 	sync.Mutex
 	e *rootEntry
@@ -178,13 +185,45 @@ type parsedFile struct {
 	file *ast.File
 }
 
-// A checkedPkg is one checked package and the key it was checked under
-// (its files and in-tree imports; the import path keys the map).
+// A checkedPkg is one checked package, the key it was checked under
+// (its files and in-tree imports; the import path keys the map) and its
+// rows of the fact base (see Tree). The function-table rows are built
+// with the check. The rows of the held-set walk, the call graph and the
+// taint summaries are built by the first Tree that needs them (taint
+// summaries again whenever the tables they were built under change; see
+// taintRows) and adopted by every later Tree of the root that keeps the
+// package, so they leave the table with the check: when another root
+// replaces the entry, when stale versions evict it, or when a load
+// re-checks the package. Row fields are read and replaced under
+// lastRoot's mutex (see loadRows); a published row is never written
+// again.
 type checkedPkg struct {
 	files []*ast.File
 	deps  []string
 	types *types.Package
 	info  *types.Info
+
+	funcs []*declFunc
+	held  *heldRows
+	graph *graphRows
+	taint *taintRows
+}
+
+// loadRows reads one of a checked package's row fields.
+func loadRows[R any](field *R) R {
+	lastRoot.Lock()
+	defer lastRoot.Unlock()
+	return *field
+}
+
+// storeRows publishes rows a Tree built into one of a checked package's
+// row fields. Rows are published whole, so Trees that build a package's
+// rows concurrently race only over which version stays: the last to
+// publish wins, and each is what a cold load of its Tree would build.
+func storeRows[R any](field *R, rows R) {
+	lastRoot.Lock()
+	defer lastRoot.Unlock()
+	*field = rows
 }
 
 // rootEntryFor returns the table's entry for root, replacing the entry
@@ -362,8 +401,9 @@ func (tc *treeChecker) check(pkg *Package) {
 			tpkg = types.NewPackage(pkg.ImportPath, "")
 		}
 		c.types, c.info = tpkg, info
+		c.funcs = declFuncs(pkg, info)
 	}
-	pkg.Types, pkg.Info = c.types, c.info
+	pkg.Types, pkg.Info, pkg.checked = c.types, c.info, c
 	tc.state[pkg.ImportPath] = 2
 }
 

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -265,7 +266,9 @@ func Two() { dep.Call() }
 // then after a warm load, when the pair reuses its checked packages while
 // the third goroutine evicts them from the root table. The process-wide
 // GOROOT table must hand every load the same sync package, and every load
-// must lint identically.
+// must lint identically and export identical sync, interprocedural and
+// taint reports, whether its trees build fact rows, adopt them or race
+// another tree publishing them.
 func TestTypecheckGOROOTTableConcurrent(t *testing.T) {
 	files := map[string]string{
 		"go.mod":             "module example.com/fix\n\ngo 1.22\n",
@@ -304,6 +307,7 @@ func Call() { gone.Call() }
 	lintAll := func(hold bool) []*Tree {
 		trees := make([]*Tree, len(roots))
 		diags := make([][]string, len(roots))
+		reports := make([][]string, len(roots))
 		errs := make([]error, len(roots))
 		var loaded, wg sync.WaitGroup
 		loaded.Add(2)
@@ -323,7 +327,7 @@ func Call() { gone.Call() }
 					return
 				}
 				ds, err := RunTree(tree, Analyzers())
-				trees[i], errs[i] = tree, err
+				trees[i], errs[i], reports[i] = tree, err, exported(tree)
 				for _, d := range ds {
 					diags[i] = append(diags[i], strings.ReplaceAll(d.String(), root, ""))
 				}
@@ -345,6 +349,9 @@ func Call() { gone.Call() }
 		for i := 1; i < len(roots); i++ {
 			if !slices.Equal(diags[0], diags[i]) {
 				t.Errorf("concurrent trees disagree:\n%v\n%v", diags[0], diags[i])
+			}
+			if !slices.Equal(reports[0], reports[i]) {
+				t.Errorf("concurrent trees export different reports:\n%v\n%v", reports[0], reports[i])
 			}
 			if si := importOf(findPkg(t, trees[i], "pkg/locks").Types, "sync"); si != s0 {
 				t.Errorf("sync imports = %p and %p, want one shared package", s0, si)
@@ -426,7 +433,13 @@ func TestTypecheckQuotedModulePath(t *testing.T) {
 
 // relintFiles is the reuse fixture: c imports b, b imports a, and d
 // stands alone. Each package draws a diagnostic, and b's and c's need
-// their in-tree imports resolved.
+// their in-tree imports resolved. e imports z, which sorts after it, so a
+// cold fixpoint shows e's functions z's summaries a round late: e.F's
+// "may block" reason names z.G2, not z.G1, which blocks only from
+// round 0, and e.T's parameter reaches z.Direct's sink first, not
+// z.Outer's, which reaches it only from round 1. x registers y's handler
+// and declares its EDL; y's secret crosses through the handler's
+// boundary buffer, classified by both.
 var relintFiles = map[string]string{
 	"go.mod": "module example.com/fix\n\ngo 1.22\n",
 	"a/a.go": `package a
@@ -479,6 +492,94 @@ func Send(ch chan int) {
 
 func extra() int { return 1 }
 `,
+	"e/e.go": `package e
+
+import (
+	"sync"
+
+	"example.com/fix/sdk"
+	"example.com/fix/z"
+)
+
+var mu sync.Mutex
+
+func F(ch chan int) {
+	z.G1(ch)
+	z.G2(ch)
+}
+
+func Hold(ch chan int) {
+	mu.Lock()
+	F(ch)
+	mu.Unlock()
+}
+
+type box struct {
+	//sgxperf:secret the key stays in the enclave
+	key int
+}
+
+var bx box
+
+func Leak(env *sdk.Env) { T(env, bx.key) }
+
+func T(env *sdk.Env, p int) {
+	z.Outer(env, p)
+	z.Direct(env, p)
+}
+`,
+	"z/z.go": `package z
+
+import "example.com/fix/sdk"
+
+func G1(ch chan int) { h(ch) }
+
+func h(ch chan int) { ch <- 1 }
+
+func G2(ch chan int) { ch <- 2 }
+
+func Direct(env *sdk.Env, p int) { env.Ocall("ocall_direct", p) }
+
+func Outer(env *sdk.Env, p int) { Inner(env, p) }
+
+func Inner(env *sdk.Env, p int) { env.Ocall("ocall_inner", p) }
+`,
+	"x/x.go": `package x
+
+import (
+	"example.com/fix/edl"
+	"example.com/fix/sdk"
+	"example.com/fix/y"
+)
+
+func Wire() (map[string]sdk.TrustedFn, *edl.Interface) {
+	impl := map[string]sdk.TrustedFn{"ecall_stamp": y.Stamp}
+	iface := edl.New()
+	iface.AddEcall("ecall_stamp", true, edl.Param{Name: "key", Dir: edl.DirOut})
+	return impl, iface
+}
+`,
+	"y/y.go": `package y
+
+import "example.com/fix/sdk"
+
+type vault struct {
+	//sgxperf:secret the sealing key never leaves the enclave
+	key [16]byte
+}
+
+var v vault
+
+type stampArgs struct{ Key [16]byte }
+
+func Stamp(env *sdk.Env, args any) (any, error) {
+	a := args.(*stampArgs)
+	a.Key = v.key
+	return nil, nil
+}
+`,
+	"sdk/sdk.go": relintSDK,
+	"edl/edl.go": relintEDL,
 }
 
 // lintedTree loads root and runs the full suite over it.
@@ -495,11 +596,67 @@ func lintedTree(t *testing.T, root string) (*Tree, []string) {
 	return tree, messages(diags)
 }
 
-// TestLoadTreeReusesUnchangedPackages walks one root through a reload, an
-// edit, a file added and removed, a deleted dependency and a new module
-// path. After each step exactly the changed packages and their reverse
-// dependencies are checked afresh, every other package and file is the
-// previous load's object, and the diagnostics equal a cold load's.
+// exported renders the exported sync, interprocedural and taint reports
+// of tree as JSON with its root stripped, one line each (an error's text
+// in place of a report that does not marshal).
+func exported(tree *Tree) []string {
+	var out []string
+	for _, rep := range []any{AnalyzeSyncTree(tree, nil), AnalyzeInterprocTree(tree, nil), AnalyzeTaintTree(tree, nil)} {
+		b, err := json.Marshal(rep)
+		if err != nil {
+			b = []byte(err.Error())
+		}
+		out = append(out, strings.ReplaceAll(string(b), tree.Root, ""))
+	}
+	return out
+}
+
+// pkgRows are one checked package's fact rows.
+type pkgRows struct {
+	held  *heldRows
+	graph *graphRows
+	taint *taintRows
+}
+
+// rowsByDir returns each package's fact rows, by directory.
+func rowsByDir(tree *Tree) map[string]pkgRows {
+	out := make(map[string]pkgRows, len(tree.Pkgs))
+	for _, pkg := range tree.Pkgs {
+		c := pkg.checked
+		out[pkg.Dir] = pkgRows{loadRows(&c.held), loadRows(&c.graph), loadRows(&c.taint)}
+	}
+	return out
+}
+
+// assertFactsFromRows fails unless every fact of tree is its packages'
+// published rows: each function's summaries are the objects the rows of
+// its package hold.
+func assertFactsFromRows(t *testing.T, step string, tree *Tree) {
+	t.Helper()
+	held, graph, taint := tree.heldWalk(), tree.callGraph(), tree.taintGraph()
+	for _, pkg := range tree.Pkgs {
+		rows := rowsByDir(tree)[pkg.Dir]
+		if rows.held == nil || rows.graph == nil || rows.taint == nil {
+			t.Errorf("%s: %s published no rows", step, pkg.Dir)
+			continue
+		}
+		for i, fn := range pkg.checked.funcs {
+			if held.summaries[fn.full] != rows.held.sums[i] || graph.funcs[fn.full] != rows.graph.funcs[i] ||
+				taint.funcs[fn.full] != rows.taint.funcs[i] {
+				t.Errorf("%s: %s's facts are not its package's rows", step, fn.full)
+			}
+		}
+	}
+}
+
+// TestLoadTreeReusesUnchangedPackages walks one root through a reload,
+// edits, a file added and removed, a deleted dependency, a new module
+// path and two changes to the taint tables made outside the handler's
+// package. After each step exactly the changed packages and their
+// reverse dependencies are checked afresh and build new fact rows; every
+// other package and file is the previous load's object and keeps its
+// rows, bar the taint rows of a tree whose tables changed, which are all
+// rebuilt. The diagnostics and the exported reports equal a cold load's.
 func TestLoadTreeReusesUnchangedPackages(t *testing.T) {
 	root := writeTree(t, relintFiles)
 	other := writeTree(t, map[string]string{"o/o.go": "package o\n"})
@@ -513,28 +670,58 @@ func TestLoadTreeReusesUnchangedPackages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sinkKind := func(tree *Tree) string {
+		for _, fl := range AnalyzeTaintTree(tree, []string{"y"}).Flows {
+			return fl.SinkKind
+		}
+		return ""
+	}
+	wire := relintFiles["x/x.go"]
+	all := []string{"b", "c", "d", "e", "edl", "sdk", "x", "y", "z"}
 	prev, _ := lintedTree(t, root)
 	for _, step := range []struct {
 		name      string
 		edit      func()
 		rechecked []string // the rest must be reused
+		retaint   bool     // the taint tables change
+		sink      string   // y's sink classification after the step
 	}{
-		{"reload", func() {}, nil},
-		{"edit b", func() { write("b/b.go", relintFiles["b/b.go"]+"\nfunc Extra() {}\n") }, []string{"b", "c"}},
+		{"reload", func() {}, nil, false, "out-param"},
+		{"edit b", func() { write("b/b.go", relintFiles["b/b.go"]+"\nfunc Extra() {}\n") }, []string{"b", "c"}, false, "out-param"},
+		{"edit e", func() { write("e/e.go", relintFiles["e/e.go"]+"\nfunc Extra() {}\n") }, []string{"e"}, false, "out-param"},
+		{"register under another ecall", func() {
+			write("x/x.go", strings.Replace(wire, `{"ecall_stamp": y.Stamp}`, `{"ecall_other": y.Stamp}`, 1))
+		}, []string{"x"}, true, "boundary-write"},
+		{"declare another direction", func() {
+			write("x/x.go", strings.Replace(wire, `{"ecall_stamp": y.Stamp}`, `{"ecall_other": y.Stamp}`, 1)+`
+func Declare(iface *edl.Interface) {
+	iface.AddEcall("ecall_other", true, edl.Param{Name: "key", Dir: edl.DirUserCheck})
+}
+`)
+		}, []string{"x"}, true, "user_check"},
 		{"add and delete in d", func() {
 			write("d/more.go", "package held\n\nfunc more() int { return 2 }\n")
 			remove("d/extra.go")
-		}, []string{"d"}},
-		{"delete a", func() { remove("a") }, []string{"b", "c"}},
-		{"new module path", func() { write("go.mod", "module example.com/moved\n\ngo 1.22\n") }, []string{"b", "c", "d"}},
+		}, []string{"d"}, false, "user_check"},
+		{"delete a", func() { remove("a") }, []string{"b", "c"}, false, "user_check"},
+		// Every in-tree import now stubs out, and with the sdk stub the
+		// secret's crossing.
+		{"new module path", func() { write("go.mod", "module example.com/moved\n\ngo 1.22\n") }, all, false, ""},
 	} {
+		before := rowsByDir(prev)
 		step.edit()
 		warm, got := lintedTree(t, root)
+		gotReports := exported(warm)
+		after := rowsByDir(warm)
 		for _, pkg := range warm.Pkgs {
 			old := findPkg(t, prev, pkg.Dir)
+			was, now := before[pkg.Dir], after[pkg.Dir]
 			if slices.Contains(step.rechecked, pkg.Dir) {
 				if pkg.Types == old.Types {
 					t.Errorf("%s: %s kept its old check; want it re-checked", step.name, pkg.Dir)
+				}
+				if now.held == was.held || now.graph == was.graph || now.taint == was.taint {
+					t.Errorf("%s: re-checked %s kept fact rows; want new ones", step.name, pkg.Dir)
 				}
 				continue
 			}
@@ -544,6 +731,16 @@ func TestLoadTreeReusesUnchangedPackages(t *testing.T) {
 			if !slices.Equal(pkg.Files, old.Files) {
 				t.Errorf("%s: %s re-parsed; want the previous load's files", step.name, pkg.Dir)
 			}
+			if now.held != was.held || now.graph != was.graph {
+				t.Errorf("%s: kept %s rebuilt its held-walk or call-graph rows; want the previous load's", step.name, pkg.Dir)
+			}
+			if step.retaint == (now.taint == was.taint) {
+				t.Errorf("%s: kept %s's taint rows are the previous load's: %v; want %v", step.name, pkg.Dir, now.taint == was.taint, !step.retaint)
+			}
+		}
+		assertFactsFromRows(t, step.name, warm)
+		if got := sinkKind(warm); got != step.sink {
+			t.Errorf("%s: y's secret sinks as %q, want %q", step.name, got, step.sink)
 		}
 		if step.name == "delete a" {
 			// go/types drops an incomplete stub from Imports.
@@ -559,6 +756,9 @@ func TestLoadTreeReusesUnchangedPackages(t *testing.T) {
 		cold, want := lintedTree(t, root)
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: reused load reports\n%v\ncold load reports\n%v", step.name, got, want)
+		}
+		if wantReports := exported(cold); !slices.Equal(gotReports, wantReports) {
+			t.Errorf("%s: reused load exports\n%v\ncold load exports\n%v", step.name, gotReports, wantReports)
 		}
 		if findPkg(t, cold, "c").Types == findPkg(t, warm, "c").Types {
 			t.Errorf("%s: the load after another root reused c; want a cold load", step.name)
