@@ -37,7 +37,9 @@ lint: vet
 # between the logger and the SDK sync primitives only surface when both
 # run raced. internal/lint joins them for its process-wide tables of
 # type-checked GOROOT packages and of the last root's parsed and checked
-# packages, which concurrently checked trees share.
+# packages, which concurrently checked trees share, and for its fan-outs
+# on the pool: one tree type-checks its packages and builds their fact
+# rows there.
 # RACE_PKGS is the one place that list lives; race and verify share it.
 RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 	./internal/pool/... ./internal/serve/... ./internal/experiments/... \

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -24,21 +25,44 @@ var AtomicMix = &Analyzer{
 	Run: runAtomicMix,
 }
 
-// runAtomicMix is the one analyzer that reads Package.Info directly
-// rather than through a fact, so it type-checks the tree itself.
+// runAtomicMix reports every finding of the packages in scope. A
+// package's findings depend only on the package and its imports, so
+// they are a row of its check: built on the pool for packages without
+// one and adopted by every later Tree that keeps the package.
+// Suppression is the Tree's, so each finding is reported through the
+// pass.
 func runAtomicMix(pass *Pass) error {
 	pass.tree.ensureTypes()
-	for _, pkg := range pass.Pkgs {
-		if pkg.Info != nil {
-			atomicMixIn(pass, pkg)
+	rows, fresh := rowsOf(pass.Pkgs, func(c *checkedPkg) **mixRows { return &c.mix }, func(pkg *Package) *mixRows {
+		return atomicMixIn(pass.tree, pkg)
+	})
+	for _, i := range fresh {
+		storeRows(&pass.Pkgs[i].checked.mix, rows[i])
+	}
+	for _, r := range rows {
+		for _, f := range r.findings {
+			pass.Reportf(f.pos, "%s", f.msg)
 		}
 	}
 	return nil
 }
 
-// atomicMixIn reports the mixed-discipline variables of one package.
-func atomicMixIn(pass *Pass, pkg *Package) {
+// mixRows are one checked package's atomicmix findings, in report order.
+type mixRows struct {
+	findings []mixFinding
+}
+
+// A mixFinding is one mixed-discipline variable: where it is reported
+// and the message.
+type mixFinding struct {
+	pos token.Pos
+	msg string
+}
+
+// atomicMixIn finds the mixed-discipline variables of one package.
+func atomicMixIn(tree *Tree, pkg *Package) *mixRows {
 	info := pkg.Info
+	rows := &mixRows{}
 
 	type access struct {
 		pos token.Pos
@@ -69,7 +93,7 @@ func atomicMixIn(pass *Pass, pkg *Package) {
 		})
 	}
 	if len(atomicUse) == 0 {
-		return
+		return rows
 	}
 
 	for _, file := range pkg.Files {
@@ -113,16 +137,17 @@ func atomicMixIn(pass *Pass, pkg *Package) {
 		sort.Slice(a, func(i, j int) bool { return a[i].pos < a[j].pos })
 		sort.Slice(p, func(i, j int) bool { return p[i].pos < p[j].pos })
 		// A variable declared outside the tree (a field of a
-		// standard-library struct, say) has no position in pass.Fset (see
+		// standard-library struct, say) has no position in tree.Fset (see
 		// Package), so it is reported at its first atomic access.
 		at := v.Pos()
-		if !pass.tree.declares(v.Pkg()) {
+		if !tree.declares(v.Pkg()) {
 			at = a[0].pos
 		}
-		pass.Reportf(at,
+		rows.findings = append(rows.findings, mixFinding{at, fmt.Sprintf(
 			"%s is accessed via sync/atomic (line %d) and by plain load/store (line %d); use one discipline for every access",
-			varLabel(v), pass.Fset.Position(a[0].pos).Line, pass.Fset.Position(p[0].pos).Line)
+			varLabel(v), tree.Fset.Position(a[0].pos).Line, tree.Fset.Position(p[0].pos).Line)})
 	}
+	return rows
 }
 
 // isAtomicCall reports whether the call is a package-level function of

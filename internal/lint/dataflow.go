@@ -38,6 +38,8 @@ import (
 	"go/types"
 	"path"
 	"strings"
+
+	"sgxperf/internal/pool"
 )
 
 // LockClass distinguishes the lock APIs the engine understands.
@@ -204,32 +206,31 @@ type holdSite struct {
 // walkHeld builds the held-set walk of the checked packages: it adopts
 // the rows of every package that has them, builds the blocking
 // summaries of the others over their function tables, then walks every
-// analysis root of those once, in source order, recording acquisitions
-// and held boundaries. The roots are every declared function, each
-// followed by the function literals inside it (literals start with an
-// empty held set; a literal invoked where it is written is additionally
-// walked inline by the caller's walk).
+// analysis root of those once, recording acquisitions and held
+// boundaries. The roots are every declared function, each followed by
+// the function literals inside it (literals start with an empty held
+// set; a literal invoked where it is written is additionally walked
+// inline by the caller's walk). The scans and the walks run on the pool,
+// one package per task; the summary fixpoint and the joins run in source
+// order.
 func walkHeld(pkgs []*Package) *engine {
 	e := &engine{summaries: make(map[string]*funcSummary, funcRows(pkgs))}
-	rows := make([]*heldRows, len(pkgs))
-	built := make([]bool, len(pkgs))
+	rows, fresh := rowsOf(pkgs, func(c *checkedPkg) **heldRows { return &c.held }, func(pkg *Package) *heldRows {
+		r := &heldRows{sums: make([]*funcSummary, len(pkg.checked.funcs))}
+		for i, fn := range pkg.checked.funcs {
+			r.sums[i] = &funcSummary{fixNode: fixNode{declFunc: fn}, display: shortName(fn.full), round: -1}
+			scanDirectBlocking(fn.pkg, fn.decl.Body, r.sums[i])
+		}
+		return r
+	})
 	var live []*funcSummary
-	for i, pkg := range pkgs {
-		if rows[i] = loadRows(&pkg.checked.held); rows[i] != nil {
-			for _, sum := range rows[i].sums {
-				e.summaries[sum.full] = sum
-			}
-			continue
+	for _, r := range rows {
+		for _, sum := range r.sums {
+			e.summaries[sum.full] = sum
 		}
-		r := &heldRows{}
-		for _, fn := range pkg.checked.funcs {
-			sum := &funcSummary{fixNode: fixNode{declFunc: fn}, display: shortName(fn.full), round: -1}
-			scanDirectBlocking(fn.pkg, fn.decl.Body, sum)
-			e.summaries[fn.full] = sum
-			r.sums = append(r.sums, sum)
-			live = append(live, sum)
-		}
-		rows[i], built[i] = r, true
+	}
+	for _, i := range fresh {
+		live = append(live, rows[i].sums...)
 	}
 	// Propagate "may block" through the resolved call graph.
 	converge(live, e.summaries, func(sum *funcSummary, r int) bool {
@@ -244,24 +245,28 @@ func walkHeld(pkgs []*Package) *engine {
 		}
 		return false
 	})
-	for i, r := range rows {
-		if built[i] {
-			walk := func(fn *declFunc, name string, body *ast.BlockStmt) {
-				w := &walker{e: e, rows: r, pkg: fn.pkg, fn: &dfFunc{pkg: fn.pkg, name: name}}
-				w.block(body.List, nil)
-			}
-			for _, sum := range r.sums {
-				fn := sum.declFunc
-				walk(fn, fn.name, fn.decl.Body)
-				ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.FuncLit); ok {
-						walk(fn, fn.name+" (func literal)", lit.Body)
-					}
-					return true
-				})
-			}
-			storeRows(&pkgs[i].checked.held, r)
+	// The walks read the final summaries and write their own rows.
+	pool.ForEach(len(fresh), func(j int) {
+		r := rows[fresh[j]]
+		walk := func(fn *declFunc, name string, body *ast.BlockStmt) {
+			w := &walker{e: e, rows: r, pkg: fn.pkg, fn: &dfFunc{pkg: fn.pkg, name: name}}
+			w.block(body.List, nil)
 		}
+		for _, sum := range r.sums {
+			fn := sum.declFunc
+			walk(fn, fn.name, fn.decl.Body)
+			ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					walk(fn, fn.name+" (func literal)", lit.Body)
+				}
+				return true
+			})
+		}
+	})
+	for _, i := range fresh {
+		storeRows(&pkgs[i].checked.held, rows[i])
+	}
+	for _, r := range rows {
 		e.acquires = append(e.acquires, r.acquires...)
 		e.holds = append(e.holds, r.holds...)
 	}

@@ -167,37 +167,38 @@ type graphRows struct {
 
 // newInterproc builds the call graph of the checked packages: it adopts
 // the rows of every package that has them, scans every function of the
-// others and computes their ocall-reachability fixpoint.
+// others, one package per pool task, and computes their
+// ocall-reachability fixpoint in source order.
 func newInterproc(pkgs []*Package) *interproc {
 	ip := &interproc{funcs: make(map[string]*ipFunc, funcRows(pkgs))}
-	rows := make([]*graphRows, len(pkgs))
-	var live []*ipFunc
-	for i, pkg := range pkgs {
-		r := loadRows(&pkg.checked.graph)
-		if r == nil {
-			r = &graphRows{entries: collectEntries(pkg, nil)}
-			for _, df := range pkg.checked.funcs {
-				fn := &ipFunc{fixNode: fixNode{declFunc: df}, round: -1}
-				s := &ipScanner{pkg: df.pkg, fn: fn, reads: make(map[string][]token.Pos)}
-				s.argObjs = boundaryParams(df.decl, df.pkg.Info)
-				s.block(df.decl.Body, ipCtx{trip: 1})
-				s.resolveFetches()
-				for _, c := range fn.crossings {
-					if c.kind == CrossOcall {
-						fn.crosses = true
-						break
-					}
+	rows, fresh := rowsOf(pkgs, func(c *checkedPkg) **graphRows { return &c.graph }, func(pkg *Package) *graphRows {
+		r := &graphRows{entries: collectEntries(pkg, nil), funcs: make([]*ipFunc, len(pkg.checked.funcs))}
+		for i, df := range pkg.checked.funcs {
+			fn := &ipFunc{fixNode: fixNode{declFunc: df}, round: -1}
+			s := &ipScanner{pkg: df.pkg, fn: fn, reads: make(map[string][]token.Pos)}
+			s.argObjs = boundaryParams(df.decl, df.pkg.Info)
+			s.block(df.decl.Body, ipCtx{trip: 1})
+			s.resolveFetches()
+			for _, c := range fn.crossings {
+				if c.kind == CrossOcall {
+					fn.crosses = true
+					break
 				}
-				r.funcs = append(r.funcs, fn)
 			}
-			live = append(live, r.funcs...)
-			rows[i] = r
+			r.funcs[i] = fn
 		}
+		return r
+	})
+	for _, r := range rows {
 		for _, fn := range r.funcs {
 			ip.funcs[fn.full] = fn
 		}
 		ip.order = append(ip.order, r.funcs...)
 		ip.entries = append(ip.entries, r.entries...)
+	}
+	var live []*ipFunc
+	for _, i := range fresh {
+		live = append(live, rows[i].funcs...)
 	}
 	ip.entries = sortedEntries(ip.entries)
 	// Propagate "transitively dispatches an ocall" through the resolved
@@ -214,10 +215,8 @@ func newInterproc(pkgs []*Package) *interproc {
 		}
 		return false
 	})
-	for i, r := range rows {
-		if r != nil {
-			storeRows(&pkgs[i].checked.graph, r)
-		}
+	for _, i := range fresh {
+		storeRows(&pkgs[i].checked.graph, rows[i])
 	}
 	return ip
 }

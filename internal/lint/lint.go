@@ -54,6 +54,10 @@
 // helper, converge, over those packages' functions, with the kept
 // packages' summaries as fixed inputs; its source-order rounds re-walk
 // a function only when a callee's summary grew since its last walk.
+// Packages type-check on the shared worker pool as soon as the in-tree
+// imports they resolve are checked, and the package-local scans of each
+// fact fan out there too; the fixpoints and every join stay serial, in
+// source order, so no result depends on the schedule.
 // Findings are suppressible site-by-site with a
 // justified //sgxperf:allow(name) annotation (see typecheck.go);
 // lock-order edges with an intentional hierarchy carry

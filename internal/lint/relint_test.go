@@ -153,8 +153,9 @@ func allocsOf(f func()) uint64 {
 // function table, the held-set walk, the call graph and the taint
 // summaries of every package, the re-lint made 57.7k allocations and the
 // reload 13.6k. With fact rows kept per checked package they make 14.1k
-// and 0.41k (15.2k and 0.41k under -race); the budgets leave headroom
-// for toolchain drift while failing the rebuild-everything path.
+// and 0.41k (15.3k and 0.42k under -race), on the pool's fan-outs and at
+// GOMAXPROCS=1 alike; the budgets leave headroom for toolchain drift
+// while failing the rebuild-everything path.
 const (
 	// relintMaxAllocs bounds LoadTree and RunTree of the full suite
 	// after a one-file edit to one workload package.
@@ -209,5 +210,78 @@ func TestRelintAllocs(t *testing.T) {
 	}
 	if relint > relintMaxAllocs {
 		t.Errorf("edit + re-lint made %d allocations, budget %d", relint, relintMaxAllocs)
+	}
+}
+
+// relintMix is a package of relintModule's re-lint fixture with two
+// mixed-discipline counters, one of them under a justified allow.
+const relintMix = `package mix
+
+import "sync/atomic"
+
+var hits int64
+
+//sgxperf:allow(atomicmix) read once after every writer has stopped
+var misses int64
+
+func Hit() { atomic.AddInt64(&hits, 1) }
+
+func Hits() int64 { return hits }
+
+func Miss() { atomic.AddInt64(&misses, 1) }
+
+func Misses() int64 { return misses }
+`
+
+// TestRelintKeepsAtomicMixRows proves atomicmix findings are a row of
+// the checked package: after a one-file edit the kept packages' rows
+// are the previous load's objects, whose findings are still reported
+// and still suppressed by their allow, while the edited package's row
+// is rebuilt and reports the mixed access the edit planted.
+func TestRelintKeepsAtomicMixRows(t *testing.T) {
+	files := relintModule(3, 2)
+	files["mix/mix.go"] = relintMix
+	root := writeTree(t, files)
+	before, _ := lintedTree(t, root)
+	rows := make(map[string]*mixRows, len(before.Pkgs))
+	for _, pkg := range before.Pkgs {
+		if rows[pkg.Dir] = loadRows(&pkg.checked.mix); rows[pkg.Dir] == nil {
+			t.Fatalf("%s published no atomicmix row", pkg.Dir)
+		}
+	}
+	if n := len(rows["mix"].findings); n != 2 {
+		t.Fatalf("mix holds %d atomicmix findings, want 2 (one reported, one allowed)", n)
+	}
+	edited := filepath.Join(root, "w01", "w.go")
+	src, err := os.ReadFile(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := strings.Replace(string(src), "\t\"sync\"\n", "\t\"sync\"\n\t\"sync/atomic\"\n", 1) + `
+var calls int64
+
+func call() { atomic.AddInt64(&calls, 1) }
+
+func Calls() int64 { return calls }
+`
+	if err := os.WriteFile(edited, []byte(planted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	after, diags := lintedTree(t, root)
+	for _, pkg := range after.Pkgs {
+		row := loadRows(&pkg.checked.mix)
+		if kept := pkg.Dir != "w01"; kept != (row == rows[pkg.Dir]) {
+			t.Errorf("%s: atomicmix row reused = %v, want %v", pkg.Dir, !kept, kept)
+		}
+	}
+	var mixed []string
+	for _, d := range diags {
+		if strings.Contains(d, ": atomicmix: ") {
+			mixed = append(mixed, d)
+		}
+	}
+	if len(mixed) != 2 || !strings.Contains(mixed[0], "variable hits is accessed") ||
+		!strings.Contains(mixed[1], "variable calls is accessed") {
+		t.Errorf("atomicmix diagnostics after the edit = %v, want hits (kept row) and calls (planted)", mixed)
 	}
 }

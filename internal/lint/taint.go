@@ -312,24 +312,22 @@ type taintGraph struct {
 
 // newTaintGraph builds the whole-tree taint analysis. It adopts every
 // package's secret markers, sources and EDL declarations when the package
-// has them, and its summaries too when they were built under taint
-// tables equal to this tree's; it builds the rest.
+// has them, and collects them on the pool, one package per task, when it
+// has not; it adopts its summaries too when they were built under taint
+// tables equal to this tree's, and builds the rest in the fixpoint.
 func newTaintGraph(tree *Tree) *taintGraph {
 	ip := tree.callGraph()
 	g := &taintGraph{
 		fset:    tree.Fset,
-		rows:    make([]*taintRows, len(tree.Pkgs)),
 		sources: make(map[types.Object]*secretSrc),
 		funcs:   make(map[string]*taintFunc, len(ip.order)),
 	}
 	tables := &taintTables{handlerEcall: make(map[string]string), edl: make(map[string]*edlDecl)}
-	for i, pkg := range tree.Pkgs {
-		r := loadRows(&pkg.checked.taint)
-		if r == nil {
-			secrets := collectSecretMarks(tree.Fset, []*Package{pkg})
-			r = &taintRows{secrets: secrets, sources: collectSources(pkg, secrets), edl: collectEDL(pkg)}
-		}
-		g.rows[i] = r
+	g.rows, _ = rowsOf(tree.Pkgs, func(c *checkedPkg) **taintRows { return &c.taint }, func(pkg *Package) *taintRows {
+		secrets := collectSecretMarks(tree.Fset, []*Package{pkg})
+		return &taintRows{secrets: secrets, sources: collectSources(pkg, secrets), edl: collectEDL(pkg)}
+	})
+	for _, r := range g.rows {
 		for _, src := range r.sources {
 			g.sources[src.obj] = src
 		}

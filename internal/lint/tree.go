@@ -35,9 +35,13 @@ import (
 // resolves the position of an imported GOROOT object through Fset (see
 // Package).
 //
-// A Tree is not safe for concurrent use: the driver runs analyzers
-// sequentially, and the memoised facts are plain fields. Distinct Trees,
-// of one root or of several, may be loaded and checked concurrently.
+// A Tree checks its packages and builds the package-local part of each
+// fact on the shared worker pool (internal/pool), one package per task,
+// and joins the results in source order. Those fan-outs are internal: a
+// Tree is still not safe for concurrent use, since RunTree runs
+// analyzers sequentially and the memoised facts are plain fields.
+// Distinct Trees, of one root or of several, may be loaded and checked
+// concurrently.
 type Tree struct {
 	Root string
 	Fset *token.FileSet

@@ -14,6 +14,8 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+
+	"sgxperf/internal/pool"
 )
 
 // A Package is one parsed directory plus, when an analyzer in the run
@@ -58,9 +60,10 @@ type Package struct {
 // still type-checks what it can instead of aborting. Standard-library
 // paths go to the process-wide GOROOT table; everything else, stubs
 // included, lives as long as the root's entry in lastRoot, so reused and
-// re-checked packages agree on one identity per path. Trees of one root
-// may check concurrently, and the source importer is not safe for
-// concurrent use, so one mutex serialises Import.
+// re-checked packages agree on one identity per path. The packages of a
+// tree check concurrently on the pool, and so may Trees of one root; the
+// source importer is not safe for concurrent use, so one mutex
+// serialises Import.
 type tolerantImporter struct {
 	mu    sync.Mutex
 	src   types.Importer
@@ -188,15 +191,15 @@ type parsedFile struct {
 // A checkedPkg is one checked package, the key it was checked under
 // (its files and in-tree imports; the import path keys the map) and its
 // rows of the fact base (see Tree). The function-table rows are built
-// with the check. The rows of the held-set walk, the call graph and the
-// taint summaries are built by the first Tree that needs them (taint
-// summaries again whenever the tables they were built under change; see
-// taintRows) and adopted by every later Tree of the root that keeps the
-// package, so they leave the table with the check: when another root
-// replaces the entry, when stale versions evict it, or when a load
-// re-checks the package. Row fields are read and replaced under
-// lastRoot's mutex (see loadRows); a published row is never written
-// again.
+// with the check. The rows of the held-set walk, the call graph, the
+// taint summaries and the atomicmix findings are built by the first Tree
+// that needs them (taint summaries again whenever the tables they were
+// built under change; see taintRows) and adopted by every later Tree of
+// the root that keeps the package, so they leave the table with the
+// check: when another root replaces the entry, when stale versions evict
+// it, or when a load re-checks the package. Row fields are read and
+// replaced under lastRoot's mutex (see loadRows); a published row is
+// never written again.
 type checkedPkg struct {
 	files []*ast.File
 	deps  []string
@@ -207,6 +210,7 @@ type checkedPkg struct {
 	held  *heldRows
 	graph *graphRows
 	taint *taintRows
+	mix   *mixRows
 }
 
 // loadRows reads one of a checked package's row fields.
@@ -224,6 +228,25 @@ func storeRows[R any](field *R, rows R) {
 	lastRoot.Lock()
 	defer lastRoot.Unlock()
 	*field = rows
+}
+
+// rowsOf returns each package's row of one fact: the row its checked
+// package holds (see loadRows), or the row build makes on the pool for a
+// package without one. fresh lists, in order, the indexes of the
+// packages whose rows build made; build reads its own package and what
+// is final elsewhere, and writes only its own row, which the caller
+// publishes with storeRows.
+func rowsOf[R any](pkgs []*Package, field func(*checkedPkg) **R, build func(*Package) *R) (rows []*R, fresh []int) {
+	rows = make([]*R, len(pkgs))
+	for i, pkg := range pkgs {
+		if rows[i] = loadRows(field(pkg.checked)); rows[i] == nil {
+			fresh = append(fresh, i)
+		}
+	}
+	pool.ForEach(len(fresh), func(j int) {
+		rows[fresh[j]] = build(pkgs[fresh[j]])
+	})
+	return rows, fresh
 }
 
 // rootEntryFor returns the table's entry for root, replacing the entry
@@ -273,25 +296,21 @@ func modulePath(root string) string {
 }
 
 // typecheck resolves types for every parsed package. Imports between the
-// parsed packages resolve to each other (dependencies are checked first),
-// so lock identities and function names agree across the tree; everything
-// else goes through the tolerant source importer. Checking is tolerant
-// throughout: a types error never fails the run (the build gate catches
-// real ones); it only leaves holes in Info that analyzers skip.
+// parsed packages resolve to each other, so lock identities and function
+// names agree across the tree; everything else goes through the tolerant
+// source importer. Checking is tolerant throughout: a types error never
+// fails the run (the build gate catches real ones); it only leaves holes
+// in Info that analyzers skip.
 //
 // A package keeps the objects of the entry's previous check when its
 // import path, files and in-tree imports are unchanged and each of those
 // imports was itself kept (see reusable). Files compare by AST identity,
-// which LoadTree keeps only for an unchanged path and hash.
+// which LoadTree keeps only for an unchanged path and hash. The others
+// are checked on the pool, each once the in-tree imports it resolves are
+// checked (see planChecks).
 func (e *rootEntry) typecheck(pkgs []*Package) {
 	mod := modulePath(e.root)
-	tc := &treeChecker{
-		fset:   e.fset,
-		imp:    e.imp,
-		byPath: make(map[string]*Package, len(pkgs)),
-		pkgs:   make(map[string]*checkedPkg, len(pkgs)),
-		state:  make(map[string]int, len(pkgs)),
-	}
+	byPath := make(map[string]*Package, len(pkgs))
 	for _, pkg := range pkgs {
 		ipath := pkg.Dir
 		switch {
@@ -303,24 +322,29 @@ func (e *rootEntry) typecheck(pkgs []*Package) {
 			ipath = "lintfixture/" + filepath.ToSlash(pkg.Dir)
 		}
 		pkg.ImportPath = ipath
-		tc.byPath[ipath] = pkg
+		byPath[ipath] = pkg
 	}
-	for ipath, pkg := range tc.byPath {
-		tc.pkgs[ipath] = &checkedPkg{files: pkg.Files, deps: inTreeImports(pkg.Files, tc.byPath)}
+	next := make(map[string]*checkedPkg, len(pkgs))
+	for ipath, pkg := range byPath {
+		next[ipath] = &checkedPkg{files: pkg.Files, deps: inTreeImports(pkg.Files, byPath)}
 	}
 	lastRoot.Lock()
 	prev := e.pkgs
 	lastRoot.Unlock()
-	for ipath, ok := range reusable(prev, tc.pkgs) {
+	for ipath, ok := range reusable(prev, next) {
 		if ok {
-			tc.pkgs[ipath] = prev[ipath]
+			next[ipath] = prev[ipath]
 		}
 	}
+	for _, level := range e.planChecks(pkgs, byPath, next) {
+		pool.ForEach(len(level), func(i int) { level[i].check(e.fset) })
+	}
 	for _, pkg := range pkgs {
-		tc.check(pkg)
+		c := next[pkg.ImportPath]
+		pkg.Types, pkg.Info, pkg.checked = c.types, c.info, c
 	}
 	lastRoot.Lock()
-	e.pkgs = tc.pkgs
+	e.pkgs = next
 	lastRoot.Unlock()
 }
 
@@ -342,8 +366,8 @@ func inTreeImports(files []*ast.File, byPath map[string]*Package) []string {
 // reusable reports, for each import path in next, whether its checked
 // package in prev still holds: the same files and in-tree imports, each
 // import itself reusable. A package that reaches an in-tree import cycle
-// is never reused, because the checker stubs whichever side is in
-// progress.
+// is never reused, because the plan stubs whichever side it reaches
+// first.
 func reusable(prev, next map[string]*checkedPkg) map[string]bool {
 	keep := make(map[string]bool, len(next))
 	var visit func(p string) bool
@@ -366,57 +390,94 @@ func reusable(prev, next map[string]*checkedPkg) map[string]bool {
 	return keep
 }
 
-// treeChecker type-checks the parsed packages, resolving in-tree imports
-// to the freshly-checked package objects so identities unify.
-type treeChecker struct {
-	fset   *token.FileSet
-	imp    *tolerantImporter
-	byPath map[string]*Package
-	// pkgs are the packages by import path: kept from the previous check
-	// (types set) or keyed for this one (types nil until checked).
-	pkgs  map[string]*checkedPkg
-	state map[string]int // 0 unvisited, 1 in progress, 2 done
+// A plannedCheck is one package the plan checks: its check, and the
+// in-tree imports it resolves to their checks. Every other import,
+// including an in-tree one the plan sends to a stub, goes to the
+// tolerant importer.
+type plannedCheck struct {
+	pkg  *Package
+	c    *checkedPkg
+	deps map[string]*checkedPkg
+	imp  *tolerantImporter
 }
 
-func (tc *treeChecker) check(pkg *Package) {
-	if tc.state[pkg.ImportPath] != 0 {
-		return
+// planChecks orders the checks of the packages next does not keep into
+// levels: a package's level is one past the highest level among the
+// in-tree imports it resolves, and a level's checks need nothing from
+// each other. The plan walks the packages depth-first in Dir order and
+// each package's in-tree imports in first-import order, the order in
+// which go/types asks for them, and resolves every import in-tree except
+// one of a package the walk is still inside: a cycle, whose import goes
+// to the tolerant importer. The resolved imports form a DAG even when
+// the tree has a cycle, and each side of a cycle resolves the other
+// exactly as a check that followed the imports on demand would.
+func (e *rootEntry) planChecks(pkgs []*Package, byPath map[string]*Package, next map[string]*checkedPkg) [][]*plannedCheck {
+	var levels [][]*plannedCheck
+	done := make(map[string]int, len(pkgs)) // level by import path; -1 for a kept package
+	inside := make(map[string]bool)
+	var visit func(p string) int
+	visit = func(p string) int {
+		if l, ok := done[p]; ok {
+			return l
+		}
+		c := next[p]
+		if c.types != nil { // kept, with every in-tree import
+			done[p] = -1
+			return -1
+		}
+		inside[p] = true
+		pc := &plannedCheck{pkg: byPath[p], c: c, deps: make(map[string]*checkedPkg, len(c.deps)), imp: e.imp}
+		l := 0
+		for _, d := range c.deps {
+			if !inside[d] {
+				l = max(l, visit(d)+1)
+				pc.deps[d] = next[d]
+			}
+		}
+		delete(inside, p)
+		done[p] = l
+		if l == len(levels) {
+			levels = append(levels, nil)
+		}
+		levels[l] = append(levels[l], pc)
+		return l
 	}
-	tc.state[pkg.ImportPath] = 1
-	c := tc.pkgs[pkg.ImportPath]
-	if c.types == nil {
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		}
-		conf := types.Config{
-			Importer:    tc,
-			Error:       func(error) {}, // collect nothing; keep checking
-			FakeImportC: true,
-		}
-		tpkg, _ := conf.Check(pkg.ImportPath, tc.fset, pkg.Files, info)
-		if tpkg == nil {
-			tpkg = types.NewPackage(pkg.ImportPath, "")
-		}
-		c.types, c.info = tpkg, info
-		c.funcs = declFuncs(pkg, info)
+	for _, pkg := range pkgs {
+		visit(pkg.ImportPath)
 	}
-	pkg.Types, pkg.Info, pkg.checked = c.types, c.info, c
-	tc.state[pkg.ImportPath] = 2
+	return levels
 }
 
-// Import prefers an in-tree package (checking it on demand; an import
-// cycle degrades to the external importer) over external resolution.
-func (tc *treeChecker) Import(p string) (*types.Package, error) {
-	if dep, ok := tc.byPath[p]; ok && tc.state[p] != 1 {
-		tc.check(dep)
-		if dep.Types != nil {
-			return dep.Types, nil
-		}
+// check type-checks pc's package and builds its function-table rows. It
+// writes only pc's check.
+func (pc *plannedCheck) check(fset *token.FileSet) {
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	return tc.imp.Import(p)
+	conf := types.Config{
+		Importer:    pc,
+		Error:       func(error) {}, // collect nothing; keep checking
+		FakeImportC: true,
+	}
+	tpkg, _ := conf.Check(pc.pkg.ImportPath, fset, pc.pkg.Files, info)
+	if tpkg == nil {
+		tpkg = types.NewPackage(pc.pkg.ImportPath, "")
+	}
+	pc.c.types, pc.c.info = tpkg, info
+	pc.c.funcs = declFuncs(pc.pkg, info)
+}
+
+// Import resolves a planned in-tree import to its check, which an
+// earlier level completed, and sends every other path to the tolerant
+// importer.
+func (pc *plannedCheck) Import(p string) (*types.Package, error) {
+	if dep, ok := pc.deps[p]; ok {
+		return dep.types, nil
+	}
+	return pc.imp.Import(p)
 }
 
 // --- suppression annotations ---------------------------------------------

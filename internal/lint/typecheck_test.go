@@ -75,14 +75,10 @@ func loadTyped(t *testing.T, files map[string]string) *Tree {
 	return tree
 }
 
-// TestTypecheckImportCycle proves an in-tree import cycle — illegal Go,
-// but exactly what a half-edited tree under analysis looks like — cannot
-// hang or abort the checker: the in-progress package degrades to a stub
-// import and both sides still produce a types view for the analyzers.
-func TestTypecheckImportCycle(t *testing.T) {
-	tree := loadTyped(t, map[string]string{
-		"go.mod": "module example.com/fix\n\ngo 1.22\n",
-		"internal/a/a.go": `package a
+// cycleFiles is a module whose two packages import each other.
+var cycleFiles = map[string]string{
+	"go.mod": "module example.com/fix\n\ngo 1.22\n",
+	"internal/a/a.go": `package a
 
 import "example.com/fix/internal/b"
 
@@ -90,7 +86,7 @@ type Left struct{ R b.Right }
 
 func FromA() int { return 1 }
 `,
-		"internal/b/b.go": `package b
+	"internal/b/b.go": `package b
 
 import "example.com/fix/internal/a"
 
@@ -98,27 +94,37 @@ type Right struct{}
 
 func FromB() int { return a.FromA() }
 `,
-	})
+}
+
+// leftResolves fails unless the side of cycleFiles checked second
+// resolves the first for real: Left sees the genuine b.Right, not a
+// stub.
+func leftResolves(t *testing.T, tree *Tree) {
+	t.Helper()
+	a := findPkg(t, tree, "internal/a")
+	left, ok := a.Types.Scope().Lookup("Left").(*types.TypeName)
+	if !ok {
+		t.Fatal("internal/a: Left not type-checked")
+	}
+	st := left.Type().Underlying().(*types.Struct)
+	if got := st.Field(0).Type().String(); got != "example.com/fix/internal/b.Right" {
+		t.Errorf("Left.R resolved to %s, want the in-tree b.Right", got)
+	}
+}
+
+// TestTypecheckImportCycle proves an in-tree import cycle — illegal Go,
+// but exactly what a half-edited tree under analysis looks like — cannot
+// hang or abort the checker: the in-progress package degrades to a stub
+// import and both sides still produce a types view for the analyzers.
+func TestTypecheckImportCycle(t *testing.T) {
+	tree := loadTyped(t, cycleFiles)
 	for _, dir := range []string{"internal/a", "internal/b"} {
 		pkg := findPkg(t, tree, dir)
 		if pkg.Types == nil || pkg.Info == nil {
 			t.Fatalf("%s: nil types view after a cycle; checking aborted", dir)
 		}
 	}
-	// The package checked second still resolves the first for real: Left
-	// sees the genuine b.Right, not a stub.
-	leftResolves := func(tree *Tree) {
-		a := findPkg(t, tree, "internal/a")
-		left, ok := a.Types.Scope().Lookup("Left").(*types.TypeName)
-		if !ok {
-			t.Fatal("internal/a: Left not type-checked")
-		}
-		st := left.Type().Underlying().(*types.Struct)
-		if got := st.Field(0).Type().String(); got != "example.com/fix/internal/b.Right" {
-			t.Errorf("Left.R resolved to %s, want the in-tree b.Right", got)
-		}
-	}
-	leftResolves(tree)
+	leftResolves(t, tree)
 	// Which side of a cycle gets the stub depends on the walk, so a reload
 	// re-checks both instead of reusing them, and resolves the same way.
 	again, err := LoadTree(tree.Root)
@@ -131,7 +137,7 @@ func FromB() int { return a.FromA() }
 			t.Errorf("%s: reload reused a package on an import cycle", dir)
 		}
 	}
-	leftResolves(again)
+	leftResolves(t, again)
 	assertSharedOnlyGOROOT(t, "example.com/fix/internal/a", "example.com/fix/internal/b")
 }
 
@@ -369,6 +375,127 @@ func Call() { gone.Call() }
 	}
 	assertSharedOnlyGOROOT(t, "example.com/fix/pkg/locks", "example.com/fix/pkg/held", "example.com/fix/pkg/mix",
 		"example.com/fix/pkg/gone")
+}
+
+// diamondFiles is a module whose imports form a diamond: a imports b
+// and c, and both import d. Its lock-order cycle runs through all of b,
+// c and d and closes in a, b holds two locks across d's blocking send,
+// and d mixes atomic and plain access to one counter.
+var diamondFiles = map[string]string{
+	"go.mod": "module example.com/dia\n\ngo 1.22\n",
+	"a/a.go": `package a
+
+import (
+	"example.com/dia/b"
+	"example.com/dia/c"
+)
+
+func Close() {
+	b.Mu.Lock()
+	c.Mu.Lock()
+	c.Mu.Unlock()
+	b.Mu.Unlock()
+}
+`,
+	"b/b.go": `package b
+
+import (
+	"sync"
+
+	"example.com/dia/d"
+)
+
+var Mu sync.Mutex
+
+func Forward(ch chan int) {
+	d.Mu.Lock()
+	Mu.Lock()
+	d.Send(ch)
+	Mu.Unlock()
+	d.Mu.Unlock()
+}
+`,
+	"c/c.go": `package c
+
+import (
+	"sync"
+
+	"example.com/dia/d"
+)
+
+var Mu sync.Mutex
+
+func Backward() {
+	Mu.Lock()
+	d.Mu.Lock()
+	d.Count()
+	d.Mu.Unlock()
+	Mu.Unlock()
+}
+`,
+	"d/d.go": `package d
+
+import (
+	"sync"
+	"sync/atomic"
+)
+
+var Mu sync.Mutex
+
+var n int64
+
+func Send(ch chan int) { ch <- int(n) }
+
+func Count() { atomic.AddInt64(&n, 1) }
+`,
+}
+
+// TestParallelCheckDeterministic loads fresh roots of a diamond, an
+// import cycle and a generated module, so every load checks cold on the
+// pool under whatever schedule it gets, and requires every load of a
+// module to lint and export exactly what its first load does. In the
+// diamond both importers of d must hold d's one checked package; on the
+// cycle the side checked second must see the other's real types.
+func TestParallelCheckDeterministic(t *testing.T) {
+	for _, fixture := range []struct {
+		name  string
+		files map[string]string
+		check func(t *testing.T, tree *Tree)
+	}{
+		{"diamond", diamondFiles, func(t *testing.T, tree *Tree) {
+			d := findPkg(t, tree, "d").Types
+			for _, dir := range []string{"b", "c"} {
+				if got := importOf(findPkg(t, tree, dir).Types, "example.com/dia/d"); got != d {
+					t.Errorf("%s imports d as %p, want d's checked package %p", dir, got, d)
+				}
+			}
+		}},
+		{"cycle", cycleFiles, leftResolves},
+		{"generated", relintModule(8, 4), func(*testing.T, *Tree) {}},
+	} {
+		t.Run(fixture.name, func(t *testing.T) {
+			var want []string
+			for load := 0; load < 4; load++ {
+				root := writeTree(t, fixture.files)
+				tree, diags := lintedTree(t, root)
+				got := exported(tree)
+				for _, d := range diags {
+					got = append(got, strings.ReplaceAll(d, root, ""))
+				}
+				fixture.check(t, tree)
+				if load == 0 {
+					want = got
+					if fixture.name != "cycle" && len(diags) == 0 {
+						t.Fatal("the first load reported nothing; want the fixture's findings")
+					}
+					continue
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("load %d lints and exports\n%v\nthe first load\n%v", load, got, want)
+				}
+			}
+		})
+	}
 }
 
 // crossLockFiles is a module whose two packages form a lock-order cycle

@@ -1,9 +1,11 @@
 // Package pool is the repository's shared bounded worker pool: one
-// GOMAXPROCS-sized concurrency budget for every CPU-bound fan-out — the
+// GOMAXPROCS-sized concurrency budget for every CPU-bound fan-out. The
 // evstore codec's chunk encode/decode and its chunk hashing draw from
-// it. Sharing one budget keeps the process from oversubscribing the
+// it, and so does internal/lint: its type-check of the packages whose
+// in-tree imports are checked, and the package-local scans of its fact
+// base. Sharing one budget keeps the process from oversubscribing the
 // machine when several fan-outs run at once (the daemon decoding one
-// upload while hashing another trace, say).
+// upload while linting a source tree, say).
 //
 // The pool is deliberately tiny: no long-lived workers, no queues to
 // drain on shutdown, no wall-clock timeouts (the simulator packages run
@@ -12,7 +14,14 @@
 // when the budget is spent, work runs inline on the calling goroutine.
 // That inline fallback is what makes the pool safe to nest — a task
 // running on the pool may itself call Do or ForEach without any risk of
-// deadlock, it just degrades towards serial execution.
+// deadlock, it just degrades towards serial execution. With a budget of
+// one (GOMAXPROCS=1 at start-up) every fan-out runs inline.
+//
+// A task's panic reaches the caller: Do and ForEach recover it, let the
+// other tasks finish, and panic with the recovered value on the calling
+// goroutine. A panic on a pool goroutine would otherwise end the
+// process, where the caller (an HTTP handler, whose panics net/http
+// recovers) could have failed alone.
 package pool
 
 import (
@@ -30,11 +39,41 @@ var sem = make(chan struct{}, runtime.GOMAXPROCS(0))
 // wider than Size only adds merge work.
 func Size() int { return cap(sem) }
 
+// A catch keeps the first panic value its tasks raise (never nil: since
+// Go 1.21 panic(nil) raises a *runtime.PanicNilError).
+type catch struct {
+	mu  sync.Mutex
+	val any
+}
+
+// run calls f, recovering a panic into c.
+func (c *catch) run(f func()) {
+	defer func() {
+		if v := recover(); v != nil {
+			c.mu.Lock()
+			if c.val == nil {
+				c.val = v
+			}
+			c.mu.Unlock()
+		}
+	}()
+	f()
+}
+
+// rethrow panics with the value c caught, if any. The tasks it caught
+// from have finished, so no lock is needed.
+func (c *catch) rethrow() {
+	if c.val != nil {
+		panic(c.val)
+	}
+}
+
 // Do runs every task and returns when all have finished. Up to Size
 // tasks run on pool goroutines; the rest run inline on the caller's
 // goroutine as the budget allows. Tasks must synchronise among
 // themselves if they share state; Do only guarantees completion
-// (happens-before Do returning).
+// (happens-before Do returning). When tasks panic, every other task
+// still runs, and Do then panics with the first value it recovered.
 func Do(tasks ...func()) {
 	if len(tasks) == 0 {
 		return
@@ -43,6 +82,7 @@ func Do(tasks ...func()) {
 		tasks[0]()
 		return
 	}
+	var c catch
 	var wg sync.WaitGroup
 	for _, task := range tasks {
 		select {
@@ -51,21 +91,23 @@ func Do(tasks ...func()) {
 			go func(f func()) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				f()
+				c.run(f)
 			}(task)
 		default:
 			// Budget spent: run on the calling goroutine. This also
 			// makes nested Do calls deadlock-free by construction.
-			task()
+			c.run(task)
 		}
 	}
 	wg.Wait()
+	c.rethrow()
 }
 
 // ForEach runs fn(i) for every i in [0, n), distributing indexes over at
 // most Size workers via an atomic counter, so uneven per-index costs
 // balance automatically. It returns when every index has been processed.
-// fn must not panic; like Do, cross-index synchronisation is the
+// Like Do, it runs every index even when some panic and then panics with
+// the first value it recovered; cross-index synchronisation is the
 // caller's business.
 func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
@@ -75,12 +117,7 @@ func ForEach(n int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
+	var c catch
 	var next atomic.Int64
 	drain := func() {
 		for {
@@ -88,12 +125,13 @@ func ForEach(n int, fn func(i int)) {
 			if i >= n {
 				return
 			}
-			fn(i)
+			c.run(func() { fn(i) })
 		}
 	}
 	tasks := make([]func(), workers)
 	for w := range tasks {
 		tasks[w] = drain
 	}
-	Do(tasks...)
+	Do(tasks...) // one task runs inline
+	c.rethrow()
 }

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -84,5 +85,62 @@ func TestNestedForEachInsideDo(t *testing.T) {
 func TestSizePositive(t *testing.T) {
 	if Size() < 1 {
 		t.Fatalf("Size() = %d, want >= 1", Size())
+	}
+}
+
+// TestPanicReachesCaller proves a task's panic is re-raised on the
+// caller's goroutine after every other task ran, with the semaphore
+// released: the next fan-out still gets the whole budget.
+func TestPanicReachesCaller(t *testing.T) {
+	const boom = "task 3 failed"
+	for _, fanOut := range []struct {
+		name string
+		run  func(n int, fn func(i int))
+	}{
+		{"Do", func(n int, fn func(i int)) {
+			tasks := make([]func(), n)
+			for i := range tasks {
+				tasks[i] = func() { fn(i) }
+			}
+			Do(tasks...)
+		}},
+		{"ForEach", ForEach},
+	} {
+		var ran [16]atomic.Bool
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			fanOut.run(len(ran), func(i int) {
+				ran[i].Store(true)
+				if i == 3 {
+					panic(boom)
+				}
+			})
+			return nil
+		}()
+		if got != boom {
+			t.Fatalf("%s: caller recovered %v, want %q", fanOut.name, got, boom)
+		}
+		for i := range ran {
+			if !ran[i].Load() {
+				t.Errorf("%s: task %d did not run after task 3 panicked", fanOut.name, i)
+			}
+		}
+		if n := len(sem); n != 0 {
+			t.Fatalf("%s: %d pool slots still held after the panic", fanOut.name, n)
+		}
+		// Size tasks that each wait until all have started: with the
+		// budget still spent they would run inline one after another,
+		// and the first would wait forever.
+		var started atomic.Int64
+		tasks := make([]func(), Size())
+		for i := range tasks {
+			tasks[i] = func() {
+				started.Add(1)
+				for started.Load() < int64(len(tasks)) {
+					runtime.Gosched()
+				}
+			}
+		}
+		Do(tasks...)
 	}
 }
