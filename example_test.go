@@ -87,7 +87,7 @@ func ExampleNewSession() {
 		sgxperf.WithOcallImpls(map[string]sgxperf.OcallFn{
 			"ocall_log": func(ctx *sgxperf.Context, args any) (any, error) { return nil, nil },
 		}),
-		sgxperf.WithLogger(sgxperf.WithWorkload("session-example")),
+		sgxperf.WithLogger(sgxperf.LoggerOptions{Workload: "session-example"}),
 	)
 	if err != nil {
 		fmt.Println(err)
@@ -130,7 +130,7 @@ func ExampleNewSession() {
 func ExampleSession_Live() {
 	s, err := sgxperf.NewSession(
 		sgxperf.WithEDL(`enclave { trusted { public ecall_spin(); }; };`),
-		sgxperf.WithLogger(sgxperf.WithWorkload("live-example")),
+		sgxperf.WithLogger(sgxperf.LoggerOptions{Workload: "live-example"}),
 	)
 	if err != nil {
 		fmt.Println(err)

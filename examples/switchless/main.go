@@ -8,7 +8,9 @@
 //
 //  1. the fixed-worker ablation: the Glamdring signing workload three
 //     ways — the broken partition, the same partition over switchless
-//     calls, and the paper's interface redesign;
+//     calls on two workers (a configuration with MinWorkers ==
+//     MaxWorkers, so the scheduler never runs), and the paper's
+//     interface redesign;
 //  2. the self-tuning runtime: the closed lint → config → re-measure
 //     loop on a transition-bound workload, printing every per-epoch
 //     scaling decision the scheduler took on its way to convergence.
@@ -35,7 +37,7 @@ func run() error {
 	ops := flag.Int("ops", 400, "transition-bound calls per caller (self-tuning loop)")
 	flag.Parse()
 
-	// Part 1 — fixed workers: the technique applied by hand.
+	// Part 1 — fixed workers (equal bounds): the technique applied by hand.
 	rows, err := experiments.RunSwitchlessAblation(*signs)
 	if err != nil {
 		return err
@@ -51,9 +53,10 @@ func run() error {
 	fmt.Println()
 
 	// Part 2 — self-tuning: the analyzer picks the calls, the scheduler
-	// picks the workers. The epoch log shows the pools growing from one
-	// worker until the queueing model prices the next worker below the
-	// wake cost, then holding there.
+	// picks the workers between the default bounds of 1 and 8. The epoch
+	// log shows the pools growing from one worker until the queueing
+	// model prices the next worker below the wake cost, then holding
+	// there.
 	loop, err := experiments.RunSwitchlessLoop(0, *ops)
 	if err != nil {
 		return err

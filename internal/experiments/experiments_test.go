@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -254,6 +255,21 @@ func TestSwitchlessAblation(t *testing.T) {
 	}
 	if byName["switchless"].SwitchlessServed == 0 {
 		t.Error("no calls went through the switchless queue")
+	}
+	// The run is deterministic, so its exact rows pin the switchless
+	// runtime's virtual-time charges, not only the paper's shape.
+	for _, want := range []SwitchlessRow{
+		{Variant: "enclave", SignsPerSec: 20.5},
+		{Variant: "switchless", SignsPerSec: 48.1, SwitchlessServed: 12496},
+		{Variant: "optimized", SignsPerSec: 63.0},
+	} {
+		got := byName[want.Variant]
+		if math.Abs(got.SignsPerSec-want.SignsPerSec) > 0.05 ||
+			got.SwitchlessServed != want.SwitchlessServed || got.SwitchlessFellBack != want.SwitchlessFellBack {
+			t.Errorf("%s: %.4f signs/s, %d served, %d fallbacks; want %.1f, %d, %d", want.Variant,
+				got.SignsPerSec, got.SwitchlessServed, got.SwitchlessFellBack,
+				want.SignsPerSec, want.SwitchlessServed, want.SwitchlessFellBack)
+		}
 	}
 	if !strings.Contains(RenderSwitchless(rows), "switchless") {
 		t.Error("render broken")

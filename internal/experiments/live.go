@@ -53,7 +53,7 @@ func RunLive(duration, interval time.Duration, emit func(LiveTick)) (*LiveRunRes
 	if err != nil {
 		return nil, err
 	}
-	l, err := logger.New(h, logger.WithWorkload("securekeeper-live"), logger.WithAEX(logger.AEXCount))
+	l, err := logger.Attach(h, logger.Options{Workload: "securekeeper-live", AEX: logger.AEXCount})
 	if err != nil {
 		return nil, err
 	}

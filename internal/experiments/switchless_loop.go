@@ -171,7 +171,7 @@ func runSwitchlessPhase(callers, ops int, cfg *sgxperf.SwitchlessConfig) (*phase
 				return nil, nil
 			},
 		}),
-		sgxperf.WithLogger(sgxperf.WithWorkload("switchless-loop")),
+		sgxperf.WithLogger(sgxperf.LoggerOptions{Workload: "switchless-loop"}),
 	}
 	if cfg != nil {
 		opts = append(opts, sgxperf.WithSwitchless(cfg))

@@ -164,7 +164,7 @@ func checkEquivalence(t *testing.T, snap live.Snapshot, l *logger.Logger, opts a
 // must equal the analyser's report over the same trace.
 func TestLiveEqualsPostMortem(t *testing.T) {
 	a := newApp(t, host.WithEPCCapacity(160))
-	l, err := logger.New(a.h, logger.WithWorkload("golden"), logger.WithAEX(logger.AEXTrace))
+	l, err := logger.Attach(a.h, logger.Options{Workload: "golden", AEX: logger.AEXTrace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLiveEqualsPostMortem(t *testing.T) {
 // the analysis restricted to the first enclave.
 func TestLiveEqualsPostMortemPerEnclave(t *testing.T) {
 	a := newApp(t, host.WithEPCCapacity(160))
-	l, err := logger.New(a.h, logger.WithWorkload("golden-enclave"))
+	l, err := logger.Attach(a.h, logger.Options{Workload: "golden-enclave"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestLiveEqualsPostMortemPerEnclave(t *testing.T) {
 // snapshot still equals the post-mortem report.
 func TestLiveAttachMidRunReplays(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithWorkload("midrun"), logger.WithPagingTrace(false))
+	l, err := logger.Attach(a.h, logger.Options{Workload: "midrun", SkipPaging: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestLiveAttachMidRunReplays(t *testing.T) {
 // the second the logger has flushed before Snapshot reads.
 func TestLiveSnapshotWithoutDrain(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithPagingTrace(false))
+	l, err := logger.Attach(a.h, logger.Options{SkipPaging: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestLiveSnapshotWithoutDrain(t *testing.T) {
 // the analyser's report, which counts such late children as unparented.
 func TestLiveEqualsPostMortemLateChildren(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithWorkload("late-children"), logger.WithPagingTrace(false))
+	l, err := logger.Attach(a.h, logger.Options{Workload: "late-children", SkipPaging: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestLiveEqualsPostMortemLateChildren(t *testing.T) {
 // they must be internally consistent and monotonic in event counts.
 func TestLiveSnapshotsDuringRun(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithPagingTrace(false), logger.WithFlushEvery(16))
+	l, err := logger.Attach(a.h, logger.Options{SkipPaging: true, FlushEvery: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestLiveSnapshotsDuringRun(t *testing.T) {
 // the collector's lock while the logger appends more.
 func TestLiveSnapshotsConcurrentWithRecording(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithPagingTrace(false), logger.WithFlushEvery(8))
+	l, err := logger.Attach(a.h, logger.Options{SkipPaging: true, FlushEvery: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestLiveSnapshotsConcurrentWithRecording(t *testing.T) {
 // TestLiveAttachDetachedLogger verifies the sentinel error contract.
 func TestLiveAttachDetachedLogger(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithPagingTrace(false))
+	l, err := logger.Attach(a.h, logger.Options{SkipPaging: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestLiveAttachDetachedLogger(t *testing.T) {
 // TestLiveCloseIsIdempotent closes twice and snapshots after close.
 func TestLiveCloseIsIdempotent(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithPagingTrace(false))
+	l, err := logger.Attach(a.h, logger.Options{SkipPaging: true})
 	if err != nil {
 		t.Fatal(err)
 	}

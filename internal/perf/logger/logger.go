@@ -59,14 +59,15 @@ const (
 	AEXTrace
 )
 
-// Options configures the logger.
+// Options configures the logger; the zero value records with AEX
+// observation off, paging traced and batches of 256 events.
 type Options struct {
 	// Workload labels the trace.
 	Workload string
 	// AEX selects AEX observation (default AEXOff).
 	AEX AEXMode
-	// TracePaging registers kprobes on the driver's paging functions
-	// (default true — set SkipPaging to disable).
+	// SkipPaging leaves the kprobes on the driver's paging functions
+	// (§4.1.5) unregistered, so no paging events are recorded.
 	SkipPaging bool
 	// FlushEvery sets the per-thread buffer size before events are
 	// flushed to the database in a batch (default 256). 1 flushes every

@@ -1,51 +1,7 @@
 package logger
 
-import (
-	"errors"
-
-	"sgxperf/internal/host"
-)
+import "errors"
 
 // ErrDetached reports that an operation needed a recording logger but the
 // logger had already been detached. Test with errors.Is.
 var ErrDetached = errors.New("logger detached")
-
-// Option configures a logger, functional-options style. Options compose
-// left to right over the defaults (AEX off, paging kprobes on, batch size
-// 256); the Options struct remains as the underlying configuration record
-// for callers that prefer to fill it directly.
-type Option func(*Options)
-
-// WithWorkload labels the trace with the workload's name.
-func WithWorkload(name string) Option {
-	return func(o *Options) { o.Workload = name }
-}
-
-// WithAEX selects how asynchronous exits are observed (§4.1.4): AEXOff,
-// AEXCount or AEXTrace.
-func WithAEX(mode AEXMode) Option {
-	return func(o *Options) { o.AEX = mode }
-}
-
-// WithPagingTrace enables or disables the kprobes on the SGX driver's
-// paging functions (§4.1.5). The default is enabled.
-func WithPagingTrace(on bool) Option {
-	return func(o *Options) { o.SkipPaging = !on }
-}
-
-// WithFlushEvery sets the per-thread buffer size before events are flushed
-// to the database in a batch (default 256). 1 flushes every event
-// immediately — useful for golden-trace comparisons.
-func WithFlushEvery(n int) Option {
-	return func(o *Options) { o.FlushEvery = n }
-}
-
-// New preloads the logger into the host process and starts recording,
-// configured by functional options. It is the option-based form of Attach.
-func New(h *host.Host, opts ...Option) (*Logger, error) {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return Attach(h, o)
-}

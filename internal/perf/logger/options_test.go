@@ -6,14 +6,14 @@ import (
 	"sgxperf/internal/perf/logger"
 )
 
-func TestLoggerFunctionalOptions(t *testing.T) {
+func TestLoggerOptions(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h,
-		logger.WithWorkload("opts"),
-		logger.WithAEX(logger.AEXCount),
-		logger.WithPagingTrace(false),
-		logger.WithFlushEvery(1),
-	)
+	l, err := logger.Attach(a.h, logger.Options{
+		Workload:   "opts",
+		AEX:        logger.AEXCount,
+		SkipPaging: true,
+		FlushEvery: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestLoggerFunctionalOptions(t *testing.T) {
 
 func TestLoggerFlushAndDetached(t *testing.T) {
 	a := newApp(t)
-	l, err := logger.New(a.h, logger.WithWorkload("flush"), logger.WithPagingTrace(false))
+	l, err := logger.Attach(a.h, logger.Options{Workload: "flush", SkipPaging: true})
 	if err != nil {
 		t.Fatal(err)
 	}

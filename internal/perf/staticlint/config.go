@@ -4,7 +4,7 @@ package staticlint
 // Transition-Bound Calls detector. Where detectSwitchless prints a
 // finding for a human, SwitchlessConfigFrom renders the same candidate
 // set as a machine-readable sdk.SwitchlessConfig that
-// sgxperf.WithSwitchless (or sdk.StartSwitchlessAuto) applies directly —
+// sgxperf.WithSwitchless (or sdk.StartSwitchless) applies directly —
 // closing the lint→config→re-measure loop without a developer
 // transcribing call names by hand.
 
@@ -13,34 +13,17 @@ import (
 	"sgxperf/internal/sdk"
 )
 
-// switchlessOcallCandidates is the shared candidate filter behind both
-// the Transition-Bound Calls finding and the config emitter: ocalls that
-// marshal at most switchlessMaxParams parameters, pass no user_check
-// pointers, allow no reentrant ecalls and are not SDK sync ocalls.
-func switchlessOcallCandidates(iface *edl.Interface) []string {
+// switchlessCandidates is the shared candidate filter behind both the
+// Transition-Bound Calls finding and the config emitter: the functions
+// the runtime may route (sdk.SwitchlessEligible) that also marshal at
+// most switchlessMaxParams parameters and pass no user_check pointers,
+// the calls a worker thread profits most from.
+func switchlessCandidates(fs []*edl.Func) []string {
 	var names []string
-	for _, o := range iface.Ocalls() {
-		if len(o.Params) > switchlessMaxParams || len(o.Allow) > 0 {
-			continue
+	for _, f := range fs {
+		if sdk.SwitchlessEligible(f) && len(f.Params) <= switchlessMaxParams && !f.HasUserCheck() {
+			names = append(names, f.Name)
 		}
-		if o.HasUserCheck() || sdk.IsSyncOcall(o.Name) {
-			continue
-		}
-		names = append(names, o.Name)
-	}
-	return names
-}
-
-// switchlessEcallCandidates filters ecalls the same way: public (a
-// worker enters through the public dispatch path), small marshalling
-// footprint, no user_check pointers.
-func switchlessEcallCandidates(iface *edl.Interface) []string {
-	var names []string
-	for _, e := range iface.Ecalls() {
-		if !e.Public || len(e.Params) > switchlessMaxParams || e.HasUserCheck() {
-			continue
-		}
-		names = append(names, e.Name)
 	}
 	return names
 }
@@ -59,8 +42,8 @@ func SwitchlessConfigFrom(iface *edl.Interface) *sdk.SwitchlessConfig {
 	}
 	cfg := &sdk.SwitchlessConfig{
 		Source: "staticlint",
-		Ecalls: switchlessEcallCandidates(iface),
-		Ocalls: switchlessOcallCandidates(iface),
+		Ecalls: switchlessCandidates(iface.Ecalls()),
+		Ocalls: switchlessCandidates(iface.Ocalls()),
 	}
 	if len(cfg.Ecalls)+len(cfg.Ocalls) == 0 {
 		return nil

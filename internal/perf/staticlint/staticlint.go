@@ -393,7 +393,7 @@ func detectMergeShape(iface *edl.Interface, opts Options) []analyzer.Finding {
 // supplies its candidate set).
 func detectSwitchless(iface *edl.Interface, opts Options) []analyzer.Finding {
 	transition := opts.Cost.Frequency.Duration(opts.Cost.RoundTrip())
-	names := switchlessOcallCandidates(iface)
+	names := switchlessCandidates(iface.Ocalls())
 	if len(names) == 0 {
 		return nil
 	}

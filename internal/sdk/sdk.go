@@ -62,8 +62,8 @@ type AppEnclave struct {
 	// injection point for the logger's stub table (Fig. 3). Atomic: every
 	// ecall saves it and the logger swaps it concurrently.
 	savedTable atomic.Pointer[OcallTable]
-	// sl is the active auto-configured switchless runtime, if any; the
-	// TRTS ocall path consults it to route configured ocalls through the
+	// sl is the enclave's running switchless runtime, if any; the TRTS
+	// ocall path consults it to route configured ocalls through the
 	// untrusted worker pool instead of the transition path.
 	sl atomic.Pointer[Switchless]
 }
@@ -85,8 +85,7 @@ func (a *AppEnclave) setSwitchless(s *Switchless) bool { return a.sl.CompareAndS
 
 func (a *AppEnclave) clearSwitchless(s *Switchless) { a.sl.CompareAndSwap(s, nil) }
 
-// Switchless returns the enclave's active auto-configured switchless
-// runtime, or nil.
+// Switchless returns the enclave's running switchless runtime, or nil.
 func (a *AppEnclave) Switchless() *Switchless { return a.sl.Load() }
 
 func (a *AppEnclave) trustedFn(id int) (TrustedFn, bool) {

@@ -78,6 +78,12 @@ func newSLFixture(t *testing.T) *slFixture {
 	}
 }
 
+// fixedPool is a configuration with equal worker bounds: n workers for
+// the runtime's lifetime and no scheduler.
+func fixedPool(n, depth int) sdk.SwitchlessConfig {
+	return sdk.SwitchlessConfig{MinWorkers: n, MaxWorkers: n, QueueDepth: depth}
+}
+
 func callID(t *testing.T, f *slFixture, name string) int {
 	t.Helper()
 	decl, ok := f.app.Interface().Lookup(name)
@@ -89,7 +95,7 @@ func callID(t *testing.T, f *slFixture, name string) int {
 
 func TestSwitchlessReturnsResults(t *testing.T) {
 	f := newSLFixture(t)
-	sl, err := f.h.URTS.StartSwitchless(f.app, 2, 0)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(2, 8), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +130,7 @@ func TestSwitchlessEliminatesTransitionCost(t *testing.T) {
 	}
 	regular := f.ctx.Clock().DurationSince(start) / n
 
-	sl, err := f.h.URTS.StartSwitchless(f.app, 1, 0)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(1, 4), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +163,7 @@ func (f *slFixture) call(t *testing.T, name string) {
 
 func TestSwitchlessRejectsPrivateEcalls(t *testing.T) {
 	f := newSLFixture(t)
-	sl, err := f.h.URTS.StartSwitchless(f.app, 1, 0)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(1, 4), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +176,7 @@ func TestSwitchlessRejectsPrivateEcalls(t *testing.T) {
 
 func TestSwitchlessWorkerCanOcall(t *testing.T) {
 	f := newSLFixture(t)
-	sl, err := f.h.URTS.StartSwitchless(f.app, 1, 0)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(1, 4), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +198,7 @@ func TestSwitchlessWorkerCanOcall(t *testing.T) {
 func TestSwitchlessFallbackOnFullQueue(t *testing.T) {
 	f := newSLFixture(t)
 	// One worker, depth 1, and a slow call to jam the queue.
-	iface := f.app.Interface()
-	_ = iface
-	sl, err := f.h.URTS.StartSwitchless(f.app, 1, 1)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(1, 1), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +232,7 @@ func TestSwitchlessFallbackOnFullQueue(t *testing.T) {
 func TestSwitchlessStop(t *testing.T) {
 	f := newSLFixture(t)
 	freeBefore := f.app.Enclave().FreeTCS()
-	sl, err := f.h.URTS.StartSwitchless(f.app, 3, 0)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(3, 12), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +264,7 @@ func TestSwitchlessNeedsFreeTCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.URTS.StartSwitchless(app, 2, 0); err == nil {
+	if _, err := h.URTS.StartSwitchless(app, fixedPool(2, 8), nil); err == nil {
 		t.Fatal("switchless started with too few TCSs")
 	}
 }
@@ -281,7 +285,7 @@ func TestSwitchlessBypassesLoggerInterposition(t *testing.T) {
 	// One regular call so the logger saves its stub ocall table.
 	f.call(t, "ecall_with_ocall")
 
-	sl, err := f.h.URTS.StartSwitchless(f.app, 1, 0)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(1, 4), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +316,7 @@ func TestSwitchlessBypassesLoggerInterposition(t *testing.T) {
 // over this path is the scheduler's data-race certificate.
 func TestSwitchlessStopWithInFlightCalls(t *testing.T) {
 	f := newSLFixture(t)
-	sl, err := f.h.URTS.StartSwitchless(f.app, 2, 2)
+	sl, err := f.h.URTS.StartSwitchless(f.app, fixedPool(2, 2), f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,69 +370,6 @@ func TestSwitchlessStopWithInFlightCalls(t *testing.T) {
 	}
 }
 
-// TestSwitchlessCallBatch pins the batched submission contract: results
-// arrive in submission order, and the N overlapped round-trips plus a
-// single collect charge cost less than N sequential Calls.
-func TestSwitchlessCallBatch(t *testing.T) {
-	f := newSLFixture(t)
-	// Queue depth 32 so the whole batch fits without fallbacks.
-	sl, err := f.h.URTS.StartSwitchless(f.app, 2, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sl.Stop()
-	id := callID(t, f, "ecall_double")
-
-	const n = 16
-	// One warm-up call per context before its measurement: the first call
-	// from a fresh thread merges its clock up to the workers' timelines,
-	// which would otherwise bill the earlier phase's progress to this one.
-	seq := f.h.NewContext("seq")
-	if _, err := sl.Call(seq, id, f.otab, 0); err != nil {
-		t.Fatal(err)
-	}
-	start := seq.Now()
-	for i := 0; i < n; i++ {
-		res, err := sl.Call(seq, id, f.otab, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != 2*i {
-			t.Fatalf("sequential double(%d) = %v", i, res)
-		}
-	}
-	seqCost := seq.Clock().DurationSince(start)
-
-	batchCtx := f.h.NewContext("batch")
-	if _, err := sl.Call(batchCtx, id, f.otab, 0); err != nil {
-		t.Fatal(err)
-	}
-	calls := make([]sdk.BatchCall, n)
-	for i := range calls {
-		calls[i] = sdk.BatchCall{CallID: id, Args: i}
-	}
-	start = batchCtx.Now()
-	results, err := sl.CallBatch(batchCtx, f.otab, calls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchCost := batchCtx.Clock().DurationSince(start)
-	if len(results) != n {
-		t.Fatalf("batch returned %d results, want %d", len(results), n)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("batch[%d]: %v", i, r.Err)
-		}
-		if r.Res != 2*i {
-			t.Fatalf("batch double(%d) = %v", i, r.Res)
-		}
-	}
-	if batchCost >= seqCost {
-		t.Fatalf("batch %v not cheaper than %d sequential calls %v", batchCost, n, seqCost)
-	}
-}
-
 // TestSwitchlessAutoTunerConverges drives the self-tuning scheduler with
 // a stable concurrent load and asserts the trajectory the queueing model
 // promises: the pool grows from MinWorkers, every decision is priced in
@@ -444,7 +385,7 @@ func TestSwitchlessAutoTunerConverges(t *testing.T) {
 		QueueDepth: 8,
 		EpochCalls: 32,
 	}
-	sl, err := f.h.URTS.StartSwitchlessAuto(f.app, cfg, f.otab)
+	sl, err := f.h.URTS.StartSwitchless(f.app, cfg, f.otab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,5 +437,114 @@ func TestSwitchlessAutoTunerConverges(t *testing.T) {
 	ecallW, _ := sl.Workers()
 	if ecallW != tail[len(tail)-1].Workers {
 		t.Fatalf("live worker count %d disagrees with the last decision %d", ecallW, tail[len(tail)-1].Workers)
+	}
+}
+
+// TestSwitchlessFixedBoundsNeverTune pins the rule that turns the
+// scheduler on: with MinWorkers == MaxWorkers the pool keeps its size
+// however many epochs its callers drive past, and no decision is taken
+// or charged.
+func TestSwitchlessFixedBoundsNeverTune(t *testing.T) {
+	f := newSLFixture(t)
+	cfg := sdk.SwitchlessConfig{
+		Source:     "manual",
+		Ecalls:     []string{"ecall_short_work"},
+		MinWorkers: 2,
+		MaxWorkers: 2,
+		QueueDepth: 8,
+		EpochCalls: 8,
+	}
+	sl, err := f.h.URTS.StartSwitchless(f.app, cfg, f.otab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.Stop()
+	id := callID(t, f, "ecall_short_work")
+	var wg sync.WaitGroup
+	const callers, perCaller = 3, 40
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		if err := f.h.Spawn("caller", func(ctx *sgx.Context) {
+			defer wg.Done()
+			for j := 0; j < perCaller; j++ {
+				if _, err := sl.Call(ctx, id, f.otab, nil); err != nil {
+					t.Errorf("call: %v", err)
+					return
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	if served, fell := sl.Stats(); served+fell != callers*perCaller {
+		t.Fatalf("served %d + fallback %d != %d", served, fell, callers*perCaller)
+	}
+	if d := sl.Decisions(); len(d) != 0 {
+		t.Fatalf("fixed pool took %d scaling decisions over %d epochs: %+v",
+			len(d), callers*perCaller/cfg.EpochCalls, d)
+	}
+	if ecallW, ocallW := sl.Workers(); ecallW != 2 || ocallW != 0 {
+		t.Fatalf("fixed pool runs %d ecall and %d ocall workers, want 2 and 0", ecallW, ocallW)
+	}
+}
+
+// TestSwitchlessConfigRejectsHugeQueue: a parsed configuration whose
+// queue depth the runtime would refuse is refused at parse time, with
+// an error rather than an allocation the process cannot survive.
+func TestSwitchlessConfigRejectsHugeQueue(t *testing.T) {
+	if _, err := sdk.ParseSwitchlessConfig([]byte(`{"queue_depth": 1099511627776}`)); err == nil {
+		t.Fatal("a 2^40 queue depth parsed without error")
+	}
+	cfg, err := sdk.ParseSwitchlessConfig([]byte(`{"queue_depth": 4096}`))
+	if err != nil {
+		t.Fatalf("the largest accepted queue depth: %v", err)
+	}
+	if cfg.QueueDepth != 4096 {
+		t.Fatalf("queue depth = %d, want 4096", cfg.QueueDepth)
+	}
+}
+
+// TestSwitchlessStartRejectsHugeQueue: a configuration built in Go skips
+// the parser, so the runtime's start checks the same bound before it
+// allocates any queue.
+func TestSwitchlessStartRejectsHugeQueue(t *testing.T) {
+	f := newSLFixture(t)
+	freeBefore := f.app.Enclave().FreeTCS()
+	if _, err := f.h.URTS.StartSwitchless(f.app, fixedPool(1, 1<<40), f.otab); err == nil {
+		t.Fatal("switchless started with a 2^40 queue depth")
+	}
+	if got := f.app.Enclave().FreeTCS(); got != freeBefore {
+		t.Fatalf("rejected start holds %d TCSs", freeBefore-got)
+	}
+	if f.app.Switchless() != nil {
+		t.Fatal("rejected start installed itself on the enclave")
+	}
+}
+
+// TestSwitchlessEligible pins the one rule both the runtime's routing
+// and the lint's candidate filters use.
+func TestSwitchlessEligible(t *testing.T) {
+	iface := edl.NewInterface()
+	must := func(f *edl.Func, err error) *edl.Func {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		f    *edl.Func
+		want bool
+	}{
+		{must(iface.AddEcall("ecall_pub", true)), true},
+		{must(iface.AddEcall("ecall_priv", false)), false},
+		{must(iface.AddOcall("ocall_plain", nil)), true},
+		{must(iface.AddOcall("ocall_reentrant", []string{"ecall_priv"})), false},
+		{must(iface.AddOcall(sdk.OcallThreadWait, nil)), false},
+	} {
+		if got := sdk.SwitchlessEligible(tc.f); got != tc.want {
+			t.Errorf("SwitchlessEligible(%s) = %v, want %v", tc.f.Name, got, tc.want)
+		}
 	}
 }

@@ -290,7 +290,9 @@ func New(h *host.Host, variant Variant) (*Workload, error) {
 	w.otab = otab
 	w.proxies = sdk.Proxies(app, h.Proc, otab)
 	if variant == VariantSwitchless {
-		sl, err := h.URTS.StartSwitchless(app, 2, 16)
+		// Equal bounds: two workers for the run's lifetime, no scheduler.
+		cfg := sdk.SwitchlessConfig{MinWorkers: 2, MaxWorkers: 2, QueueDepth: 16}
+		sl, err := h.URTS.StartSwitchless(app, cfg, otab)
 		if err != nil {
 			return nil, fmt.Errorf("glamdring: %w", err)
 		}

@@ -41,7 +41,7 @@ type SessionOption func(*sessionConfig)
 
 type sessionConfig struct {
 	hostOpts   []HostOption
-	loggerOpts []LoggerOption
+	loggerOpts LoggerOptions
 	edl        string
 	hasEDL     bool
 	ocallImpls map[string]OcallFn
@@ -76,9 +76,9 @@ func WithHost(opts ...HostOption) SessionOption {
 	return func(c *sessionConfig) { c.hostOpts = append(c.hostOpts, opts...) }
 }
 
-// WithLogger forwards options to the underlying logger attachment.
-func WithLogger(opts ...LoggerOption) SessionOption {
-	return func(c *sessionConfig) { c.loggerOpts = append(c.loggerOpts, opts...) }
+// WithLogger configures the session's logger attachment.
+func WithLogger(opts LoggerOptions) SessionOption {
+	return func(c *sessionConfig) { c.loggerOpts = opts }
 }
 
 // NewSession builds a host, preloads the logger, parses the interface
@@ -92,7 +92,7 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
-	l, err := logger.New(h, cfg.loggerOpts...)
+	l, err := logger.Attach(h, cfg.loggerOpts)
 	if err != nil {
 		return nil, fmt.Errorf("session: %w", err)
 	}
@@ -149,7 +149,7 @@ func (s *Session) Enclave(ctx *Context, cfg EnclaveConfig, trusted map[string]Tr
 		// The raw ocall table, deliberately: switchless workers bypass the
 		// logger's stub interposition (the blind spot the synthetic trace
 		// events compensate for).
-		sl, err := s.Host.URTS.StartSwitchlessAuto(app, *s.switchless, s.Ocalls)
+		sl, err := s.Host.URTS.StartSwitchless(app, *s.switchless, s.Ocalls)
 		if err != nil {
 			return nil, fmt.Errorf("session: enclave %q: %w", cfg.Name, err)
 		}

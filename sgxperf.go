@@ -20,7 +20,7 @@
 //
 //	s, _ := sgxperf.NewSession(
 //		sgxperf.WithEDL(`enclave { trusted { public ecall_work(); }; };`),
-//		sgxperf.WithLogger(sgxperf.WithWorkload("demo")),
+//		sgxperf.WithLogger(sgxperf.LoggerOptions{Workload: "demo"}),
 //	)
 //	enc, _ := s.Enclave(s.NewContext("main"), sgxperf.EnclaveConfig{Name: "demo"}, trusted)
 //	// ... enc.Call(ctx, "ecall_work", nil) ...
@@ -94,7 +94,8 @@ type (
 	EnclaveCond = sdk.Cond
 	// Switchless is the self-tuning switchless call runtime: worker pools
 	// servicing ecall/ocall queues without enclave transitions, resized
-	// per epoch from observed fallback rate and queue occupancy.
+	// per epoch from observed fallback rate and queue occupancy within
+	// the configuration's worker bounds (equal bounds: a fixed pool).
 	Switchless = sdk.Switchless
 	// SwitchlessConfig selects which calls run switchless and bounds the
 	// scheduler; the static analyzer emits one from its Transition-Bound
@@ -102,10 +103,6 @@ type (
 	SwitchlessConfig = sdk.SwitchlessConfig
 	// EpochDecision is one scaling decision of the switchless scheduler.
 	EpochDecision = sdk.EpochDecision
-	// BatchCall is one entry of a batched switchless submission.
-	BatchCall = sdk.BatchCall
-	// BatchResult is one result of a batched switchless submission.
-	BatchResult = sdk.BatchResult
 	// Interface is a parsed EDL enclave interface.
 	Interface = edl.Interface
 	// EDLParam is one declared parameter with pointer annotations.
@@ -116,14 +113,9 @@ type (
 type (
 	// Logger is the attached sgx-perf event logger (§4.1).
 	Logger = logger.Logger
-	// LoggerOptions configures the logger (AEX mode, paging tracing).
-	//
-	// Deprecated: prefer NewLogger with functional LoggerOption values
-	// (WithWorkload, WithAEX, WithPagingTrace); the struct form is kept
-	// so existing AttachLogger callers do not break.
+	// LoggerOptions configures the logger (workload label, AEX mode,
+	// paging tracing, batch size).
 	LoggerOptions = logger.Options
-	// LoggerOption configures NewLogger, mirroring HostOption.
-	LoggerOption = logger.Option
 	// AEXMode selects off/counting/tracing (§4.1.4).
 	AEXMode = logger.AEXMode
 	// Trace is one recorded run.
@@ -269,18 +261,6 @@ func WithEnclaveComputeFactor(f float64) HostOption { return host.WithEnclaveCom
 
 // AttachLogger preloads the sgx-perf event logger into the host process.
 func AttachLogger(h *Host, opts LoggerOptions) (*Logger, error) { return logger.Attach(h, opts) }
-
-// NewLogger preloads the logger configured by functional options.
-func NewLogger(h *Host, opts ...LoggerOption) (*Logger, error) { return logger.New(h, opts...) }
-
-// WithWorkload names the workload in the trace metadata.
-func WithWorkload(name string) LoggerOption { return logger.WithWorkload(name) }
-
-// WithAEX selects the logger's AEX observation mode (§4.1.4).
-func WithAEX(mode AEXMode) LoggerOption { return logger.WithAEX(mode) }
-
-// WithPagingTrace enables or disables EPC paging tracing via kprobes.
-func WithPagingTrace(on bool) LoggerOption { return logger.WithPagingTrace(on) }
 
 // AttachLive attaches a streaming collector to the logger's trace; it
 // reads the trace only when sampled. Fails with ErrLoggerDetached once

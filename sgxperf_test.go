@@ -78,7 +78,7 @@ func TestSessionQuickstart(t *testing.T) {
 		sgxperf.WithOcallImpls(map[string]sgxperf.OcallFn{
 			"ocall_pong": func(ctx *sgxperf.Context, args any) (any, error) { return "pong", nil },
 		}),
-		sgxperf.WithLogger(sgxperf.WithWorkload("session-test"), sgxperf.WithAEX(sgxperf.AEXCount)),
+		sgxperf.WithLogger(sgxperf.LoggerOptions{Workload: "session-test", AEX: sgxperf.AEXCount}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestSessionAnalyzeMatchesStream(t *testing.T) {
 			"ocall_read":  func(ctx *sgxperf.Context, args any) (any, error) { return nil, nil },
 			"ocall_write": func(ctx *sgxperf.Context, args any) (any, error) { return nil, nil },
 		}),
-		sgxperf.WithLogger(sgxperf.WithWorkload("session-vs-stream"), sgxperf.WithAEX(sgxperf.AEXCount)),
+		sgxperf.WithLogger(sgxperf.LoggerOptions{Workload: "session-vs-stream", AEX: sgxperf.AEXCount}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestSentinelErrorsThroughReexports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := sgxperf.NewLogger(h, sgxperf.WithWorkload("sentinel"))
+	l, err := sgxperf.AttachLogger(h, sgxperf.LoggerOptions{Workload: "sentinel"})
 	if err != nil {
 		t.Fatal(err)
 	}
