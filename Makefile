@@ -39,12 +39,14 @@ lint: vet
 # type-checked GOROOT packages and of the last root's parsed and checked
 # packages, which concurrently checked trees share, and for its fan-outs
 # on the pool: one tree type-checks its packages and builds their fact
-# rows there.
+# rows there. The SecureKeeper workload (internal/workloads/keeper)
+# joins them for the per-session path MACs and packet buffers its
+# simulated client threads use alongside the proxy's.
 # RACE_PKGS is the one place that list lives; race and verify share it.
 RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 	./internal/pool/... ./internal/serve/... ./internal/experiments/... \
 	./internal/sgx/... ./internal/sdk/... ./internal/host/... \
-	./internal/lint/...
+	./internal/lint/... ./internal/workloads/keeper/...
 
 race:
 	$(GO) test -race $(RACE_PKGS)

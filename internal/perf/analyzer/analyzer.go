@@ -164,8 +164,9 @@ func (s Chunks[T]) Chunk(i int) ([]T, error) { return s[i], nil }
 // their rows in any order: it reads the ecall, ocall and paging feeds
 // into memory, puts them in the fold's order — by key, ties in feed
 // order — and folds them. Feeds already in that order are folded in
-// place; any other is sorted into one copied chunk. Both
-// Analyzer.Analyze and the live collector's snapshots come from here.
+// place; any other is fed through its sorted (key, position) records,
+// gathered a chunk at a time. Both Analyzer.Analyze and the live
+// collector's snapshots come from here.
 func AnalyzeUnordered(ctx context.Context, src *StreamSource, opts Options) (*Report, error) {
 	if src == nil {
 		return nil, fmt.Errorf("analyzer: %w", ErrNoTrace)
@@ -188,12 +189,13 @@ func AnalyzeUnordered(ctx context.Context, src *StreamSource, opts Options) (*Re
 	return analyzeStream(ctx, &sorted, opts)
 }
 
-// foldOrder returns a feed's row chunks in the fold's order: by key,
-// ties in feed order. A feed already in that order is returned as its
-// own chunks, without a copy; any other is sorted into one copied
-// chunk. Either way the rows are the feed's as of the call. It keeps
-// every chunk the feed returns, so it copies the chunks of a feed that
-// recycles its rows at the next read (see ChunkSeq).
+// foldOrder returns a feed of a table's rows in the fold's order: by
+// key, ties in feed order. A feed already in that order is returned as
+// its own chunks, without a copy; any other is returned as a gather
+// over its rows' sorted (key, position) records. Either way the rows
+// are the feed's as of the call. It keeps every chunk the feed
+// returns, so it copies the chunks of a feed that recycles its rows at
+// the next read (see ChunkSeq).
 func foldOrder[T any](seq ChunkSeq[T], key func(*T) callKey) (ChunkSeq[T], error) {
 	chunks := make(Chunks[T], seq.NumChunks())
 	stable := stableRows(seq)
@@ -210,7 +212,6 @@ func foldOrder[T any](seq ChunkSeq[T], key func(*T) callKey) (ChunkSeq[T], error
 	if inFoldOrder(chunks, key) {
 		return chunks, nil
 	}
-	// Sort small (key, position) records, then gather the rows once.
 	n := 0
 	for _, rows := range chunks {
 		n += len(rows)
@@ -221,12 +222,29 @@ func foldOrder[T any](seq ChunkSeq[T], key func(*T) callKey) (ChunkSeq[T], error
 			order = append(order, rowPos{key(&rows[i]), int32(c), int32(i)})
 		}
 	}
-	order = sortRowPos(order)
-	out := make([]T, len(order))
-	for i, p := range order {
-		out[i] = chunks[p.chunk][p.row]
+	return &gather[T]{rows: chunks, order: sortRowPos(order), buf: make([]T, 0, min(n, gatherRows))}, nil
+}
+
+// gatherRows is the chunk length of a gather feed.
+const gatherRows = 1024
+
+// gather feeds a table's rows in the order of its position records,
+// gatherRows at a time, copied into one recycled buffer: the rows a
+// Chunk call returns stay valid until the next one (see ChunkSeq).
+type gather[T any] struct {
+	rows  Chunks[T]
+	order []rowPos
+	buf   []T
+}
+
+func (g *gather[T]) NumChunks() int { return (len(g.order) + gatherRows - 1) / gatherRows }
+
+func (g *gather[T]) Chunk(i int) ([]T, error) {
+	g.buf = g.buf[:0]
+	for _, p := range g.order[i*gatherRows : min((i+1)*gatherRows, len(g.order))] {
+		g.buf = append(g.buf, g.rows[p.chunk][p.row])
 	}
-	return Chunks[T]{out}, nil
+	return g.buf, nil
 }
 
 // stableRows reports whether a feed's chunks stay valid across Chunk

@@ -8,9 +8,10 @@ package analyzer
 // counts — and the security-hint evidence; assembleReport renders them
 // into a Report.
 // Every report comes from here, in one pass from an empty carry to the
-// end of the feeds: Analyzer.Analyze folds sorted copies of a resident
-// trace (the serve daemon's reports among them) and AnalyzeStream folds
-// a saved file chunk by chunk.
+// end of the feeds: Analyzer.Analyze folds a resident trace (the serve
+// daemon's reports among them), each unsorted table gathered in the
+// fold's order a chunk at a time, and AnalyzeStream folds a saved file
+// chunk by chunk.
 //
 // Preconditions. The fold requires the stream-sorted layout
 // events.StreamSort produces — ecalls and ocalls each sorted by
@@ -72,19 +73,21 @@ import (
 
 // ErrUnsorted reports that a streamed table is not in the stream-sorted
 // layout (events.StreamSort) the fold requires. Callers fall back to
-// Analyzer.Analyze, which sorts copies of the tables first.
+// Analyzer.Analyze, which feeds each unsorted table through its sorted
+// (key, position) records.
 var ErrUnsorted = errors.New("analyzer: trace tables are not stream-sorted")
 
 // ChunkSeq supplies one table's rows chunk-by-chunk with random access:
 // the read-ahead alternates two feeds over one table, each reading every
-// other chunk. A stream cursor (see source.go) and in-memory Chunks, the
-// feed of a resident evstore table, satisfy it.
+// other chunk. A stream cursor (see source.go), in-memory Chunks, the
+// feed of a resident evstore table, and foldOrder's gather satisfy it.
 //
 // The rows Chunk returns are read-only and stay valid only until the
 // next Chunk call on the same ChunkSeq: a stream cursor decodes every
-// chunk into one recycled buffer. A consumer that keeps rows across
-// calls copies them (foldOrder does), unless the feed is Chunks, whose
-// rows never change (stableRows).
+// chunk, and a gather copies every chunk's rows, into one recycled
+// buffer. A consumer that keeps rows across calls copies them
+// (foldOrder does), unless the feed is Chunks, whose rows never change
+// (stableRows).
 type ChunkSeq[T any] interface {
 	NumChunks() int
 	Chunk(i int) ([]T, error)

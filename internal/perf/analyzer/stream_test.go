@@ -204,6 +204,45 @@ func TestAnalyzeStreamHeapBounded(t *testing.T) {
 	}
 }
 
+// Resident-fold budget: one Analyze of the unsorted
+// SynthAnalysisTrace(100000), whose ecall, ocall and paging tables are
+// out of fold order. The fold reads each through its sorted (key,
+// position) records, one gathered 1,024-row chunk at a time; the
+// records and the radix sort's scratch are most of the bytes. The
+// counts it was set from (Go 1.24, linux/amd64) were 444 allocations
+// and 11.52 MB; a sorted copy of each whole table made it 447 and
+// 31.69 MB.
+const (
+	residentMaxAllocs = 530
+	residentMaxBytes  = 14_000_000
+)
+
+// TestAnalyzeUnsortedAllocs holds the resident fold of an unsorted
+// trace to the budget above: it must not copy a table to order it.
+// Under -race only the allocation count is held. Not parallel: another
+// test's allocations would count.
+func TestAnalyzeUnsortedAllocs(t *testing.T) {
+	tr, err := experiments.SynthAnalysisTrace(100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := analyzer.New(tr, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs, allocBytes, err := allocsOf(func() (*analyzer.Report, error) { return a.AnalyzeContext(context.Background()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("one resident report of an unsorted trace: %d allocations, %.2f MB", allocs, float64(allocBytes)/1e6)
+	if allocs > residentMaxAllocs {
+		t.Errorf("one resident report made %d allocations, budget %d", allocs, residentMaxAllocs)
+	}
+	if !raceEnabled && allocBytes > residentMaxBytes {
+		t.Errorf("one resident report allocated %d bytes, budget %d", allocBytes, residentMaxBytes)
+	}
+}
+
 // allocsOf runs phase once and returns the heap allocations and bytes
 // it made. Like testing.AllocsPerRun it pins GOMAXPROCS to 1 while
 // counting.
@@ -302,7 +341,7 @@ func TestAnalyzeStreamUnsorted(t *testing.T) {
 // sharing a (Start, ID) key are in order, only a row sorting before its
 // predecessor is ErrUnsorted. An ecall and an ocall recorded with one
 // key — possible in uploaded traces — must not fail Analyze, which
-// folds sorted copies.
+// folds them in sorted order.
 func TestAnalyzeStreamAcceptsEqualKeys(t *testing.T) {
 	tr, err := events.NewTrace()
 	if err != nil {

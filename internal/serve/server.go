@@ -217,13 +217,14 @@ type reportEntry struct {
 // reportArtifact returns the trace's full wire report, cached by
 // content key, together with that content key. Each report is one fold
 // of the trace (Analyzer.AnalyzeContext), sorted or not: the fold runs
-// over the tables in place when they are stream-sorted and over sorted
-// copies otherwise. Concurrency is optimistic: the key is computed
-// before the analysis and revalidated after; since the store is
-// append-only, an unchanged key proves the analysis saw exactly the
-// keyed content, and a changed one discards the run (nothing is cached)
-// and retries under the new key. A returned entry therefore always
-// belongs to the returned content key, cache hit or not.
+// over the tables in place when they are stream-sorted and gathers
+// their rows in fold order a chunk at a time otherwise. Concurrency is
+// optimistic: the key is computed before the analysis and revalidated
+// after; since the store is append-only, an unchanged key proves the
+// analysis saw exactly the keyed content, and a changed one discards
+// the run (nothing is cached) and retries under the new key. A returned
+// entry therefore always belongs to the returned content key, cache hit
+// or not.
 func (s *Server) reportArtifact(ctx context.Context, e *traceEntry, enclave sgx.EnclaveID) (*reportEntry, string, error) {
 	suffix := "|" + strconv.FormatUint(uint64(enclave), 10)
 	for attempt := 0; ; attempt++ {

@@ -2,6 +2,7 @@ package keeper_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +165,53 @@ func TestTwoClientsIsolatedSessions(t *testing.T) {
 	}
 	if r.Exists {
 		t.Fatal("client 2 sees client 1's pseudonymised node")
+	}
+}
+
+// TestOneClientManyThreads drives one client's session from several
+// simulated threads at once: the session's path MAC, its packet boxes
+// and its pending-op queue are shared by every request of the session.
+// Run it under -race.
+func TestOneClientManyThreads(t *testing.T) {
+	h, ctx, w := newKeeper(t)
+	c, err := w.Connect(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threads, rounds = 4, 50
+	paths := make([]string, threads)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/t%d", i)
+		if r, err := c.Do(ctx, keeper.Request{Op: keeper.OpCreate, Path: paths[i], Version: -1}); err != nil || r.Err != "" {
+			t.Fatalf("create %s: %v %q", paths[i], err, r.Err)
+		}
+	}
+	errs := make(chan error, threads)
+	for i := 0; i < threads; i++ {
+		path := paths[i]
+		if err := h.Spawn("t"+path, func(ctx *sgx.Context) {
+			errs <- func() error {
+				for n := 0; n < rounds; n++ {
+					data := []byte(fmt.Sprintf("%s round %d", path, n))
+					if r, err := c.Do(ctx, keeper.Request{Op: keeper.OpSetData, Path: path, Data: data, Version: -1}); err != nil || r.Err != "" {
+						return fmt.Errorf("set %s: %v %q", path, err, r.Err)
+					}
+					r, err := c.Do(ctx, keeper.Request{Op: keeper.OpGetData, Path: path, Version: -1})
+					if err != nil || r.Err != "" || !bytes.Equal(r.Data, data) {
+						return fmt.Errorf("get %s: %v %q, data %q, want %q", path, err, r.Err, r.Data, data)
+					}
+				}
+				return nil
+			}()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.Wait()
+	for i := 0; i < threads; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

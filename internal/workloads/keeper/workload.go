@@ -3,6 +3,7 @@ package keeper
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -84,7 +85,7 @@ type session struct {
 	fromClient *box // client → proxy
 	toClient   *box // proxy → client
 	storage    *box
-	pathKey    []byte
+	paths      *pathMAC
 	// queue is the per-client pending-operation queue, guarded by its own
 	// mutex (low contention, §5.2.4).
 	queueMu sdk.Mutex
@@ -270,6 +271,8 @@ func (w *Workload) handleFromClient(env *sdk.Env, args any) (any, error) {
 		return nil, fmt.Errorf("keeper: unknown session %d", a.Session)
 	}
 
+	// The proxy owns the client's packet once it is sent, so it decrypts
+	// it in place; req.Data aliases the plaintext.
 	plain, err := sess.fromClient.Open(a.Packet)
 	if err != nil {
 		return nil, fmt.Errorf("keeper: transport decrypt: %w", err)
@@ -294,11 +297,11 @@ func (w *Workload) handleFromClient(env *sdk.Env, args any) (any, error) {
 	// store.
 	out := Request{
 		Op:      req.Op,
-		Path:    pathPseudonym(sess.pathKey, req.Path),
+		Path:    sess.paths.pseudonym(req.Path),
 		Version: req.Version,
 	}
 	if len(req.Data) > 0 {
-		out.Data = sess.storage.Seal(req.Data)
+		out.Data = sess.storage.Seal(append(sess.storage.packet(len(req.Data)), req.Data...))
 	}
 	chargeCrypto(env, len(req.Data)+len(req.Path), 1) // storage encrypt
 	env.Compute(costBookkeeping)
@@ -327,12 +330,14 @@ func (w *Workload) handleFromZK(env *sdk.Env, args any) (any, error) {
 		return nil, err
 	}
 	if len(sess.queue) > 0 {
-		sess.queue = sess.queue[1:]
+		sess.queue = slices.Delete(sess.queue, 0, 1)
 	}
 	if err := sess.queueMu.Unlock(env); err != nil {
 		return nil, err
 	}
 
+	// ZKStore.Apply hands out a copy of the znode's data, which the
+	// proxy owns and decrypts in place.
 	resp := a.Resp
 	if len(resp.Data) > 0 {
 		plain, err := sess.storage.Open(resp.Data)
@@ -342,9 +347,9 @@ func (w *Workload) handleFromZK(env *sdk.Env, args any) (any, error) {
 		resp.Data = plain
 		chargeCrypto(env, len(plain), 1)
 	}
-	blob := encodeResponse(resp)
-	sealed := sess.toClient.Seal(blob)
-	chargeCrypto(env, len(blob), 2) // response integrity + transport encrypt
+	n := responseLen(resp)
+	sealed := sess.toClient.Seal(appendResponse(sess.toClient.packet(n), resp))
+	chargeCrypto(env, n, 2) // response integrity + transport encrypt
 	env.Compute(costBookkeeping)
 	return sealed, nil
 }
@@ -396,7 +401,7 @@ func (w *Workload) connect(env *sdk.Env, sid int) (any, error) {
 		runtime.Gosched()
 	}
 	w.p.sessionsMu.Lock()
-	w.p.sessions[sid] = &session{fromClient: fromClient, toClient: toClient, storage: storage, pathKey: key}
+	w.p.sessions[sid] = &session{fromClient: fromClient, toClient: toClient, storage: storage, paths: newPathMAC(key)}
 	w.p.sessionsMu.Unlock()
 	if err := w.p.mapMu.Unlock(env); err != nil {
 		return nil, err
@@ -450,7 +455,7 @@ const (
 func (c *Client) Do(ctx *sgx.Context, req Request) (Response, error) {
 	// Client-side encode + transport encrypt + network to the proxy.
 	ctx.Compute(4*time.Microsecond + clientNetLatency)
-	packet := c.send.Seal(encodeRequest(req))
+	packet := c.send.Seal(appendRequest(c.send.packet(requestLen(req)), req))
 
 	res, err := c.w.proxies[EcallFromClient](ctx, &clientInput{Session: c.sid, Packet: packet})
 	if err != nil {
@@ -473,6 +478,8 @@ func (c *Client) Do(ctx *sgx.Context, req Request) (Response, error) {
 	if !ok {
 		return Response{}, fmt.Errorf("keeper: proxy returned %T", res)
 	}
+	// The proxy's sealed reply is the client's to decrypt in place; the
+	// response's Data aliases the plaintext.
 	plain, err := c.recv.Open(sealed)
 	if err != nil {
 		return Response{}, fmt.Errorf("keeper: client decrypt: %w", err)
@@ -481,18 +488,28 @@ func (c *Client) Do(ctx *sgx.Context, req Request) (Response, error) {
 	return decodeResponse(plain)
 }
 
-// payloadFor varies payload sizes deterministically, producing the
-// spread of ecall durations visible in Fig. 7.
-func payloadFor(i, base int) []byte {
+// ramp holds byte(k) at k: any 256 consecutive bytes of it are one
+// period of a payload.
+var ramp = func() (r [512]byte) {
+	for k := range r {
+		r[k] = byte(k)
+	}
+	return r
+}()
+
+// appendPayload appends payload i to dst. Sizes vary deterministically
+// around base, producing the spread of ecall durations visible in
+// Fig. 7, and byte j of the payload is byte(i+j).
+func appendPayload(dst []byte, i, base int) []byte {
 	size := base/4 + (i*2654435761)%(2*base)
 	if size < 16 {
 		size = 16
 	}
-	b := make([]byte, size)
-	for j := range b {
-		b[j] = byte(i + j)
+	period := ramp[i&255:][:256]
+	for ; size > 0; size -= len(period) {
+		dst = append(dst, period[:min(size, len(period))]...)
 	}
-	return b
+	return dst
 }
 
 // RunOptions configures a full benchmark run.
@@ -578,21 +595,19 @@ func (w *Workload) Run(opts RunOptions) (workloads.Result, error) {
 			interval := freq.Cycles(perClientInterval)
 			slot := ctx.Now()
 			ops := 0
+			path := fmt.Sprintf("/c%d", i)
+			var payload []byte // the client's payload buffer, refilled per setData
 			for ctx.Now() < deadline {
-				req := Request{Version: -1}
-				payload := payloadFor(i*100000+ops, opts.PayloadBase)
+				req := Request{Path: path, Version: -1}
 				switch ops % 4 {
 				case 0, 1:
 					req.Op = OpSetData
-					req.Path = fmt.Sprintf("/c%d", i)
+					payload = appendPayload(payload[:0], i*100000+ops, opts.PayloadBase)
 					req.Data = payload
-					req.Version = -1
 				case 2:
 					req.Op = OpGetData
-					req.Path = fmt.Sprintf("/c%d", i)
 				case 3:
 					req.Op = OpExists
-					req.Path = fmt.Sprintf("/c%d", i)
 				}
 				if _, err := c.Do(ctx, req); err != nil {
 					opsMu.Lock()
