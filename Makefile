@@ -40,8 +40,8 @@ lint: vet
 # packages, which concurrently checked trees share, and for its fan-outs
 # on the pool: one tree type-checks its packages and builds their fact
 # rows there. The SecureKeeper workload (internal/workloads/keeper)
-# joins them for the per-session path MACs and packet buffers its
-# simulated client threads use alongside the proxy's.
+# joins them for the per-session path MACs and each client's free list
+# of request buffers, which its simulated client threads share.
 # RACE_PKGS is the one place that list lives; race and verify share it.
 RACE_PKGS = ./internal/perf/... ./internal/evstore/... \
 	./internal/pool/... ./internal/serve/... ./internal/experiments/... \

@@ -217,9 +217,10 @@ func walkHeld(pkgs []*Package) *engine {
 	e := &engine{summaries: make(map[string]*funcSummary, funcRows(pkgs))}
 	rows, fresh := rowsOf(pkgs, func(c *checkedPkg) **heldRows { return &c.held }, func(pkg *Package) *heldRows {
 		r := &heldRows{sums: make([]*funcSummary, len(pkg.checked.funcs))}
+		names := fullNames{}
 		for i, fn := range pkg.checked.funcs {
 			r.sums[i] = &funcSummary{fixNode: fixNode{declFunc: fn}, display: shortName(fn.full), round: -1}
-			scanDirectBlocking(fn.pkg, fn.decl.Body, r.sums[i])
+			scanDirectBlocking(fn.pkg, names, fn.decl.Body, r.sums[i])
 		}
 		return r
 	})
@@ -248,8 +249,9 @@ func walkHeld(pkgs []*Package) *engine {
 	// The walks read the final summaries and write their own rows.
 	pool.ForEach(len(fresh), func(j int) {
 		r := rows[fresh[j]]
+		names := fullNames{}
 		walk := func(fn *declFunc, name string, body *ast.BlockStmt) {
-			w := &walker{e: e, rows: r, pkg: fn.pkg, fn: &dfFunc{pkg: fn.pkg, name: name}}
+			w := &walker{e: e, rows: r, pkg: fn.pkg, names: names, fn: &dfFunc{pkg: fn.pkg, name: name}}
 			w.block(body.List, nil)
 		}
 		for _, sum := range r.sums {
@@ -284,9 +286,10 @@ func shortName(full string) string {
 type walker struct {
 	e *engine
 	// rows receive the sites the walk records.
-	rows *heldRows
-	pkg  *Package
-	fn   *dfFunc
+	rows  *heldRows
+	pkg   *Package
+	names fullNames
+	fn    *dfFunc
 	// muteChan suppresses channel-op boundaries while walking the comm
 	// clauses of a select (the select itself is the boundary).
 	muteChan bool
@@ -847,6 +850,21 @@ func resolveCallee(call *ast.CallExpr, info *types.Info) *types.Func {
 	return f.Origin()
 }
 
+// fullNames memoises the FullName of the callees one scan resolves:
+// (*types.Func).FullName builds a fresh string on every call. A scan
+// runs on one goroutine and owns its memo.
+type fullNames map[*types.Func]string
+
+// of returns fn's FullName.
+func (m fullNames) of(fn *types.Func) string {
+	full, ok := m[fn]
+	if !ok {
+		full = fn.FullName()
+		m[fn] = full
+	}
+	return full
+}
+
 // callBoundary classifies a call as a blocking boundary: a known seed or
 // a repo function whose summary says it transitively blocks.
 func (w *walker) callBoundary(call *ast.CallExpr) (boundaryHit, bool) {
@@ -854,7 +872,7 @@ func (w *walker) callBoundary(call *ast.CallExpr) (boundaryHit, bool) {
 	if fn == nil {
 		return boundaryHit{}, false
 	}
-	full := fn.FullName()
+	full := w.names.of(fn)
 	if desc, ok := blockingSeeds[full]; ok {
 		b := boundaryHit{desc: desc, condWait: condWaitSeeds[full]}
 		if ocallDispatchers[full] {
@@ -893,7 +911,7 @@ func isPanic(call *ast.CallExpr, info *types.Info) bool {
 
 // scanDirectBlocking fills a summary's direct boundary facts and callee
 // list, skipping goroutine bodies (their blocking belongs to them).
-func scanDirectBlocking(pkg *Package, body *ast.BlockStmt, sum *funcSummary) {
+func scanDirectBlocking(pkg *Package, names fullNames, body *ast.BlockStmt, sum *funcSummary) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
@@ -901,7 +919,7 @@ func scanDirectBlocking(pkg *Package, body *ast.BlockStmt, sum *funcSummary) {
 			for _, a := range n.Call.Args {
 				ast.Inspect(a, func(m ast.Node) bool {
 					if c, ok := m.(*ast.CallExpr); ok {
-						noteCall(pkg, c, sum)
+						noteCall(pkg, names, c, sum)
 					}
 					return true
 				})
@@ -930,7 +948,7 @@ func scanDirectBlocking(pkg *Package, body *ast.BlockStmt, sum *funcSummary) {
 				noteBlock(sum, "selects without a default")
 			}
 		case *ast.CallExpr:
-			noteCall(pkg, n, sum)
+			noteCall(pkg, names, n, sum)
 		}
 		return true
 	})
@@ -943,12 +961,12 @@ func noteBlock(sum *funcSummary, reason string) {
 	}
 }
 
-func noteCall(pkg *Package, call *ast.CallExpr, sum *funcSummary) {
+func noteCall(pkg *Package, names fullNames, call *ast.CallExpr, sum *funcSummary) {
 	fn := resolveCallee(call, pkg.Info)
 	if fn == nil {
 		return
 	}
-	full := fn.FullName()
+	full := names.of(fn)
 	if desc, ok := blockingSeeds[full]; ok {
 		noteBlock(sum, "calls "+desc)
 		return

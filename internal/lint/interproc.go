@@ -172,10 +172,11 @@ type graphRows struct {
 func newInterproc(pkgs []*Package) *interproc {
 	ip := &interproc{funcs: make(map[string]*ipFunc, funcRows(pkgs))}
 	rows, fresh := rowsOf(pkgs, func(c *checkedPkg) **graphRows { return &c.graph }, func(pkg *Package) *graphRows {
-		r := &graphRows{entries: collectEntries(pkg, nil), funcs: make([]*ipFunc, len(pkg.checked.funcs))}
+		names := fullNames{}
+		r := &graphRows{entries: collectEntries(pkg, names, nil), funcs: make([]*ipFunc, len(pkg.checked.funcs))}
 		for i, df := range pkg.checked.funcs {
 			fn := &ipFunc{fixNode: fixNode{declFunc: df}, round: -1}
-			s := &ipScanner{pkg: df.pkg, fn: fn, reads: make(map[string][]token.Pos)}
+			s := &ipScanner{pkg: df.pkg, names: names, fn: fn, reads: make(map[string][]token.Pos)}
 			s.argObjs = boundaryParams(df.decl, df.pkg.Info)
 			s.block(df.decl.Body, ipCtx{trip: 1})
 			s.resolveFetches()
@@ -311,8 +312,9 @@ func (c ipCtx) branch() ipCtx {
 }
 
 type ipScanner struct {
-	pkg *Package
-	fn  *ipFunc
+	pkg   *Package
+	names fullNames
+	fn    *ipFunc
 	// argObjs are the boundary-buffer roots of a TrustedFn-shaped
 	// handler: the args parameter plus locals type-asserted from it
 	// (nil for every other function).
@@ -565,7 +567,7 @@ func (s *ipScanner) call(call *ast.CallExpr, c ipCtx) {
 		return
 	}
 	if fn := resolveCallee(call, info); fn != nil {
-		callee := fn.FullName()
+		callee := s.names.of(fn)
 		s.fn.calls = append(s.fn.calls, ipCall{
 			callee: callee, pos: call.Pos(),
 			depth: c.depth, trip: c.trip, cond: c.cond,
@@ -891,7 +893,7 @@ func sortedEntries(es []entry) []entry {
 // collectEntries appends to out the ecall registrations of
 // map[string]sdk.TrustedFn composite literals with constant keys and
 // statically-resolvable function values.
-func collectEntries(pkg *Package, out []entry) []entry {
+func collectEntries(pkg *Package, names fullNames, out []entry) []entry {
 	for _, file := range pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			lit, ok := n.(*ast.CompositeLit)
@@ -931,7 +933,7 @@ func collectEntries(pkg *Package, out []entry) []entry {
 					fn, _ = pkg.Info.Uses[v].(*types.Func)
 				}
 				if fn != nil {
-					out = append(out, entry{ecall: constant.StringVal(ktv.Value), handler: fn.FullName()})
+					out = append(out, entry{ecall: constant.StringVal(ktv.Value), handler: names.of(fn)})
 				}
 			}
 			return true
@@ -1050,7 +1052,7 @@ func AnalyzeInterprocTree(tree *Tree, dirs []string) *InterReport {
 	// Entry predictions, one per registration in scope.
 	var scopedEntries []entry
 	for _, pkg := range tree.scoped(dirs) {
-		scopedEntries = collectEntries(pkg, scopedEntries)
+		scopedEntries = collectEntries(pkg, fullNames{}, scopedEntries)
 	}
 	memo := make(map[string]predInfo)
 	for _, e := range sortedEntries(scopedEntries) {

@@ -306,8 +306,11 @@ type taintGraph struct {
 	sources map[types.Object]*secretSrc
 	tables  *taintTables
 	funcs   map[string]*taintFunc
-	flows   []taintFlow
-	issues  []taintIssue
+	// names memoises callee FullNames across the fixpoint's walks,
+	// which run one at a time.
+	names  fullNames
+	flows  []taintFlow
+	issues []taintIssue
 }
 
 // newTaintGraph builds the whole-tree taint analysis. It adopts every
@@ -321,6 +324,7 @@ func newTaintGraph(tree *Tree) *taintGraph {
 		fset:    tree.Fset,
 		sources: make(map[types.Object]*secretSrc),
 		funcs:   make(map[string]*taintFunc, len(ip.order)),
+		names:   fullNames{},
 	}
 	tables := &taintTables{handlerEcall: make(map[string]string), edl: make(map[string]*edlDecl)}
 	g.rows, _ = rowsOf(tree.Pkgs, func(c *checkedPkg) **taintRows { return &c.taint }, func(pkg *Package) *taintRows {
@@ -1028,7 +1032,7 @@ func (w *taintWalker) callTaint(call *ast.CallExpr) *taintVal {
 		return nil // recognised seal/encrypt: the result is safe to cross
 	}
 	if fn != nil {
-		if g, ok := w.g.funcs[fn.FullName()]; ok {
+		if g, ok := w.g.funcs[w.g.names.of(fn)]; ok {
 			w.fn.deps = append(w.fn.deps, g.full)
 			var out *taintVal
 			for i, v := range vals {

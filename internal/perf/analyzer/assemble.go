@@ -96,7 +96,7 @@ func assembleReport(workload string, cfg *foldConfig, delta *foldDelta, pre *syn
 	r.Stats = make([]CallStats, 0, len(order))
 	for _, id := range order {
 		na := &delta.names[id]
-		if s, ok := statsFromHistogram(na.name, na.kind, na.hist, na.totalAEX); ok {
+		if s, ok := statsFromHistogram(na.name, na.kind, &na.hist, na.totalAEX); ok {
 			stats[id] = s
 			r.Stats = append(r.Stats, s)
 		}

@@ -458,10 +458,83 @@ type nameAgg struct {
 	callID   int
 	count    int
 	totalAEX int
-	hist     map[time.Duration]int
+	hist     durHist
 	reorder  ReorderAgg
 	// topLevel records that at least one execution had no Parent link.
 	topLevel bool
+}
+
+// durBucket is one histogram bucket: a duration and its count.
+type durBucket struct {
+	d time.Duration
+	k int
+}
+
+// durHist is a duration → count histogram in one flat open-addressing
+// table: linear probing over a power-of-two slot array, at most half
+// full. A slot whose count is zero is free, so every duration, negative
+// ones included, is a key.
+type durHist struct {
+	slots []durBucket
+	used  int
+	shift uint8 // 64 − log2(len(slots))
+}
+
+// add counts one execution of duration d.
+//
+//sgxperf:hotpath
+func (h *durHist) add(d time.Duration) {
+	if 2*(h.used+1) > len(h.slots) {
+		h.grow()
+	}
+	mask := len(h.slots) - 1
+	for i := h.home(d); ; i = (i + 1) & mask {
+		s := &h.slots[i]
+		if s.k == 0 {
+			*s = durBucket{d, 1}
+			h.used++
+			return
+		}
+		if s.d == d {
+			s.k++
+			return
+		}
+	}
+}
+
+// home is d's first probe slot: the top bits of a Fibonacci hash.
+func (h *durHist) home(d time.Duration) int {
+	return int(uint64(d) * 0x9e3779b97f4a7c15 >> h.shift)
+}
+
+// grow doubles the table (16 slots at first) and reinserts its buckets.
+func (h *durHist) grow() {
+	old := h.slots
+	n := max(2*len(old), 16)
+	h.slots = make([]durBucket, n)
+	h.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	mask := n - 1
+	for _, b := range old {
+		if b.k == 0 {
+			continue
+		}
+		i := h.home(b.d)
+		for h.slots[i].k != 0 {
+			i = (i + 1) & mask
+		}
+		h.slots[i] = b
+	}
+}
+
+// buckets returns the histogram's buckets in slot order.
+func (h *durHist) buckets() []durBucket {
+	out := make([]durBucket, 0, h.used)
+	for _, b := range h.slots {
+		if b.k != 0 {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // pairAgg accumulates one (child, parent) name pair of the pair table.
@@ -517,7 +590,7 @@ func (d *foldDelta) name(ev *events.CallEvent) int32 {
 	if !ok {
 		id = int32(len(d.names))
 		d.ids[ev.Name] = id
-		d.names = append(d.names, nameAgg{name: ev.Name, kind: ev.Kind, callID: ev.CallID, hist: make(map[time.Duration]int)})
+		d.names = append(d.names, nameAgg{name: ev.Name, kind: ev.Kind, callID: ev.CallID})
 	}
 	return id
 }
@@ -759,12 +832,14 @@ func fold(cfg *foldConfig, in foldInput) (*foldDelta, error) {
 
 // adjustedDuration is a call's execution duration: for ecalls the
 // transition round-trip is subtracted (§4.1.2), clamped at zero; ocall
-// timestamps already exclude transitions.
+// timestamps already exclude transitions. It reads the two timestamps
+// rather than copying the row through CallEvent.Duration.
 func adjustedDuration(call *events.CallEvent, freq vtime.Frequency, transition vtime.Cycles) time.Duration {
+	d := call.End - call.Start
 	if call.Kind != events.KindEcall {
-		return freq.Duration(call.Duration())
+		return freq.Duration(d)
 	}
-	return max(freq.Duration(call.Duration()-transition), 0)
+	return max(freq.Duration(d-transition), 0)
 }
 
 // foldCall folds one in-filter call into the delta and carry.
@@ -775,7 +850,7 @@ func foldCall(cfg *foldConfig, carry *foldCarry, delta *foldDelta, call *events.
 	na := &delta.names[id]
 	na.count++
 	na.totalAEX += call.AEXCount
-	na.hist[adjusted]++
+	na.hist.add(adjusted)
 
 	if adjusted < cfg.weights.SyncShortLimit {
 		delta.shortWakes += cfg.syncs.wakes(call.ID)

@@ -26,21 +26,16 @@ import (
 // and is bit-identical to summing a sorted slice of the same durations.
 // The histogram is read once, into (duration, count) pairs. Returns
 // ok=false for an empty histogram.
-func statsFromHistogram(name string, kind events.CallKind, hist map[time.Duration]int, totalAEX int) (CallStats, bool) {
-	type bucket struct {
-		d time.Duration
-		k int
-	}
-	buckets := make([]bucket, 0, len(hist))
+func statsFromHistogram(name string, kind events.CallKind, hist *durHist, totalAEX int) (CallStats, bool) {
+	buckets := hist.buckets()
 	n := 0
-	for d, k := range hist {
-		buckets = append(buckets, bucket{d, k})
-		n += k
+	for _, b := range buckets {
+		n += b.k
 	}
 	if n == 0 {
 		return CallStats{}, false
 	}
-	slices.SortFunc(buckets, func(a, b bucket) int { return cmp.Compare(a.d, b.d) })
+	slices.SortFunc(buckets, func(a, b durBucket) int { return cmp.Compare(a.d, b.d) })
 
 	s := CallStats{Name: name, Kind: kind, Count: n, TotalAEX: totalAEX}
 	var sum float64

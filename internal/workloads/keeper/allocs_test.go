@@ -29,27 +29,29 @@ func perOp(op func(), n int) (allocs, bytes float64) {
 
 // Request budgets: one Client.Do on a connected client, both ecalls,
 // the simulator and the store included, with no logger attached. The
-// counts they were set from (Go 1.24, linux/amd64) were 14, 13 and 12
-// allocations and 3,840, 2,688 and 432 bytes; the budgets leave about
-// 20% over them. When every packet, pseudonym and MAC was a fresh
-// allocation a request cost 36, 34 and 31 allocations and 10,352,
-// 9,060 and 1,392 bytes.
+// counts they were set from (Go 1.24, linux/amd64) were 8, 9 and 8
+// allocations and 192, 1,344 and 192 bytes; the budgets leave about
+// 20% over them. When each request allocated its own packets and store
+// copy it cost 14, 13 and 12 allocations and 3,840, 2,688 and 432
+// bytes; when every packet, pseudonym and MAC was a fresh allocation,
+// 36, 34 and 31 allocations and 10,352, 9,060 and 1,392 bytes.
 var requestBudgets = []struct {
 	op            keeper.ZKOp
 	data          int
 	allocs, bytes float64
 }{
-	{keeper.OpSetData, 1024, 17, 4600},
-	{keeper.OpGetData, 0, 16, 3250},
-	{keeper.OpExists, 0, 15, 520},
+	{keeper.OpSetData, 1024, 10, 240},
+	{keeper.OpGetData, 0, 11, 1620},
+	{keeper.OpExists, 0, 10, 240},
 }
 
 // TestRequestAllocs holds one SecureKeeper request to the budgets
 // above: the request path seals, opens and encodes its packets in
-// place, so each request allocates its packets and little else. Under
-// -race only the allocation count is held: the race runtime allocates
-// bytes the budget does not price. Not parallel: another test's
-// allocations would count.
+// place, in an exchange its client recycles, and the store rewrites a
+// znode in place, so a request allocates little beyond the getData
+// reply its caller keeps. Under -race only the allocation count is
+// held: the race runtime allocates bytes the budget does not price.
+// Not parallel: another test's allocations would count.
 func TestRequestAllocs(t *testing.T) {
 	_, ctx, w := newKeeper(t)
 	c, err := w.Connect(ctx, 0)

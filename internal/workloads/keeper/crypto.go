@@ -45,6 +45,16 @@ func (b *box) packet(n int) []byte {
 	return make([]byte, ns, ns+n+b.aead.Overhead())
 }
 
+// packetIn is packet(n) built in room: room's array when it can hold
+// the sealed packet, a fresh packet otherwise. The caller owns room.
+func (b *box) packetIn(room []byte, n int) []byte {
+	ns := b.aead.NonceSize()
+	if cap(room) < ns+n+b.aead.Overhead() {
+		return b.packet(n)
+	}
+	return room[:ns]
+}
+
 // Seal encrypts in place the plaintext appended to p after its nonce
 // room, writes the next counter nonce into that room and returns the
 // sealed packet.

@@ -58,6 +58,11 @@ type clientInput struct {
 	Connect bool
 	// Packet is the transport-encrypted request (nil on connect).
 	Packet []byte
+	// Room is the request's room for the storage packet the proxy
+	// seals; the ecall grows it when it is too small. It is the
+	// simulation's memory, not a boundary copy, so the copy sizes leave
+	// it out.
+	Room []byte
 }
 
 // CopyInBytes implements sdk.Copied.
@@ -71,6 +76,9 @@ type zkInput struct {
 	Session int
 	// Resp is the ZooKeeper response over encrypted znodes.
 	Resp Response
+	// Room is the request's room for the sealed reply, like
+	// clientInput.Room; the ecall returns the reply in it.
+	Room []byte
 }
 
 // CopyInBytes implements sdk.Copied.
@@ -284,11 +292,12 @@ func (w *Workload) handleFromClient(env *sdk.Env, args any) (any, error) {
 	chargeCrypto(env, len(plain), 1) // transport decrypt
 
 	// Track the pending op on the per-client queue (own lock, low
-	// contention).
+	// contention). The entry keeps no alias into the packet, which the
+	// client reuses once the request is done.
 	if err := sess.queueMu.Lock(env); err != nil {
 		return nil, err
 	}
-	sess.queue = append(sess.queue, req)
+	sess.queue = append(sess.queue, Request{Op: req.Op, Path: req.Path, Version: req.Version})
 	if err := sess.queueMu.Unlock(env); err != nil {
 		return nil, err
 	}
@@ -301,7 +310,8 @@ func (w *Workload) handleFromClient(env *sdk.Env, args any) (any, error) {
 		Version: req.Version,
 	}
 	if len(req.Data) > 0 {
-		out.Data = sess.storage.Seal(append(sess.storage.packet(len(req.Data)), req.Data...))
+		a.Room = sess.storage.Seal(append(sess.storage.packetIn(a.Room, len(req.Data)), req.Data...))
+		out.Data = a.Room
 	}
 	chargeCrypto(env, len(req.Data)+len(req.Path), 1) // storage encrypt
 	env.Compute(costBookkeeping)
@@ -336,8 +346,8 @@ func (w *Workload) handleFromZK(env *sdk.Env, args any) (any, error) {
 		return nil, err
 	}
 
-	// ZKStore.Apply hands out a copy of the znode's data, which the
-	// proxy owns and decrypts in place.
+	// The store copied the znode's data into the request's room, which
+	// the proxy owns and decrypts in place.
 	resp := a.Resp
 	if len(resp.Data) > 0 {
 		plain, err := sess.storage.Open(resp.Data)
@@ -348,10 +358,10 @@ func (w *Workload) handleFromZK(env *sdk.Env, args any) (any, error) {
 		chargeCrypto(env, len(plain), 1)
 	}
 	n := responseLen(resp)
-	sealed := sess.toClient.Seal(appendResponse(sess.toClient.packet(n), resp))
+	a.Room = sess.toClient.Seal(appendResponse(sess.toClient.packetIn(a.Room, n), resp))
 	chargeCrypto(env, n, 2) // response integrity + transport encrypt
 	env.Compute(costBookkeeping)
-	return sealed, nil
+	return a.Room, nil
 }
 
 // connect registers a session: the map mutex is the §5.2.4 contention
@@ -415,13 +425,51 @@ func (w *Workload) connect(env *sdk.Env, sid int) (any, error) {
 	return nil, nil
 }
 
-// Client is one connected client's untrusted-side handle.
+// Client is one connected client's untrusted-side handle. One client
+// may serve several threads at once.
 type Client struct {
 	w   *Workload
 	sid int
 	// send/recv mirror the in-enclave directional transport boxes.
 	send *box
 	recv *box
+
+	// free holds the exchanges of finished requests for the next ones to
+	// reuse: no more than the client ever had in flight at once.
+	freeMu sync.Mutex
+	free   []*exchange
+}
+
+// exchange is the room one request fills on its way to the store and
+// back: the client's sealed request (in.Packet), the storage packet the
+// proxy seals (in.Room), the store's copy of a znode's data (store) and
+// the proxy's sealed reply (zk.Room). An exchange belongs to one
+// request at a time, never to a client or a session.
+type exchange struct {
+	in    clientInput
+	zk    zkInput
+	store []byte
+}
+
+// take returns a free exchange, or a new one when none is free.
+func (c *Client) take() *exchange {
+	c.freeMu.Lock()
+	defer c.freeMu.Unlock()
+	n := len(c.free)
+	if n == 0 {
+		return new(exchange)
+	}
+	ex := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	return ex
+}
+
+// give returns a finished request's exchange to the free list.
+func (c *Client) give(ex *exchange) {
+	c.freeMu.Lock()
+	c.free = append(c.free, ex)
+	c.freeMu.Unlock()
 }
 
 // Connect establishes a session through the proxy.
@@ -451,13 +499,30 @@ const (
 )
 
 // Do executes one operation end to end: client encrypt → proxy ecall →
-// network → ZooKeeper → network → proxy ecall → client decrypt.
+// network → ZooKeeper → network → proxy ecall → client decrypt. The
+// request fills an exchange from the client's free list and gives it
+// back when it is done. A response's Data is the caller's: the reply
+// packet it aliases leaves the exchange with it.
 func (c *Client) Do(ctx *sgx.Context, req Request) (Response, error) {
+	ex := c.take()
+	resp, err := c.do(ctx, ex, req)
+	if err != nil {
+		return Response{}, err
+	}
+	if resp.Data != nil {
+		ex.zk.Room = nil
+	}
+	c.give(ex)
+	return resp, nil
+}
+
+func (c *Client) do(ctx *sgx.Context, ex *exchange, req Request) (Response, error) {
 	// Client-side encode + transport encrypt + network to the proxy.
 	ctx.Compute(4*time.Microsecond + clientNetLatency)
-	packet := c.send.Seal(appendRequest(c.send.packet(requestLen(req)), req))
+	ex.in.Session = c.sid
+	ex.in.Packet = c.send.Seal(appendRequest(c.send.packetIn(ex.in.Packet, requestLen(req)), req))
 
-	res, err := c.w.proxies[EcallFromClient](ctx, &clientInput{Session: c.sid, Packet: packet})
+	res, err := c.w.proxies[EcallFromClient](ctx, &ex.in)
 	if err != nil {
 		return Response{}, err
 	}
@@ -467,10 +532,14 @@ func (c *Client) Do(ctx *sgx.Context, req Request) (Response, error) {
 	}
 
 	ctx.Compute(zkLatency)
-	zkResp := c.w.store.Apply(ctx, *zkReq)
+	ex.zk.Session = c.sid
+	ex.zk.Resp = c.w.store.apply(ctx, *zkReq, ex.store)
+	if ex.zk.Resp.Data != nil {
+		ex.store = ex.zk.Resp.Data
+	}
 	ctx.Compute(zkLatency)
 
-	res, err = c.w.proxies[EcallFromZK](ctx, &zkInput{Session: c.sid, Resp: zkResp})
+	res, err = c.w.proxies[EcallFromZK](ctx, &ex.zk)
 	if err != nil {
 		return Response{}, err
 	}

@@ -139,8 +139,16 @@ type Response struct {
 	Exists   bool
 }
 
-// Apply executes one request, charging the calling thread.
+// Apply executes one request, charging the calling thread. A getData
+// response's Data is a fresh copy of the znode's data.
 func (s *ZKStore) Apply(ctx *sgx.Context, req Request) Response {
+	return s.apply(ctx, req, nil)
+}
+
+// apply is Apply with getData's copy made in room, whose array the
+// copy reuses when it is large enough. setData overwrites the znode's
+// data in the node's own buffer, so no znode's data escapes the store.
+func (s *ZKStore) apply(ctx *sgx.Context, req Request, room []byte) Response {
 	ctx.Compute(s.opCost + time.Duration(len(req.Data))*8*time.Nanosecond)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -176,7 +184,7 @@ func (s *ZKStore) Apply(ctx *sgx.Context, req Request) Response {
 		if req.Version >= 0 && req.Version != n.version {
 			return Response{Err: ErrBadVersion.Error()}
 		}
-		n.data = append([]byte(nil), req.Data...)
+		n.data = append(n.data[:0], req.Data...)
 		n.version++
 		return Response{Version: n.version}
 	case OpGetData:
@@ -184,7 +192,7 @@ func (s *ZKStore) Apply(ctx *sgx.Context, req Request) Response {
 		if !ok {
 			return Response{Err: ErrNoNode.Error()}
 		}
-		return Response{Data: append([]byte(nil), n.data...), Version: n.version}
+		return Response{Data: append(room[:0], n.data...), Version: n.version}
 	case OpGetChildren:
 		n, ok := s.lookup(parts)
 		if !ok {
